@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import BinaryIO
@@ -119,6 +120,10 @@ def _parse_cell(raw: str, column: str, line_no: int) -> float | None:
         raise DataIntegrityError(
             f"line {line_no}: cannot parse {column} value {raw!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise DataIntegrityError(
+            f"line {line_no}: {column} value {raw!r} is not a finite number"
+        )
     if value < 0:
         raise DataIntegrityError(f"line {line_no}: negative {column} value {value}")
     return value

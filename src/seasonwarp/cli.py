@@ -12,19 +12,15 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .cleaning import ColumnSchema, clean_series, parse_market_csv
 from .descriptive import describe
 from .dtw import (
     DtwOptions,
     LocalMetric,
     Normalization,
-    cumulative_cost,
     dtw_align,
-    local_distance_matrix,
+    dtw_align_with_matrices,
     rank_pairs,
-    zscore,
 )
 from .errors import DataIntegrityError, MarketDataError
 from .fixture import generate_fixture
@@ -420,55 +416,44 @@ def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int
     return list(zip(years, years[1:]))
 
 
-def _aligned_matrices(x, y, options: DtwOptions):
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if options.normalize_input is Normalization.ZSCORE:
-        xa, ya = zscore(xa), zscore(ya)
-    d = local_distance_matrix(xa, ya, options.local_metric)
-    return d, cumulative_cost(d, options.band_radius)
-
-
 def _dtw_variable_outputs(
     args: argparse.Namespace, dense: WeeklySeries, formats: set[str]
 ) -> tuple[dict[str, str], object]:
     var = dense.variable.value
     options = _dtw_options(args)
     pairs = _year_pairs(args, dense)
+    years = sorted({year for pair in pairs for year in pair})
+    slices = {year: slice_year(dense, year).values for year in years}
     results = []
     files: dict[str, str] = {}
     for y1, y2 in pairs:
-        x = slice_year(dense, y1).values
-        y = slice_year(dense, y2).values
-        result = dtw_align(x, y, options)
+        result, d, g = dtw_align_with_matrices(slices[y1], slices[y2], options)
         results.append(((y1, y2), result))
         stem = f"dtw_{var}_{y1}-{y2}"
         if "json" in formats:
             files[f"{stem}.json"] = to_json(
                 {"variable": var, "year_pair": [y1, y2], "result": result.to_dict()}
             )
-        if "svg" in formats or args.dump_matrices:
-            d, g = _aligned_matrices(x, y, options)
-            if "svg" in formats:
-                files[f"{stem}.svg"] = dtw_figure(
-                    g,
-                    list(result.path.steps),
-                    (list(result.warped_pair[0]), list(result.warped_pair[1])),
-                    (str(y1), str(y2)),
-                    title=f"DTW alignment, {var} {y1} vs {y2}",
-                    metadata={
-                        "chart": "dtw_alignment",
-                        "variable": var,
-                        "year_pair": [y1, y2],
-                        "options": options.to_dict(),
-                        "total_cost": result.total_cost,
-                        "mean_cost": result.mean_cost,
-                        "path_length": result.path_length,
-                    },
-                )
-            if args.dump_matrices:
-                files[f"{stem}_local.csv"] = matrix_csv(d)
-                files[f"{stem}_cumulative.csv"] = matrix_csv(g)
+        if "svg" in formats:
+            files[f"{stem}.svg"] = dtw_figure(
+                g,
+                list(result.path.steps),
+                (list(result.warped_pair[0]), list(result.warped_pair[1])),
+                (str(y1), str(y2)),
+                title=f"DTW alignment, {var} {y1} vs {y2}",
+                metadata={
+                    "chart": "dtw_alignment",
+                    "variable": var,
+                    "year_pair": [y1, y2],
+                    "options": options.to_dict(),
+                    "total_cost": result.total_cost,
+                    "mean_cost": result.mean_cost,
+                    "path_length": result.path_length,
+                },
+            )
+        if args.dump_matrices:
+            files[f"{stem}_local.csv"] = matrix_csv(d)
+            files[f"{stem}_cumulative.csv"] = matrix_csv(g)
     ranking = rank_pairs(results)
     payload = {
         "variable": var,
@@ -483,14 +468,7 @@ def _dtw_variable_outputs(
         )
         unbanded = rank_pairs(
             [
-                (
-                    (y1, y2),
-                    dtw_align(
-                        slice_year(dense, y1).values,
-                        slice_year(dense, y2).values,
-                        unbanded_options,
-                    ),
-                )
+                ((y1, y2), dtw_align(slices[y1], slices[y2], unbanded_options))
                 for y1, y2 in pairs
             ]
         )

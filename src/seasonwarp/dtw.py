@@ -268,6 +268,14 @@ def dtw_align(x, y, options: DtwOptions = DtwOptions()) -> DtwResult:
     distance matrix is built, and the warped pair reports the standardized
     values actually aligned.
     """
+    return dtw_align_with_matrices(x, y, options)[0]
+
+
+def dtw_align_with_matrices(
+    x, y, options: DtwOptions = DtwOptions()
+) -> tuple[DtwResult, np.ndarray, np.ndarray]:
+    """``dtw_align`` plus the local distance matrix d and the cumulative
+    cost matrix g it was computed from, for callers that draw or dump them."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if options.normalize_input is Normalization.ZSCORE:
@@ -288,7 +296,7 @@ def dtw_align(x, y, options: DtwOptions = DtwOptions()) -> DtwResult:
         tuple(_value(xa, i - 1) for i, _ in path.steps),
         tuple(_value(ya, j - 1) for _, j in path.steps),
     )
-    return DtwResult(
+    result = DtwResult(
         total_cost=total,
         mean_cost=mean_cost(total, k),
         path=path,
@@ -296,6 +304,7 @@ def dtw_align(x, y, options: DtwOptions = DtwOptions()) -> DtwResult:
         options=options,
         warped_pair=warped,
     )
+    return result, d, g
 
 
 @dataclass(frozen=True)

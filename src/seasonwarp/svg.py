@@ -12,6 +12,8 @@ import json
 import math
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L = 64.0
@@ -188,12 +190,23 @@ def line_chart(
     return _document(width, height, title, metadata, body)
 
 
-def _heat_color(v: float) -> str:
-    """Light-to-dark blue ramp for v in [0, 1]."""
-    r = int(round(247 - v * (247 - 8)))
-    g = int(round(251 - v * (251 - 48)))
-    b = int(round(255 - v * (255 - 107)))
-    return f"#{r:02x}{g:02x}{b:02x}"
+# Light-to-dark blue ramp: value 0 maps to the light end, 1 to the dark end.
+_RAMP_LIGHT = np.array([247.0, 251.0, 255.0])
+_RAMP_DARK = np.array([8.0, 48.0, 107.0])
+
+
+def _heat_fills(v: np.ndarray) -> np.ndarray:
+    """Ramp colours ("#rrggbb", object array) for a 1-d array of v in [0, 1].
+
+    Channels round half to even (np.rint, as Python's round does).  On [0, 1]
+    every channel lies in 0..255, so one packed integer names a colour and
+    each distinct colour is formatted once.
+    """
+    rgb = np.rint(_RAMP_LIGHT - v[:, None] * (_RAMP_LIGHT - _RAMP_DARK)).astype(np.int64)
+    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    colours, inverse = np.unique(packed, return_inverse=True)
+    names = np.array([f"#{c:06x}" for c in colours.tolist()], dtype=object)
+    return names[inverse]
 
 
 def dtw_figure(
@@ -207,27 +220,31 @@ def dtw_figure(
 ) -> str:
     """Two panels: the warping path over the cumulative-cost heatmap, and the
     time-aligned (warped) series overlay."""
-    matrix = [list(map(float, row)) for row in cost_matrix]
-    n = len(matrix)
-    m = len(matrix[0])
+    matrix = np.asarray(cost_matrix, dtype=float)
+    n, m = matrix.shape
     width, height = 980.0, 460.0
     panel_w = 400.0
     panel_h = height - _MARGIN_T - _MARGIN_B
     x0, y0 = 56.0, _MARGIN_T
 
-    finite = [v for row in matrix for v in row if math.isfinite(v)]
-    vmax = max(finite) if finite and max(finite) > 0 else 1.0
+    finite = np.isfinite(matrix)
+    costs = matrix[finite]
+    if np.any(costs < 0):
+        raise ValueError("dtw_figure needs a non-negative cost matrix")
+    peak = costs.max(initial=0.0)
+    vmax = peak if peak > 0 else 1.0
+    fills = np.full(matrix.shape, "#dddddd", dtype=object)
+    fills[finite] = _heat_fills(costs / vmax)
     cw = panel_w / m
     ch = panel_h / n
+    xs = [_f(x0 + j * cw) for j in range(m)]
+    size = f'width="{_f(cw)}" height="{_f(ch)}"'
+    # One string per heatmap row, not per cell: the same bytes once the
+    # document joins its lines, with far fewer short-lived small strings.
     body = []
-    for i in range(n):
-        for j in range(m):
-            v = matrix[i][j]
-            fill = "#dddddd" if not math.isfinite(v) else _heat_color(v / vmax)
-            body.append(
-                f'<rect x="{_f(x0 + j * cw)}" y="{_f(y0 + i * ch)}" '
-                f'width="{_f(cw)}" height="{_f(ch)}" fill="{fill}"/>'
-            )
+    for i, row in enumerate(fills.tolist()):
+        row_tail = f'" y="{_f(y0 + i * ch)}" {size} fill="'
+        body.append("\n".join([f'<rect x="{x}{row_tail}{fill}"/>' for x, fill in zip(xs, row)]))
     pts = " ".join(
         f"{_f(x0 + (j - 0.5) * cw)},{_f(y0 + (i - 0.5) * ch)}" for i, j in path_steps
     )

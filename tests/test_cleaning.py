@@ -56,6 +56,11 @@ class TestParseMarketCsv:
         with pytest.raises(DataIntegrityError, match="line 2"):
             parse_market_csv(_csv("06-03-2022,120,1500"))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "NaN"])
+    def test_non_finite_value_rejected(self, cell):
+        with pytest.raises(DataIntegrityError, match=f"line 3: modal_price value '{cell}'"):
+            parse_market_csv(_csv("2022-03-06,120,1500", f"2022-03-13,90,{cell}"))
+
     def test_negative_value_rejected(self):
         with pytest.raises(DataIntegrityError, match="negative"):
             parse_market_csv(_csv("2022-03-06,-5,1500"))

@@ -2,10 +2,14 @@ import csv
 import filecmp
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import seasonwarp.cli
+import seasonwarp.dtw
 from seasonwarp.cleaning import CleaningReport
 from seasonwarp.cli import main
 from seasonwarp.dtw import DtwResult, PairRanking
@@ -263,6 +267,33 @@ class TestSeasonalCommand:
         assert code == 2
 
 
+def _with_cell(csv_bytes: bytes, line_no: int, column: int, cell: str) -> bytes:
+    lines = csv_bytes.decode().splitlines()
+    fields = lines[line_no - 1].split(",")
+    fields[column] = cell
+    lines[line_no - 1] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["clean", "stats", "dtw", "report-all"])
+    @pytest.mark.parametrize(
+        "line_no,column,cell,name",
+        [(100, 2, "nan", "modal_price"), (200, 1, "inf", "arrivals"), (300, 2, "1e400", "modal_price")],
+    )
+    def test_rejected_with_one_line_and_no_output(
+        self, tmp_path, capsys, fixture42, command, line_no, column, cell, name
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(_with_cell(fixture42.csv_bytes(), line_no, column, cell))
+        out = tmp_path / "o"
+        assert _run(command, "--input", str(bad), "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"line {line_no}: {name} value '{cell}'" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestDtwCommand:
     def test_consecutive_pairs_outputs(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -374,6 +405,45 @@ class TestDtwCommand:
         local = (out / "dtw_modal_price_2020-2021_local.csv").read_text()
         rows = list(csv.reader(io.StringIO(local)))
         assert len(rows) == 53 and len(rows[0]) == 52
+
+    def test_each_slice_and_cost_matrix_built_once(self, tmp_path, fixture_csv, monkeypatch):
+        dtw = seasonwarp.dtw
+        cumulative_cost, slice_year = dtw.cumulative_cost, seasonwarp.cli.slice_year
+        bands, slice_calls, slices, figures = Counter(), Counter(), {}, []
+
+        def counting_cumulative_cost(d, band_radius=None):
+            bands[band_radius] += 1
+            return cumulative_cost(d, band_radius)
+
+        def counting_slice_year(series, iso_year):
+            key = (series.variable.value, iso_year)
+            slice_calls[key] += 1
+            slices[key] = slice_year(series, iso_year)
+            return slices[key]
+
+        def recording_dtw_figure(g, *args, metadata, **kwargs):
+            figures.append((metadata["variable"], metadata["year_pair"], g))
+            return "<svg/>\n"
+
+        monkeypatch.setattr(dtw, "cumulative_cost", counting_cumulative_cost)
+        monkeypatch.setattr(seasonwarp.cli, "slice_year", counting_slice_year)
+        monkeypatch.setattr(seasonwarp.cli, "dtw_figure", recording_dtw_figure)
+        code = _run(
+            "dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
+            "--band", "4", "--normalize", "zscore", "--format", "svg",
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert code == 0
+        # Per variable: 4 years, 6 pairs, each aligned banded once and
+        # unbanded once for the reference ranks.
+        assert slice_calls == {(v, y): 1 for v in ("arrivals", "modal_price")
+                               for y in range(2020, 2024)}
+        assert bands == {4: 12, None: 12}
+        assert len(figures) == 12
+        for var, (y1, y2), g in figures:
+            x, y = (dtw.zscore(slices[var, year].values) for year in (y1, y2))
+            expected = cumulative_cost(dtw.local_distance_matrix(x, y), 4)
+            assert np.array_equal(g, expected)
 
     def test_single_year_is_usage_error(self, tmp_path, fixture_csv, capsys):
         out = tmp_path / "o"

@@ -1,13 +1,20 @@
 import csv
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from seasonwarp.descriptive import describe
-from seasonwarp.dtw import DtwOptions, Normalization, dtw_align, rank_pairs
+from seasonwarp.dtw import (
+    DtwOptions,
+    Normalization,
+    dtw_align,
+    dtw_align_with_matrices,
+    rank_pairs,
+)
 from seasonwarp.report import (
     AnalysisBundle,
     matrix_csv,
@@ -166,6 +173,66 @@ class TestSvg:
         )
         ET.fromstring(text)
         assert "polyline" in text
+
+    @staticmethod
+    def _reference_cells(g) -> list[str]:
+        """One <rect> per cell, straight from the ramp formula: channels run
+        linearly from (247, 251, 255) at 0 to (8, 48, 107) at the largest
+        finite cost and round half to even; non-finite cells are grey."""
+        n, m = len(g), len(g[0])
+        finite = [v for row in g for v in row if math.isfinite(v)]
+        vmax = max(finite) if finite and max(finite) > 0 else 1.0
+        cw, ch = 400.0 / m, 374.0 / n
+        cells = []
+        for i in range(n):
+            for j in range(m):
+                v = float(g[i][j])
+                if math.isfinite(v):
+                    u = v / vmax
+                    rgb = (round(247 - u * 239), round(251 - u * 203), round(255 - u * 148))
+                    fill = "#%02x%02x%02x" % rgb
+                else:
+                    fill = "#dddddd"
+                cells.append(
+                    f'<rect x="{56 + j * cw:.2f}" y="{40 + i * ch:.2f}" '
+                    f'width="{cw:.2f}" height="{ch:.2f}" fill="{fill}"/>'
+                )
+        return cells
+
+    @pytest.mark.parametrize("case", ["banded", "unbanded", "all-zero", "half-way ties"])
+    def test_dtw_figure_cells_match_ramp_bytes(self, case):
+        rng = np.random.default_rng(52)
+        x, y = rng.normal(size=52).cumsum(), rng.normal(size=53).cumsum()
+        band = 4 if case == "banded" else None
+        res, _, g = dtw_align_with_matrices(x, y, DtwOptions(band_radius=band))
+        if case == "all-zero":
+            g = np.zeros((6, 7))
+        elif case == "half-way ties":
+            # v = k / 478 puts the red channel exactly on .5 for 236 cells.
+            g = np.minimum(np.arange(480.0), 478.0).reshape(20, 24)
+        assert (case == "banded") == bool(np.isinf(g).any())
+        text = dtw_figure(
+            g,
+            list(res.path.steps),
+            (list(res.warped_pair[0]), list(res.warped_pair[1])),
+            ("2020", "2021"),
+            title="demo",
+            metadata={},
+        )
+        rects = [line for line in text.splitlines() if line.startswith("<rect")]
+        cells = [line for line in rects[1:] if 'fill="none"' not in line]
+        assert cells == self._reference_cells(g.tolist())
+
+    def test_dtw_figure_rejects_negative_costs(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            dtw_figure(
+                np.array([[0.0, -1.0], [1.0, 2.0]]),
+                [(1, 1), (2, 2)],
+                ([0.0, 1.0], [0.0, 1.0]),
+                ("a", "b"),
+                title="t",
+                metadata={},
+            )
 
     def test_bar_chart(self, bundle42):
         ranking = bundle42.dtw["arrivals"]
