@@ -282,20 +282,20 @@ def iqr_outliers(
     rule as the descriptive summaries.
     """
     v = np.asarray(values, dtype=float)
+    lo, hi = _iqr_fences(v, k)
+    low = v < lo
+    flagged = np.flatnonzero(low | (v > hi))
+    return [(int(i), Fence.LOW if low[i] else Fence.HIGH) for i in flagged]
+
+
+def _iqr_fences(v: np.ndarray, k: float) -> tuple[float, float]:
+    """(Q1 - k*IQR, Q3 + k*IQR) of the values."""
     if v.size < 4:
         raise InsufficientDataError(f"IQR fences need >= 4 values, got {v.size}")
     q1 = quantile(v, 0.25)
     q3 = quantile(v, 0.75)
     iqr = q3 - q1
-    lo = q1 - k * iqr
-    hi = q3 + k * iqr
-    out: list[tuple[int, Fence]] = []
-    for i, val in enumerate(v):
-        if val < lo:
-            out.append((i, Fence.LOW))
-        elif val > hi:
-            out.append((i, Fence.HIGH))
-    return out
+    return q1 - k * iqr, q3 + k * iqr
 
 
 def clean_series(
@@ -313,11 +313,9 @@ def clean_series(
     flags = iqr_outliers(observed_values, k=k)
     if not flags:
         return dense, report
-
-    q1 = quantile(observed_values, 0.25)
-    q3 = quantile(observed_values, 0.75)
-    iqr = q3 - q1
-    fence_value = {Fence.LOW: q1 - k * iqr, Fence.HIGH: q3 + k * iqr}
+    if winsorize:
+        lo, hi = _iqr_fences(observed_values, k)
+        fence_value = {Fence.LOW: lo, Fence.HIGH: hi}
 
     obs_weeks = series.weeks()
     outliers = tuple(

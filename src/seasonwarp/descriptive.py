@@ -23,9 +23,14 @@ def quantile(values: np.ndarray | list[float], q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
     v = np.sort(np.asarray(values, dtype=float))
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         raise InsufficientDataError("quantile of an empty sample")
+    return _sorted_quantile(v, q)
+
+
+def _sorted_quantile(v: np.ndarray, q: float) -> float:
+    """`quantile` of an already sorted, non-empty sample."""
+    n = v.size
     if n == 1:
         return float(v[0])
     h = (n - 1) * q
@@ -68,7 +73,12 @@ def moments(values: np.ndarray | list[float]) -> tuple[float, float, float, floa
             "skewness and kurtosis undefined for a constant sample"
         )
     std = float(np.std(v, ddof=1))
-    return mean, std, m3 / m2**1.5, m4 / m2**2 - 3.0
+    return (mean, std, *_shape(m2, m3, m4))
+
+
+def _shape(m2: float, m3: float, m4: float) -> tuple[float, float]:
+    """(skewness, excess kurtosis) from the central moments of a non-constant sample."""
+    return m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
 def skewness(values: np.ndarray | list[float]) -> float:
@@ -98,9 +108,14 @@ def jarque_bera(values: np.ndarray | list[float]) -> tuple[float, float]:
         raise InsufficientDataError(
             f"Jarque-Bera needs >= 8 observations, got {v.size}"
         )
-    s = skewness(v)
-    k = excess_kurtosis(v)
-    jb = v.size / 6.0 * (s**2 + k**2 / 4.0)
+    _, m2, m3, m4 = central_moments(v)
+    if m2 == 0.0:
+        raise DegenerateDataError("skewness undefined for a constant sample")
+    return _jarque_bera(v.size, *_shape(m2, m3, m4))
+
+
+def _jarque_bera(n: int, s: float, k: float) -> tuple[float, float]:
+    jb = n / 6.0 * (s**2 + k**2 / 4.0)
     return jb, math.exp(-jb / 2.0)
 
 
@@ -161,24 +176,26 @@ def describe(data) -> DescriptiveSummary:
     v = np.asarray(values, dtype=float)
     if v.size < 8:
         raise InsufficientDataError(f"describe needs >= 8 observations, got {v.size}")
-    mean, m2, _, _ = central_moments(v)
+    mean, m2, m3, m4 = central_moments(v)
     if m2 == 0.0:
         raise DegenerateDataError("describe undefined for a constant sample")
     if mean == 0.0:
         raise DegenerateDataError("coefficient of variation undefined for zero mean")
     std = float(np.std(v, ddof=1))
-    jb, jb_p = jarque_bera(v)
+    skew, kurt = _shape(m2, m3, m4)
+    jb, jb_p = _jarque_bera(v.size, skew, kurt)
+    ordered = np.sort(v)
     return DescriptiveSummary(
         count=int(v.size),
         mean=mean,
         std=std,
         cv_percent=100.0 * std / mean,
-        skewness=skewness(v),
-        excess_kurtosis=excess_kurtosis(v),
+        skewness=skew,
+        excess_kurtosis=kurt,
         minimum=float(np.min(v)),
-        p25=quantile(v, 0.25),
-        median=quantile(v, 0.50),
-        p75=quantile(v, 0.75),
+        p25=_sorted_quantile(ordered, 0.25),
+        median=_sorted_quantile(ordered, 0.50),
+        p75=_sorted_quantile(ordered, 0.75),
         maximum=float(np.max(v)),
         jarque_bera=jb,
         jarque_bera_p=jb_p,

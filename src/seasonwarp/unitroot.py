@@ -4,6 +4,11 @@ The regression is Delta y_t = [trend terms] + gamma * y_{t-1}
 + sum_i beta_i * Delta y_{t-i} + e_t and the test statistic is the t-ratio
 of gamma-hat.  P-values come from the MacKinnon (1994) response-surface
 approximation for the single-series case.
+
+The lag search prices every candidate from one factorisation: with the trend
+terms first, each candidate lag's design is a column prefix of the maxlag
+design, so one QR of that design with the response appended yields every
+candidate's SSR.  Only the chosen lag is refit, for its t-ratio.
 """
 
 from __future__ import annotations
@@ -96,8 +101,8 @@ class AdfResult:
         return cls(**d)
 
 
-def _ols_tstat0(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(t-stat of the first coefficient, SSR) for an OLS fit of y on x."""
+def _ols_tstat0(x: np.ndarray, y: np.ndarray) -> float:
+    """t-stat of the first coefficient of an OLS fit of y on x."""
     nobs, k = x.shape
     if nobs <= k:
         raise InsufficientDataError(
@@ -117,21 +122,49 @@ def _ols_tstat0(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     var0 = sigma2 * xtx_inv[0, 0]
     if var0 <= 0:
         raise DegenerateDataError("degenerate ADF regression; zero residual variance")
-    return float(beta[0] / math.sqrt(var0)), ssr
+    return float(beta[0] / math.sqrt(var0))
 
 
-def _ssr(x: np.ndarray, y: np.ndarray) -> float:
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    if rank < x.shape[1]:
+def _prefix_ssr(v: np.ndarray, dy: np.ndarray, maxlag: int, ntrend: int) -> np.ndarray:
+    """SSR of every column prefix of the maxlag design on its common sample.
+
+    Columns are [trend terms, y_{t-1}, Delta y_{t-1} .. Delta y_{t-maxlag}],
+    so lag L is the first ntrend + 1 + L of them.  Entry k of the result is
+    the k-column prefix's SSR: the tail sum sum_{i>=k} R[i, K]^2 of the last
+    column of R from one QR of [design | response].  Entry 0 is the
+    response's own sum of squares.
+    """
+    rows = dy.size - maxlag
+    ncols = ntrend + 1 + maxlag
+    aug = np.empty((rows, ncols + 1))
+    if ntrend >= 1:
+        aug[:, 0] = 1.0
+    if ntrend == 2:
+        aug[:, 1] = np.arange(1.0, rows + 1.0)
+    aug[:, ntrend] = v[maxlag : maxlag + rows]
+    for i in range(1, maxlag + 1):
+        aug[:, ntrend + i] = dy[maxlag - i : maxlag - i + rows]
+    aug[:, ncols] = dy[maxlag:]
+    try:
+        r = np.linalg.qr(aug, mode="r")
+        sv = np.linalg.svd(r[:ncols, :ncols], compute_uv=False)
+    except np.linalg.LinAlgError:
+        raise DegenerateDataError("singular ADF regression; series may be constant") from None
+    # lstsq's rank rule on the design's singular values, read off R.
+    eps = np.finfo(float).eps
+    if not sv[-1] > sv[0] * max(rows, ncols) * eps:
         raise DegenerateDataError("singular ADF regression; series may be constant")
-    resid = y - x @ beta
-    return float(resid @ resid)
+    ssr = np.cumsum(r[::-1, ncols] ** 2)[::-1]
+    if not ssr[ncols] > (rows * eps) ** 2 * ssr[0]:
+        raise DegenerateDataError("degenerate ADF regression; the lags fit exactly")
+    return ssr
 
 
 def _design(y: np.ndarray, dy: np.ndarray, lag: int, trim: int, regression: str):
-    """Design matrix and response for a lag-`lag` ADF fit, trimming `trim` rows.
+    """Design matrix and response for the refit of the chosen lag.
 
-    Columns: y_{t-1}, then the `lag` differenced lags, then the trend terms.
+    Columns: y_{t-1}, then the `lag` differenced lags, then the trend terms,
+    so the first coefficient is gamma.
     """
     n = dy.size
     rows = n - trim
@@ -155,7 +188,14 @@ def adf_test(
 
     The default lag ceiling is floor(12 * (n/100)^0.25).  Candidate lags
     0..maxlag are compared on the common sample trimmed at maxlag using
-    AIC = n*log(SSR/n) + 2k, then the winner is refit on its own full sample.
+    AIC = n*log(SSR/n) + 2k (ties go to the smaller lag), then the winner is
+    refit on its own full sample.  All candidate SSRs come from one QR of the
+    maxlag design (see `_prefix_ssr`).  DegenerateDataError is raised when a
+    candidate design is rank-deficient by lstsq's rule (sigma_min <=
+    sigma_max * max(M, N) * eps).  One check on the maxlag design covers every
+    candidate: each is a column subset of it, so its sigma_min is no smaller
+    and its tolerance no larger.  It is also raised when the regressors fit
+    the differences exactly (SSR at rounding level, where log(SSR) is void).
     """
     if regression not in REGRESSIONS:
         raise ValueError(f"regression must be one of {REGRESSIONS}, got {regression!r}")
@@ -183,18 +223,18 @@ def adf_test(
             "ADF test needs >= 20 observations after differencing and lag "
             f"trimming, got {rows}"
         )
+    ssr = _prefix_ssr(v, dy, maxlag, ntrend)
     best_lag = 0
     best_aic = math.inf
     for lag in range(maxlag + 1):
-        x, resp = _design(v, dy, lag, maxlag, regression)
-        ssr = _ssr(x, resp)
-        aic = rows * math.log(ssr / rows) + 2 * x.shape[1]
+        k = ntrend + 1 + lag
+        aic = rows * math.log(ssr[k] / rows) + 2 * k
         if aic < best_aic:
             best_aic = aic
             best_lag = lag
 
     x, resp = _design(v, dy, best_lag, best_lag, regression)
-    stat, _ = _ols_tstat0(x, resp)
+    stat = _ols_tstat0(x, resp)
     return AdfResult(
         statistic=stat,
         pvalue=mackinnon_pvalue(stat, regression),

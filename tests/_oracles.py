@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 
+from seasonwarp.errors import DegenerateDataError, InsufficientDataError
+from seasonwarp.unitroot import AdfResult, mackinnon_pvalue
+
 
 def iso_week_oracle(day: dt.date) -> tuple[int, int]:
     """ISO week via the first-Thursday rule, using only weekday arithmetic."""
@@ -119,3 +122,77 @@ def seasonal_oracle(week_values: dict[tuple[int, int], float]) -> dict[int, floa
     for (_, w), v in week_values.items():
         by_week.setdefault(w, []).append(v)
     return {w: 100.0 * (sum(vs) / len(vs)) / grand for w, vs in by_week.items()}
+
+
+def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
+    """ADF test by refitting every candidate lag with its own lstsq solve.
+
+    Each lag 0..maxlag gets a freshly built design on the sample trimmed at
+    maxlag and a separate ``np.linalg.lstsq`` fit; a design that lstsq ranks
+    deficient (singular values <= sigma_max * max(M, N) * eps) or a fit that
+    leaves no residual (SSR <= (rows * eps)^2 * ||response||^2) raises
+    DegenerateDataError.  AIC = rows*log(SSR/rows) + 2k picks the lag, strict
+    ``<`` so ties keep the smaller one.  The winner is refit on its own full
+    sample through the normal equations, the t-ratio of y_{t-1} taken from
+    the inverse, so the result can be compared with ``==``.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    if n < 2:
+        raise InsufficientDataError("too short")
+    if np.ptp(v) == 0.0:
+        raise DegenerateDataError("constant")
+    ntrend = {"n": 0, "c": 1, "ct": 2}[regression]
+    if maxlag is None:
+        maxlag = int(12.0 * (n / 100.0) ** 0.25)
+    maxlag = max(0, min(maxlag, (n - 1) // 2 - ntrend - 1))
+    dy = np.diff(v)
+
+    def design(lag: int, trim: int):
+        rows = dy.size - trim
+        cols = [v[trim : trim + rows]]
+        cols += [dy[trim - i : trim - i + rows] for i in range(1, lag + 1)]
+        if ntrend >= 1:
+            cols.append(np.ones(rows))
+        if ntrend == 2:
+            cols.append(np.arange(1.0, rows + 1.0))
+        return np.column_stack(cols), dy[trim:]
+
+    rows = dy.size - maxlag
+    if rows < 20:
+        raise InsufficientDataError("too few rows")
+    best_lag, best_aic = 0, math.inf
+    for lag in range(maxlag + 1):
+        x, resp = design(lag, maxlag)
+        beta, _, rank, _ = np.linalg.lstsq(x, resp, rcond=None)
+        if rank < x.shape[1]:
+            raise DegenerateDataError("rank-deficient candidate design")
+        resid = resp - x @ beta
+        ssr = float(resid @ resid)
+        if ssr <= (rows * np.finfo(float).eps) ** 2 * float(resp @ resp):
+            raise DegenerateDataError("perfect fit")
+        aic = rows * math.log(ssr / rows) + 2 * x.shape[1]
+        if aic < best_aic:
+            best_lag, best_aic = lag, aic
+
+    x, resp = design(best_lag, best_lag)
+    nobs, k = x.shape
+    if nobs <= k:
+        raise InsufficientDataError("too few rows for the refit")
+    try:
+        xtx_inv = np.linalg.inv(x.T @ x)
+    except np.linalg.LinAlgError:
+        raise DegenerateDataError("singular refit") from None
+    beta = xtx_inv @ (x.T @ resp)
+    resid = resp - x @ beta
+    var0 = float(resid @ resid) / (nobs - k) * xtx_inv[0, 0]
+    if var0 <= 0:
+        raise DegenerateDataError("zero residual variance")
+    stat = float(beta[0] / math.sqrt(var0))
+    return AdfResult(
+        statistic=stat,
+        pvalue=mackinnon_pvalue(stat, regression),
+        used_lag=best_lag,
+        nobs=resp.size,
+        regression=regression,
+    )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import spline_oracle
+from _oracles import quantile_oracle, spline_oracle
 from seasonwarp.cleaning import (
     ColumnSchema,
     Fence,
@@ -278,6 +278,19 @@ class TestIqrOutliers:
         with pytest.raises(InsufficientDataError):
             iqr_outliers([1.0, 2.0, 3.0])
 
+    def test_matches_per_value_rule(self):
+        rng = np.random.default_rng(10)
+        for k in (0.5, 1.5, 3.0):
+            v = np.round(rng.standard_t(df=2, size=400) * 20.0)
+            q1, q3 = quantile_oracle(v, 0.25), quantile_oracle(v, 0.75)
+            lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
+            want = [(i, Fence.LOW) for i, x in enumerate(v) if x < lo]
+            want += [(i, Fence.HIGH) for i, x in enumerate(v) if x > hi]
+            got = iqr_outliers(v, k=k)
+            assert got == sorted(want)
+            assert {f for _, f in got} == {Fence.LOW, Fence.HIGH}
+            assert all(type(i) is int for i, _ in got)
+
 
 class TestCleanSeries:
     def _gappy_series_with_spike(self):
@@ -312,6 +325,18 @@ class TestCleanSeries:
 
         q1, q3 = quantile(obs, 0.25), quantile(obs, 0.75)
         assert clamped == pytest.approx(q3 + 3.0 * (q3 - q1), rel=0, abs=1e-12)
+
+    def test_fences_computed_once(self, monkeypatch):
+        import seasonwarp.cleaning as cleaning
+
+        calls = []
+        real_quantile = cleaning.quantile
+        monkeypatch.setattr(
+            cleaning, "quantile", lambda v, q: calls.append(q) or real_quantile(v, q)
+        )
+        _, report = clean_series(self._gappy_series_with_spike())
+        assert report.outlier_weeks
+        assert calls == [0.25, 0.75]
 
     def test_fences_use_observed_values_only(self):
         # The interpolated week must not influence the fences: same fences as

@@ -180,3 +180,32 @@ class TestDescribe:
             describe([-1.0, 1.0] * 10)
         with pytest.raises(InsufficientDataError):
             describe([1.0, 2.0, 3.0])
+
+    def test_one_moment_pass_and_one_sort(self, monkeypatch):
+        import seasonwarp.descriptive as descriptive
+
+        rng = np.random.default_rng(11)
+        v = rng.lognormal(3.0, 0.4, size=517)
+        calls = {"moments": 0, "sort": 0}
+        real_moments, real_sort = descriptive.central_moments, np.sort
+
+        def counting_moments(values):
+            calls["moments"] += 1
+            return real_moments(values)
+
+        def counting_sort(a, *args, **kwargs):
+            calls["sort"] += 1
+            return real_sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(descriptive, "central_moments", counting_moments)
+        monkeypatch.setattr(np, "sort", counting_sort)
+        s = describe(v)
+        assert calls == {"moments": 1, "sort": 1}
+        monkeypatch.undo()
+        # Bit-identical to the standalone functions, not just close.
+        assert s.skewness == skewness(v)
+        assert s.excess_kurtosis == excess_kurtosis(v)
+        assert (s.p25, s.median, s.p75) == tuple(quantile(v, q) for q in (0.25, 0.5, 0.75))
+        assert (s.jarque_bera, s.jarque_bera_p) == jarque_bera(v)
+        assert s.mean == moments(v)[0]
+        assert s.std == moments(v)[1]

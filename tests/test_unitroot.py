@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import adf_oracle
 from seasonwarp.errors import DegenerateDataError, InsufficientDataError
 from seasonwarp.series import Variable, log_diff
 from seasonwarp.unitroot import AdfResult, adf_test, mackinnon_pvalue
@@ -116,6 +121,22 @@ class TestAdfTest:
         again = AdfResult.from_dict(res.to_dict())
         assert again == res
 
+    @pytest.mark.parametrize(
+        "values, regression, maxlag",
+        [
+            (np.arange(60.0), "c", None),
+            (np.arange(60.0), "n", None),
+            (np.arange(60.0), "c", 0),
+            (np.tile([1.0, -1.0], 30), "n", None),
+            (np.tile([1.0, -1.0], 30), "c", None),
+        ],
+    )
+    def test_exact_fit_is_degenerate(self, values, regression, maxlag):
+        # Each has a candidate that fits the differences exactly, where the
+        # AIC's log(SSR) is undefined: a data error, not a math ValueError.
+        with pytest.raises(DegenerateDataError):
+            adf_test(values, regression=regression, maxlag=maxlag)
+
     def test_fixture_log_price_diff_rejects(self, cleaned42):
         series, _ = cleaned42[Variable.MODAL_PRICE]
         returns = log_diff(series.values())
@@ -143,3 +164,101 @@ class TestSizeAndPower:
             if adf_test(y, regression="c").pvalue < 0.05:
                 false_alarms += 1
         assert false_alarms <= 6
+
+
+def _ar_series(seed, n, phi, integrated):
+    """AR(len(phi)) noise, cumulated once when `integrated`."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=n)
+    y = np.empty(n)
+    for t in range(n):
+        y[t] = e[t] + sum(c * y[t - 1 - j] for j, c in enumerate(phi) if t - 1 - j >= 0)
+    return np.cumsum(y) if integrated else y
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by class against the oracle
+        return type(exc)
+
+
+class TestAdfMatchesOracle:
+    """The one-QR lag search against the per-lag lstsq refits, with ==."""
+
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize(
+        "seed, n, phi, integrated",
+        [
+            (11, 25, (0.5,), False),
+            (12, 60, (0.5,), False),
+            (13, 250, (0.9,), False),
+            (14, 3000, (0.3,), False),
+            (15, 80, (0.4, -0.3, 0.2), False),
+            (16, 700, (0.5, 0.2, -0.1), False),
+            (17, 40, (), True),
+            (18, 400, (), True),
+            (19, 1500, (0.3,), True),
+        ],
+    )
+    def test_seeded_series(self, regression, seed, n, phi, integrated):
+        y = _ar_series(seed, n, phi, integrated)
+        # A ceiling-clipped maxlag on a short series may leave too few rows;
+        # both must then raise the same error.
+        for maxlag in (None, 0, 4, 10**6 if n <= 80 else 9):
+            got = _outcome(adf_test, y, regression, maxlag)
+            assert got == _outcome(adf_oracle, y, regression, maxlag), maxlag
+        assert isinstance(adf_test(y, regression=regression, maxlag=0), AdfResult)
+
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    def test_fixture_returns(self, cleaned42, regression):
+        series, _ = cleaned42[Variable.MODAL_PRICE]
+        returns = log_diff(series.values())
+        assert adf_test(returns, regression=regression) == adf_oracle(returns, regression)
+
+    def test_three_hundred_year_returns(self):
+        # Weekly log prices: a seasonal cycle plus AR(1) noise, 300 years.
+        n = 300 * 52 + 74
+        rng = np.random.default_rng(300)
+        noise = np.empty(n)
+        noise[0] = 0.0
+        shocks = rng.normal(0.0, 0.15, n)
+        for t in range(1, n):
+            noise[t] = 0.6 * noise[t - 1] + shocks[t]
+        season = 0.3 * np.sin(2.0 * math.pi * np.arange(n) / 52.1775)
+        returns = np.diff(7.0 + season + noise)
+        got = adf_test(returns, regression="c")
+        assert got.used_lag > 0
+        assert got == adf_oracle(returns, "c")
+
+    @pytest.mark.parametrize("regression, first_deficient", [("n", 3), ("c", 2), ("ct", 2)])
+    def test_deficient_only_above_some_lag(self, regression, first_deficient):
+        # Differences that follow a second-order recurrence up to the last
+        # one: the lags become collinear with each other (and with the
+        # level) only from `first_deficient` lags on, and the lower lags
+        # still fit with a nonzero residual.
+        dy = np.cos(0.7 * np.arange(200.0))
+        dy[-1] += 1.0
+        y = np.concatenate([[5.0], 5.0 + np.cumsum(dy)])
+        below = adf_test(y, regression=regression, maxlag=first_deficient - 1)
+        assert below == adf_oracle(y, regression, first_deficient - 1)
+        for maxlag in (first_deficient, None):
+            with pytest.raises(DegenerateDataError):
+                adf_oracle(y, regression, maxlag)
+            with pytest.raises(DegenerateDataError):
+                adf_test(y, regression=regression, maxlag=maxlag)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(25, 300),
+        phi=st.lists(st.floats(-0.9, 0.9), max_size=3),
+        integrated=st.booleans(),
+        regression=st.sampled_from(["n", "c", "ct"]),
+        maxlag=st.one_of(st.none(), st.integers(0, 60)),
+    )
+    def test_property(self, seed, n, phi, integrated, regression, maxlag):
+        # Dividing by the order keeps sum(|phi|) < 1, a stationary AR part.
+        y = _ar_series(seed, n, [c / len(phi) for c in phi], integrated)
+        got = _outcome(adf_test, y, regression, maxlag)
+        assert got == _outcome(adf_oracle, y, regression, maxlag)
