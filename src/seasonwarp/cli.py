@@ -1,15 +1,25 @@
 """Command-line front end: seasonwarp clean|stats|seasonal|dtw|fixture|report-all.
 
+Each data command is one driver (`_run_stage`: read, clean, stage, write)
+around one stage function.  A stage takes ``(args, cleaned, formats)`` and
+returns ``({filename: text}, value)``; ``report-all``'s stage is the union of
+the clean, stats, seasonal and dtw stages plus the series charts and the
+bundle it builds from their values.
+
 Exit codes: 0 success, 1 usage error, 2 data or I/O error.  All outputs are
-computed in memory first and written in one pass afterwards, so a failing
-run leaves no partial output tree.  Writes happen in sorted filename order
-and every emitter is deterministic, which makes output trees byte-stable.
+computed in memory first and moved into place only once every file is
+written, so a failing run leaves no partial output tree.  Every emitter is
+deterministic, which makes output trees byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 
 from .cleaning import ColumnSchema, clean_series, parse_market_csv
@@ -79,10 +89,9 @@ _FORMAT_DEFAULTS = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser, *, with_input: bool, input_required: bool = True) -> None:
+def _add_common(sp: argparse.ArgumentParser, *, with_input: bool) -> None:
     if with_input:
-        sp.add_argument("--input", default=None, required=False,
-                        help="input CSV path" + ("" if input_required else " (omit to use the generated fixture)"))
+        sp.add_argument("--input", default=None, help="input CSV path")
     sp.add_argument("--out-dir", dest="out_dir", default=None, help="output directory")
     sp.add_argument("--force", action="store_true", default=None,
                     help="overwrite existing output files")
@@ -118,19 +127,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("clean", help="gap-fill and outlier-flag a CSV")
     _add_common(p, with_input=True)
     _add_data_opts(p)
-    p.set_defaults(handler=cmd_clean)
+    p.set_defaults(handler=partial(_run_stage, stage=_clean_stage))
 
     p = sub.add_parser("stats", help="descriptive statistics and ADF test")
     _add_common(p, with_input=True)
     _add_data_opts(p)
-    p.set_defaults(handler=cmd_stats)
+    p.set_defaults(handler=partial(_run_stage, stage=_stats_stage))
 
     p = sub.add_parser("seasonal", help="ISO-week seasonal index tables")
     _add_common(p, with_input=True)
     _add_data_opts(p)
     p.add_argument("--detrend", choices=("moving-average",), default=None,
                    help="ratio-to-moving-average instead of weekly means")
-    p.set_defaults(handler=cmd_seasonal)
+    p.set_defaults(handler=partial(_run_stage, stage=_seasonal_stage))
 
     p = sub.add_parser("dtw", help="align year pairs by dynamic time warping")
     _add_common(p, with_input=True)
@@ -142,17 +151,17 @@ def build_parser() -> _Parser:
                    help="align every year pair, not just consecutive ones")
     p.add_argument("--dump-matrices", dest="dump_matrices", action="store_true",
                    default=None, help="also write local/cumulative matrices as CSV")
-    p.set_defaults(handler=cmd_dtw)
+    p.set_defaults(handler=partial(_run_stage, stage=_dtw_stage))
 
     p = sub.add_parser("report-all", help="full pipeline: clean, stats, seasonal, dtw")
-    _add_common(p, with_input=True, input_required=False)
+    _add_common(p, with_input=True)
     _add_data_opts(p)
     p.add_argument("--seed", type=int, default=None,
                    help="fixture seed when --input is omitted")
     p.add_argument("--band", type=int, default=None, metavar="R")
     p.add_argument("--normalize", choices=("zscore",), default=None)
     p.add_argument("--all-pairs", dest="all_pairs", action="store_true", default=None)
-    p.set_defaults(handler=cmd_report_all)
+    p.set_defaults(handler=partial(_run_stage, stage=_report_stage))
 
     return parser
 
@@ -280,8 +289,36 @@ def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
                 f"output already exists in {out_dir}: {', '.join(clashes)} "
                 f"(pass --force to overwrite)"
             )
-    for name in sorted(files):
-        (out_dir / name).write_bytes(files[name].encode("utf-8"))
+    # Write the whole set first and move files in only after every write
+    # succeeded.  Staging inside out_dir keeps each move a rename on one file
+    # system even when out_dir is a mount point or its parent is read-only.
+    staging = Path(tempfile.mkdtemp(prefix=".seasonwarp-", dir=out_dir))
+    try:
+        for name in sorted(files):
+            (staging / name).write_bytes(files[name].encode("utf-8"))
+        for name in sorted(files):
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging)
+
+
+def _run_stage(args: argparse.Namespace, stage) -> int:
+    """The one data-command driver: read the input, or generate the fixture
+    when the command has a fixture seed; clean it; run the stage; write."""
+    files: dict[str, str] = {}
+    if args.input is not None:
+        data = Path(args.input).read_bytes()
+    elif hasattr(args, "seed"):
+        fx = generate_fixture(args.seed)
+        data = fx.csv_bytes()
+        files["fixture.csv"] = fx.csv_text
+    else:
+        raise UsageError("--input is required")
+    formats = _formats(args)
+    cleaned = _cleaned(args, _read_records(args, data))
+    files.update(stage(args, cleaned, formats)[0])
+    _write_outputs(args, files)
+    return 0
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
@@ -290,18 +327,14 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_clean(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
-    formats = _formats(args)
-    cleaned = _cleaned(args, _read_records(args, data))
+def _clean_stage(args: argparse.Namespace, cleaned, formats: set[str]):
     files: dict[str, str] = {}
     for var, (dense, report) in cleaned.items():
         if "csv" in formats:
             files[f"cleaned_{var.value}.csv"] = series_csv(dense)
         if "json" in formats:
             files[f"cleaning_{var.value}.json"] = to_json(report.to_dict())
-    _write_outputs(args, files)
-    return 0
+    return files, {var.value: report for var, (_, report) in cleaned.items()}
 
 
 def _adf_on_log_price(dense_price: WeeklySeries):
@@ -314,10 +347,7 @@ def _adf_on_log_price(dense_price: WeeklySeries):
     return adf_test(log_diff(values))
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
-    formats = _formats(args)
-    cleaned = _cleaned(args, _read_records(args, data))
+def _stats_stage(args: argparse.Namespace, cleaned, formats: set[str]):
     summaries = {
         var.value: describe(dense.values()) for var, (dense, _) in cleaned.items()
     }
@@ -333,13 +363,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         files["stats.json"] = to_json(payload)
     if "csv" in formats:
         files["stats.csv"] = stats_csv(summaries, adf)
-    _write_outputs(args, files)
-    return 0
-
-
-def _seasonal_tables(args: argparse.Namespace, cleaned) -> dict:
-    method = "moving-average" if getattr(args, "detrend", None) == "moving-average" else "weekly-mean"
-    return {var.value: seasonal_index(dense, method) for var, (dense, _) in cleaned.items()}
+    return files, (summaries, adf)
 
 
 def _seasonal_svg(tables: dict) -> str:
@@ -360,11 +384,9 @@ def _seasonal_svg(tables: dict) -> str:
     )
 
 
-def cmd_seasonal(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
-    formats = _formats(args)
-    cleaned = _cleaned(args, _read_records(args, data))
-    tables = _seasonal_tables(args, cleaned)
+def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str]):
+    method = "moving-average" if getattr(args, "detrend", None) == "moving-average" else "weekly-mean"
+    tables = {var.value: seasonal_index(dense, method) for var, (dense, _) in cleaned.items()}
     files: dict[str, str] = {}
     if "json" in formats:
         files["seasonal.json"] = to_json(
@@ -375,8 +397,7 @@ def cmd_seasonal(args: argparse.Namespace) -> int:
             files[f"seasonal_{name}.csv"] = seasonal_csv(t)
     if "svg" in formats:
         files["seasonal.svg"] = _seasonal_svg(tables)
-    _write_outputs(args, files)
-    return 0
+    return files, tables
 
 
 def _dtw_options(args: argparse.Namespace) -> DtwOptions:
@@ -451,7 +472,7 @@ def _dtw_variable_outputs(
                     "path_length": result.path_length,
                 },
             )
-        if args.dump_matrices:
+        if getattr(args, "dump_matrices", False):
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
     ranking = rank_pairs(results)
@@ -491,16 +512,13 @@ def _dtw_variable_outputs(
     return files, ranking
 
 
-def cmd_dtw(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
-    formats = _formats(args)
-    cleaned = _cleaned(args, _read_records(args, data))
+def _dtw_stage(args: argparse.Namespace, cleaned, formats: set[str]):
     files: dict[str, str] = {}
+    rankings = {}
     for var, (dense, _) in cleaned.items():
-        var_files, _ = _dtw_variable_outputs(args, dense, formats)
+        var_files, rankings[var.value] = _dtw_variable_outputs(args, dense, formats)
         files.update(var_files)
-    _write_outputs(args, files)
-    return 0
+    return files, rankings
 
 
 def _series_svg(dense: WeeklySeries) -> str:
@@ -523,60 +541,15 @@ def _series_svg(dense: WeeklySeries) -> str:
     )
 
 
-def cmd_report_all(args: argparse.Namespace) -> int:
+def _report_stage(args: argparse.Namespace, cleaned, formats: set[str]):
+    """Every stage once, plus the series charts and the bundle of their values."""
     files: dict[str, str] = {}
-    if args.input is not None:
-        data = Path(args.input).read_bytes()
-    else:
-        fx = generate_fixture(args.seed)
-        data = fx.csv_bytes()
-        files["fixture.csv"] = fx.csv_text
-    formats = _formats(args)
-    cleaned = _cleaned(args, _read_records(args, data))
-
-    reports = {}
-    summaries = {}
-    for var, (dense, report) in cleaned.items():
-        reports[var.value] = report
-        summaries[var.value] = describe(dense.values())
-        if "csv" in formats:
-            files[f"cleaned_{var.value}.csv"] = series_csv(dense)
-        if "json" in formats:
-            files[f"cleaning_{var.value}.json"] = to_json(report.to_dict())
-        if "svg" in formats:
-            files[f"series_{var.value}.svg"] = _series_svg(dense)
-
-    adf = None
-    if Variable.MODAL_PRICE in cleaned:
-        adf = _adf_on_log_price(cleaned[Variable.MODAL_PRICE][0])
-    if "json" in formats:
-        files["stats.json"] = to_json(
-            {
-                "summaries": {k: s.to_dict() for k, s in sorted(summaries.items())},
-                "adf_log_price_diff": None if adf is None else adf.to_dict(),
-            }
-        )
-    if "csv" in formats:
-        files["stats.csv"] = stats_csv(summaries, adf)
-
-    tables = _seasonal_tables(args, cleaned)
-    if "json" in formats:
-        files["seasonal.json"] = to_json(
-            {"tables": {k: t.to_dict() for k, t in sorted(tables.items())}}
-        )
-    if "csv" in formats:
-        for name, t in tables.items():
-            files[f"seasonal_{name}.csv"] = seasonal_csv(t)
-    if "svg" in formats:
-        files["seasonal.svg"] = _seasonal_svg(tables)
-
-    args.dump_matrices = bool(getattr(args, "dump_matrices", False))
-    rankings = {}
-    for var, (dense, _) in cleaned.items():
-        var_files, ranking = _dtw_variable_outputs(args, dense, formats)
-        files.update(var_files)
-        rankings[var.value] = ranking
-
+    values = []
+    for stage in (_clean_stage, _stats_stage, _seasonal_stage, _dtw_stage):
+        stage_files, value = stage(args, cleaned, formats)
+        files.update(stage_files)
+        values.append(value)
+    reports, (summaries, adf), tables, rankings = values
     bundle = AnalysisBundle(
         cleaning=reports,
         summaries=summaries,
@@ -584,10 +557,12 @@ def cmd_report_all(args: argparse.Namespace) -> int:
         dtw=rankings,
         adf_log_price_diff=adf,
     )
+    if "svg" in formats:
+        for var, (dense, _) in cleaned.items():
+            files[f"series_{var.value}.svg"] = _series_svg(dense)
     if "json" in formats:
         files["bundle.json"] = to_json(bundle.to_dict())
-    _write_outputs(args, files)
-    return 0
+    return files, bundle
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -599,13 +574,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         _resolve(args)
-        if getattr(args, "input", None) is None and args.command in (
-            "clean",
-            "stats",
-            "seasonal",
-            "dtw",
-        ):
-            raise UsageError("--input is required")
         return args.handler(args)
     except UsageError as exc:
         print(f"seasonwarp: usage error: {exc}", file=sys.stderr)

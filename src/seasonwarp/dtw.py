@@ -90,27 +90,17 @@ class WarpPath:
 @dataclass(frozen=True)
 class DtwResult:
     total_cost: float
-    mean_cost: float
     path: WarpPath
-    path_length: int
     options: DtwOptions
     warped_pair: tuple[tuple[float, ...], tuple[float, ...]]
 
-    def __post_init__(self) -> None:
-        if self.path_length != len(self.path):
-            raise ValueError(
-                f"path_length {self.path_length} != |path| {len(self.path)}"
-            )
-        if len(self.warped_pair[0]) != self.path_length or len(
-            self.warped_pair[1]
-        ) != self.path_length:
-            raise ValueError("warped_pair lists must have path_length entries")
-        expected = mean_cost(self.total_cost, self.path_length)
-        if abs(self.mean_cost - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"mean_cost {self.mean_cost} inconsistent with "
-                f"total_cost/path_length = {expected}"
-            )
+    @property
+    def path_length(self) -> int:
+        return len(self.path)
+
+    @property
+    def mean_cost(self) -> float:
+        return mean_cost(self.total_cost, self.path_length)  # the module function
 
     def to_dict(self) -> dict:
         return {
@@ -124,17 +114,29 @@ class DtwResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DtwResult":
+        """Rebuild a result from its JSON form, rejecting a payload whose
+        ``path_length``, ``mean_cost`` or warped pair disagrees with its path."""
         def _values(seq):
             return tuple(tuple(v) if isinstance(v, list) else v for v in seq)
 
-        return cls(
+        result = cls(
             total_cost=d["total_cost"],
-            mean_cost=d["mean_cost"],
             path=WarpPath(tuple((i, j) for i, j in d["path"])),
-            path_length=d["path_length"],
             options=DtwOptions.from_dict(d["options"]),
             warped_pair=(_values(d["warped_pair"][0]), _values(d["warped_pair"][1])),
         )
+        k = result.path_length
+        if d["path_length"] != k:
+            raise ValueError(f"path_length {d['path_length']} != |path| {k}")
+        if len(result.warped_pair[0]) != k or len(result.warped_pair[1]) != k:
+            raise ValueError("warped_pair lists must have path_length entries")
+        expected = result.mean_cost
+        if abs(d["mean_cost"] - expected) > 1e-9 * max(1.0, abs(expected)):
+            raise ValueError(
+                f"mean_cost {d['mean_cost']} inconsistent with "
+                f"total_cost/path_length = {expected}"
+            )
+        return result
 
 
 def mean_cost(total_cost: float, path_length: int) -> float:
@@ -284,8 +286,6 @@ def dtw_align_with_matrices(
     d = local_distance_matrix(xa, ya, options.local_metric)
     g = cumulative_cost(d, options.band_radius)
     path = backtrack(g)
-    total = float(g[-1, -1])
-    k = len(path)
 
     def _value(arr: np.ndarray, idx: int):
         if arr.ndim == 1:
@@ -297,10 +297,8 @@ def dtw_align_with_matrices(
         tuple(_value(ya, j - 1) for _, j in path.steps),
     )
     result = DtwResult(
-        total_cost=total,
-        mean_cost=mean_cost(total, k),
+        total_cost=float(g[-1, -1]),
         path=path,
-        path_length=k,
         options=options,
         warped_pair=warped,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError
+from .errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 
 REGRESSIONS = ("n", "c", "ct")
 
@@ -202,6 +202,12 @@ def adf_test(
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
+    # LAPACK reports non-finite input on stderr before failing: reject it here.
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise DataIntegrityError(
+            f"ADF test needs finite values; got {v[bad[0]]} at index {bad[0]}"
+        )
     n = v.size
     if n < 2:
         raise InsufficientDataError(f"ADF test needs >= 2 observations, got {n}")

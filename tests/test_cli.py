@@ -32,6 +32,10 @@ def _read_json(path: Path):
     return json.loads(path.read_text())
 
 
+def _tree(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 class TestFixtureCommand:
     def test_writes_deterministic_csv(self, tmp_path, fixture42):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -507,6 +511,64 @@ class TestReportAll:
         assert set(bundle.summaries) == {"arrivals", "modal_price"}
         assert bundle.adf_log_price_diff is not None
 
+    @pytest.mark.parametrize(
+        "data_opts, dtw_opts",
+        [((), ()), (("--winsorize",), ("--all-pairs", "--band", "4", "--normalize", "zscore"))],
+    )
+    def test_tree_is_union_of_subcommand_trees(self, tmp_path, fixture_csv, data_opts, dtw_opts):
+        common = ("--input", str(fixture_csv), "--format", "json,csv,svg", *data_opts)
+        union: dict[str, bytes] = {}
+        for command, extra in (("clean", ()), ("stats", ()), ("seasonal", ()), ("dtw", dtw_opts)):
+            out = tmp_path / command
+            assert _run(command, *common, *extra, "--out-dir", str(out)) == 0
+            tree = _tree(out)
+            assert union.keys().isdisjoint(tree)
+            union.update(tree)
+        out = tmp_path / "report-all"
+        assert _run("report-all", *common, *dtw_opts, "--out-dir", str(out)) == 0
+        report = _tree(out)
+        own = {"series_arrivals.svg", "series_modal_price.svg", "bundle.json"}
+        assert report.keys() - union.keys() == own
+        assert {name: report[name] for name in report.keys() - own} == union
+
+    def test_each_value_computed_once(self, tmp_path, fixture_csv, monkeypatch):
+        calls = Counter()
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("parse_market_csv", "clean_series", "describe", "seasonal_index",
+                     "adf_test", "slice_year"):
+            counting(seasonwarp.cli, name)
+        counting(seasonwarp.dtw, "cumulative_cost")
+        out = tmp_path / "o"
+        code = _run("report-all", "--input", str(fixture_csv), "--all-pairs", "--band", "4",
+                    "--format", "json", "--out-dir", str(out))
+        assert code == 0
+        pairs = [
+            [e.year_pair for e in PairRanking.from_dict(
+                _read_json(out / f"dtw_ranking_{var}.json")["ranking"]).entries]
+            for var in ("arrivals", "modal_price")
+        ]
+        n_pairs = sum(len(p) for p in pairs)
+        n_years = sum(len({year for pair in p for year in pair}) for p in pairs)
+        assert n_pairs > 2
+        assert calls == {
+            "parse_market_csv": 1,
+            "clean_series": 2,
+            "describe": 2,
+            "seasonal_index": 2,
+            "adf_test": 1,
+            "slice_year": n_years,
+            "cumulative_cost": 2 * n_pairs,  # banded, and unbanded for the reference ranks
+        }
+
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert _run("report-all", "--out-dir", str(a)) == 0
@@ -605,6 +667,27 @@ class TestConfigAndUsage:
             str(tmp_path / "o"),
         )
         assert code == 1
+
+    def test_failed_write_leaves_out_dir_as_it_was(self, tmp_path, fixture_csv, monkeypatch):
+        out = tmp_path / "o"
+        assert _run("clean", "--input", str(fixture_csv), "--years", "2015..2016",
+                    "--out-dir", str(out)) == 0
+        before = _tree(out)
+        write_bytes, written = Path.write_bytes, []
+
+        def failing_write_bytes(path, data):
+            written.append(path.name)
+            if len(written) == 3:
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+        code = _run("report-all", "--input", str(fixture_csv), "--force", "--out-dir", str(out))
+        assert code == 2
+        assert len(written) == 3
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no staging left
+        assert _tree(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
 
     def test_partial_outputs_never_written_on_failure(self, tmp_path, fixture_csv):
         # Overwrite refusal happens before any file is touched: the existing

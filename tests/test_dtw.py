@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,7 +230,19 @@ class TestDtwAlign:
     def test_result_roundtrip(self):
         rng = np.random.default_rng(10)
         res = dtw_align(rng.normal(size=8), rng.normal(size=10))
-        assert DtwResult.from_dict(res.to_dict()) == res
+        payload = res.to_dict()
+        assert DtwResult.from_dict(payload) == res
+        # path_length and mean_cost are derived from path and total_cost.
+        stored = {f.name for f in dataclasses.fields(DtwResult)}
+        assert stored.isdisjoint({"path_length", "mean_cost"})
+        tampered = {
+            "path_length": payload["path_length"] + 1,
+            "mean_cost": payload["mean_cost"] * 1.001 + 1e-3,
+            "warped_pair": [payload["warped_pair"][0][:-1], payload["warped_pair"][1]],
+        }
+        for key, value in tampered.items():
+            with pytest.raises(ValueError, match=key):
+                DtwResult.from_dict({**payload, key: value})
 
     def test_vector_result_roundtrip(self):
         opts = DtwOptions(local_metric=LocalMetric.EUCLIDEAN)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import adf_oracle
-from seasonwarp.errors import DegenerateDataError, InsufficientDataError
+from seasonwarp.errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 from seasonwarp.series import Variable, log_diff
 from seasonwarp.unitroot import AdfResult, adf_test, mackinnon_pvalue
 
@@ -115,6 +115,13 @@ class TestAdfTest:
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateDataError):
             adf_test(np.full(50, 3.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_lapack(self, capfd, bad):
+        # LAPACK prints "On entry to DLASCL ..." for a NaN; none may get there.
+        with pytest.raises(DataIntegrityError, match="index 2"):
+            adf_test(np.array([0.0, 1.0, bad] * 20))
+        assert capfd.readouterr().err == ""
 
     def test_result_roundtrip(self):
         res = adf_test(_ar1(120, 0.5, seed=8), regression="ct")
