@@ -1,15 +1,17 @@
 """Command-line front end: seasonwarp clean|stats|seasonal|dtw|fixture|report-all.
 
-Each data command is one driver (`_run_stage`: read, clean, stage, write)
-around one stage function.  A stage takes ``(args, cleaned, formats)`` and
-returns ``({filename: text}, value)``; ``report-all``'s stage is the union of
-the clean, stats, seasonal and dtw stages plus the series charts and the
-bundle it builds from their values.
+Each data command is one driver (`_run_stage`: read, clean, stage) around
+one stage function.  A stage takes ``(args, cleaned, formats, files)``,
+stores each output as ``files[filename] = text`` and returns its value;
+``report-all``'s stage is the union of the clean, stats, seasonal and dtw
+stages plus the series charts and the bundle it builds from their values.
 
-Exit codes: 0 success, 1 usage error, 2 data or I/O error.  All outputs are
-computed in memory first and moved into place only once every file is
-written, so a failing run leaves no partial output tree.  Every emitter is
-deterministic, which makes output trees byte-stable.
+Exit codes: 0 success, 1 usage error, 2 data or I/O error.  Each output is
+written into a staging directory as soon as it is made, and the files are
+moved into place only once the whole run has succeeded, so a failing run
+leaves no partial output tree and the run never holds the whole tree in
+memory.  Every emitter is deterministic, which makes output trees
+byte-stable.
 """
 
 from __future__ import annotations
@@ -279,62 +281,84 @@ def _cleaned(args: argparse.Namespace, records) -> dict[Variable, tuple[WeeklySe
     return out
 
 
-def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not args.force:
-        clashes = [name for name in sorted(files) if (out_dir / name).exists()]
-        if clashes:
-            raise FileExistsError(
-                f"output already exists in {out_dir}: {', '.join(clashes)} "
-                f"(pass --force to overwrite)"
-            )
-    # Write the whole set first and move files in only after every write
-    # succeeded.  Staging inside out_dir keeps each move a rename on one file
-    # system even when out_dir is a mount point or its parent is read-only.
-    staging = Path(tempfile.mkdtemp(prefix=".seasonwarp-", dir=out_dir))
-    try:
-        for name in sorted(files):
-            (staging / name).write_bytes(files[name].encode("utf-8"))
-        for name in sorted(files):
-            os.replace(staging / name, out_dir / name)
-    finally:
-        shutil.rmtree(staging)
+class _OutputTree:
+    """The files of one run, written into a staging directory inside
+    --out-dir as each is made and moved into place together once the run
+    has succeeded.  Only the file being written is held in memory, and a
+    failed run moves nothing, so --out-dir keeps what it held."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.out_dir = Path(args.out_dir)
+        self.force = bool(args.force)
+        self.names: set[str] = set()
+        self.staging: Path | None = None
+
+    def __setitem__(self, name: str, text: str) -> None:
+        if self.staging is None:
+            # Staging inside out_dir keeps each move a rename on one file
+            # system even when out_dir is a mount point or its parent is
+            # read-only.
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            self.staging = Path(tempfile.mkdtemp(prefix=".seasonwarp-", dir=self.out_dir))
+        (self.staging / name).write_bytes(text.encode("utf-8"))
+        self.names.add(name)
+
+    def __enter__(self) -> _OutputTree:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._commit()
+        finally:
+            if self.staging is not None:
+                shutil.rmtree(self.staging)
+
+    def _commit(self) -> None:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        names = sorted(self.names)
+        if not self.force:
+            clashes = [name for name in names if (self.out_dir / name).exists()]
+            if clashes:
+                raise FileExistsError(
+                    f"output already exists in {self.out_dir}: {', '.join(clashes)} "
+                    f"(pass --force to overwrite)"
+                )
+        for name in names:
+            os.replace(self.staging / name, self.out_dir / name)
 
 
 def _run_stage(args: argparse.Namespace, stage) -> int:
     """The one data-command driver: read the input, or generate the fixture
-    when the command has a fixture seed; clean it; run the stage; write."""
-    files: dict[str, str] = {}
-    if args.input is not None:
-        data = Path(args.input).read_bytes()
-    elif hasattr(args, "seed"):
-        fx = generate_fixture(args.seed)
-        data = fx.csv_bytes()
-        files["fixture.csv"] = fx.csv_text
-    else:
+    when the command has a fixture seed; clean it; run the stage into the
+    output tree."""
+    if args.input is None and not hasattr(args, "seed"):
         raise UsageError("--input is required")
     formats = _formats(args)
-    cleaned = _cleaned(args, _read_records(args, data))
-    files.update(stage(args, cleaned, formats)[0])
-    _write_outputs(args, files)
+    with _OutputTree(args) as files:
+        if args.input is not None:
+            data = Path(args.input).read_bytes()
+        else:
+            fx = generate_fixture(args.seed)
+            data = fx.csv_bytes()
+            files["fixture.csv"] = fx.csv_text
+        stage(args, _cleaned(args, _read_records(args, data)), formats, files)
     return 0
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
-    fx = generate_fixture(args.seed)
-    _write_outputs(args, {"fixture.csv": fx.csv_text})
+    with _OutputTree(args) as files:
+        files["fixture.csv"] = generate_fixture(args.seed).csv_text
     return 0
 
 
-def _clean_stage(args: argparse.Namespace, cleaned, formats: set[str]):
-    files: dict[str, str] = {}
+def _clean_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
     for var, (dense, report) in cleaned.items():
         if "csv" in formats:
             files[f"cleaned_{var.value}.csv"] = series_csv(dense)
         if "json" in formats:
             files[f"cleaning_{var.value}.json"] = to_json(report.to_dict())
-    return files, {var.value: report for var, (_, report) in cleaned.items()}
+    return {var.value: report for var, (_, report) in cleaned.items()}
 
 
 def _adf_on_log_price(dense_price: WeeklySeries):
@@ -347,14 +371,13 @@ def _adf_on_log_price(dense_price: WeeklySeries):
     return adf_test(log_diff(values))
 
 
-def _stats_stage(args: argparse.Namespace, cleaned, formats: set[str]):
+def _stats_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
     summaries = {
         var.value: describe(dense.values()) for var, (dense, _) in cleaned.items()
     }
     adf = None
     if Variable.MODAL_PRICE in cleaned:
         adf = _adf_on_log_price(cleaned[Variable.MODAL_PRICE][0])
-    files: dict[str, str] = {}
     if "json" in formats:
         payload = {
             "summaries": {k: s.to_dict() for k, s in sorted(summaries.items())},
@@ -363,7 +386,7 @@ def _stats_stage(args: argparse.Namespace, cleaned, formats: set[str]):
         files["stats.json"] = to_json(payload)
     if "csv" in formats:
         files["stats.csv"] = stats_csv(summaries, adf)
-    return files, (summaries, adf)
+    return summaries, adf
 
 
 def _seasonal_svg(tables: dict) -> str:
@@ -384,10 +407,9 @@ def _seasonal_svg(tables: dict) -> str:
     )
 
 
-def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str]):
+def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
     method = "moving-average" if getattr(args, "detrend", None) == "moving-average" else "weekly-mean"
     tables = {var.value: seasonal_index(dense, method) for var, (dense, _) in cleaned.items()}
-    files: dict[str, str] = {}
     if "json" in formats:
         files["seasonal.json"] = to_json(
             {"tables": {k: t.to_dict() for k, t in sorted(tables.items())}}
@@ -397,7 +419,7 @@ def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str]):
             files[f"seasonal_{name}.csv"] = seasonal_csv(t)
     if "svg" in formats:
         files["seasonal.svg"] = _seasonal_svg(tables)
-    return files, tables
+    return tables
 
 
 def _dtw_options(args: argparse.Namespace) -> DtwOptions:
@@ -438,15 +460,14 @@ def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int
 
 
 def _dtw_variable_outputs(
-    args: argparse.Namespace, dense: WeeklySeries, formats: set[str]
-) -> tuple[dict[str, str], object]:
+    args: argparse.Namespace, dense: WeeklySeries, formats: set[str], files: _OutputTree
+):
     var = dense.variable.value
     options = _dtw_options(args)
     pairs = _year_pairs(args, dense)
     years = sorted({year for pair in pairs for year in pair})
     slices = {year: slice_year(dense, year).values for year in years}
     results = []
-    files: dict[str, str] = {}
     for y1, y2 in pairs:
         result, d, g = dtw_align_with_matrices(slices[y1], slices[y2], options)
         results.append(((y1, y2), result))
@@ -509,16 +530,12 @@ def _dtw_variable_outputs(
             metadata={"chart": "dtw_ranking", "variable": var,
                       "options": options.to_dict()},
         )
-    return files, ranking
+    return ranking
 
 
-def _dtw_stage(args: argparse.Namespace, cleaned, formats: set[str]):
-    files: dict[str, str] = {}
-    rankings = {}
-    for var, (dense, _) in cleaned.items():
-        var_files, rankings[var.value] = _dtw_variable_outputs(args, dense, formats)
-        files.update(var_files)
-    return files, rankings
+def _dtw_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
+    return {var.value: _dtw_variable_outputs(args, dense, formats, files)
+            for var, (dense, _) in cleaned.items()}
 
 
 def _series_svg(dense: WeeklySeries) -> str:
@@ -541,15 +558,12 @@ def _series_svg(dense: WeeklySeries) -> str:
     )
 
 
-def _report_stage(args: argparse.Namespace, cleaned, formats: set[str]):
+def _report_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
     """Every stage once, plus the series charts and the bundle of their values."""
-    files: dict[str, str] = {}
-    values = []
-    for stage in (_clean_stage, _stats_stage, _seasonal_stage, _dtw_stage):
-        stage_files, value = stage(args, cleaned, formats)
-        files.update(stage_files)
-        values.append(value)
-    reports, (summaries, adf), tables, rankings = values
+    reports, (summaries, adf), tables, rankings = [
+        stage(args, cleaned, formats, files)
+        for stage in (_clean_stage, _stats_stage, _seasonal_stage, _dtw_stage)
+    ]
     bundle = AnalysisBundle(
         cleaning=reports,
         summaries=summaries,
@@ -562,7 +576,7 @@ def _report_stage(args: argparse.Namespace, cleaned, formats: set[str]):
             files[f"series_{var.value}.svg"] = _series_svg(dense)
     if "json" in formats:
         files["bundle.json"] = to_json(bundle.to_dict())
-    return files, bundle
+    return bundle
 
 
 def main(argv: list[str] | None = None) -> int:
