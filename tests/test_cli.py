@@ -689,6 +689,31 @@ class TestConfigAndUsage:
         assert _tree(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["o"]
 
+    def test_each_file_staged_as_it_is_made(self, tmp_path, fixture_csv, monkeypatch):
+        # No run holds its whole output tree: each DTW figure reaches the
+        # staging directory before the next one is drawn.
+        write_bytes, dtw_figure, events = Path.write_bytes, seasonwarp.cli.dtw_figure, []
+
+        def recording_write_bytes(path, data):
+            events.append((path.parent.name, path.name))
+            return write_bytes(path, data)
+
+        def recording_dtw_figure(*args, **kwargs):
+            events.append(("figure", None))
+            return dtw_figure(*args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_bytes", recording_write_bytes)
+        monkeypatch.setattr(seasonwarp.cli, "dtw_figure", recording_dtw_figure)
+        out = tmp_path / "o"
+        assert _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out)) == 0
+        figures = [k for k, event in enumerate(events) if event == ("figure", None)]
+        assert len(figures) == len(list(out.glob("dtw_*-*.svg"))) > 1
+        for k in figures:
+            parent, name = events[k + 1]
+            assert parent.startswith(".seasonwarp-")
+            assert name.startswith("dtw_") and name.endswith(".svg")
+        assert not list(out.glob(".seasonwarp-*"))
+
     def test_partial_outputs_never_written_on_failure(self, tmp_path, fixture_csv):
         # Overwrite refusal happens before any file is touched: the existing
         # tree must be byte-identical afterwards.
