@@ -11,7 +11,7 @@ import csv
 import datetime as dt
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import BinaryIO
 
@@ -27,10 +27,14 @@ from .series import (
     WeeklyObservation,
     WeeklySeries,
     iso_week_of,
-    week_range,
 )
 
 DATE_FORMATS = {"iso": "%Y-%m-%d", "dmy": "%d/%m/%Y"}
+# Largest accepted cell value.  Cells lie in [0, MAX_CELL], so every deviation
+# from a mean is at most 1e75 and its fourth power at most 1e300: the central
+# moments, squared DTW distances and regression cross-products of any series
+# this size stay finite in float64 (max about 1.8e308).
+MAX_CELL = 1e75
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,10 @@ def _parse_cell(raw: str, column: str, line_no: int) -> float | None:
         )
     if value < 0:
         raise DataIntegrityError(f"line {line_no}: negative {column} value {value}")
+    if value > MAX_CELL:
+        raise DataIntegrityError(
+            f"line {line_no}: {column} value {raw!r} exceeds {MAX_CELL:g}"
+        )
     return value
 
 
@@ -171,12 +179,17 @@ def find_missing_weeks(series: WeeklySeries) -> list[WeekKey]:
     """Weeks strictly inside the series span with no observation, in order."""
     if len(series) < 2:
         return []
-    have = set(series.weeks())
-    return [
-        w
-        for w in week_range(series.first_week(), series.last_week())
-        if w not in have
-    ]
+    first, _, missing = _gap_offsets(series)
+    return [WeekKey.from_number(first + k) for k in missing]
+
+
+def _gap_offsets(series: WeeklySeries) -> tuple[int, list[int], list[int]]:
+    """(first week number, each point's offset from it, the offsets strictly
+    inside the span that have no point, in order)."""
+    first = series.points[0].week.number
+    offsets = [p.week.number - first for p in series.points]
+    missing = [k for a, b in zip(offsets, offsets[1:]) for k in range(a + 1, b)]
+    return first, offsets, missing
 
 
 def natural_spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -241,36 +254,31 @@ def spline_fill(series: WeeklySeries) -> tuple[WeeklySeries, CleaningReport]:
         raise InsufficientDataError(
             f"spline fill needs >= 4 observed points, got {len(series)}"
         )
-    span = list(week_range(series.first_week(), series.last_week()))
-    position = {w: i for i, w in enumerate(span)}
-    have = {p.week: p for p in series.points}
-    missing = [w for w in span if w not in have]
+    first, offsets, missing = _gap_offsets(series)
     if not missing:
         report = CleaningReport(series.variable, (), (), 0.0)
         return series, report
 
-    x_obs = np.array([position[p.week] for p in series.points], dtype=float)
+    x_obs = np.array(offsets, dtype=float)
     y_obs = series.values()
     m2 = natural_spline_second_derivatives(x_obs, y_obs)
-    x_fill = np.array([position[w] for w in missing], dtype=float)
-    filled = natural_spline_eval(x_obs, y_obs, m2, x_fill)
+    filled = natural_spline_eval(x_obs, y_obs, m2, np.array(missing, dtype=float))
+    missing_weeks = [WeekKey.from_number(first + k) for k in missing]
+    clamped = [w for w, v in zip(missing_weeks, filled) if v < 0]
 
-    clamped = [w for w, v in zip(missing, filled) if v < 0]
-    filled = np.maximum(filled, 0.0)
-    by_week = {w: float(v) for w, v in zip(missing, filled)}
-
-    points = tuple(
-        have[w] if w in have else SeriesPoint(w, by_week[w], PointFlag.INTERPOLATED)
-        for w in span
-    )
+    points: list[SeriesPoint | None] = [None] * (offsets[-1] + 1)
+    for k, p in zip(offsets, series.points):
+        points[k] = p
+    for k, w, v in zip(missing, missing_weeks, np.maximum(filled, 0.0).tolist()):
+        points[k] = SeriesPoint(w, v, PointFlag.INTERPOLATED)
     report = CleaningReport(
         variable=series.variable,
-        interpolated_weeks=tuple(missing),
+        interpolated_weeks=tuple(missing_weeks),
         outlier_weeks=(),
-        missing_fraction=len(missing) / len(span),
+        missing_fraction=len(missing) / len(points),
         clamped_weeks=tuple(clamped),
     )
-    return WeeklySeries(series.variable, points), report
+    return WeeklySeries(series.variable, tuple(points)), report
 
 
 def iqr_outliers(
@@ -317,25 +325,14 @@ def clean_series(
         lo, hi = _iqr_fences(observed_values, k)
         fence_value = {Fence.LOW: lo, Fence.HIGH: hi}
 
-    obs_weeks = series.weeks()
-    outliers = tuple(
-        OutlierWeek(obs_weeks[i], float(observed_values[i]), fence) for i, fence in flags
-    )
-    flagged_weeks = {o.week: o for o in outliers}
-    points = []
-    for p in dense.points:
-        o = flagged_weeks.get(p.week)
-        if o is None or p.flag is not PointFlag.OBSERVED:
-            points.append(p)
-            continue
-        value = fence_value[o.fence_violated] if winsorize else p.value
-        points.append(SeriesPoint(p.week, value, PointFlag.OUTLIER_RETAINED))
-    report = CleaningReport(
-        variable=report.variable,
-        interpolated_weeks=report.interpolated_weeks,
-        outlier_weeks=outliers,
-        missing_fraction=report.missing_fraction,
-        clamped_weeks=report.clamped_weeks,
-        winsorized=winsorize,
-    )
+    first = dense.points[0].week.number
+    points = list(dense.points)
+    outliers = []
+    for i, fence in flags:
+        p = series.points[i]
+        outliers.append(OutlierWeek(p.week, float(observed_values[i]), fence))
+        if p.flag is PointFlag.OBSERVED:
+            value = fence_value[fence] if winsorize else p.value
+            points[p.week.number - first] = SeriesPoint(p.week, value, PointFlag.OUTLIER_RETAINED)
+    report = replace(report, outlier_weeks=tuple(outliers), winsorized=winsorize)
     return WeeklySeries(dense.variable, tuple(points)), report

@@ -10,8 +10,10 @@ All types are immutable; all functions are pure.
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,15 +42,23 @@ class WeekKey:
         if self.iso_week == 53 and weeks_in_iso_year(self.iso_year) != 53:
             raise ValueError(f"ISO year {self.iso_year} has no week 53")
 
+    @property
+    def number(self) -> int:
+        """Consecutive week index: ISO weeks are 7-day blocks from a Monday and day
+        1 (0001-01-01) is a Monday, so week n is days 7n+1..7n+7, across year ends."""
+        return dt.date.fromisocalendar(self.iso_year, self.iso_week, 1).toordinal() // 7
+
+    @classmethod
+    def from_number(cls, number: int) -> "WeekKey":
+        """The week whose `number` is `number`."""
+        iso = dt.date.fromordinal(7 * number + 1).isocalendar()
+        return cls(iso[0], iso[1])
+
     def next(self) -> "WeekKey":
-        if self.iso_week < weeks_in_iso_year(self.iso_year):
-            return WeekKey(self.iso_year, self.iso_week + 1)
-        return WeekKey(self.iso_year + 1, 1)
+        return WeekKey.from_number(self.number + 1)
 
     def prev(self) -> "WeekKey":
-        if self.iso_week > 1:
-            return WeekKey(self.iso_year, self.iso_week - 1)
-        return WeekKey(self.iso_year - 1, weeks_in_iso_year(self.iso_year - 1))
+        return WeekKey.from_number(self.number - 1)
 
     def end_date(self) -> dt.date:
         """The week-ending date (Sunday) of this ISO week."""
@@ -67,14 +77,10 @@ def iso_week_of(day: dt.date) -> WeekKey:
 
 
 def week_range(first: WeekKey, last: WeekKey) -> Iterator[WeekKey]:
-    """Yield every WeekKey from `first` to `last` inclusive."""
+    """Every WeekKey from `first` to `last` inclusive, in order."""
     if last < first:
         raise ValueError(f"week range end {last} precedes start {first}")
-    w = first
-    while w < last:
-        yield w
-        w = w.next()
-    yield last
+    return map(WeekKey.from_number, range(first.number, last.number + 1))
 
 
 class Variable(str, Enum):
@@ -154,10 +160,13 @@ class WeeklySeries:
         return self.points[-1].week
 
     def value_at(self, week: WeekKey) -> float:
-        for p in self.points:
-            if p.week == week:
-                return p.value
-        raise KeyError(str(week))
+        i = bisect_left(self.points, week, key=_WEEK)
+        if i == len(self.points) or self.points[i].week != week:
+            raise KeyError(str(week))
+        return self.points[i].value
+
+
+_WEEK = attrgetter("week")
 
 
 @dataclass(frozen=True)
@@ -201,24 +210,18 @@ def slice_year(series: WeeklySeries, iso_year: int) -> YearSlice:
 
     The series must cover every ISO week of the year (clean first).
     """
-    wanted = {
-        w: i
-        for i, w in enumerate(
-            week_range(WeekKey(iso_year, 1), WeekKey(iso_year, weeks_in_iso_year(iso_year)))
-        )
-    }
-    values: list[float | None] = [None] * len(wanted)
-    for p in series.points:
-        i = wanted.get(p.week)
-        if i is not None:
-            values[i] = p.value
-    missing = [w for w, i in wanted.items() if values[i] is None]
-    if missing:
+    expected = weeks_in_iso_year(iso_year)
+    lo = bisect_left(series.points, WeekKey(iso_year, 1), key=_WEEK)
+    hi = bisect_left(series.points, WeekKey(iso_year + 1, 1), lo, key=_WEEK)
+    window = series.points[lo:hi]
+    if len(window) != expected:
+        have = {p.week.iso_week for p in window}
+        missing = [WeekKey(iso_year, w) for w in range(1, expected + 1) if w not in have]
         raise DataIntegrityError(
             f"ISO year {iso_year} incomplete in series; missing weeks: "
             + ", ".join(str(w) for w in missing)
         )
-    return YearSlice(iso_year, tuple(v for v in values if v is not None))
+    return YearSlice(iso_year, tuple(p.value for p in window))
 
 
 def complete_years(series: WeeklySeries) -> list[int]:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from seasonwarp.errors import DegenerateDataError, InsufficientDataError
+from seasonwarp.series import WeekKey, WeeklySeries, weeks_in_iso_year
 from seasonwarp.unitroot import AdfResult, mackinnon_pvalue
 
 
@@ -24,6 +25,31 @@ def iso_week_oracle(day: dt.date) -> tuple[int, int]:
     first_thursday = jan1 + dt.timedelta(days=(3 - jan1.weekday()) % 7)
     week = 1 + (thursday - first_thursday).days // 7
     return year, week
+
+
+def next_week_oracle(w: WeekKey) -> WeekKey:
+    """The following ISO week, stepping the year at its 52nd or 53rd week."""
+    if w.iso_week < weeks_in_iso_year(w.iso_year):
+        return WeekKey(w.iso_year, w.iso_week + 1)
+    return WeekKey(w.iso_year + 1, 1)
+
+
+def week_range_oracle(first: WeekKey, last: WeekKey) -> list[WeekKey]:
+    """Every week from `first` to `last` inclusive, by stepping one at a time."""
+    weeks = [first]
+    while weeks[-1] < last:
+        weeks.append(next_week_oracle(weeks[-1]))
+    return weeks
+
+
+def slice_year_message_oracle(series: WeeklySeries, iso_year: int) -> str:
+    """The incomplete-year error of a year slice, from a scan of the whole series."""
+    wanted = week_range_oracle(WeekKey(iso_year, 1), WeekKey(iso_year, weeks_in_iso_year(iso_year)))
+    have = {p.week for p in series.points}
+    missing = [w for w in wanted if w not in have]
+    return f"ISO year {iso_year} incomplete in series; missing weeks: " + ", ".join(
+        str(w) for w in missing
+    )
 
 
 def enum_dtw_min_cost(d: list[list[float]]) -> float:

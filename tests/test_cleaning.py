@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import quantile_oracle, spline_oracle
+from _oracles import quantile_oracle, spline_oracle, week_range_oracle
 from seasonwarp.cleaning import (
     ColumnSchema,
     Fence,
@@ -56,7 +58,7 @@ class TestParseMarketCsv:
         with pytest.raises(DataIntegrityError, match="line 2"):
             parse_market_csv(_csv("06-03-2022,120,1500"))
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "NaN"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "NaN", "1e300", "1.5e308"])
     def test_non_finite_value_rejected(self, cell):
         with pytest.raises(DataIntegrityError, match=f"line 3: modal_price value '{cell}'"):
             parse_market_csv(_csv("2022-03-06,120,1500", f"2022-03-13,90,{cell}"))
@@ -181,7 +183,34 @@ class TestNaturalSpline:
             )
 
 
+_SPAN_2014_2016 = week_range_oracle(WeekKey(2014, 40), WeekKey(2016, 10))
+
+
 class TestSplineFill:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        gaps=st.sets(st.integers(1, len(_SPAN_2014_2016) - 2), max_size=len(_SPAN_2014_2016) - 4),
+        values=st.lists(
+            st.floats(0.0, 1e4), min_size=len(_SPAN_2014_2016), max_size=len(_SPAN_2014_2016)
+        ),
+    )
+    def test_random_gaps_across_long_year_match_stepping_positions(self, gaps, values):
+        span = _SPAN_2014_2016
+        observed = [(i, w, v) for i, (w, v) in enumerate(zip(span, values)) if i not in gaps]
+        series = _series((w, v) for _, w, v in observed)
+        dense, report = spline_fill(series)
+
+        assert dense.weeks() == tuple(week_range(span[0], span[-1]))
+        assert list(report.interpolated_weeks) == find_missing_weeks(series)
+        for _, w, v in observed:
+            assert dense.value_at(w) == v
+        x_obs = np.array([i for i, _, _ in observed], dtype=float)
+        y_obs = np.array([v for _, _, v in observed])
+        x_fill = np.array(sorted(gaps), dtype=float)
+        m2 = natural_spline_second_derivatives(x_obs, y_obs)
+        expected = np.maximum(natural_spline_eval(x_obs, y_obs, m2, x_fill), 0.0)
+        assert [dense.value_at(span[i]) for i in sorted(gaps)] == expected.tolist()
+
     def test_fills_only_missing_weeks(self):
         weeks = list(week_range(WeekKey(2021, 1), WeekKey(2021, 12)))
         gaps = {WeekKey(2021, 4), WeekKey(2021, 9)}

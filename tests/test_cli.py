@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import filecmp
 import io
 import json
+import re
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import seasonwarp.cli
 import seasonwarp.dtw
@@ -283,7 +288,13 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("command", ["clean", "stats", "dtw", "report-all"])
     @pytest.mark.parametrize(
         "line_no,column,cell,name",
-        [(100, 2, "nan", "modal_price"), (200, 1, "inf", "arrivals"), (300, 2, "1e400", "modal_price")],
+        [
+            (100, 2, "nan", "modal_price"),
+            (200, 1, "inf", "arrivals"),
+            (300, 2, "1e400", "modal_price"),
+            (150, 1, "1e300", "arrivals"),
+            (250, 1, "1.5e308", "arrivals"),
+        ],
     )
     def test_rejected_with_one_line_and_no_output(
         self, tmp_path, capsys, fixture42, command, line_no, column, cell, name
@@ -296,6 +307,56 @@ class TestNonFiniteInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"line {line_no}: {name} value '{cell}'" in err
         assert not out.exists() or not any(out.iterdir())
+
+
+_BAD_CELLS = ["", "abc", "nan", "inf", "-1", "1e76", "1e300"]
+_NON_FINITE_TEXT = re.compile(rb"\b(NaN|Infinity|nan|inf)\b")
+
+
+def _mutate(csv_bytes: bytes, mutation: tuple) -> bytes:
+    kind, *args = mutation
+    if kind == "cell":
+        return _with_cell(csv_bytes, *args)
+    if kind == "duplicate":
+        lines = csv_bytes.decode().splitlines(keepends=True)
+        return "".join(lines[: args[0]] + lines[args[0] - 1 :]).encode()
+    return b"\xef\xbb\xbf" + csv_bytes
+
+
+class TestCliContract:
+    """One mutated cell or row: `stats` either succeeds cleanly or fails cleanly."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        mutation=st.one_of(
+            st.tuples(
+                st.just("cell"),
+                st.integers(2, 700),
+                st.integers(0, 2),
+                st.sampled_from(_BAD_CELLS),
+            ),
+            st.tuples(st.just("duplicate"), st.integers(2, 700)),
+            st.just(("bom",)),
+        )
+    )
+    @example(mutation=("cell", 300, 1, "1e300"))
+    @example(mutation=("cell", 400, 2, ""))
+    def test_stats_exit_code_contract(self, fixture42, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, out = Path(tmp) / "in.csv", Path(tmp) / "o"
+            data.write_bytes(_mutate(fixture42.csv_bytes(), mutation))
+            out.mkdir()
+            (out / "keep.txt").write_bytes(b"kept")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = _run("stats", "--input", str(data), "--out-dir", str(out))
+            produced = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+            assert produced == {"keep.txt": b"kept"}
+        else:
+            for name, content in produced.items():
+                assert not _NON_FINITE_TEXT.search(content), name
 
 
 class TestDtwCommand:

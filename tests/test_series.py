@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import iso_week_oracle
+from _oracles import iso_week_oracle, slice_year_message_oracle, week_range_oracle
 from seasonwarp.errors import DataIntegrityError, InsufficientDataError
 from seasonwarp.series import (
     PointFlag,
@@ -78,6 +80,25 @@ class TestWeekKey:
         assert WeekKey(2016, 52).next() == WeekKey(2017, 1)
         assert WeekKey(2021, 1).prev() == WeekKey(2020, 53)
 
+    def test_numbers_consecutive_across_every_year_end(self):
+        for year in range(1, 9999):
+            last = WeekKey(year, weeks_in_iso_year(year))
+            first_next = WeekKey(year + 1, 1)
+            assert last.number + 1 == first_next.number, year
+            assert WeekKey.from_number(last.number) == last
+            assert WeekKey.from_number(first_next.number) == first_next
+
+    def test_number_counts_weeks_from_first_monday(self):
+        rng = random.Random(5)
+        lo, hi = dt.date(1, 1, 1).toordinal(), dt.date(9999, 12, 26).toordinal()
+        for ordinal in [lo, hi] + [rng.randint(lo, hi) for _ in range(20000)]:
+            day = dt.date.fromordinal(ordinal)
+            assert iso_week_of(day).number == (ordinal - 1) // 7, day
+
+    def test_next_past_last_representable_week_raises(self):
+        with pytest.raises(ValueError):
+            WeekKey(9999, 52).next()
+
     def test_end_date_is_sunday(self):
         for y, w in [(2010, 1), (2015, 53), (2020, 30), (2024, 52)]:
             end = WeekKey(y, w).end_date()
@@ -137,6 +158,17 @@ class TestWeekRange:
         # 2010-W01 .. 2024-W52: thirteen 52-week years and two 53-week ones.
         n = sum(1 for _ in week_range(WeekKey(2010, 1), WeekKey(2024, 52)))
         assert n == 13 * 52 + 2 * 53
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        start=st.integers(dt.date(1990, 1, 1).toordinal() // 7, dt.date(2040, 1, 1).toordinal() // 7),
+        length=st.integers(0, 300),
+    )
+    def test_matches_stepping_oracle(self, start, length):
+        first, last = WeekKey.from_number(start), WeekKey.from_number(start + length)
+        expected = week_range_oracle(first, last)
+        assert len(expected) == length + 1
+        assert list(week_range(first, last)) == expected
 
 
 def _obs(y, w, arrivals, price):
@@ -200,6 +232,10 @@ class TestWeeklySeries:
             s.value_at(WeekKey(2021, 9))
 
 
+def _span(y1, w1, y2, w2):
+    return week_range_oracle(WeekKey(y1, w1), WeekKey(y2, w2))
+
+
 class TestSliceYear:
     def test_lengths_52_and_53(self):
         s = _dense_series(WeekKey(2014, 1), WeekKey(2016, 52), lambda w: float(w.iso_week))
@@ -225,10 +261,30 @@ class TestSliceYear:
             concat.extend(slice_year(s, year).values)
         assert concat == [p.value for p in s.points]
 
-    def test_incomplete_year_rejected_with_missing_weeks_named(self):
-        s = _dense_series(WeekKey(2021, 2), WeekKey(2021, 52), lambda w: 1.0)
-        with pytest.raises(DataIntegrityError, match="2021-W01"):
-            slice_year(s, 2021)
+    @pytest.mark.parametrize(
+        "weeks,year",
+        [
+            pytest.param(_span(2021, 2, 2021, 52), 2021, id="missing-W01"),
+            pytest.param(
+                [w for w in _span(2019, 1, 2021, 52) if w != WeekKey(2020, 53)],
+                2020,
+                id="gap-at-2020-W53",
+            ),
+            pytest.param(_span(2021, 20, 2022, 52), 2021, id="starts-mid-year"),
+            pytest.param(_span(2020, 1, 2021, 30), 2021, id="ends-mid-year"),
+            pytest.param(
+                _span(2018, 1, 2019, 52) + _span(2021, 1, 2021, 52), 2020, id="year-without-points"
+            ),
+            pytest.param(_span(2014, 1, 2017, 52)[::5], 2015, id="sparse"),
+        ],
+    )
+    def test_incomplete_year_rejected_with_missing_weeks_named(self, weeks, year):
+        s = WeeklySeries(
+            Variable.ARRIVALS, tuple(SeriesPoint(w, 1.0, PointFlag.OBSERVED) for w in weeks)
+        )
+        with pytest.raises(DataIntegrityError) as err:
+            slice_year(s, year)
+        assert str(err.value) == slice_year_message_oracle(s, year)
 
     def test_year_slice_validates_length(self):
         from seasonwarp.series import YearSlice
