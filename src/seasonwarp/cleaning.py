@@ -7,10 +7,12 @@ retained).  An optional winsorize mode clamps flagged values to the fences.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import BinaryIO
@@ -20,13 +22,13 @@ import numpy as np
 from .descriptive import quantile
 from .errors import DataIntegrityError, InsufficientDataError, SchemaError
 from .series import (
+    FLAGS,
+    MarketTable,
     PointFlag,
-    SeriesPoint,
     Variable,
     WeekKey,
-    WeeklyObservation,
     WeeklySeries,
-    iso_week_of,
+    _week_numbers,
 )
 
 DATE_FORMATS = {"iso": "%Y-%m-%d", "dmy": "%d/%m/%Y"}
@@ -35,6 +37,11 @@ DATE_FORMATS = {"iso": "%Y-%m-%d", "dmy": "%d/%m/%Y"}
 # moments, squared DTW distances and regression cross-products of any series
 # this size stay finite in float64 (max about 1.8e308).
 MAX_CELL = 1e75
+
+_OBSERVED, _INTERPOLATED, _OUTLIER_RETAINED = (
+    FLAGS.index(f)
+    for f in (PointFlag.OBSERVED, PointFlag.INTERPOLATED, PointFlag.OUTLIER_RETAINED)
+)
 
 
 @dataclass(frozen=True)
@@ -114,10 +121,10 @@ class CleaningReport:
         )
 
 
-def _parse_cell(raw: str, column: str, line_no: int) -> float | None:
+def _parse_cell(raw: str, column: str, line_no: int) -> float:
     raw = raw.strip()
     if raw == "":
-        return None
+        return math.nan
     try:
         value = float(raw)
     except ValueError:
@@ -137,42 +144,131 @@ def _parse_cell(raw: str, column: str, line_no: int) -> float | None:
     return value
 
 
+def _parse_row(
+    row: list[str], line_no: int, width: int, cols: tuple[int, int, int], schema: ColumnSchema
+) -> tuple[int, float, float]:
+    """(week number, arrivals, price) of one data row, blank cells as NaN,
+    or the DataIntegrityError that names what is wrong with it."""
+    if len(row) != width:
+        raise DataIntegrityError(
+            f"line {line_no}: {len(row)} fields where the header has {width}"
+        )
+    raw_date = row[cols[0]].strip()
+    try:
+        day = dt.datetime.strptime(raw_date, DATE_FORMATS[schema.date_format]).date()
+    except ValueError:
+        raise DataIntegrityError(
+            f"line {line_no}: cannot parse date {raw_date!r} with format "
+            f"{schema.date_format!r}"
+        ) from None
+    return (
+        (day.toordinal() - 1) // 7,
+        _parse_cell(row[cols[1]], schema.arrivals, line_no),
+        _parse_cell(row[cols[2]], schema.price, line_no),
+    )
+
+
+def _cell_value(raw: str) -> float:
+    """float(raw), NaN for a blank cell, and -inf (rejected like any value
+    outside [0, MAX_CELL]) for text that float() refuses or reads as NaN."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return -math.inf if raw and not raw.isspace() else math.nan
+    return value if value == value else -math.inf
+
+
+def _cells(column: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(value of each cell, whether the value passes `_parse_cell`)."""
+    values = np.fromiter(map(_cell_value, column), np.float64, len(column))
+    return values, np.isnan(values) | ((values >= 0) & (values <= MAX_CELL))
+
+
+_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01", "D"), np.datetime64("9999-12-31", "D")
+
+
+def _dates(column: tuple[str, ...], date_format: str) -> tuple[np.ndarray, np.ndarray]:
+    """(week number of each date cell, whether the cell is the date's own text
+    in `date_format`: a day of years 1..9999 with zero-padded fields)."""
+    texts = [t.strip() for t in column]
+    iso = texts if date_format == "iso" else [f"{t[6:]}-{t[3:5]}-{t[:2]}" for t in texts]
+    # numpy warns about some texts it reads (time zones); the round trip
+    # below rejects every one of them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            days = np.array(iso, dtype="datetime64[D]")
+        except ValueError:  # some text is no date at all: find which, one by one
+            days = np.array([_day_or_nat(t) for t in iso], dtype="datetime64[D]")
+    written = days.astype(str)
+    if date_format == "dmy":
+        written = np.array([f"{s[8:]}/{s[5:7]}/{s[:4]}" for s in written.tolist()])
+    ok = (written == np.array(texts)) & (days >= _FIRST_DAY) & (days <= _LAST_DAY)
+    return _week_numbers(days), ok
+
+
+def _day_or_nat(text: str) -> np.datetime64:
+    try:
+        return np.datetime64(text, "D")
+    except ValueError:
+        return np.datetime64("NaT", "D")
+
+
 def parse_market_csv(
     data: bytes | BinaryIO, schema: ColumnSchema = ColumnSchema()
-) -> list[WeeklyObservation]:
-    """One WeeklyObservation per data row of a UTF-8 CSV with a header.
+) -> MarketTable:
+    """The data rows of a UTF-8 CSV with a header, as week and value columns.
 
-    Blank value cells yield observations with that variable absent, which
-    become gaps when a per-variable series is built.  Rows that cannot be
-    parsed are reported with their 1-based line number (header = line 1).
+    Blank value cells read as NaN, which become gaps when a per-variable
+    series is built; fully blank lines are skipped.  Each row must have as
+    many fields as the header.  A row that breaks a rule is reported with its
+    1-based line number (header = line 1, blank lines not counted).
+
+    Every cell is read in one vectorised pass.  Only the rows that pass
+    rejects go through the per-row rule (`_parse_row`), in file order; it
+    accepts a row the pass is too strict for (say, a date that is not
+    zero-padded) or raises that row's error.
     """
-    if isinstance(data, bytes):
-        text = data.decode("utf-8-sig")
-    else:
-        text = data.read().decode("utf-8-sig")
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        return []
+    raw = data if isinstance(data, bytes) else data.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        raise DataIntegrityError(
+            f"input is not UTF-8: byte 0x{raw[offset]:02x} at offset {offset}"
+        ) from None
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        cols = None if header is None else _column_indices(header, schema)
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataIntegrityError(f"CSV line {reader.line_num}: {exc}") from None
+    if not rows:
+        return MarketTable(np.empty(0, np.int64), np.empty(0), np.empty(0))
+    width = len(header)
+    shaped = np.fromiter(map(len, rows), np.int64, len(rows)) == width
+    # Rows of another width are blanked for the column pass; _parse_row rejects them.
+    fitted = rows if shaped.all() else [
+        row if ok else [""] * width for row, ok in zip(rows, shaped.tolist())
+    ]
+    columns = list(zip(*fitted))
+    weeks, ok = _dates(columns[cols[0]], schema.date_format)
+    arrivals, arrivals_ok = _cells(columns[cols[1]])
+    prices, prices_ok = _cells(columns[cols[2]])
+    for i in np.flatnonzero(~(shaped & ok & arrivals_ok & prices_ok)).tolist():
+        weeks[i], arrivals[i], prices[i] = _parse_row(rows[i], i + 2, width, cols, schema)
+    return MarketTable(weeks, arrivals, prices)
+
+
+def _column_indices(header: list[str], schema: ColumnSchema) -> tuple[int, int, int]:
+    """Indices of the date, arrivals and price columns; a repeated name
+    means its last column."""
+    index = {name: i for i, name in enumerate(header)}
     for col in (schema.date, schema.arrivals, schema.price):
-        if col not in reader.fieldnames:
-            raise SchemaError(
-                f"column {col!r} not found in CSV header {reader.fieldnames}"
-            )
-    fmt = DATE_FORMATS[schema.date_format]
-    records: list[WeeklyObservation] = []
-    for line_no, row in enumerate(reader, start=2):
-        raw_date = (row[schema.date] or "").strip()
-        try:
-            day = dt.datetime.strptime(raw_date, fmt).date()
-        except ValueError:
-            raise DataIntegrityError(
-                f"line {line_no}: cannot parse date {raw_date!r} with format "
-                f"{schema.date_format!r}"
-            ) from None
-        arrivals = _parse_cell(row[schema.arrivals] or "", schema.arrivals, line_no)
-        price = _parse_cell(row[schema.price] or "", schema.price, line_no)
-        records.append(WeeklyObservation(iso_week_of(day), arrivals, price))
-    return records
+        if col not in index:
+            raise SchemaError(f"column {col!r} not found in CSV header {header}")
+    return index[schema.date], index[schema.arrivals], index[schema.price]
 
 
 def find_missing_weeks(series: WeeklySeries) -> list[WeekKey]:
@@ -180,16 +276,17 @@ def find_missing_weeks(series: WeeklySeries) -> list[WeekKey]:
     if len(series) < 2:
         return []
     first, _, missing = _gap_offsets(series)
-    return [WeekKey.from_number(first + k) for k in missing]
+    return [WeekKey.from_number(first + k) for k in missing.tolist()]
 
 
-def _gap_offsets(series: WeeklySeries) -> tuple[int, list[int], list[int]]:
+def _gap_offsets(series: WeeklySeries) -> tuple[int, np.ndarray, np.ndarray]:
     """(first week number, each point's offset from it, the offsets strictly
     inside the span that have no point, in order)."""
-    first = series.points[0].week.number
-    offsets = [p.week.number - first for p in series.points]
-    missing = [k for a, b in zip(offsets, offsets[1:]) for k in range(a + 1, b)]
-    return first, offsets, missing
+    first = int(series.numbers[0])
+    offsets = series.numbers - first
+    gap = np.ones(offsets[-1] + 1, dtype=bool)
+    gap[offsets] = False
+    return first, offsets, np.flatnonzero(gap)
 
 
 def natural_spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -205,26 +302,28 @@ def natural_spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarra
     h = np.diff(x)
     if np.any(h <= 0):
         raise ValueError("spline knots must be strictly increasing")
-    m = np.zeros(n)
     # interior equations: (h[i-1]/6) m[i-1] + ((h[i-1]+h[i])/3) m[i] + (h[i]/6) m[i+1] = rhs[i]
-    diag = (h[:-1] + h[1:]) / 3.0
-    lower = h[:-1] / 6.0
-    upper = h[1:] / 6.0
+    # The recurrences run on Python floats: the same IEEE operations as on
+    # numpy scalars, without their per-operation cost.
+    diag = ((h[:-1] + h[1:]) / 3.0).tolist()
+    lower = (h[:-1] / 6.0).tolist()
+    upper = (h[1:] / 6.0).tolist()
     rhs = np.diff(y) / h
-    rhs = rhs[1:] - rhs[:-1]
+    rhs = (rhs[1:] - rhs[:-1]).tolist()
     k = n - 2
-    cp = np.zeros(k)
-    dp = np.zeros(k)
+    cp = [0.0] * k
+    dp = [0.0] * k
     cp[0] = upper[0] / diag[0]
     dp[0] = rhs[0] / diag[0]
     for i in range(1, k):
         denom = diag[i] - lower[i] * cp[i - 1]
         cp[i] = upper[i] / denom
         dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    m = [0.0] * n
     m[k] = dp[k - 1]
     for i in range(k - 1, 0, -1):
         m[i] = dp[i - 1] - cp[i - 1] * m[i + 1]
-    return m
+    return np.array(m)
 
 
 def natural_spline_eval(
@@ -255,30 +354,31 @@ def spline_fill(series: WeeklySeries) -> tuple[WeeklySeries, CleaningReport]:
             f"spline fill needs >= 4 observed points, got {len(series)}"
         )
     first, offsets, missing = _gap_offsets(series)
-    if not missing:
+    if not missing.size:
         report = CleaningReport(series.variable, (), (), 0.0)
         return series, report
 
-    x_obs = np.array(offsets, dtype=float)
+    x_obs = offsets.astype(float)
     y_obs = series.values()
     m2 = natural_spline_second_derivatives(x_obs, y_obs)
-    filled = natural_spline_eval(x_obs, y_obs, m2, np.array(missing, dtype=float))
-    missing_weeks = [WeekKey.from_number(first + k) for k in missing]
-    clamped = [w for w, v in zip(missing_weeks, filled) if v < 0]
+    filled = natural_spline_eval(x_obs, y_obs, m2, missing.astype(float))
+    missing_weeks = [WeekKey.from_number(first + k) for k in missing.tolist()]
+    clamped = [w for w, v in zip(missing_weeks, filled.tolist()) if v < 0]
 
-    points: list[SeriesPoint | None] = [None] * (offsets[-1] + 1)
-    for k, p in zip(offsets, series.points):
-        points[k] = p
-    for k, w, v in zip(missing, missing_weeks, np.maximum(filled, 0.0).tolist()):
-        points[k] = SeriesPoint(w, v, PointFlag.INTERPOLATED)
+    span = int(offsets[-1]) + 1
+    values = np.empty(span)
+    values[offsets] = y_obs
+    values[missing] = np.maximum(filled, 0.0)
+    flags = np.full(span, _INTERPOLATED, dtype=np.uint8)
+    flags[offsets] = series.flags
     report = CleaningReport(
         variable=series.variable,
         interpolated_weeks=tuple(missing_weeks),
         outlier_weeks=(),
-        missing_fraction=len(missing) / len(points),
+        missing_fraction=len(missing) / span,
         clamped_weeks=tuple(clamped),
     )
-    return WeeklySeries(series.variable, tuple(points)), report
+    return WeeklySeries(series.variable, first + np.arange(span), values, flags), report
 
 
 def iqr_outliers(
@@ -325,14 +425,16 @@ def clean_series(
         lo, hi = _iqr_fences(observed_values, k)
         fence_value = {Fence.LOW: lo, Fence.HIGH: hi}
 
-    first = dense.points[0].week.number
-    points = list(dense.points)
+    first = int(dense.numbers[0])
+    values = dense.values().copy()
+    codes = dense.flags.copy()
     outliers = []
     for i, fence in flags:
-        p = series.points[i]
-        outliers.append(OutlierWeek(p.week, float(observed_values[i]), fence))
-        if p.flag is PointFlag.OBSERVED:
-            value = fence_value[fence] if winsorize else p.value
-            points[p.week.number - first] = SeriesPoint(p.week, value, PointFlag.OUTLIER_RETAINED)
+        number = int(series.numbers[i])
+        outliers.append(OutlierWeek(WeekKey.from_number(number), float(observed_values[i]), fence))
+        if series.flags[i] == _OBSERVED:
+            if winsorize:
+                values[number - first] = fence_value[fence]
+            codes[number - first] = _OUTLIER_RETAINED
     report = replace(report, outlier_weeks=tuple(outliers), winsorized=winsorize)
-    return WeeklySeries(dense.variable, tuple(points)), report
+    return WeeklySeries(dense.variable, dense.numbers, values, codes), report

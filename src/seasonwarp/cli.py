@@ -24,6 +24,8 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .cleaning import ColumnSchema, clean_series, parse_market_csv
 from .descriptive import describe
 from .dtw import (
@@ -47,6 +49,7 @@ from .report import (
 )
 from .seasonal import seasonal_index
 from .series import (
+    MarketTable,
     Variable,
     WeeklySeries,
     build_weekly_series,
@@ -189,7 +192,12 @@ def _apply_config(args: argparse.Namespace) -> None:
     if args.config is None:
         return
     path = Path(args.config)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(
+            f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -219,6 +227,8 @@ def _resolve(args: argparse.Namespace) -> None:
         raise UsageError("--out-dir is required")
     if hasattr(args, "band") and args.band is not None and args.band < 0:
         raise UsageError(f"--band must be >= 0, got {args.band}")
+    if hasattr(args, "seed") and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _formats(args: argparse.Namespace) -> set[str]:
@@ -264,19 +274,18 @@ def _schema(args: argparse.Namespace) -> ColumnSchema:
     )
 
 
-def _read_records(args: argparse.Namespace, data: bytes):
-    records = parse_market_csv(data, _schema(args))
+def _read_table(args: argparse.Namespace, data: bytes) -> MarketTable:
+    table = parse_market_csv(data, _schema(args))
     years = _years_range(args)
-    if years is not None:
-        lo, hi = years
-        records = [r for r in records if lo <= r.week.iso_year <= hi]
-    return records
+    return table if years is None else table.in_years(*years)
 
 
-def _cleaned(args: argparse.Namespace, records) -> dict[Variable, tuple[WeeklySeries, object]]:
+def _cleaned(
+    args: argparse.Namespace, table: MarketTable
+) -> dict[Variable, tuple[WeeklySeries, object]]:
     out = {}
     for var in _variables(args):
-        series = build_weekly_series(records, var)
+        series = build_weekly_series(table, var)
         out[var] = clean_series(series, winsorize=bool(args.winsorize))
     return out
 
@@ -342,7 +351,7 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
             fx = generate_fixture(args.seed)
             data = fx.csv_bytes()
             files["fixture.csv"] = fx.csv_text
-        stage(args, _cleaned(args, _read_records(args, data)), formats, files)
+        stage(args, _cleaned(args, _read_table(args, data)), formats, files)
     return 0
 
 
@@ -440,7 +449,7 @@ def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int
     span = _years_range(args)
     if span is not None:
         lo, hi = span
-        requested = list(range(lo, hi + 1))
+        requested = range(max(lo, 1), min(hi, 9999) + 1)  # only these ISO years hold dates
         skipped = [y for y in requested if y not in years]
         years = [y for y in years if lo <= y <= hi]
         if skipped:
@@ -539,10 +548,11 @@ def _dtw_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _Out
 
 
 def _series_svg(dense: WeeklySeries) -> str:
-    xs = []
-    for p in dense.points:
-        xs.append(p.week.iso_year + (p.week.iso_week - 1) / weeks_in_iso_year(p.week.iso_year))
-    ys = list(dense.values())
+    years, weeks = dense.iso_calendar()
+    distinct, at = np.unique(years, return_inverse=True)
+    year_lengths = np.array([weeks_in_iso_year(y) for y in distinct.tolist()])[at]
+    xs = (years + (weeks - 1) / year_lengths).tolist()
+    ys = dense.values().tolist()
     name = dense.variable.value
     return line_chart(
         [(name, xs, ys)],

@@ -16,7 +16,7 @@ from .cleaning import CleaningReport
 from .descriptive import DescriptiveSummary
 from .dtw import PairRanking
 from .seasonal import SeasonalIndexTable
-from .series import WeeklySeries
+from .series import FLAGS, WeeklySeries
 from .unitroot import AdfResult
 
 
@@ -132,17 +132,16 @@ def ranking_csv(ranking: PairRanking) -> str:
 
 
 def series_csv(series: WeeklySeries) -> str:
-    rows: list[list] = [["iso_year", "iso_week", "week_ending", "value", "flag"]]
-    for p in series.points:
-        rows.append(
-            [
-                p.week.iso_year,
-                p.week.iso_week,
-                p.week.end_date().isoformat(),
-                p.value,
-                p.flag.value,
-            ]
-        )
+    years, weeks = series.iso_calendar()
+    flags = [flag.value for flag in FLAGS]
+    rows: list = [["iso_year", "iso_week", "week_ending", "value", "flag"]]
+    rows += zip(
+        years.tolist(),
+        weeks.tolist(),
+        series.end_dates().astype(str).tolist(),
+        series.values().tolist(),
+        [flags[code] for code in series.flags.tolist()],
+    )
     return _csv_text(rows)
 
 

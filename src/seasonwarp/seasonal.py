@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateDataError, InsufficientDataError
-from .series import Variable, WeeklySeries, complete_years
+from .series import Variable, WeekKey, WeeklySeries, complete_years
 
 METHODS = ("weekly-mean", "moving-average")
 
@@ -78,25 +80,25 @@ class SeasonalIndexTable:
         )
 
 
-def _complete_year_points(series: WeeklySeries) -> tuple[list, list[int]]:
+def _complete_years(series: WeeklySeries) -> list[int]:
     years = complete_years(series)
     if len(years) < 2:
         raise InsufficientDataError(
             f"seasonal index needs >= 2 complete ISO years, got {len(years)}"
         )
-    year_set = set(years)
-    points = [p for p in series.points if p.week.iso_year in year_set]
-    return points, years
+    return years
 
 
 def _weekly_mean_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
-    points, _ = _complete_year_points(series)
+    iso_years, iso_weeks = series.iso_calendar()
+    keep = np.isin(iso_years, _complete_years(series))
+    weeks, values = iso_weeks[keep].tolist(), series.values()[keep].tolist()
     total = 0.0
     by_week: dict[int, list[float]] = {}
-    for p in points:
-        total += p.value
-        by_week.setdefault(p.week.iso_week, []).append(p.value)
-    grand_mean = total / len(points)
+    for week, value in zip(weeks, values):
+        total += value
+        by_week.setdefault(week, []).append(value)
+    grand_mean = total / len(values)
     if grand_mean == 0.0:
         raise DegenerateDataError("seasonal index undefined for zero grand mean")
     return [
@@ -106,16 +108,14 @@ def _weekly_mean_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
 
 
 def _moving_average_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
-    points, years = _complete_year_points(series)
-    year_set = set(years)
-    all_points = series.points
-    values = [p.value for p in all_points]
+    year_set = set(_complete_years(series))
+    iso_years, iso_weeks = (a.tolist() for a in series.iso_calendar())
+    values = series.values().tolist()
     n = len(values)
     # ratio to the centered 52-week moving average wherever the window fits
     ratios: dict[int, list[float]] = {}
     for t in range(MA_HALF_SPAN, n - MA_HALF_SPAN):
-        p = all_points[t]
-        if p.week.iso_year not in year_set:
+        if iso_years[t] not in year_set:
             continue
         window = (
             0.5 * values[t - MA_HALF_SPAN]
@@ -125,9 +125,9 @@ def _moving_average_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
         ma = window / (2 * MA_HALF_SPAN)
         if ma == 0.0:
             raise DegenerateDataError(
-                f"zero moving average at {p.week}; cannot form ratio"
+                f"zero moving average at {WeekKey(iso_years[t], iso_weeks[t])}; cannot form ratio"
             )
-        ratios.setdefault(p.week.iso_week, []).append(p.value / ma)
+        ratios.setdefault(iso_weeks[t], []).append(values[t] / ma)
     if not ratios:
         raise InsufficientDataError(
             "series too short for a centered 52-week moving average"

@@ -4,17 +4,17 @@ ISO weeks run Monday..Sunday; the week-ending date of an observation is the
 Sunday.  A calendar year maps to 52 or 53 ISO weeks, and everything downstream
 (seasonal indices, year slicing, DTW year pairs) keys off that grid.
 
-All types are immutable; all functions are pure.
+A series is a set of aligned arrays keyed by `WeekKey.number`; `WeekKey`
+objects are made only for messages and reports.  Dataclasses are frozen and
+series arrays read-only; all functions are pure.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,72 +101,122 @@ class PointFlag(str, Enum):
     OUTLIER_RETAINED = "outlier_retained"
 
 
-@dataclass(frozen=True)
-class WeeklyObservation:
-    """One raw market record.  A variable may be absent (blank cell)."""
+FLAGS = tuple(PointFlag)
+"""The PointFlag of each uint8 code a WeeklySeries stores: code i is FLAGS[i]."""
 
-    week: WeekKey
-    arrivals: float | None
-    modal_price: float | None
+# datetime64 day 0 (1970-01-01) has date ordinal 719163, and week number n
+# covers ordinals 7n+1 .. 7n+7 (Monday .. Sunday).
+_EPOCH_ORDINAL = 719163
 
-    def __post_init__(self) -> None:
-        if self.arrivals is not None and self.arrivals < 0:
-            raise ValueError(f"arrivals must be >= 0, got {self.arrivals} at {self.week}")
-        if self.modal_price is not None and self.modal_price < 0:
-            raise ValueError(f"modal_price must be >= 0, got {self.modal_price} at {self.week}")
 
-    def value(self, variable: Variable) -> float | None:
+def _week_numbers(days: np.ndarray) -> np.ndarray:
+    """`WeekKey.number` of each datetime64[D] day: (ordinal - 1) // 7."""
+    return (days.astype(np.int64) + (_EPOCH_ORDINAL - 1)) // 7
+
+
+def _week_days(numbers: np.ndarray, iso_weekday: int) -> np.ndarray:
+    """Day `iso_weekday` (1 = Monday .. 7 = Sunday) of each numbered week, as datetime64[D]."""
+    return (numbers * 7 + (iso_weekday - _EPOCH_ORDINAL)).astype("datetime64[D]")
+
+
+def _iso_years(numbers: np.ndarray) -> np.ndarray:
+    """ISO year of each numbered week: the calendar year of its Thursday."""
+    return _week_days(numbers, 4).astype("datetime64[Y]").astype(np.int64) + 1970
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class MarketTable:
+    """The data rows of one market CSV as aligned columns, in file order.
+
+    ``weeks`` holds the `WeekKey.number` of each row's date; a blank value
+    cell is NaN in its column.
+    """
+
+    weeks: np.ndarray
+    arrivals: np.ndarray
+    modal_price: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weeks)
+
+    def column(self, variable: Variable) -> np.ndarray:
         return self.arrivals if variable is Variable.ARRIVALS else self.modal_price
 
+    def in_years(self, first: int, last: int) -> "MarketTable":
+        """The rows dated in ISO years `first` .. `last`; only years 1..9999 hold dates."""
+        first, last = max(first, 1), min(last, 9999)
+        if first > last:
+            keep = np.zeros(len(self), dtype=bool)
+        else:
+            start = WeekKey(first, 1).number
+            stop = WeekKey(last, weeks_in_iso_year(last)).number
+            keep = (self.weeks >= start) & (self.weeks <= stop)
+        return MarketTable(self.weeks[keep], self.arrivals[keep], self.modal_price[keep])
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    week: WeekKey
-    value: float
-    flag: PointFlag
 
-
-@dataclass(frozen=True)
 class WeeklySeries:
     """Ordered weekly series for one variable; may contain calendar gaps.
 
-    Points are strictly increasing in WeekKey. After cleaning the coverage is
-    dense (consecutive weeks with no gaps).
+    Held as three aligned read-only arrays: ``numbers`` (int64
+    `WeekKey.number` of each point, strictly increasing), the float64 values
+    (``values()``) and ``flags`` (uint8 codes into `FLAGS`; all OBSERVED when
+    omitted).  After cleaning the coverage is dense (consecutive numbers).
     """
 
-    variable: Variable
-    points: tuple[SeriesPoint, ...]
+    __slots__ = ("variable", "numbers", "_values", "flags")
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.points, self.points[1:]):
-            if not a.week < b.week:
-                raise DataIntegrityError(
-                    f"series points not strictly increasing at {b.week}"
-                )
+    def __init__(self, variable: Variable, numbers, values, flags=None) -> None:
+        numbers = _read_only(numbers, np.int64)
+        values = _read_only(values, np.float64)
+        flags = _read_only(np.zeros(len(numbers)) if flags is None else flags, np.uint8)
+        if numbers.ndim != 1 or values.shape != numbers.shape or flags.shape != numbers.shape:
+            raise ValueError("week numbers, values and flags must be 1-D and of one length")
+        unordered = np.flatnonzero(np.diff(numbers) <= 0)
+        if unordered.size:
+            week = WeekKey.from_number(int(numbers[unordered[0] + 1]))
+            raise DataIntegrityError(f"series points not strictly increasing at {week}")
+        self.variable = variable
+        self.numbers = numbers
+        self._values = values
+        self.flags = flags
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def weeks(self) -> tuple[WeekKey, ...]:
-        return tuple(p.week for p in self.points)
+        return len(self.numbers)
 
     def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.points], dtype=float)
+        return self._values
+
+    def weeks(self) -> tuple[WeekKey, ...]:
+        return tuple(map(WeekKey.from_number, self.numbers.tolist()))
 
     def first_week(self) -> WeekKey:
-        return self.points[0].week
+        return WeekKey.from_number(int(self.numbers[0]))
 
     def last_week(self) -> WeekKey:
-        return self.points[-1].week
+        return WeekKey.from_number(int(self.numbers[-1]))
 
     def value_at(self, week: WeekKey) -> float:
-        i = bisect_left(self.points, week, key=_WEEK)
-        if i == len(self.points) or self.points[i].week != week:
+        i = int(np.searchsorted(self.numbers, week.number))
+        if i == len(self.numbers) or self.numbers[i] != week.number:
             raise KeyError(str(week))
-        return self.points[i].value
+        return float(self._values[i])
 
+    def iso_calendar(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ISO year, ISO week) of each point, as int64 arrays."""
+        years = _iso_years(self.numbers)
+        # January 4 always lies in ISO week 1.
+        jan4 = (years - 1970).astype("datetime64[Y]").astype("datetime64[D]") + 3
+        return years, self.numbers - _week_numbers(jan4) + 1
 
-_WEEK = attrgetter("week")
+    def end_dates(self) -> np.ndarray:
+        """The week-ending Sunday of each point, as datetime64[D]."""
+        return _week_days(self.numbers, 7)
 
 
 @dataclass(frozen=True)
@@ -185,24 +235,22 @@ class YearSlice:
             )
 
 
-def build_weekly_series(
-    records: Iterable[WeeklyObservation], variable: Variable
-) -> WeeklySeries:
+def build_weekly_series(table: MarketTable, variable: Variable) -> WeeklySeries:
     """Sorted Observed-flagged series for one variable.
 
-    Records with the variable absent are skipped (their weeks become gaps).
+    Rows with the variable blank are skipped (their weeks become gaps).
     Duplicate weeks are a data-integrity error.
     """
-    present = [r for r in records if r.value(variable) is not None]
-    present.sort(key=lambda r: r.week)
-    for a, b in zip(present, present[1:]):
-        if a.week == b.week:
-            raise DataIntegrityError(f"duplicate observation for week {a.week}")
-    points = tuple(
-        SeriesPoint(r.week, float(r.value(variable)), PointFlag.OBSERVED)
-        for r in present
-    )
-    return WeeklySeries(variable, points)
+    values = table.column(variable)
+    present = ~np.isnan(values)
+    weeks = table.weeks[present]
+    order = np.argsort(weeks, kind="stable")
+    weeks = weeks[order]
+    duplicate = np.flatnonzero(np.diff(weeks) == 0)
+    if duplicate.size:
+        week = WeekKey.from_number(int(weeks[duplicate[0]]))
+        raise DataIntegrityError(f"duplicate observation for week {week}")
+    return WeeklySeries(variable, weeks, values[present][order])
 
 
 def slice_year(series: WeeklySeries, iso_year: int) -> YearSlice:
@@ -211,25 +259,22 @@ def slice_year(series: WeeklySeries, iso_year: int) -> YearSlice:
     The series must cover every ISO week of the year (clean first).
     """
     expected = weeks_in_iso_year(iso_year)
-    lo = bisect_left(series.points, WeekKey(iso_year, 1), key=_WEEK)
-    hi = bisect_left(series.points, WeekKey(iso_year + 1, 1), lo, key=_WEEK)
-    window = series.points[lo:hi]
-    if len(window) != expected:
-        have = {p.week.iso_week for p in window}
-        missing = [WeekKey(iso_year, w) for w in range(1, expected + 1) if w not in have]
+    start = WeekKey(iso_year, 1).number
+    lo, hi = np.searchsorted(series.numbers, (start, start + expected)).tolist()
+    if hi - lo != expected:
+        have = set((series.numbers[lo:hi] - start).tolist())
+        missing = [WeekKey(iso_year, k + 1) for k in range(expected) if k not in have]
         raise DataIntegrityError(
             f"ISO year {iso_year} incomplete in series; missing weeks: "
             + ", ".join(str(w) for w in missing)
         )
-    return YearSlice(iso_year, tuple(p.value for p in window))
+    return YearSlice(iso_year, tuple(series.values()[lo:hi].tolist()))
 
 
 def complete_years(series: WeeklySeries) -> list[int]:
     """ISO years fully covered by the series, ascending."""
-    have: dict[int, int] = {}
-    for p in series.points:
-        have[p.week.iso_year] = have.get(p.week.iso_year, 0) + 1
-    return sorted(y for y, n in have.items() if n == weeks_in_iso_year(y))
+    years, counts = np.unique(_iso_years(series.numbers), return_counts=True)
+    return [y for y, n in zip(years.tolist(), counts.tolist()) if n == weeks_in_iso_year(y)]
 
 
 def log_diff(values: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -7,13 +7,20 @@ enumeration.  Slow is fine; these only run in tests.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import math
 
 import numpy as np
 
-from seasonwarp.errors import DegenerateDataError, InsufficientDataError
-from seasonwarp.series import WeekKey, WeeklySeries, weeks_in_iso_year
+from seasonwarp.errors import (
+    DataIntegrityError,
+    DegenerateDataError,
+    InsufficientDataError,
+    SchemaError,
+)
+from seasonwarp.series import WeekKey, WeeklySeries, iso_week_of, weeks_in_iso_year
 from seasonwarp.unitroot import AdfResult, mackinnon_pvalue
 
 
@@ -45,11 +52,91 @@ def week_range_oracle(first: WeekKey, last: WeekKey) -> list[WeekKey]:
 def slice_year_message_oracle(series: WeeklySeries, iso_year: int) -> str:
     """The incomplete-year error of a year slice, from a scan of the whole series."""
     wanted = week_range_oracle(WeekKey(iso_year, 1), WeekKey(iso_year, weeks_in_iso_year(iso_year)))
-    have = {p.week for p in series.points}
+    have = set(series.weeks())
     missing = [w for w in wanted if w not in have]
     return f"ISO year {iso_year} incomplete in series; missing weeks: " + ", ".join(
         str(w) for w in missing
     )
+
+
+def parse_market_csv_oracle(
+    data: bytes, date_col="date", arrivals_col="arrivals", price_col="modal_price",
+    date_format="iso",
+) -> tuple[list[int], list[float], list[float]]:
+    """(week numbers, arrivals, prices) of a market CSV, read one `csv.DictReader`
+    row at a time with `strptime`; a blank cell is NaN.
+
+    This is the row-by-row reader the columnar parser replaced, so its errors
+    are the reference messages.  It predates the row-shape rule: a short row
+    reads as blank cells and an extra field is ignored.
+    """
+    fmt = {"iso": "%Y-%m-%d", "dmy": "%d/%m/%Y"}[date_format]
+
+    def cell(raw: str, column: str, line_no: int) -> float:
+        raw = raw.strip()
+        if raw == "":
+            return math.nan
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DataIntegrityError(
+                f"line {line_no}: cannot parse {column} value {raw!r} as a number"
+            ) from None
+        if not math.isfinite(value):
+            raise DataIntegrityError(f"line {line_no}: {column} value {raw!r} is not a finite number")
+        if value < 0:
+            raise DataIntegrityError(f"line {line_no}: negative {column} value {value}")
+        if value > 1e75:
+            raise DataIntegrityError(f"line {line_no}: {column} value {raw!r} exceeds 1e+75")
+        return value
+
+    reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig")))
+    weeks: list[int] = []
+    arrivals: list[float] = []
+    prices: list[float] = []
+    if reader.fieldnames is None:
+        return weeks, arrivals, prices
+    for col in (date_col, arrivals_col, price_col):
+        if col not in reader.fieldnames:
+            raise SchemaError(f"column {col!r} not found in CSV header {reader.fieldnames}")
+    for line_no, row in enumerate(reader, start=2):
+        raw_date = (row[date_col] or "").strip()
+        try:
+            day = dt.datetime.strptime(raw_date, fmt).date()
+        except ValueError:
+            raise DataIntegrityError(
+                f"line {line_no}: cannot parse date {raw_date!r} with format {date_format!r}"
+            ) from None
+        arrivals.append(cell(row[arrivals_col] or "", arrivals_col, line_no))
+        prices.append(cell(row[price_col] or "", price_col, line_no))
+        weeks.append(iso_week_of(day).number)
+    return weeks, arrivals, prices
+
+
+def spline_second_derivatives_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Natural-spline second derivatives by the Thomas algorithm run on numpy
+    scalars, the same operations in the same order as the production solve."""
+    n = x.size
+    h = np.diff(x)
+    m = np.zeros(n)
+    diag = (h[:-1] + h[1:]) / 3.0
+    lower = h[:-1] / 6.0
+    upper = h[1:] / 6.0
+    rhs = np.diff(y) / h
+    rhs = rhs[1:] - rhs[:-1]
+    k = n - 2
+    cp = np.zeros(k)
+    dp = np.zeros(k)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, k):
+        denom = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    m[k] = dp[k - 1]
+    for i in range(k - 1, 0, -1):
+        m[i] = dp[i - 1] - cp[i - 1] * m[i + 1]
+    return m
 
 
 def enum_dtw_min_cost(d: list[list[float]]) -> float:

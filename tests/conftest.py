@@ -13,14 +13,14 @@ def fixture42():
 
 
 @pytest.fixture(scope="session")
-def records42(fixture42):
+def table42(fixture42):
     return parse_market_csv(fixture42.csv_bytes(), ColumnSchema())
 
 
 @pytest.fixture(scope="session")
-def cleaned42(records42):
+def cleaned42(table42):
     out = {}
     for var in Variable:
-        series = build_weekly_series(records42, var)
+        series = build_weekly_series(table42, var)
         out[var] = clean_series(series)
     return out

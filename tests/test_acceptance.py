@@ -28,8 +28,6 @@ from seasonwarp.dtw import (
 )
 from seasonwarp.seasonal import index_weighted_mean, seasonal_index
 from seasonwarp.series import (
-    PointFlag,
-    SeriesPoint,
     Variable,
     WeekKey,
     WeeklySeries,
@@ -314,20 +312,9 @@ def test_c10_seasonal_normalization(capsys):
         last = first + int(rng.integers(2, 6))
         weeks = list(week_range(WeekKey(first, 1), WeekKey(last, weeks_in_iso_year(last))))
         vals = rng.uniform(10, 1000, size=len(weeks))
-        series = WeeklySeries(
-            Variable.ARRIVALS,
-            tuple(
-                SeriesPoint(w, float(v), PointFlag.OBSERVED)
-                for w, v in zip(weeks, vals)
-            ),
-        )
-        scaled = WeeklySeries(
-            Variable.ARRIVALS,
-            tuple(
-                SeriesPoint(w, float(v) * 1e4, PointFlag.OBSERVED)
-                for w, v in zip(weeks, vals)
-            ),
-        )
+        numbers = [w.number for w in weeks]
+        series = WeeklySeries(Variable.ARRIVALS, numbers, vals)
+        scaled = WeeklySeries(Variable.ARRIVALS, numbers, vals * 1e4)
         for method in ("weekly-mean", "moving-average"):
             table = seasonal_index(series, method=method)
             worst_mean = max(worst_mean, abs(index_weighted_mean(table) - 100.0))

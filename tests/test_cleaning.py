@@ -1,9 +1,18 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import quantile_oracle, spline_oracle, week_range_oracle
+from _oracles import (
+    parse_market_csv_oracle,
+    quantile_oracle,
+    spline_oracle,
+    spline_second_derivatives_oracle,
+    week_range_oracle,
+)
+import seasonwarp.series
 from seasonwarp.cleaning import (
     ColumnSchema,
     Fence,
@@ -22,8 +31,8 @@ from seasonwarp.errors import (
     SchemaError,
 )
 from seasonwarp.series import (
+    FLAGS,
     PointFlag,
-    SeriesPoint,
     Variable,
     WeekKey,
     WeeklySeries,
@@ -38,17 +47,17 @@ def _csv(*rows, header="date,arrivals,modal_price"):
 
 class TestParseMarketCsv:
     def test_basic_rows(self):
-        records = parse_market_csv(_csv("2022-03-06,120,1500", "2022-03-13,90,1480"))
-        assert len(records) == 2
-        assert records[0].week == WeekKey(2022, 9)
-        assert records[0].arrivals == 120.0
-        assert records[1].modal_price == 1480.0
+        table = parse_market_csv(_csv("2022-03-06,120,1500", "2022-03-13,90,1480"))
+        assert len(table) == 2
+        assert table.weeks.tolist() == [WeekKey(2022, 9).number, WeekKey(2022, 10).number]
+        assert table.arrivals.tolist() == [120.0, 90.0]
+        assert table.modal_price.tolist() == [1500.0, 1480.0]
 
     def test_blank_cells_are_absent_values(self):
-        records = parse_market_csv(_csv("2022-03-06,,1500", "2022-03-13,90,"))
-        assert records[0].arrivals is None
-        assert records[0].modal_price == 1500.0
-        assert records[1].modal_price is None
+        table = parse_market_csv(_csv("2022-03-06,,1500", "2022-03-13,90,"))
+        assert np.isnan(table.arrivals[0])
+        assert table.modal_price[0] == 1500.0
+        assert np.isnan(table.modal_price[1])
 
     def test_bad_number_reports_line(self):
         with pytest.raises(DataIntegrityError, match="line 3"):
@@ -78,8 +87,8 @@ class TestParseMarketCsv:
             header="when,qty,price",
         )
         schema = ColumnSchema(date="when", arrivals="qty", price="price", date_format="dmy")
-        records = parse_market_csv(data, schema)
-        assert records[0].week == WeekKey(2022, 9)
+        table = parse_market_csv(data, schema)
+        assert table.weeks.tolist() == [WeekKey(2022, 9).number]
 
     def test_unknown_date_format_rejected(self):
         with pytest.raises(ValueError):
@@ -90,14 +99,166 @@ class TestParseMarketCsv:
         assert len(parse_market_csv(data)) == 1
 
     def test_empty_input(self):
-        assert parse_market_csv(b"") == []
+        assert len(parse_market_csv(b"")) == 0
+
+    @pytest.mark.parametrize("row,fields", [("2022-03-13,90", 2), ("2022-03-13,90,1480,7", 4)])
+    def test_row_with_other_field_count_rejected(self, row, fields):
+        with pytest.raises(DataIntegrityError) as err:
+            parse_market_csv(_csv("2022-03-06,120,1500", row))
+        assert str(err.value) == f"line 3: {fields} fields where the header has 3"
+
+    def test_blank_lines_skipped_and_not_counted(self):
+        data = b"date,arrivals,modal_price\r\n\r\n2022-03-06,120,1500\n\n\n2022-03-13,x,1\n"
+        with pytest.raises(DataIntegrityError, match="^line 3: cannot parse arrivals value 'x'"):
+            parse_market_csv(data)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_input_names_byte_offset(self, bom):
+        data = bom + _csv("2022-03-06,120,1500").replace(b"120", b"1\xe90")
+        offset = data.index(b"\xe9")
+        with pytest.raises(DataIntegrityError) as err:
+            parse_market_csv(data)
+        assert str(err.value) == f"input is not UTF-8: byte 0xe9 at offset {offset}"
+
+    def test_oversized_field_is_data_error(self):
+        with pytest.raises(DataIntegrityError, match="^CSV line 2: field larger than field limit"):
+            parse_market_csv(_csv("2022-03-06,120," + "9" * 200_000))
+
+    def test_no_week_key_per_row(self, monkeypatch):
+        day = dt.date(1725, 1, 7)
+        rows = [f"{day + dt.timedelta(weeks=k)},{k % 97},{100 + k % 13}" for k in range(15_000)]
+        data = _csv(*rows)
+        made = []
+        post_init = seasonwarp.series.WeekKey.__post_init__
+        monkeypatch.setattr(
+            seasonwarp.series.WeekKey, "__post_init__", lambda w: made.append(w) or post_init(w)
+        )
+        table = parse_market_csv(data)
+        series = build_weekly_series(table, Variable.MODAL_PRICE)
+        assert len(table) == len(series) == 15_000
+        assert made == []
+        monkeypatch.undo()
+        assert series.numbers.tolist() == [
+            ((day + dt.timedelta(weeks=k)).toordinal() - 1) // 7 for k in range(15_000)
+        ]
+
+
+def _iso(day):
+    return f"{day.year:04d}-{day.month:02d}-{day.day:02d}"
+
+
+def _dmy(day):
+    return f"{day.day:02d}/{day.month:02d}/{day.year:04d}"
+
+
+_DAYS = st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31))
+_BROKEN_DATES = [
+    "", "oops", "2020-13-01", "2020-02-30", "0000-01-01", "10000-01-01", "2020-01-05T00",
+    "NaT", "today", "05/01/20", "2020/01/05", "06-03-2022",
+]
+_ODD_CELLS = [
+    "", " ", "12.5", "1e3", "+3", "1_000", "-0", "0.0", ".5", "5.", "１２", "\xa07\xa0", "1e75",
+]
+_BROKEN_CELLS = [
+    "abc", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "-1", "-0.5", "1e76", "1e300",
+    "1e400", "1.5e308", "0x10", "1,5",
+]
+
+
+def _date_text(draw, date_format):
+    """Mostly the day in `date_format`; sometimes not zero-padded (which
+    strptime reads), in the other format, or no date at all."""
+    day = draw(_DAYS)
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return draw(st.sampled_from(_BROKEN_DATES))
+    if kind == 1:
+        return f"{day.year}-{day.month}-{day.day}" if date_format == "iso" else (
+            f"{day.day}/{day.month}/{day.year}")
+    if kind == 2:
+        return _dmy(day) if date_format == "iso" else _iso(day)
+    if kind == 3:
+        return "２０２０-01-05" if date_format == "iso" else "05/01/２０２０"
+    return _iso(day) if date_format == "iso" else _dmy(day)
+
+
+def _cell_text(draw):
+    """Mostly a plain number; sometimes blank, an unusual spelling float()
+    reads, or a cell of every rejected kind."""
+    kind = draw(st.integers(0, 29))
+    if kind == 0:
+        return draw(st.sampled_from(_BROKEN_CELLS))
+    if kind < 5:
+        return draw(st.sampled_from(_ODD_CELLS))
+    if kind < 15:
+        return repr(draw(st.floats(0, 1e6, allow_nan=False)))
+    return str(draw(st.integers(0, 10**6)))
+
+
+@st.composite
+def _market_csv(draw):
+    """A CSV and its date format: valid and broken cells of every kind,
+    padded or quoted fields, blank lines, CRLF and a BOM."""
+    date_format = draw(st.sampled_from(["iso", "dmy"]))
+    names = draw(st.permutations(["date", "arrivals", "modal_price"]))
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = {"date": _date_text(draw, date_format), "arrivals": _cell_text(draw),
+                 "modal_price": _cell_text(draw)}
+        fields = []
+        for name in names:
+            text = draw(st.sampled_from(["", "", " ", "  "])) + cells[name] + draw(
+                st.sampled_from(["", "", " "]))
+            if "," in text or draw(st.integers(0, 3)) == 0:
+                text = '"' + text + '"'
+            fields.append(text)
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (newline.join(lines) + newline).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data, date_format
+
+
+def _parse_outcome(parse, *args):
+    try:
+        weeks, arrivals, prices = parse(*args)
+    except (DataIntegrityError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (
+        np.asarray(weeks, dtype=np.int64).tobytes(),
+        np.asarray(arrivals, dtype=float).tobytes(),
+        np.asarray(prices, dtype=float).tobytes(),
+    )
+
+
+class TestParseMatchesRowReader:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=_market_csv())
+    def test_same_columns_or_same_error(self, case):
+        data, date_format = case
+        schema = ColumnSchema(date_format=date_format)
+
+        def columnar(data):
+            table = parse_market_csv(data, schema)
+            return table.weeks, table.arrivals, table.modal_price
+
+        got = _parse_outcome(columnar, data)
+        want = _parse_outcome(
+            lambda d: parse_market_csv_oracle(d, date_format=date_format), data
+        )
+        assert got == want
 
 
 def _series(weeks_values, variable=Variable.ARRIVALS):
-    points = tuple(
-        SeriesPoint(w, float(v), PointFlag.OBSERVED) for w, v in weeks_values
-    )
-    return WeeklySeries(variable, points)
+    weeks, values = zip(*weeks_values)
+    return WeeklySeries(variable, [w.number for w in weeks], values)
+
+
+def _flags(series):
+    return dict(zip(series.weeks(), (FLAGS[code] for code in series.flags)))
 
 
 class TestFindMissingWeeks:
@@ -172,6 +333,15 @@ class TestNaturalSpline:
             want = spline_oracle(x, y, xq)
             assert np.allclose(got, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [4, 5, 57, 15_500])
+    def test_equals_numpy_scalar_solve(self, n):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.integers(1, 4, size=n)).astype(float)
+        y = rng.uniform(0.0, 1e4, size=n)
+        got = natural_spline_second_derivatives(x, y)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, spline_second_derivatives_oracle(x, y))
+
     def test_too_few_knots(self):
         with pytest.raises(InsufficientDataError):
             natural_spline_second_derivatives(np.array([0.0, 1.0, 2.0]), np.zeros(3))
@@ -221,11 +391,8 @@ class TestSplineFill:
         assert dense.weeks() == tuple(weeks)
         assert report.interpolated_weeks == (WeekKey(2021, 4), WeekKey(2021, 9))
         assert report.missing_fraction == pytest.approx(2 / 12)
-        for p in dense.points:
-            expected_flag = (
-                PointFlag.INTERPOLATED if p.week in gaps else PointFlag.OBSERVED
-            )
-            assert p.flag is expected_flag
+        for week, flag in _flags(dense).items():
+            assert flag is (PointFlag.INTERPOLATED if week in gaps else PointFlag.OBSERVED)
 
     def test_observed_values_bit_exact(self):
         rng = np.random.default_rng(6)
@@ -262,7 +429,7 @@ class TestSplineFill:
         weeks = list(week_range(WeekKey(2021, 1), WeekKey(2021, 8)))
         s = _series((w, float(i)) for i, w in enumerate(weeks))
         dense, report = spline_fill(s)
-        assert dense == s
+        assert dense is s
         assert report.interpolated_weeks == ()
         assert report.missing_fraction == 0.0
 
@@ -333,7 +500,7 @@ class TestCleanSeries:
         cleaned, report = clean_series(self._gappy_series_with_spike())
         spike = WeekKey(2021, 20)
         assert cleaned.value_at(spike) == 5000.0
-        flags = {p.week: p.flag for p in cleaned.points}
+        flags = _flags(cleaned)
         assert flags[spike] is PointFlag.OUTLIER_RETAINED
         assert flags[WeekKey(2021, 7)] is PointFlag.INTERPOLATED
         assert report.outlier_weeks[0].week == spike
@@ -373,7 +540,7 @@ class TestCleanSeries:
         series = self._gappy_series_with_spike()
         _, report = clean_series(series)
         _, report_nogap = clean_series(
-            _series((p.week, p.value) for p in series.points)
+            _series(zip(series.weeks(), series.values()))
         )
         assert [o.week for o in report.outlier_weeks] == [
             o.week for o in report_nogap.outlier_weeks
@@ -381,9 +548,7 @@ class TestCleanSeries:
 
     def test_interpolated_points_never_flagged(self):
         cleaned, _ = clean_series(self._gappy_series_with_spike())
-        for p in cleaned.points:
-            if p.week == WeekKey(2021, 7):
-                assert p.flag is PointFlag.INTERPOLATED
+        assert _flags(cleaned)[WeekKey(2021, 7)] is PointFlag.INTERPOLATED
 
     def test_report_roundtrip(self):
         _, report = clean_series(self._gappy_series_with_spike(), winsorize=True)
@@ -392,7 +557,7 @@ class TestCleanSeries:
 
 
 class TestFixtureCleaning:
-    def test_seed42_gap_weeks(self, records42, cleaned42):
+    def test_seed42_gap_weeks(self, table42, cleaned42):
         _, report = cleaned42[Variable.ARRIVALS]
         assert report.interpolated_weeks == (
             WeekKey(2011, 21),
@@ -402,7 +567,7 @@ class TestFixtureCleaning:
             WeekKey(2019, 1),
             WeekKey(2019, 26),
         )
-        series = build_weekly_series(records42, Variable.ARRIVALS)
+        series = build_weekly_series(table42, Variable.ARRIVALS)
         assert find_missing_weeks(series) == list(report.interpolated_weeks)
 
     def test_seed42_dense_span(self, cleaned42):

@@ -359,6 +359,74 @@ class TestCliContract:
                 assert not _NON_FINITE_TEXT.search(content), name
 
 
+class TestIngestBoundary:
+    """Bad bytes, row shapes and seeds: exit 1 or 2, one stderr line, --out-dir unchanged."""
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize(
+        "case,code,message",
+        [
+            ("latin-1 input", 2, "data error: input is not UTF-8: byte 0xe9 at offset 59"),
+            ("short row", 2, "data error: line 3: 2 fields where the header has 3"),
+            ("extra field", 2, "data error: line 3: 4 fields where the header has 3"),
+            ("zoned date", 2,
+             "data error: line 3: cannot parse date '2010-01-17 00:00Z' with format 'iso'"),
+            ("latin-1 config", 1, "usage error: {cfg}: not UTF-8: byte 0xe9 at offset 14"),
+            ("fixture seed", 1, "usage error: --seed must be >= 0, got -1"),
+            ("report-all seed", 1, "usage error: --seed must be >= 0, got -1"),
+        ],
+    )
+    def test_one_line_and_out_dir_unchanged(self, tmp_path, capsys, fixture42, case, code, message):
+        lines = fixture42.csv_bytes().splitlines(keepends=True)
+        data, cfg = tmp_path / "in.csv", tmp_path / "run.cfg"
+        data.write_bytes(fixture42.csv_bytes())
+        cfg.write_bytes(b"variable = pri\xe9ce\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_bytes(b"kept")
+        argv = ["stats", "--input", str(data)]
+        if case == "latin-1 input":
+            data.write_bytes(b"".join(lines[:2]) + lines[2].replace(b",", b",\xe9", 1))
+        elif case == "short row":
+            data.write_bytes(b"".join(lines[:2]) + lines[2].rsplit(b",", 1)[0] + b"\n")
+        elif case == "extra field":
+            data.write_bytes(b"".join(lines[:2]) + lines[2].rstrip() + b",7\n")
+        elif case == "zoned date":
+            data.write_bytes(b"".join(lines[:2]) + lines[2].replace(b",", b" 00:00Z,", 1))
+        elif case == "latin-1 config":
+            argv += ["--config", str(cfg)]
+        elif case == "fixture seed":
+            argv = ["fixture", "--seed", "-1"]
+        else:
+            argv = ["report-all", "--seed", "-1"]
+        assert _run(*argv, "--out-dir", str(out)) == code
+        assert capsys.readouterr().err == f"seasonwarp: {message.format(cfg=cfg)}\n"
+        assert _tree(out) == {"keep.txt": b"kept"}
+
+    def test_years_window_clamps_to_dated_years(self, tmp_path, capsys, fixture_csv):
+        plain, wide, none = tmp_path / "plain", tmp_path / "wide", tmp_path / "none"
+        assert _run("stats", "--input", str(fixture_csv), "--out-dir", str(plain)) == 0
+        assert _run("stats", "--input", str(fixture_csv), "--years", "2010..99999999999",
+                    "--out-dir", str(wide)) == 0
+        assert _tree(wide) == _tree(plain)
+        capsys.readouterr()
+        assert _run("stats", "--input", str(fixture_csv), "--years", "0..3",
+                    "--out-dir", str(none)) == 2
+        err = capsys.readouterr().err
+        assert err == "seasonwarp: data error: spline fill needs >= 4 observed points, got 0\n"
+        assert not none.exists()
+
+    def test_dtw_years_beyond_iso_range(self, tmp_path, capsys, fixture_csv):
+        out = tmp_path / "o"
+        assert _run("dtw", "--input", str(fixture_csv), "--variable", "price",
+                    "--years", "2021..99999999999", "--format", "csv", "--out-dir", str(out)) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: skipping incomplete year(s) for modal_price: 2025, 2026,")
+        assert err.endswith(", 9998, 9999\n") and err.count("\n") == 1
+        rows = list(csv.reader(io.StringIO((out / "dtw_ranking_modal_price.csv").read_text())))
+        assert [r[0] for r in rows[1:]] == ["2021-2022", "2022-2023", "2023-2024"]
+
+
 class TestDtwCommand:
     def test_consecutive_pairs_outputs(self, tmp_path, fixture_csv):
         out = tmp_path / "o"

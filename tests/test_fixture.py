@@ -37,14 +37,14 @@ class TestStructure:
         assert len(rows) - 1 == total_weeks - GAP_COUNT
         assert total_weeks == 782
 
-    def test_gap_weeks_absent_from_csv(self, fixture42, records42):
-        weeks = {r.week for r in records42}
+    def test_gap_weeks_absent_from_csv(self, fixture42, table42):
+        weeks = set(table42.weeks.tolist())
         assert len(fixture42.gap_weeks) == GAP_COUNT
         for w in fixture42.gap_weeks:
-            assert w not in weeks
+            assert w.number not in weeks
 
-    def test_gaps_are_interior_and_recoverable(self, fixture42, records42):
-        series = build_weekly_series(records42, Variable.ARRIVALS)
+    def test_gaps_are_interior_and_recoverable(self, fixture42, table42):
+        series = build_weekly_series(table42, Variable.ARRIVALS)
         assert find_missing_weeks(series) == sorted(fixture42.gap_weeks)
 
     def test_dates_are_week_ending_sundays(self, fixture42):
@@ -54,21 +54,20 @@ class TestStructure:
             day = dt.date.fromisoformat(line.split(",")[0])
             assert day.weekday() == 6
 
-    def test_weeks_cover_span_in_order(self, records42):
+    def test_weeks_cover_span_in_order(self, table42):
         first = WeekKey(FIRST_YEAR, 1)
         last = WeekKey(FIRST_YEAR + N_YEARS - 1, 52)
-        assert records42[0].week == first
-        assert records42[-1].week == last
-        weeks = [r.week for r in records42]
-        assert weeks == sorted(weeks)
+        assert table42.weeks[0] == first.number
+        assert table42.weeks[-1] == last.number
+        assert (np.diff(table42.weeks) >= 0).all()
 
-    def test_values_are_positive_integers(self, records42):
-        for r in records42:
-            assert r.arrivals >= 1 and r.arrivals == int(r.arrivals)
-            assert r.modal_price >= 50 and r.modal_price == int(r.modal_price)
+    def test_values_are_positive_integers(self, table42):
+        arrivals, prices = table42.arrivals, table42.modal_price
+        assert (arrivals >= 1).all() and (arrivals == np.trunc(arrivals)).all()
+        assert (prices >= 50).all() and (prices == np.trunc(prices)).all()
 
-    def test_all_interior_years_complete(self, records42):
-        series = build_weekly_series(records42, Variable.MODAL_PRICE)
+    def test_all_interior_years_complete(self, table42):
+        series = build_weekly_series(table42, Variable.MODAL_PRICE)
         years = complete_years(series)
         # Gap years (2011, 2014, 2019) are incomplete before cleaning.
         assert years == [
@@ -109,12 +108,12 @@ class TestCalibration:
         assert pflagged & set(fixture42.price_spike_weeks)
 
     def test_reported_outliers_lie_strictly_outside_fences(
-        self, records42, cleaned42
+        self, table42, cleaned42
     ):
         from seasonwarp.descriptive import quantile
 
         for var in Variable:
-            observed = build_weekly_series(records42, var).values()
+            observed = build_weekly_series(table42, var).values()
             q1, q3 = quantile(observed, 0.25), quantile(observed, 0.75)
             lo, hi = q1 - 3 * (q3 - q1), q3 + 3 * (q3 - q1)
             _, report = cleaned42[var]
@@ -134,8 +133,8 @@ class TestCalibration:
 
         for seed in (1, 7, 99):
             fx = generate_fixture(seed=seed)
-            records = parse_market_csv(fx.csv_bytes(), ColumnSchema())
-            arrivals, _ = clean_series(build_weekly_series(records, Variable.ARRIVALS))
-            prices, _ = clean_series(build_weekly_series(records, Variable.MODAL_PRICE))
+            table = parse_market_csv(fx.csv_bytes(), ColumnSchema())
+            arrivals, _ = clean_series(build_weekly_series(table, Variable.ARRIVALS))
+            prices, _ = clean_series(build_weekly_series(table, Variable.MODAL_PRICE))
             assert 78.0 <= describe(arrivals).cv_percent <= 118.0, seed
             assert 67.0 <= describe(prices).cv_percent <= 87.0, seed

@@ -13,8 +13,6 @@ from seasonwarp.seasonal import (
     seasonal_index,
 )
 from seasonwarp.series import (
-    PointFlag,
-    SeriesPoint,
     Variable,
     WeekKey,
     WeeklySeries,
@@ -29,11 +27,8 @@ def _dense(first_year, last_year, value_of, variable=Variable.ARRIVALS, pad=0):
     for _ in range(pad):
         first = first.prev()
         last = last.next()
-    points = tuple(
-        SeriesPoint(w, float(value_of(w)), PointFlag.OBSERVED)
-        for w in week_range(first, last)
-    )
-    return WeeklySeries(variable, points)
+    weeks = list(week_range(first, last))
+    return WeeklySeries(variable, [w.number for w in weeks], [value_of(w) for w in weeks])
 
 
 class TestWeeklyMeanMethod:
@@ -58,7 +53,9 @@ class TestWeeklyMeanMethod:
         rng = random.Random(12)
         s = _dense(2018, 2022, lambda w: rng.uniform(50, 150))
         table = seasonal_index(s)
-        want = seasonal_oracle({(p.week.iso_year, p.week.iso_week): p.value for p in s.points})
+        want = seasonal_oracle(
+            {(w.iso_year, w.iso_week): v for w, v in zip(s.weeks(), s.values().tolist())}
+        )
         assert len(table.entries) == 53
         for e in table.entries:
             assert e.index == pytest.approx(want[e.iso_week], rel=1e-12)

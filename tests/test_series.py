@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from _oracles import iso_week_oracle, slice_year_message_oracle, week_range_oracle
 from seasonwarp.errors import DataIntegrityError, InsufficientDataError
 from seasonwarp.series import (
+    FLAGS,
+    MarketTable,
     PointFlag,
-    SeriesPoint,
     Variable,
     WeekKey,
-    WeeklyObservation,
     WeeklySeries,
     build_weekly_series,
     complete_years,
@@ -171,59 +171,68 @@ class TestWeekRange:
         assert list(week_range(first, last)) == expected
 
 
-def _obs(y, w, arrivals, price):
-    return WeeklyObservation(WeekKey(y, w), arrivals, price)
+def _table(*rows):
+    """MarketTable of (iso_year, iso_week, arrivals, price) rows; None is a blank cell."""
+    years, weeks, arrivals, prices = zip(*rows)
+    return MarketTable(
+        np.array([WeekKey(y, w).number for y, w in zip(years, weeks)]),
+        np.array(arrivals, dtype=float),
+        np.array(prices, dtype=float),
+    )
 
 
 class TestBuildWeeklySeries:
     def test_sorts_and_flags_observed(self):
-        records = [_obs(2021, 3, 5.0, 100.0), _obs(2021, 1, 7.0, 90.0)]
-        s = build_weekly_series(records, Variable.ARRIVALS)
+        table = _table((2021, 3, 5.0, 100.0), (2021, 1, 7.0, 90.0))
+        s = build_weekly_series(table, Variable.ARRIVALS)
         assert s.weeks() == (WeekKey(2021, 1), WeekKey(2021, 3))
         assert list(s.values()) == [7.0, 5.0]
-        assert all(p.flag is PointFlag.OBSERVED for p in s.points)
+        assert [FLAGS[code] for code in s.flags] == [PointFlag.OBSERVED] * 2
 
     def test_input_order_is_irrelevant(self):
-        records = [_obs(2021, w, float(w), 10.0 * w) for w in range(1, 20)]
+        rows = [(2021, w, float(w), 10.0 * w) for w in range(1, 20)]
         rng = random.Random(7)
-        shuffled = records[:]
+        shuffled = rows[:]
         rng.shuffle(shuffled)
-        a = build_weekly_series(records, Variable.MODAL_PRICE)
-        b = build_weekly_series(shuffled, Variable.MODAL_PRICE)
-        assert a == b
+        a = build_weekly_series(_table(*rows), Variable.MODAL_PRICE)
+        b = build_weekly_series(_table(*shuffled), Variable.MODAL_PRICE)
+        for x, y in ((a.numbers, b.numbers), (a.values(), b.values()), (a.flags, b.flags)):
+            assert np.array_equal(x, y)
 
     def test_blank_cells_become_gaps(self):
-        records = [_obs(2021, 1, 1.0, None), _obs(2021, 2, 2.0, 50.0)]
-        prices = build_weekly_series(records, Variable.MODAL_PRICE)
+        table = _table((2021, 1, 1.0, None), (2021, 2, 2.0, 50.0))
+        prices = build_weekly_series(table, Variable.MODAL_PRICE)
         assert prices.weeks() == (WeekKey(2021, 2),)
-        arrivals = build_weekly_series(records, Variable.ARRIVALS)
+        arrivals = build_weekly_series(table, Variable.ARRIVALS)
         assert len(arrivals) == 2
 
     def test_duplicate_week_rejected(self):
-        records = [_obs(2021, 1, 1.0, 10.0), _obs(2021, 1, 2.0, 20.0)]
+        table = _table((2021, 1, 1.0, 10.0), (2021, 1, 2.0, 20.0))
         with pytest.raises(DataIntegrityError, match="duplicate"):
-            build_weekly_series(records, Variable.ARRIVALS)
+            build_weekly_series(table, Variable.ARRIVALS)
 
-    def test_negative_value_rejected_at_record_level(self):
-        with pytest.raises(ValueError, match="arrivals"):
-            _obs(2021, 1, -1.0, 10.0)
+
+def _series_of(weeks, value_of=lambda w: 1.0):
+    return WeeklySeries(Variable.ARRIVALS, [w.number for w in weeks], [value_of(w) for w in weeks])
 
 
 def _dense_series(first, last, value_of):
-    points = tuple(
-        SeriesPoint(w, value_of(w), PointFlag.OBSERVED) for w in week_range(first, last)
-    )
-    return WeeklySeries(Variable.ARRIVALS, points)
+    return _series_of(list(week_range(first, last)), value_of)
 
 
 class TestWeeklySeries:
     def test_monotonicity_enforced(self):
-        pts = (
-            SeriesPoint(WeekKey(2021, 2), 1.0, PointFlag.OBSERVED),
-            SeriesPoint(WeekKey(2021, 1), 2.0, PointFlag.OBSERVED),
-        )
         with pytest.raises(DataIntegrityError):
-            WeeklySeries(Variable.ARRIVALS, pts)
+            _series_of([WeekKey(2021, 2), WeekKey(2021, 1)])
+
+    def test_arrays_are_read_only_copies(self):
+        numbers, values = np.array([3, 4]), np.array([1.0, 2.0])
+        s = WeeklySeries(Variable.ARRIVALS, numbers, values)
+        values[0] = 9.0
+        assert s.values().tolist() == [1.0, 2.0]
+        for array in (s.numbers, s.values(), s.flags):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_value_at(self):
         s = _dense_series(WeekKey(2021, 1), WeekKey(2021, 5), lambda w: float(w.iso_week))
@@ -259,7 +268,7 @@ class TestSliceYear:
         concat = []
         for year in (2019, 2020, 2021):
             concat.extend(slice_year(s, year).values)
-        assert concat == [p.value for p in s.points]
+        assert concat == s.values().tolist()
 
     @pytest.mark.parametrize(
         "weeks,year",
@@ -279,9 +288,7 @@ class TestSliceYear:
         ],
     )
     def test_incomplete_year_rejected_with_missing_weeks_named(self, weeks, year):
-        s = WeeklySeries(
-            Variable.ARRIVALS, tuple(SeriesPoint(w, 1.0, PointFlag.OBSERVED) for w in weeks)
-        )
+        s = _series_of(weeks)
         with pytest.raises(DataIntegrityError) as err:
             slice_year(s, year)
         assert str(err.value) == slice_year_message_oracle(s, year)
@@ -301,16 +308,12 @@ class TestCompleteYears:
         assert complete_years(s) == [2020, 2021]
 
     def test_interior_gap_breaks_year(self):
-        points = [
-            SeriesPoint(w, 1.0, PointFlag.OBSERVED)
-            for w in week_range(WeekKey(2021, 1), WeekKey(2022, 52))
-            if w != WeekKey(2021, 30)
-        ]
-        s = WeeklySeries(Variable.ARRIVALS, tuple(points))
+        weeks = week_range(WeekKey(2021, 1), WeekKey(2022, 52))
+        s = _series_of([w for w in weeks if w != WeekKey(2021, 30)])
         assert complete_years(s) == [2022]
 
     def test_empty_series(self):
-        assert complete_years(WeeklySeries(Variable.ARRIVALS, ())) == []
+        assert complete_years(WeeklySeries(Variable.ARRIVALS, [], [])) == []
 
 
 class TestLogDiff:
