@@ -32,8 +32,11 @@ from .dtw import (
     DtwOptions,
     LocalMetric,
     Normalization,
-    dtw_align,
-    dtw_align_with_matrices,
+    aligned_inputs,
+    corner_ranks,
+    cumulative_costs,
+    dtw_result,
+    local_distance_matrix,
     rank_pairs,
 )
 from .errors import DataIntegrityError, MarketDataError
@@ -444,18 +447,33 @@ def _dtw_options(args: argparse.Namespace) -> DtwOptions:
     )
 
 
+def _year_span(first: int, last: int) -> str:
+    """``first..last`` as one token: empty if reversed, one year if equal."""
+    if first > last:
+        return ""
+    return str(first) if first == last else f"{first}..{last}"
+
+
 def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int, int]]:
     years = complete_years(dense)
     span = _years_range(args)
     if span is not None:
         lo, hi = span
-        requested = range(max(lo, 1), min(hi, 9999) + 1)  # only these ISO years hold dates
-        skipped = [y for y in requested if y not in years]
         years = [y for y in years if lo <= y <= hi]
+        lo, hi = max(lo, 1), min(hi, 9999)  # only these ISO years hold dates
+        # Requested years the data does not reach are named as ranges, so
+        # the warning stays one short line for any --years span.
+        first, last = dense.first_week().iso_year, dense.last_week().iso_year
+        skipped = [
+            _year_span(lo, min(hi, first - 1)),
+            *(str(y) for y in range(max(lo, first), min(hi, last) + 1) if y not in years),
+            _year_span(max(lo, last + 1), hi),
+        ]
+        skipped = [token for token in skipped if token]
         if skipped:
             print(
                 f"warning: skipping incomplete year(s) for {dense.variable.value}: "
-                f"{', '.join(map(str, skipped))}",
+                f"{', '.join(skipped)}",
                 file=sys.stderr,
             )
     if len(years) < 2:
@@ -471,14 +489,20 @@ def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int
 def _dtw_variable_outputs(
     args: argparse.Namespace, dense: WeeklySeries, formats: set[str], files: _OutputTree
 ):
+    """One variable's year pairs: each slice aligned as-is or z-scored once,
+    the drawn matrices from the batched kernel, backtracked once per pair,
+    and the unbanded reference ranks from the kernel's corner costs."""
     var = dense.variable.value
     options = _dtw_options(args)
     pairs = _year_pairs(args, dense)
     years = sorted({year for pair in pairs for year in pair})
-    slices = {year: slice_year(dense, year).values for year in years}
+    slices = aligned_inputs(
+        {year: slice_year(dense, year).values for year in years}, pairs, options
+    )
+    unbanded_ranks = None if options.band_radius is None else corner_ranks(slices, pairs)
     results = []
-    for y1, y2 in pairs:
-        result, d, g = dtw_align_with_matrices(slices[y1], slices[y2], options)
+    for (y1, y2), g in zip(pairs, cumulative_costs(slices, pairs, options.band_radius)):
+        result = dtw_result(slices[y1], slices[y2], g, options)
         results.append(((y1, y2), result))
         stem = f"dtw_{var}_{y1}-{y2}"
         if "json" in formats:
@@ -503,6 +527,7 @@ def _dtw_variable_outputs(
                 },
             )
         if getattr(args, "dump_matrices", False):
+            d = local_distance_matrix(slices[y1], slices[y2], options.local_metric)
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
     ranking = rank_pairs(results)
@@ -511,21 +536,10 @@ def _dtw_variable_outputs(
         "band_radius": options.band_radius,
         "ranking": ranking.to_dict(),
     }
-    if options.band_radius is not None:
-        unbanded_options = DtwOptions(
-            band_radius=None,
-            local_metric=options.local_metric,
-            normalize_input=options.normalize_input,
-        )
-        unbanded = rank_pairs(
-            [
-                ((y1, y2), dtw_align(slices[y1], slices[y2], unbanded_options))
-                for y1, y2 in pairs
-            ]
-        )
+    if unbanded_ranks is not None:
         payload["rank_order_vs_unbanded"] = {
-            "changed": ranking.ranks() != unbanded.ranks(),
-            "unbanded_ranks": list(unbanded.ranks()),
+            "changed": ranking.ranks() != unbanded_ranks,
+            "unbanded_ranks": list(unbanded_ranks),
         }
     if "json" in formats:
         files[f"dtw_ranking_{var}.json"] = to_json(payload)

@@ -6,14 +6,19 @@ The alignment cost is reported two ways and never as a single ambiguous
 metric (the triangle inequality can fail), so no such property is assumed
 anywhere.
 
-Sequences up to a year's length make the O(n*m) recursion instant; plain
-Python lists beat array round-trips at this size, so the hot loops below
-stay in pure Python by design.
+Two kernels build the cumulative-cost matrix with the same cell rule, so
+their matrices are bit-equal.  ``cumulative_cost`` scans one pair's rows in
+plain Python lists, which beat array round-trips for a single pair of
+year-long sequences; ``dtw_align`` uses it.  ``cumulative_costs`` sweeps the
+anti-diagonals of a whole list of pairs at once in numpy, one vectorised
+step per diagonal, and serves pair sets such as the CLI's year pairs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -181,6 +186,14 @@ def local_distance_matrix(x, y, metric: LocalMetric = LocalMetric.ABSOLUTE) -> n
     raise ValueError(f"inputs must be 1-d or 2-d, got ndim {xa.ndim}")
 
 
+def _check_band(n: int, m: int, band_radius: int | None) -> None:
+    if band_radius is not None and band_radius < abs(n - m):
+        raise NoValidPathError(
+            f"band radius {band_radius} < |n - m| = {abs(n - m)}; no path can "
+            f"reach ({n}, {m})"
+        )
+
+
 def cumulative_cost(d, band_radius: int | None = None) -> np.ndarray:
     """Cumulative cost matrix for the plain symmetric step set.
 
@@ -195,11 +208,7 @@ def cumulative_cost(d, band_radius: int | None = None) -> np.ndarray:
     if np.any(da < 0):
         raise ValueError("local distances must be non-negative")
     n, m = da.shape
-    if band_radius is not None and band_radius < abs(n - m):
-        raise NoValidPathError(
-            f"band radius {band_radius} < |n - m| = {abs(n - m)}; no path can "
-            f"reach ({n}, {m})"
-        )
+    _check_band(n, m, band_radius)
     rows = da.tolist()
     g = [[INF] * m for _ in range(n)]
     for i in range(n):
@@ -263,6 +272,12 @@ def backtrack(g) -> WarpPath:
     return WarpPath(tuple(steps))
 
 
+def _aligned(values, options: DtwOptions) -> np.ndarray:
+    """A sequence as it is aligned: z-scored under z-score normalization."""
+    v = np.asarray(values, dtype=float)
+    return zscore(v) if options.normalize_input is Normalization.ZSCORE else v
+
+
 def dtw_align(x, y, options: DtwOptions = DtwOptions()) -> DtwResult:
     """Full alignment of two sequences under the given options.
 
@@ -278,13 +293,19 @@ def dtw_align_with_matrices(
 ) -> tuple[DtwResult, np.ndarray, np.ndarray]:
     """``dtw_align`` plus the local distance matrix d and the cumulative
     cost matrix g it was computed from, for callers that draw or dump them."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if options.normalize_input is Normalization.ZSCORE:
-        xa = zscore(xa)
-        ya = zscore(ya)
+    xa = _aligned(x, options)
+    ya = _aligned(y, options)
     d = local_distance_matrix(xa, ya, options.local_metric)
     g = cumulative_cost(d, options.band_radius)
+    return dtw_result(xa, ya, g, options), d, g
+
+
+def dtw_result(x, y, g, options: DtwOptions = DtwOptions()) -> DtwResult:
+    """The alignment of x and y, given as aligned (already normalized), read
+    from their cumulative cost matrix g: the backtracked path, the warped
+    pair and the corner cost."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
     path = backtrack(g)
 
     def _value(arr: np.ndarray, idx: int):
@@ -296,13 +317,146 @@ def dtw_align_with_matrices(
         tuple(_value(xa, i - 1) for i, _ in path.steps),
         tuple(_value(ya, j - 1) for _, j in path.steps),
     )
-    result = DtwResult(
+    return DtwResult(
         total_cost=float(g[-1, -1]),
         path=path,
         options=options,
         warped_pair=warped,
     )
-    return result, d, g
+
+
+def aligned_inputs(
+    sequences: Mapping[Hashable, object],
+    pairs: Sequence[tuple[Hashable, Hashable]],
+    options: DtwOptions = DtwOptions(),
+) -> dict[Hashable, np.ndarray]:
+    """Each sequence that ``pairs`` name, as ``dtw_align`` aligns it, made once.
+
+    Values are 1-d float arrays, z-scored under z-score normalization.  The
+    pairs are checked in order, and the error raised is the one the loop
+    ``dtw_align(sequences[a], sequences[b], options)`` over them would raise
+    first: x's z-score, y's z-score, an empty sequence, then the band.
+    """
+    aligned: dict[Hashable, np.ndarray] = {}
+    for a, b in pairs:
+        for key in (a, b):
+            if key not in aligned:
+                aligned[key] = _aligned(sequences[key], options)
+        _check_pair(aligned[a], aligned[b], options.band_radius)
+    return aligned
+
+
+def _check_pair(x: np.ndarray, y: np.ndarray, band_radius: int | None) -> None:
+    if x.size == 0 or y.size == 0:
+        raise ValueError("cannot align an empty sequence")
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"pair sets align 1-d sequences, got ndim {x.ndim} and {y.ndim}")
+    _check_band(len(x), len(y), band_radius)
+
+
+# Pairs swept together at most: 32 pairs of 53 x 53 weeks pad to 0.75 MB, so a
+# pair set of any size is aligned in bounded memory.
+BATCH_PAIRS = 32
+
+
+def cumulative_costs(
+    sequences: Mapping[Hashable, object],
+    pairs: Sequence[tuple[Hashable, Hashable]],
+    band_radius: int | None = None,
+) -> Iterator[np.ndarray]:
+    """The cumulative-cost matrix of each pair (a, b) of ``pairs``, in order,
+    aligning 1-d ``sequences[a]`` against ``sequences[b]`` under the absolute
+    local distance.  Each is bit-equal to ``cumulative_cost`` on the pair's
+    local distance matrix: the cell rule is the same d + min(diag, vert, horiz).
+
+    Every pair is checked before any is aligned, and a pair that admits no
+    path raises as ``aligned_inputs`` does.  The pairs are then aligned by
+    ``batch_cumulative_cost`` in even chunks of at most ``BATCH_PAIRS``, as
+    the matrices are read, and a chunk's matrices are views into one array
+    that is freed once none of them is held.
+    """
+    arrays = [
+        (np.asarray(sequences[a], dtype=float), np.asarray(sequences[b], dtype=float))
+        for a, b in pairs
+    ]
+    for x, y in arrays:
+        _check_pair(x, y, band_radius)
+    chunks = -(-len(arrays) // BATCH_PAIRS)
+    bounds = [len(arrays) * c // chunks for c in range(chunks + 1)] if chunks else []
+    return (
+        g
+        for lo, hi in zip(bounds, bounds[1:])
+        for g in batch_cumulative_cost(arrays[lo:hi], band_radius)
+    )
+
+
+def batch_cumulative_cost(
+    arrays: Sequence[tuple[np.ndarray, np.ndarray]], band_radius: int | None = None
+) -> list[np.ndarray]:
+    """Cumulative-cost matrices of (x, y) pairs of 1-d float arrays, all at
+    once, as ``cumulative_costs`` describes them.
+
+    A lone pair is scanned by rows with ``cumulative_cost``.  P > 1 pairs
+    are padded into one (P, N+1, M+1) array: row and column 0 are the +inf
+    border the recursion starts from, with 0 at the corner, and cells past
+    a shorter pair's own rows and columns, or outside the band, hold +inf.
+    The local distances are written in and swept one anti-diagonal
+    i + j = k at a time, in place: on the flattened (N+1)(M+1) grid a
+    diagonal's cells lie M apart, so its cells and its diagonal, vertical
+    and horizontal predecessors are four strided views, and a diagonal
+    costs three array operations whatever the number of pairs.
+    """
+    for x, y in arrays:
+        _check_pair(x, y, band_radius)
+    if len(arrays) == 1:  # the row scan beats a sweep of one pair
+        (x, y), = arrays
+        return [cumulative_cost(np.abs(np.subtract.outer(x, y)), band_radius)]
+    n_max = max(len(x) for x, _ in arrays)
+    m_max = max(len(y) for _, y in arrays)
+    g = np.full((len(arrays), n_max + 1, m_max + 1), INF)
+    for p, (x, y) in enumerate(arrays):
+        np.abs(np.subtract.outer(x, y), out=g[p, 1 : len(x) + 1, 1 : len(y) + 1])
+    if band_radius is not None:
+        i, j = np.ogrid[: n_max + 1, : m_max + 1]
+        g[:, np.abs(i - j) > band_radius] = INF
+    g[:, 0, 0] = 0.0
+    row = m_max + 1
+    flat = g.reshape(len(arrays), -1)
+    best = np.empty((len(arrays), min(n_max, m_max)))
+    for k in range(2, n_max + m_max + 1):
+        lo, hi = max(1, k - m_max), min(n_max, k - 1)
+        if band_radius is not None:  # |i - j| = |2i - k| <= band_radius
+            lo, hi = max(lo, (k - band_radius + 1) // 2), min(hi, (k + band_radius) // 2)
+        if lo > hi:
+            continue
+        start = lo * row + k - lo
+        stop = hi * row + k - hi + 1
+        out = best[:, : hi - lo + 1]
+        np.minimum(flat[:, start - row - 1 : stop - row - 1 : m_max],
+                   flat[:, start - row : stop - row : m_max], out=out)
+        np.minimum(out, flat[:, start - 1 : stop - 1 : m_max], out=out)
+        cells = flat[:, start:stop:m_max]
+        np.add(cells, out, out=cells)
+    return [g[p, 1 : len(x) + 1, 1 : len(y) + 1] for p, (x, y) in enumerate(arrays)]
+
+
+def corner_ranks(
+    sequences: Mapping[Hashable, object],
+    pairs: Sequence[tuple[Hashable, Hashable]],
+    band_radius: int | None = None,
+) -> tuple[int, ...]:
+    """The ranks ``rank_pairs`` gives the pairs' full alignments, read from
+    the corner costs of ``cumulative_costs``.  Only the pairs whose total
+    ties another's are backtracked, in a second batched pass over them alone,
+    for the mean cost that breaks the tie."""
+    totals = [float(g[-1, -1]) for g in cumulative_costs(sequences, pairs, band_radius)]
+    count = Counter(totals)
+    tied = [p for p, total in enumerate(totals) if count[total] > 1]
+    tied_costs = cumulative_costs(sequences, [pairs[p] for p in tied], band_radius)
+    means = {p: mean_cost(totals[p], len(backtrack(g))) for p, g in zip(tied, tied_costs)}
+    # A total nothing ties is never compared on its mean.
+    return tuple(_ranks([(total, means.get(p, 0.0), pair)
+                         for p, (total, pair) in enumerate(zip(totals, pairs))]))
 
 
 @dataclass(frozen=True)
@@ -363,17 +517,21 @@ def rank_summaries(
     """
     if not summaries:
         raise ValueError("nothing to rank")
-    order = sorted(
-        range(len(summaries)),
-        key=lambda i: (summaries[i][1], summaries[i][2], summaries[i][0]),
-    )
-    rank_of = {idx: pos + 1 for pos, idx in enumerate(order)}
+    ranks = _ranks([(total, mean, pair) for pair, total, mean, _ in summaries])
     return PairRanking(
         entries=tuple(
-            RankedPair(pair, total, mean, k, rank_of[i])
-            for i, (pair, total, mean, k) in enumerate(summaries)
+            RankedPair(pair, total, mean, k, rank)
+            for (pair, total, mean, k), rank in zip(summaries, ranks)
         )
     )
+
+
+def _ranks(keys: list[tuple]) -> list[int]:
+    """1-based position of each (total, mean, pair) key in ascending order."""
+    ranks = [0] * len(keys)
+    for pos, idx in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        ranks[idx] = pos + 1
+    return ranks
 
 
 def rank_pairs(results: list[tuple[tuple[int, int], DtwResult]]) -> PairRanking:

@@ -421,10 +421,22 @@ class TestIngestBoundary:
         assert _run("dtw", "--input", str(fixture_csv), "--variable", "price",
                     "--years", "2021..99999999999", "--format", "csv", "--out-dir", str(out)) == 0
         err = capsys.readouterr().err
-        assert err.startswith("warning: skipping incomplete year(s) for modal_price: 2025, 2026,")
-        assert err.endswith(", 9998, 9999\n") and err.count("\n") == 1
+        assert err == "warning: skipping incomplete year(s) for modal_price: 2025..9999\n"
         rows = list(csv.reader(io.StringIO((out / "dtw_ranking_modal_price.csv").read_text())))
         assert [r[0] for r in rows[1:]] == ["2021-2022", "2022-2023", "2023-2024"]
+
+    def test_dtw_years_around_the_data_are_ranges(self, tmp_path, capsys, fixture_csv):
+        # The fixture holds 2010..2024; years on either side are summarised.
+        assert _run("dtw", "--input", str(fixture_csv), "--variable", "price",
+                    "--years=-5..2013", "--format", "csv",
+                    "--out-dir", str(tmp_path / "a")) == 0
+        assert _run("dtw", "--input", str(fixture_csv), "--variable", "price",
+                    "--years", "2000..2026", "--format", "csv",
+                    "--out-dir", str(tmp_path / "b")) == 0
+        assert capsys.readouterr().err == (
+            "warning: skipping incomplete year(s) for modal_price: 1..2009\n"
+            "warning: skipping incomplete year(s) for modal_price: 2000..2009, 2025..2026\n"
+        )
 
 
 class TestDtwCommand:
@@ -542,11 +554,17 @@ class TestDtwCommand:
     def test_each_slice_and_cost_matrix_built_once(self, tmp_path, fixture_csv, monkeypatch):
         dtw = seasonwarp.dtw
         cumulative_cost, slice_year = dtw.cumulative_cost, seasonwarp.cli.slice_year
+        backtrack = dtw.backtrack
         bands, slice_calls, slices, figures = Counter(), Counter(), {}, []
+        backtracks = []
 
         def counting_cumulative_cost(d, band_radius=None):
             bands[band_radius] += 1
             return cumulative_cost(d, band_radius)
+
+        def counting_backtrack(g):
+            backtracks.append(np.asarray(g).shape)
+            return backtrack(g)
 
         def counting_slice_year(series, iso_year):
             key = (series.variable.value, iso_year)
@@ -559,6 +577,7 @@ class TestDtwCommand:
             return "<svg/>\n"
 
         monkeypatch.setattr(dtw, "cumulative_cost", counting_cumulative_cost)
+        monkeypatch.setattr(dtw, "backtrack", counting_backtrack)
         monkeypatch.setattr(seasonwarp.cli, "slice_year", counting_slice_year)
         monkeypatch.setattr(seasonwarp.cli, "dtw_figure", recording_dtw_figure)
         code = _run(
@@ -567,16 +586,40 @@ class TestDtwCommand:
             "--out-dir", str(tmp_path / "o"),
         )
         assert code == 0
-        # Per variable: 4 years, 6 pairs, each aligned banded once and
-        # unbanded once for the reference ranks.
+        # Per variable: 4 years, 6 pairs.  The banded matrices and the
+        # unbanded reference costs each come from one batched call, so no
+        # pair is scanned by the scalar kernel, and only the 12 drawn paths
+        # are backtracked.
         assert slice_calls == {(v, y): 1 for v in ("arrivals", "modal_price")
                                for y in range(2020, 2024)}
-        assert bands == {4: 12, None: 12}
+        assert bands == {}
+        assert len(backtracks) == 12
         assert len(figures) == 12
         for var, (y1, y2), g in figures:
             x, y = (dtw.zscore(slices[var, year].values) for year in (y1, y2))
             expected = cumulative_cost(dtw.local_distance_matrix(x, y), 4)
             assert np.array_equal(g, expected)
+
+    def test_each_slice_zscored_once(self, tmp_path, fixture_csv, monkeypatch):
+        zscore, calls = seasonwarp.dtw.zscore, []
+
+        def counting_zscore(values):
+            calls.append(len(values))
+            return zscore(values)
+
+        monkeypatch.setattr(seasonwarp.dtw, "zscore", counting_zscore)
+        out = tmp_path / "o"
+        code = _run("dtw", "--input", str(fixture_csv), "--all-pairs", "--band", "4",
+                    "--normalize", "zscore", "--format", "json", "--out-dir", str(out))
+        assert code == 0
+        n_slices = sum(
+            len({year for e in PairRanking.from_dict(
+                _read_json(out / f"dtw_ranking_{var}.json")["ranking"]).entries
+                for year in e.year_pair})
+            for var in ("arrivals", "modal_price")
+        )
+        assert n_slices == 30
+        assert len(calls) == n_slices
 
     def test_single_year_is_usage_error(self, tmp_path, fixture_csv, capsys):
         out = tmp_path / "o"
@@ -676,6 +719,7 @@ class TestReportAll:
                      "adf_test", "slice_year"):
             counting(seasonwarp.cli, name)
         counting(seasonwarp.dtw, "cumulative_cost")
+        counting(seasonwarp.dtw, "backtrack")
         out = tmp_path / "o"
         code = _run("report-all", "--input", str(fixture_csv), "--all-pairs", "--band", "4",
                     "--format", "json", "--out-dir", str(out))
@@ -688,15 +732,18 @@ class TestReportAll:
         n_pairs = sum(len(p) for p in pairs)
         n_years = sum(len({year for pair in p for year in pair}) for p in pairs)
         assert n_pairs > 2
-        assert calls == {
+        assert calls == Counter({
             "parse_market_csv": 1,
             "clean_series": 2,
             "describe": 2,
             "seasonal_index": 2,
             "adf_test": 1,
             "slice_year": n_years,
-            "cumulative_cost": 2 * n_pairs,  # banded, and unbanded for the reference ranks
-        }
+            # Banded and unbanded matrices come from batched calls; only
+            # the drawn paths are backtracked.
+            "cumulative_cost": 0,
+            "backtrack": n_pairs,
+        })
 
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

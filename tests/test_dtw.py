@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import seasonwarp.dtw
 from _oracles import enum_dtw_min_cost
 from seasonwarp.dtw import (
     DtwOptions,
@@ -12,17 +15,22 @@ from seasonwarp.dtw import (
     Normalization,
     PairRanking,
     WarpPath,
+    aligned_inputs,
     backtrack,
     band_sensitivity,
+    corner_ranks,
     cumulative_cost,
+    cumulative_costs,
     dtw_align,
+    dtw_align_with_matrices,
+    dtw_result,
     local_distance_matrix,
     mean_cost,
     rank_pairs,
     rank_summaries,
     zscore,
 )
-from seasonwarp.errors import DegenerateDataError, NoValidPathError
+from seasonwarp.errors import DegenerateDataError, MarketDataError, NoValidPathError
 from seasonwarp.series import Variable, slice_year
 
 
@@ -293,6 +301,124 @@ class TestBandedAlignment:
         rows = band_sensitivity(x, y, [3, 5, 9])
         assert [r for r, _ in rows] == [3, 5, 9, None]
         assert rows[-1][1].total_cost <= rows[0][1].total_cost + 1e-12
+
+
+@st.composite
+def _pair_sets(draw):
+    """Integer-valued sequences (so totals tie), some 52 or 53 long and a
+    sixth of them constant, a list of pairs of distinct sequences, each
+    followed by its reverse, and options with any band up to n + m.  A
+    reversed pair ties on total cost but can backtrack to a path of another
+    length, which exercises the mean-cost tie-break."""
+    length = st.one_of(st.integers(1, 60), st.sampled_from((52, 53)))
+    sequences = {}
+    for key, n in enumerate(draw(st.lists(length, min_size=2, max_size=5))):
+        constant = draw(st.integers(0, 5)) == 0
+        values = [1] * n if constant else draw(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        sequences[key] = np.array(values, dtype=float)
+    distinct = [(a, b) for a in sequences for b in sequences if a < b]
+    pairs = [pair for a, b in draw(st.lists(st.sampled_from(distinct), min_size=1,
+                                            max_size=5))
+             for pair in ((a, b), (b, a))]
+    longest = max(len(v) for v in sequences.values())
+    options = DtwOptions(
+        band_radius=draw(st.none() | st.integers(0, 2) | st.integers(0, 2 * longest)),
+        normalize_input=draw(st.sampled_from(Normalization)),
+    )
+    return sequences, pairs, options
+
+
+class TestBatchedKernel:
+    """The batched path against the scalar loop it replaces, which is
+    ``dtw_align_with_matrices`` on each pair in turn."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=_pair_sets())
+    def test_matches_scalar_loop(self, case):
+        sequences, pairs, options = case
+        try:
+            scalar = [dtw_align_with_matrices(sequences[a], sequences[b], options)
+                      for a, b in pairs]
+        except (ValueError, MarketDataError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                aligned = aligned_inputs(sequences, pairs, options)
+                cumulative_costs(aligned, pairs, options.band_radius)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            return
+        aligned = aligned_inputs(sequences, pairs, options)
+        batched = list(cumulative_costs(aligned, pairs, options.band_radius))
+        assert len(batched) == len(pairs)
+        for (a, b), (result, _, g), batch_g in zip(pairs, scalar, batched):
+            assert batch_g.shape == g.shape
+            assert batch_g.tobytes() == g.tobytes()
+            assert dtw_result(aligned[a], aligned[b], batch_g, options) == result
+        expected = rank_pairs([(pair, result) for pair, (result, _, _) in zip(pairs, scalar)])
+        assert corner_ranks(aligned, pairs, options.band_radius) == expected.ranks()
+        # The CLI's reference: unbanded ranks from the same aligned inputs.
+        if options.band_radius is not None:
+            unbanded = dataclasses.replace(options, band_radius=None)
+            expected = rank_pairs([((a, b), dtw_align(sequences[a], sequences[b], unbanded))
+                                   for a, b in pairs])
+            assert corner_ranks(aligned, pairs) == expected.ranks()
+
+    def test_ties_break_on_backtracked_mean(self):
+        # (0, 1) and (1, 0) tie on total cost 3, but backtracking prefers a
+        # vertical step over a horizontal one, so their paths have 4 and 5
+        # steps, and the longer path's lower mean ranks (1, 0) first.
+        sequences = {0: np.array([1.0, 1.0, 2.0, 1.0]), 1: np.array([2.0, 0.0, 1.0])}
+        pairs = [(0, 1), (1, 0), (0, 0)]
+        expected = rank_pairs([(pair, dtw_align(sequences[pair[0]], sequences[pair[1]]))
+                               for pair in pairs])
+        assert [(e.total_cost, e.path_length) for e in expected.entries] == [
+            (3.0, 4), (3.0, 5), (0.0, 4)]
+        assert corner_ranks(sequences, pairs) == expected.ranks() == (3, 2, 1)
+
+    def test_chunks_match_one_sweep(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        sequences = {k: rng.normal(size=52 + k % 2) for k in range(6)}
+        pairs = [(a, b) for a in sequences for b in sequences]
+        monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", len(pairs))
+        whole = list(cumulative_costs(sequences, pairs, 3))
+        monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", 5)  # 36 pairs: 8 chunks of 4 or 5
+        chunked = list(cumulative_costs(sequences, pairs, 3))
+        assert [g.tobytes() for g in chunked] == [g.tobytes() for g in whole]
+        assert {g.base.shape[0] for g in whole} == {36}
+        assert {g.base.shape[0] for g in chunked} == {4, 5}
+
+    def test_one_pair_uses_the_row_scan(self, monkeypatch):
+        calls = []
+        scalar = seasonwarp.dtw.cumulative_cost
+
+        def counting(d, band_radius=None):
+            calls.append(np.shape(d))
+            return scalar(d, band_radius)
+
+        monkeypatch.setattr(seasonwarp.dtw, "cumulative_cost", counting)
+        x, y = np.arange(5.0), np.arange(7.0)[::-1]
+        list(cumulative_costs({0: x, 1: y}, [(0, 1)], 2))
+        assert calls == [(5, 7)]
+        list(cumulative_costs({0: x, 1: y}, [(0, 1), (1, 0)], 2))
+        assert calls == [(5, 7)]
+
+    def test_first_error_in_pair_order(self):
+        # The band fails on the first pair before the constant third sequence
+        # would fail its z-score, as the scalar loop raises.
+        sequences = {0: np.arange(52.0), 1: np.arange(53.0), 2: np.ones(52)}
+        options = DtwOptions(band_radius=0, normalize_input=Normalization.ZSCORE)
+        with pytest.raises(NoValidPathError, match=r"reach \(52, 53\)"):
+            aligned_inputs(sequences, [(0, 1), (0, 2)], options)
+        with pytest.raises(DegenerateDataError):
+            aligned_inputs(sequences, [(0, 2), (0, 1)], options)
+
+    def test_every_pair_checked_before_any_is_aligned(self):
+        sequences = {0: np.zeros(3), 1: np.zeros(9)}
+        with pytest.raises(NoValidPathError):
+            cumulative_costs(sequences, [(0, 0), (0, 1)], 2)
+
+    def test_empty_pair_list_aligns_nothing(self):
+        assert list(cumulative_costs({}, [])) == []
+        assert corner_ranks({}, []) == ()
 
 
 class TestRanking:

@@ -11,10 +11,14 @@ tree, each in a fresh working directory with the same relative ``--input`` and
 compared file by file, together with stdout, stderr and the exit code.  One
 line per scenario is printed; the exit code is 1 if any scenario differs.
 
-The long-history input is ``bench/inputs.long_history(501, 300, 60, 80)``,
-made once with PARENT_SRC's ``seasonwarp`` on the path.  ``bench/`` is only
-imported, never changed.  The DTW scenario on it is limited to the prices of
-2000..2010, because all 44,850 pairs of 300 years would write tens of GB.
+Two inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
+fixture CSV (seed 42, what ``report-all`` generates by default) and the
+long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``.  ``bench/``
+is only imported, never changed.  The DTW scenario on the long history is
+limited to the prices of 2000..2010, because all 44,850 pairs of 300 years
+would write tens of GB.  Two DTW scenarios on the fixture pin error paths:
+band 0 exits 2 on the first 52-vs-53-week pair, and band 1 with z-scores
+aligns every pair.
 """
 
 from __future__ import annotations
@@ -28,25 +32,33 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LONG_HISTORY = (501, 300, 60, 80)
 
-# (name, argv after the subcommand's --out-dir, reads the long-history input)
+# (name, argv before --out-dir, input: None, "fixture" or "long")
 SCENARIOS = (
-    ("report-all", ["report-all"], False),
-    ("report-all-band4", ["report-all", "--seed", "201", "--all-pairs", "--band", "4"], False),
+    ("report-all", ["report-all"], None),
+    ("report-all-band4", ["report-all", "--seed", "201", "--all-pairs", "--band", "4"], None),
     ("report-all-winsorize",
-     ["report-all", "--winsorize", "--normalize", "zscore", "--years", "2012..2020"], False),
-    ("long-clean", ["clean"], True),
-    ("long-stats-winsorize", ["stats", "--winsorize"], True),
-    ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], True),
+     ["report-all", "--winsorize", "--normalize", "zscore", "--years", "2012..2020"], None),
+    ("dtw-band0", ["dtw", "--all-pairs", "--band", "0"], "fixture"),
+    ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
+     "fixture"),
+    ("long-clean", ["clean"], "long"),
+    ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
+    ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], "long"),
     ("long-dtw", ["dtw", "--variable", "price", "--years", "2000..2010", "--all-pairs",
-                  "--band", "3", "--dump-matrices", "--normalize", "zscore"], True),
+                  "--band", "3", "--dump-matrices", "--normalize", "zscore"], "long"),
 )
 
+INPUT_CODE = {
+    "fixture": "from seasonwarp.fixture import generate_fixture; "
+               "sys.stdout.buffer.write(generate_fixture(42).csv_bytes())",
+    "long": "from inputs import long_history; "
+            f"sys.stdout.buffer.write(long_history{LONG_HISTORY}.csv_text.encode())",
+}
 
-def long_history_csv(src: Path) -> bytes:
-    code = ("import sys; from inputs import long_history; "
-            "sys.stdout.buffer.write(long_history(*map(int, sys.argv[1:])).csv_text.encode())")
+
+def input_csv(src: Path, name: str) -> bytes:
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{BENCH}")
-    return subprocess.run([sys.executable, "-c", code, *map(str, LONG_HISTORY)],
+    return subprocess.run([sys.executable, "-c", f"import sys; {INPUT_CODE[name]}"],
                           env=env, check=True, capture_output=True).stdout
 
 
@@ -79,11 +91,11 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     parent, change = (Path(p).resolve() for p in argv)
-    long_csv = long_history_csv(parent)
+    inputs = {name: input_csv(parent, name) for name in INPUT_CODE}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="compare-trees-") as tmp:
-        for name, scenario, long_input in SCENARIOS:
-            data = long_csv if long_input else None
+        for name, scenario, input_name in SCENARIOS:
+            data = None if input_name is None else inputs[input_name]
             a = run(parent, scenario, data, Path(tmp) / "parent" / name)
             b = run(change, scenario, data, Path(tmp) / "change" / name)
             found = differences(a, b)
