@@ -32,10 +32,7 @@ from .dtw import (
     DtwOptions,
     LocalMetric,
     Normalization,
-    aligned_inputs,
-    corner_ranks,
-    cumulative_costs,
-    dtw_result,
+    PairSet,
     local_distance_matrix,
     rank_pairs,
 )
@@ -496,13 +493,10 @@ def _dtw_variable_outputs(
     options = _dtw_options(args)
     pairs = _year_pairs(args, dense)
     years = sorted({year for pair in pairs for year in pair})
-    slices = aligned_inputs(
-        {year: slice_year(dense, year).values for year in years}, pairs, options
-    )
-    unbanded_ranks = None if options.band_radius is None else corner_ranks(slices, pairs)
+    pair_set = PairSet({year: slice_year(dense, year).values for year in years}, pairs, options)
+    unbanded_ranks = None if options.band_radius is None else pair_set.unbanded_ranks()
     results = []
-    for (y1, y2), g in zip(pairs, cumulative_costs(slices, pairs, options.band_radius)):
-        result = dtw_result(slices[y1], slices[y2], g, options)
+    for (y1, y2), (result, g) in zip(pairs, pair_set.alignments()):
         results.append(((y1, y2), result))
         stem = f"dtw_{var}_{y1}-{y2}"
         if "json" in formats:
@@ -527,7 +521,9 @@ def _dtw_variable_outputs(
                 },
             )
         if getattr(args, "dump_matrices", False):
-            d = local_distance_matrix(slices[y1], slices[y2], options.local_metric)
+            d = local_distance_matrix(
+                pair_set.aligned[y1], pair_set.aligned[y2], options.local_metric
+            )
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
     ranking = rank_pairs(results)

@@ -9,9 +9,10 @@ anywhere.
 Two kernels build the cumulative-cost matrix with the same cell rule, so
 their matrices are bit-equal.  ``cumulative_cost`` scans one pair's rows in
 plain Python lists, which beat array round-trips for a single pair of
-year-long sequences; ``dtw_align`` uses it.  ``cumulative_costs`` sweeps the
-anti-diagonals of a whole list of pairs at once in numpy, one vectorised
-step per diagonal, and serves pair sets such as the CLI's year pairs.
+year-long sequences; ``dtw_align`` uses it.  ``PairSet`` serves a list of
+pairs, such as the CLI's year pairs: it sweeps the anti-diagonals of up to
+``BATCH_PAIRS`` pairs at once in numpy, one vectorised step per diagonal,
+whatever the number of pairs, a lone one included.
 """
 
 from __future__ import annotations
@@ -297,10 +298,10 @@ def dtw_align_with_matrices(
     ya = _aligned(y, options)
     d = local_distance_matrix(xa, ya, options.local_metric)
     g = cumulative_cost(d, options.band_radius)
-    return dtw_result(xa, ya, g, options), d, g
+    return _result(xa, ya, g, options), d, g
 
 
-def dtw_result(x, y, g, options: DtwOptions = DtwOptions()) -> DtwResult:
+def _result(x, y, g, options: DtwOptions) -> DtwResult:
     """The alignment of x and y, given as aligned (already normalized), read
     from their cumulative cost matrix g: the backtracked path, the warped
     pair and the corner cost."""
@@ -325,92 +326,92 @@ def dtw_result(x, y, g, options: DtwOptions = DtwOptions()) -> DtwResult:
     )
 
 
-def aligned_inputs(
-    sequences: Mapping[Hashable, object],
-    pairs: Sequence[tuple[Hashable, Hashable]],
-    options: DtwOptions = DtwOptions(),
-) -> dict[Hashable, np.ndarray]:
-    """Each sequence that ``pairs`` name, as ``dtw_align`` aligns it, made once.
-
-    Values are 1-d float arrays, z-scored under z-score normalization.  The
-    pairs are checked in order, and the error raised is the one the loop
-    ``dtw_align(sequences[a], sequences[b], options)`` over them would raise
-    first: x's z-score, y's z-score, an empty sequence, then the band.
-    """
-    aligned: dict[Hashable, np.ndarray] = {}
-    for a, b in pairs:
-        for key in (a, b):
-            if key not in aligned:
-                aligned[key] = _aligned(sequences[key], options)
-        _check_pair(aligned[a], aligned[b], options.band_radius)
-    return aligned
-
-
-def _check_pair(x: np.ndarray, y: np.ndarray, band_radius: int | None) -> None:
-    if x.size == 0 or y.size == 0:
-        raise ValueError("cannot align an empty sequence")
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"pair sets align 1-d sequences, got ndim {x.ndim} and {y.ndim}")
-    _check_band(len(x), len(y), band_radius)
-
-
 # Pairs swept together at most: 32 pairs of 53 x 53 weeks pad to 0.75 MB, so a
 # pair set of any size is aligned in bounded memory.
 BATCH_PAIRS = 32
 
 
-def cumulative_costs(
-    sequences: Mapping[Hashable, object],
-    pairs: Sequence[tuple[Hashable, Hashable]],
-    band_radius: int | None = None,
-) -> Iterator[np.ndarray]:
-    """The cumulative-cost matrix of each pair (a, b) of ``pairs``, in order,
-    aligning 1-d ``sequences[a]`` against ``sequences[b]`` under the absolute
-    local distance.  Each is bit-equal to ``cumulative_cost`` on the pair's
-    local distance matrix: the cell rule is the same d + min(diag, vert, horiz).
+class PairSet:
+    """A list of pairs (a, b) of 1-d ``sequences`` aligned under ``options``
+    by one batched kernel, in place of ``dtw_align`` on each pair in turn.
 
-    Every pair is checked before any is aligned, and a pair that admits no
-    path raises as ``aligned_inputs`` does.  The pairs are then aligned by
-    ``batch_cumulative_cost`` in even chunks of at most ``BATCH_PAIRS``, as
-    the matrices are read, and a chunk's matrices are views into one array
-    that is freed once none of them is held.
+    Each sequence is normalized once, here, and every pair is checked here
+    in order, so the error raised is the one that loop would raise first:
+    x's z-score, y's z-score, an empty sequence, then the band.  ``aligned``
+    maps each key to its sequence as aligned.
     """
-    arrays = [
-        (np.asarray(sequences[a], dtype=float), np.asarray(sequences[b], dtype=float))
-        for a, b in pairs
-    ]
-    for x, y in arrays:
-        _check_pair(x, y, band_radius)
-    chunks = -(-len(arrays) // BATCH_PAIRS)
-    bounds = [len(arrays) * c // chunks for c in range(chunks + 1)] if chunks else []
-    return (
-        g
-        for lo, hi in zip(bounds, bounds[1:])
-        for g in batch_cumulative_cost(arrays[lo:hi], band_radius)
-    )
+
+    def __init__(
+        self,
+        sequences: Mapping[Hashable, object],
+        pairs: Sequence[tuple[Hashable, Hashable]],
+        options: DtwOptions = DtwOptions(),
+    ) -> None:
+        self.pairs = tuple(pairs)
+        self.options = options
+        self.aligned: dict[Hashable, np.ndarray] = {}
+        for a, b in self.pairs:
+            for key in (a, b):
+                if key not in self.aligned:
+                    self.aligned[key] = _aligned(sequences[key], options)
+            x, y = self.aligned[a], self.aligned[b]
+            if x.size == 0 or y.size == 0:
+                raise ValueError("cannot align an empty sequence")
+            if x.ndim != 1 or y.ndim != 1:
+                raise ValueError(f"pair sets align 1-d sequences, got ndim {x.ndim} and {y.ndim}")
+            _check_band(len(x), len(y), options.band_radius)
+
+    def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray]]:
+        """Each pair's result and cumulative-cost matrix g, in pair order, as
+        ``dtw_align_with_matrices`` gives them: g is bit-equal to the scalar
+        ``cumulative_cost``, and one ``backtrack`` reads each path."""
+        for (a, b), g in zip(self.pairs, self._costs(self.pairs, self.options.band_radius)):
+            yield _result(self.aligned[a], self.aligned[b], g, self.options), g
+
+    def unbanded_ranks(self) -> tuple[int, ...]:
+        """The ranks ``rank_pairs`` gives the pairs' unbanded alignments,
+        read from their corner costs.  Only the pairs whose total ties
+        another's are backtracked, in a second sweep over them alone, for
+        the mean cost that breaks the tie."""
+        totals = [float(g[-1, -1]) for g in self._costs(self.pairs, None)]
+        count = Counter(totals)
+        tied = [p for p, total in enumerate(totals) if count[total] > 1]
+        tied_costs = self._costs([self.pairs[p] for p in tied], None)
+        means = {p: mean_cost(totals[p], len(backtrack(g))) for p, g in zip(tied, tied_costs)}
+        # A total nothing ties is never compared on its mean.
+        return tuple(_ranks([(total, means.get(p, 0.0), pair)
+                             for p, (total, pair) in enumerate(zip(totals, self.pairs))]))
+
+    def _costs(
+        self, pairs: Sequence[tuple[Hashable, Hashable]], band_radius: int | None
+    ) -> Iterator[np.ndarray]:
+        """The pairs' cumulative-cost matrices, swept in even chunks of at
+        most ``BATCH_PAIRS`` as they are read.  A chunk's matrices are views
+        into one array that is freed once none of them is held."""
+        chunks = -(-len(pairs) // BATCH_PAIRS)
+        for c in range(chunks):
+            chunk = pairs[len(pairs) * c // chunks : len(pairs) * (c + 1) // chunks]
+            yield from _sweep([(self.aligned[a], self.aligned[b]) for a, b in chunk],
+                              band_radius)
 
 
-def batch_cumulative_cost(
-    arrays: Sequence[tuple[np.ndarray, np.ndarray]], band_radius: int | None = None
+def _sweep(
+    arrays: Sequence[tuple[np.ndarray, np.ndarray]], band_radius: int | None
 ) -> list[np.ndarray]:
-    """Cumulative-cost matrices of (x, y) pairs of 1-d float arrays, all at
-    once, as ``cumulative_costs`` describes them.
+    """Cumulative-cost matrices of checked (x, y) pairs of 1-d float arrays
+    under the absolute local distance, all at once.
 
-    A lone pair is scanned by rows with ``cumulative_cost``.  P > 1 pairs
-    are padded into one (P, N+1, M+1) array: row and column 0 are the +inf
-    border the recursion starts from, with 0 at the corner, and cells past
-    a shorter pair's own rows and columns, or outside the band, hold +inf.
-    The local distances are written in and swept one anti-diagonal
-    i + j = k at a time, in place: on the flattened (N+1)(M+1) grid a
-    diagonal's cells lie M apart, so its cells and its diagonal, vertical
-    and horizontal predecessors are four strided views, and a diagonal
-    costs three array operations whatever the number of pairs.
+    The pairs are padded into one (P, N+1, M+1) array: row and column 0 are
+    the +inf border the recursion starts from, with 0 at the corner, and
+    cells past a shorter pair's own rows and columns, or outside the band,
+    hold +inf.  The local distances are written in and swept one
+    anti-diagonal i + j = k at a time, in place: on the flattened
+    (N+1)(M+1) grid a diagonal's cells lie M apart, so its cells and its
+    diagonal, vertical and horizontal predecessors are four strided views,
+    and a diagonal costs three array operations whatever the number of
+    pairs.  The cell rule is ``cumulative_cost``'s d + min(diag, vert, horiz),
+    so each matrix is bit-equal to that row scan's.
     """
-    for x, y in arrays:
-        _check_pair(x, y, band_radius)
-    if len(arrays) == 1:  # the row scan beats a sweep of one pair
-        (x, y), = arrays
-        return [cumulative_cost(np.abs(np.subtract.outer(x, y)), band_radius)]
     n_max = max(len(x) for x, _ in arrays)
     m_max = max(len(y) for _, y in arrays)
     g = np.full((len(arrays), n_max + 1, m_max + 1), INF)
@@ -438,25 +439,6 @@ def batch_cumulative_cost(
         cells = flat[:, start:stop:m_max]
         np.add(cells, out, out=cells)
     return [g[p, 1 : len(x) + 1, 1 : len(y) + 1] for p, (x, y) in enumerate(arrays)]
-
-
-def corner_ranks(
-    sequences: Mapping[Hashable, object],
-    pairs: Sequence[tuple[Hashable, Hashable]],
-    band_radius: int | None = None,
-) -> tuple[int, ...]:
-    """The ranks ``rank_pairs`` gives the pairs' full alignments, read from
-    the corner costs of ``cumulative_costs``.  Only the pairs whose total
-    ties another's are backtracked, in a second batched pass over them alone,
-    for the mean cost that breaks the tie."""
-    totals = [float(g[-1, -1]) for g in cumulative_costs(sequences, pairs, band_radius)]
-    count = Counter(totals)
-    tied = [p for p, total in enumerate(totals) if count[total] > 1]
-    tied_costs = cumulative_costs(sequences, [pairs[p] for p in tied], band_radius)
-    means = {p: mean_cost(totals[p], len(backtrack(g))) for p, g in zip(tied, tied_costs)}
-    # A total nothing ties is never compared on its mean.
-    return tuple(_ranks([(total, means.get(p, 0.0), pair)
-                         for p, (total, pair) in enumerate(zip(totals, pairs))]))
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,13 @@ from seasonwarp.dtw import (
     LocalMetric,
     Normalization,
     PairRanking,
+    PairSet,
     WarpPath,
-    aligned_inputs,
     backtrack,
     band_sensitivity,
-    corner_ranks,
     cumulative_cost,
-    cumulative_costs,
     dtw_align,
     dtw_align_with_matrices,
-    dtw_result,
     local_distance_matrix,
     mean_cost,
     rank_pairs,
@@ -330,7 +327,7 @@ def _pair_sets(draw):
 
 
 class TestBatchedKernel:
-    """The batched path against the scalar loop it replaces, which is
+    """``PairSet`` against the scalar loop it replaces, which is
     ``dtw_align_with_matrices`` on each pair in turn."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -342,25 +339,21 @@ class TestBatchedKernel:
                       for a, b in pairs]
         except (ValueError, MarketDataError) as exc:
             with pytest.raises(type(exc)) as raised:
-                aligned = aligned_inputs(sequences, pairs, options)
-                cumulative_costs(aligned, pairs, options.band_radius)
+                PairSet(sequences, pairs, options)
             assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
             return
-        aligned = aligned_inputs(sequences, pairs, options)
-        batched = list(cumulative_costs(aligned, pairs, options.band_radius))
+        pair_set = PairSet(sequences, pairs, options)
+        batched = list(pair_set.alignments())
         assert len(batched) == len(pairs)
-        for (a, b), (result, _, g), batch_g in zip(pairs, scalar, batched):
+        for (result, _, g), (batch_result, batch_g) in zip(scalar, batched):
             assert batch_g.shape == g.shape
             assert batch_g.tobytes() == g.tobytes()
-            assert dtw_result(aligned[a], aligned[b], batch_g, options) == result
-        expected = rank_pairs([(pair, result) for pair, (result, _, _) in zip(pairs, scalar)])
-        assert corner_ranks(aligned, pairs, options.band_radius) == expected.ranks()
-        # The CLI's reference: unbanded ranks from the same aligned inputs.
-        if options.band_radius is not None:
-            unbanded = dataclasses.replace(options, band_radius=None)
-            expected = rank_pairs([((a, b), dtw_align(sequences[a], sequences[b], unbanded))
-                                   for a, b in pairs])
-            assert corner_ranks(aligned, pairs) == expected.ranks()
+            assert batch_result == result
+        # The CLI's reference: unbanded ranks of the same pairs.
+        unbanded = dataclasses.replace(options, band_radius=None)
+        expected = rank_pairs([((a, b), dtw_align(sequences[a], sequences[b], unbanded))
+                               for a, b in pairs])
+        assert pair_set.unbanded_ranks() == expected.ranks()
 
     def test_ties_break_on_backtracked_mean(self):
         # (0, 1) and (1, 0) tie on total cost 3, but backtracking prefers a
@@ -372,34 +365,21 @@ class TestBatchedKernel:
                                for pair in pairs])
         assert [(e.total_cost, e.path_length) for e in expected.entries] == [
             (3.0, 4), (3.0, 5), (0.0, 4)]
-        assert corner_ranks(sequences, pairs) == expected.ranks() == (3, 2, 1)
+        assert PairSet(sequences, pairs).unbanded_ranks() == expected.ranks() == (3, 2, 1)
 
-    def test_chunks_match_one_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("size, chunk_sizes", [(5, {4, 5}), (1, {1})])
+    def test_chunks_match_one_sweep(self, monkeypatch, size, chunk_sizes):
         rng = np.random.default_rng(16)
         sequences = {k: rng.normal(size=52 + k % 2) for k in range(6)}
         pairs = [(a, b) for a in sequences for b in sequences]
+        pair_set = PairSet(sequences, pairs, DtwOptions(band_radius=3))
         monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", len(pairs))
-        whole = list(cumulative_costs(sequences, pairs, 3))
-        monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", 5)  # 36 pairs: 8 chunks of 4 or 5
-        chunked = list(cumulative_costs(sequences, pairs, 3))
+        whole = [g for _, g in pair_set.alignments()]
+        monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", size)  # 36 pairs
+        chunked = [g for _, g in pair_set.alignments()]
         assert [g.tobytes() for g in chunked] == [g.tobytes() for g in whole]
         assert {g.base.shape[0] for g in whole} == {36}
-        assert {g.base.shape[0] for g in chunked} == {4, 5}
-
-    def test_one_pair_uses_the_row_scan(self, monkeypatch):
-        calls = []
-        scalar = seasonwarp.dtw.cumulative_cost
-
-        def counting(d, band_radius=None):
-            calls.append(np.shape(d))
-            return scalar(d, band_radius)
-
-        monkeypatch.setattr(seasonwarp.dtw, "cumulative_cost", counting)
-        x, y = np.arange(5.0), np.arange(7.0)[::-1]
-        list(cumulative_costs({0: x, 1: y}, [(0, 1)], 2))
-        assert calls == [(5, 7)]
-        list(cumulative_costs({0: x, 1: y}, [(0, 1), (1, 0)], 2))
-        assert calls == [(5, 7)]
+        assert {g.base.shape[0] for g in chunked} == chunk_sizes
 
     def test_first_error_in_pair_order(self):
         # The band fails on the first pair before the constant third sequence
@@ -407,18 +387,14 @@ class TestBatchedKernel:
         sequences = {0: np.arange(52.0), 1: np.arange(53.0), 2: np.ones(52)}
         options = DtwOptions(band_radius=0, normalize_input=Normalization.ZSCORE)
         with pytest.raises(NoValidPathError, match=r"reach \(52, 53\)"):
-            aligned_inputs(sequences, [(0, 1), (0, 2)], options)
+            PairSet(sequences, [(0, 1), (0, 2)], options)
         with pytest.raises(DegenerateDataError):
-            aligned_inputs(sequences, [(0, 2), (0, 1)], options)
-
-    def test_every_pair_checked_before_any_is_aligned(self):
-        sequences = {0: np.zeros(3), 1: np.zeros(9)}
-        with pytest.raises(NoValidPathError):
-            cumulative_costs(sequences, [(0, 0), (0, 1)], 2)
+            PairSet(sequences, [(0, 2), (0, 1)], options)
 
     def test_empty_pair_list_aligns_nothing(self):
-        assert list(cumulative_costs({}, [])) == []
-        assert corner_ranks({}, []) == ()
+        pair_set = PairSet({}, [])
+        assert list(pair_set.alignments()) == []
+        assert pair_set.unbanded_ranks() == ()
 
 
 class TestRanking:
