@@ -5,127 +5,58 @@ ISO-week seasonal indices, ADF unit-root testing, and Dynamic Time Warping
 alignment of year slices, with a CLI front end (``seasonwarp``).
 """
 
-from .cleaning import (
-    CleaningReport,
-    ColumnSchema,
-    Fence,
-    OutlierWeek,
-    clean_series,
-    find_missing_weeks,
-    iqr_outliers,
-    parse_market_csv,
-    spline_fill,
-)
-from .descriptive import (
-    DescriptiveSummary,
-    describe,
-    excess_kurtosis,
-    jarque_bera,
-    moments,
-    quantile,
-    skewness,
-)
+from .cleaning import ColumnSchema, clean_series, parse_market_csv
+from .descriptive import describe, jarque_bera, moments, quantile
 from .dtw import (
     DtwOptions,
-    DtwResult,
-    LocalMetric,
     Normalization,
-    PairRanking,
     PairSet,
-    RankedPair,
-    WarpPath,
-    backtrack,
-    band_sensitivity,
-    cumulative_cost,
     dtw_align,
-    dtw_align_with_matrices,
     local_distance_matrix,
     mean_cost,
     rank_pairs,
     rank_summaries,
-    zscore,
 )
-from .errors import (
-    DataIntegrityError,
-    DegenerateDataError,
-    InsufficientDataError,
-    MarketDataError,
-    NoValidPathError,
-    SchemaError,
-)
-from .seasonal import (
-    SeasonalIndexTable,
-    WeekIndexEntry,
-    index_weighted_mean,
-    seasonal_index,
-)
+from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
+from .seasonal import index_weighted_mean, seasonal_index
 from .series import (
     MarketTable,
-    PointFlag,
     Variable,
     WeekKey,
     WeeklySeries,
-    YearSlice,
     build_weekly_series,
     complete_years,
-    iso_week_of,
     log_diff,
     slice_year,
     week_range,
     weeks_in_iso_year,
 )
-from .unitroot import AdfResult, adf_test, mackinnon_pvalue
+from .unitroot import adf_test
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdfResult",
-    "CleaningReport",
     "ColumnSchema",
     "DataIntegrityError",
-    "DegenerateDataError",
-    "DescriptiveSummary",
     "DtwOptions",
-    "DtwResult",
-    "Fence",
     "InsufficientDataError",
-    "LocalMetric",
     "MarketDataError",
     "MarketTable",
-    "NoValidPathError",
     "Normalization",
-    "OutlierWeek",
-    "PairRanking",
     "PairSet",
-    "PointFlag",
-    "RankedPair",
-    "SchemaError",
-    "SeasonalIndexTable",
     "Variable",
-    "WarpPath",
-    "WeekIndexEntry",
     "WeekKey",
     "WeeklySeries",
-    "YearSlice",
     "adf_test",
-    "backtrack",
-    "band_sensitivity",
     "build_weekly_series",
     "clean_series",
     "complete_years",
-    "cumulative_cost",
     "describe",
     "dtw_align",
-    "dtw_align_with_matrices",
-    "excess_kurtosis",
-    "find_missing_weeks",
     "index_weighted_mean",
-    "iqr_outliers",
-    "iso_week_of",
     "jarque_bera",
     "local_distance_matrix",
     "log_diff",
-    "mackinnon_pvalue",
     "mean_cost",
     "moments",
     "parse_market_csv",
@@ -133,10 +64,7 @@ __all__ = [
     "rank_pairs",
     "rank_summaries",
     "seasonal_index",
-    "skewness",
     "slice_year",
-    "spline_fill",
     "week_range",
     "weeks_in_iso_year",
-    "zscore",
 ]

@@ -30,13 +30,12 @@ from .cleaning import ColumnSchema, clean_series, parse_market_csv
 from .descriptive import describe
 from .dtw import (
     DtwOptions,
-    LocalMetric,
     Normalization,
     PairSet,
     local_distance_matrix,
     rank_pairs,
 )
-from .errors import DataIntegrityError, MarketDataError
+from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
 from .fixture import generate_fixture
 from .report import (
     AnalysisBundle,
@@ -437,11 +436,7 @@ def _dtw_options(args: argparse.Namespace) -> DtwOptions:
         if getattr(args, "normalize", None) == "zscore"
         else Normalization.NONE
     )
-    return DtwOptions(
-        band_radius=getattr(args, "band", None),
-        local_metric=LocalMetric.ABSOLUTE,
-        normalize_input=normalize,
-    )
+    return DtwOptions(band_radius=getattr(args, "band", None), normalize_input=normalize)
 
 
 def _year_span(first: int, last: int) -> str:
@@ -474,7 +469,7 @@ def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int
                 file=sys.stderr,
             )
     if len(years) < 2:
-        raise UsageError(
+        raise InsufficientDataError(
             f"DTW needs at least two complete years for {dense.variable.value}; "
             f"found {len(years)}"
         )
@@ -506,8 +501,8 @@ def _dtw_variable_outputs(
         if "svg" in formats:
             files[f"{stem}.svg"] = dtw_figure(
                 g,
-                list(result.path.steps),
-                (list(result.warped_pair[0]), list(result.warped_pair[1])),
+                result.path.steps,
+                (pair_set.aligned[y1], pair_set.aligned[y2]),
                 (str(y1), str(y2)),
                 title=f"DTW alignment, {var} {y1} vs {y2}",
                 metadata={
@@ -521,9 +516,7 @@ def _dtw_variable_outputs(
                 },
             )
         if getattr(args, "dump_matrices", False):
-            d = local_distance_matrix(
-                pair_set.aligned[y1], pair_set.aligned[y2], options.local_metric
-            )
+            d = local_distance_matrix(pair_set.aligned[y1], pair_set.aligned[y2])
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
     ranking = rank_pairs(results)

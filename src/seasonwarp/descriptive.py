@@ -81,22 +81,6 @@ def _shape(m2: float, m3: float, m4: float) -> tuple[float, float]:
     return m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
-def skewness(values: np.ndarray | list[float]) -> float:
-    """Moment skewness m3 / m2^(3/2).  Degenerate (constant) input is an error."""
-    _, m2, m3, _ = central_moments(values)
-    if m2 == 0.0:
-        raise DegenerateDataError("skewness undefined for a constant sample")
-    return m3 / m2**1.5
-
-
-def excess_kurtosis(values: np.ndarray | list[float]) -> float:
-    """m4 / m2^2 - 3, so a normal sample centers on 0."""
-    _, m2, _, m4 = central_moments(values)
-    if m2 == 0.0:
-        raise DegenerateDataError("kurtosis undefined for a constant sample")
-    return m4 / m2**2 - 3.0
-
-
 def jarque_bera(values: np.ndarray | list[float]) -> tuple[float, float]:
     """(JB statistic, asymptotic p-value).
 
@@ -157,12 +141,6 @@ class DescriptiveSummary:
     @classmethod
     def from_dict(cls, d: dict) -> "DescriptiveSummary":
         return cls(**d)
-
-    def jarque_bera_p_display(self) -> str:
-        """P-value for reports, floored at the smallest honest magnitude."""
-        if self.jarque_bera_p < 1e-16:
-            return "<1e-16"
-        return format(self.jarque_bera_p, ".6g")
 
 
 def describe(data) -> DescriptiveSummary:

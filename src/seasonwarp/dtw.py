@@ -6,13 +6,14 @@ The alignment cost is reported two ways and never as a single ambiguous
 metric (the triangle inequality can fail), so no such property is assumed
 anywhere.
 
-Two kernels build the cumulative-cost matrix with the same cell rule, so
-their matrices are bit-equal.  ``cumulative_cost`` scans one pair's rows in
-plain Python lists, which beat array round-trips for a single pair of
-year-long sequences; ``dtw_align`` uses it.  ``PairSet`` serves a list of
-pairs, such as the CLI's year pairs: it sweeps the anti-diagonals of up to
-``BATCH_PAIRS`` pairs at once in numpy, one vectorised step per diagonal,
-whatever the number of pairs, a lone one included.
+One kernel, ``_sweep``, builds every cumulative-cost matrix: it pads a list
+of local-distance matrices into one array and sweeps its anti-diagonals in
+numpy, one vectorised step per diagonal whatever the number of matrices.
+``cumulative_cost`` (and so ``dtw_align``) runs it on one matrix; ``PairSet``
+runs it on a list of pairs, such as the CLI's year pairs, up to
+``BATCH_PAIRS`` at a time.  A result stores the corner cost and the path;
+everything else, the warped pair included, is derived from them and the
+aligned inputs.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ from .errors import DegenerateDataError, NoValidPathError
 
 INF = math.inf
 
-
-class LocalMetric(str, Enum):
-    ABSOLUTE = "absolute"
-    EUCLIDEAN = "euclidean"
-
-
 class Normalization(str, Enum):
     NONE = "none"
     ZSCORE = "zscore"
@@ -42,10 +37,10 @@ class Normalization(str, Enum):
 
 @dataclass(frozen=True)
 class DtwOptions:
-    """Alignment knobs.  band_radius None means a full warping window."""
+    """Alignment knobs.  band_radius None means a full warping window.  The
+    local distance is always the absolute difference |x_i - y_j|."""
 
     band_radius: int | None = None
-    local_metric: LocalMetric = LocalMetric.ABSOLUTE
     normalize_input: Normalization = Normalization.NONE
 
     def __post_init__(self) -> None:
@@ -55,15 +50,16 @@ class DtwOptions:
     def to_dict(self) -> dict:
         return {
             "band_radius": self.band_radius,
-            "local_metric": self.local_metric.value,
+            "local_metric": "absolute",
             "normalize_input": self.normalize_input.value,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DtwOptions":
+        if d["local_metric"] != "absolute":
+            raise ValueError(f"local_metric must be 'absolute', got {d['local_metric']!r}")
         return cls(
             band_radius=d["band_radius"],
-            local_metric=LocalMetric(d["local_metric"]),
             normalize_input=Normalization(d["normalize_input"]),
         )
 
@@ -98,7 +94,6 @@ class DtwResult:
     total_cost: float
     path: WarpPath
     options: DtwOptions
-    warped_pair: tuple[tuple[float, ...], tuple[float, ...]]
 
     @property
     def path_length(self) -> int:
@@ -115,27 +110,20 @@ class DtwResult:
             "path": [[i, j] for i, j in self.path.steps],
             "path_length": self.path_length,
             "options": self.options.to_dict(),
-            "warped_pair": [list(self.warped_pair[0]), list(self.warped_pair[1])],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DtwResult":
         """Rebuild a result from its JSON form, rejecting a payload whose
-        ``path_length``, ``mean_cost`` or warped pair disagrees with its path."""
-        def _values(seq):
-            return tuple(tuple(v) if isinstance(v, list) else v for v in seq)
-
+        ``path_length`` or ``mean_cost`` disagrees with its path."""
         result = cls(
             total_cost=d["total_cost"],
             path=WarpPath(tuple((i, j) for i, j in d["path"])),
             options=DtwOptions.from_dict(d["options"]),
-            warped_pair=(_values(d["warped_pair"][0]), _values(d["warped_pair"][1])),
         )
         k = result.path_length
         if d["path_length"] != k:
             raise ValueError(f"path_length {d['path_length']} != |path| {k}")
-        if len(result.warped_pair[0]) != k or len(result.warped_pair[1]) != k:
-            raise ValueError("warped_pair lists must have path_length entries")
         expected = result.mean_cost
         if abs(d["mean_cost"] - expected) > 1e-9 * max(1.0, abs(expected)):
             raise ValueError(
@@ -161,30 +149,14 @@ def zscore(values) -> np.ndarray:
     return (v - float(np.mean(v))) / std
 
 
-def local_distance_matrix(x, y, metric: LocalMetric = LocalMetric.ABSOLUTE) -> np.ndarray:
-    """Pairwise local distances d(i, j) between elements of x and y.
-
-    Scalars: |x_i - y_j| under either metric name.  Vectors of uniform
-    dimension: Euclidean only; the absolute metric is a scalar notion.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.size == 0 or ya.size == 0:
+def _check_pair(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> None:
+    """Reject a pair no path can align: an empty or non-1-d sequence, or a
+    band narrower than the gap between the lengths."""
+    if x.size == 0 or y.size == 0:
         raise ValueError("cannot align an empty sequence")
-    if xa.ndim != ya.ndim:
-        raise ValueError(f"mixed input ranks: {xa.ndim} vs {ya.ndim}")
-    if xa.ndim == 1:
-        return np.abs(xa[:, None] - ya[None, :])
-    if xa.ndim == 2:
-        if xa.shape[1] != ya.shape[1]:
-            raise ValueError(
-                f"vector dimensions differ: {xa.shape[1]} vs {ya.shape[1]}"
-            )
-        if metric is not LocalMetric.EUCLIDEAN:
-            raise ValueError("vector inputs require the euclidean metric")
-        diff = xa[:, None, :] - ya[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
-    raise ValueError(f"inputs must be 1-d or 2-d, got ndim {xa.ndim}")
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"DTW aligns 1-d sequences, got ndim {x.ndim} and {y.ndim}")
+    _check_band(len(x), len(y), band_radius)
 
 
 def _check_band(n: int, m: int, band_radius: int | None) -> None:
@@ -195,53 +167,37 @@ def _check_band(n: int, m: int, band_radius: int | None) -> None:
         )
 
 
+def local_distance_matrix(x, y) -> np.ndarray:
+    """Pairwise local distances d(i, j) = |x_i - y_j| of two 1-d sequences."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    _check_pair(xa, ya)
+    return np.abs(xa[:, None] - ya[None, :])
+
+
 def cumulative_cost(d, band_radius: int | None = None) -> np.ndarray:
     """Cumulative cost matrix for the plain symmetric step set.
 
     gamma(1,1) = d(1,1); first row and column accumulate as running sums;
     interior gamma(i,j) = d(i,j) + min(diagonal, vertical, horizontal).
     Cells with |i - j| > band_radius hold +inf: a real unreachable marker,
-    never a large finite stand-in.
+    never a large finite stand-in.  A -0.0 distance counts as +0.0.
     """
     da = np.asarray(d, dtype=float)
     if da.ndim != 2 or da.size == 0:
         raise ValueError(f"expected a non-empty 2-d cost matrix, got shape {da.shape}")
-    if np.any(da < 0):
+    if not np.all(da >= 0):
         raise ValueError("local distances must be non-negative")
-    n, m = da.shape
-    _check_band(n, m, band_radius)
-    rows = da.tolist()
-    g = [[INF] * m for _ in range(n)]
-    for i in range(n):
-        drow = rows[i]
-        grow = g[i]
-        if band_radius is None:
-            lo, hi = 0, m - 1
-        else:
-            lo = max(0, i - band_radius)
-            hi = min(m - 1, i + band_radius)
-        gprev = g[i - 1] if i > 0 else None
-        for j in range(lo, hi + 1):
-            c = drow[j]
-            if i == 0:
-                grow[j] = c if j == 0 else grow[j - 1] + c
-            elif j == 0:
-                grow[0] = gprev[0] + c
-            else:
-                best = gprev[j - 1]
-                if gprev[j] < best:
-                    best = gprev[j]
-                if grow[j - 1] < best:
-                    best = grow[j - 1]
-                grow[j] = c + best
-    return np.array(g, dtype=float)
+    _check_band(*da.shape, band_radius)
+    return _sweep([da], band_radius)[0]
 
 
 def backtrack(g) -> WarpPath:
     """Minimal-cost path recovered from the cumulative matrix, forward order.
 
     Ties pick the diagonal predecessor first, then vertical, then horizontal:
-    deterministic, and biased toward shorter paths.
+    deterministic, and biased toward shorter paths.  Only the cells beside
+    the path are read.
     """
     ga = np.asarray(g, dtype=float)
     if ga.ndim != 2 or ga.size == 0:
@@ -249,7 +205,7 @@ def backtrack(g) -> WarpPath:
     n, m = ga.shape
     if not math.isfinite(ga[n - 1, m - 1]):
         raise NoValidPathError(f"cumulative cost at ({n}, {m}) is not finite")
-    rows = ga.tolist()
+    cell = ga.item
     i, j = n - 1, m - 1
     steps = [(n, m)]
     while i > 0 or j > 0:
@@ -258,9 +214,9 @@ def backtrack(g) -> WarpPath:
         elif j == 0:
             i -= 1
         else:
-            diag = rows[i - 1][j - 1]
-            vert = rows[i - 1][j]
-            horiz = rows[i][j - 1]
+            diag = cell(i - 1, j - 1)
+            vert = cell(i - 1, j)
+            horiz = cell(i, j - 1)
             if diag <= vert and diag <= horiz:
                 i -= 1
                 j -= 1
@@ -280,50 +236,19 @@ def _aligned(values, options: DtwOptions) -> np.ndarray:
 
 
 def dtw_align(x, y, options: DtwOptions = DtwOptions()) -> DtwResult:
-    """Full alignment of two sequences under the given options.
+    """Full alignment of two 1-d sequences under the given options.
 
     With z-score normalization both inputs are standardized before the
-    distance matrix is built, and the warped pair reports the standardized
-    values actually aligned.
+    distance matrix is built.
     """
-    return dtw_align_with_matrices(x, y, options)[0]
+    d = local_distance_matrix(_aligned(x, options), _aligned(y, options))
+    return _result(cumulative_cost(d, options.band_radius), options)
 
 
-def dtw_align_with_matrices(
-    x, y, options: DtwOptions = DtwOptions()
-) -> tuple[DtwResult, np.ndarray, np.ndarray]:
-    """``dtw_align`` plus the local distance matrix d and the cumulative
-    cost matrix g it was computed from, for callers that draw or dump them."""
-    xa = _aligned(x, options)
-    ya = _aligned(y, options)
-    d = local_distance_matrix(xa, ya, options.local_metric)
-    g = cumulative_cost(d, options.band_radius)
-    return _result(xa, ya, g, options), d, g
-
-
-def _result(x, y, g, options: DtwOptions) -> DtwResult:
-    """The alignment of x and y, given as aligned (already normalized), read
-    from their cumulative cost matrix g: the backtracked path, the warped
-    pair and the corner cost."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    path = backtrack(g)
-
-    def _value(arr: np.ndarray, idx: int):
-        if arr.ndim == 1:
-            return float(arr[idx])
-        return tuple(float(v) for v in arr[idx])
-
-    warped = (
-        tuple(_value(xa, i - 1) for i, _ in path.steps),
-        tuple(_value(ya, j - 1) for _, j in path.steps),
-    )
-    return DtwResult(
-        total_cost=float(g[-1, -1]),
-        path=path,
-        options=options,
-        warped_pair=warped,
-    )
+def _result(g: np.ndarray, options: DtwOptions) -> DtwResult:
+    """The alignment read from its cumulative cost matrix g: the corner cost
+    and the backtracked path."""
+    return DtwResult(total_cost=float(g[-1, -1]), path=backtrack(g), options=options)
 
 
 # Pairs swept together at most: 32 pairs of 53 x 53 weeks pad to 0.75 MB, so a
@@ -337,7 +262,7 @@ class PairSet:
 
     Each sequence is normalized once, here, and every pair is checked here
     in order, so the error raised is the one that loop would raise first:
-    x's z-score, y's z-score, an empty sequence, then the band.  ``aligned``
+    x's z-score, y's z-score, an empty or non-1-d sequence, then the band.  ``aligned``
     maps each key to its sequence as aligned.
     """
 
@@ -354,19 +279,13 @@ class PairSet:
             for key in (a, b):
                 if key not in self.aligned:
                     self.aligned[key] = _aligned(sequences[key], options)
-            x, y = self.aligned[a], self.aligned[b]
-            if x.size == 0 or y.size == 0:
-                raise ValueError("cannot align an empty sequence")
-            if x.ndim != 1 or y.ndim != 1:
-                raise ValueError(f"pair sets align 1-d sequences, got ndim {x.ndim} and {y.ndim}")
-            _check_band(len(x), len(y), options.band_radius)
+            _check_pair(self.aligned[a], self.aligned[b], options.band_radius)
 
     def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray]]:
         """Each pair's result and cumulative-cost matrix g, in pair order, as
-        ``dtw_align_with_matrices`` gives them: g is bit-equal to the scalar
-        ``cumulative_cost``, and one ``backtrack`` reads each path."""
-        for (a, b), g in zip(self.pairs, self._costs(self.pairs, self.options.band_radius)):
-            yield _result(self.aligned[a], self.aligned[b], g, self.options), g
+        ``dtw_align`` would compute them, with one ``backtrack`` per pair."""
+        for g in self._costs(self.pairs, self.options.band_radius):
+            yield _result(g, self.options), g
 
     def unbanded_ranks(self) -> tuple[int, ...]:
         """The ranks ``rank_pairs`` gives the pairs' unbanded alignments,
@@ -391,54 +310,56 @@ class PairSet:
         chunks = -(-len(pairs) // BATCH_PAIRS)
         for c in range(chunks):
             chunk = pairs[len(pairs) * c // chunks : len(pairs) * (c + 1) // chunks]
-            yield from _sweep([(self.aligned[a], self.aligned[b]) for a, b in chunk],
-                              band_radius)
+            yield from _sweep([local_distance_matrix(self.aligned[a], self.aligned[b])
+                               for a, b in chunk], band_radius)
 
 
-def _sweep(
-    arrays: Sequence[tuple[np.ndarray, np.ndarray]], band_radius: int | None
-) -> list[np.ndarray]:
-    """Cumulative-cost matrices of checked (x, y) pairs of 1-d float arrays
-    under the absolute local distance, all at once.
+def _sweep(ds: Sequence[np.ndarray], band_radius: int | None) -> list[np.ndarray]:
+    """Cumulative-cost matrices of checked local-distance matrices (2-d,
+    non-negative, each reachable under the band), all at once.
 
-    The pairs are padded into one (P, N+1, M+1) array: row and column 0 are
-    the +inf border the recursion starts from, with 0 at the corner, and
-    cells past a shorter pair's own rows and columns, or outside the band,
-    hold +inf.  The local distances are written in and swept one
-    anti-diagonal i + j = k at a time, in place: on the flattened
-    (N+1)(M+1) grid a diagonal's cells lie M apart, so its cells and its
-    diagonal, vertical and horizontal predecessors are four strided views,
-    and a diagonal costs three array operations whatever the number of
-    pairs.  The cell rule is ``cumulative_cost``'s d + min(diag, vert, horiz),
-    so each matrix is bit-equal to that row scan's.
+    The matrices are padded into one (N+1, M+1, P) array, the P matrices
+    side by side in each cell: row and column 0 are the +inf border the
+    recursion starts from, with 0 at the corner, and cells past a smaller
+    matrix's own rows and columns, or outside the band, hold +inf.  The
+    distances are swept one anti-diagonal i + j = k at a time, in place: on
+    the flattened (N+1)(M+1) grid a diagonal's cells lie M apart, so its
+    cells and their diagonal predecessors are strided views, and so are the
+    vertical ones, each cell's horizontal predecessor being the next cell's
+    vertical one.  A diagonal costs three array operations whatever the
+    number of matrices.  Each cell is d + min(diag, vert, horiz).
     """
-    n_max = max(len(x) for x, _ in arrays)
-    m_max = max(len(y) for _, y in arrays)
-    g = np.full((len(arrays), n_max + 1, m_max + 1), INF)
-    for p, (x, y) in enumerate(arrays):
-        np.abs(np.subtract.outer(x, y), out=g[p, 1 : len(x) + 1, 1 : len(y) + 1])
+    n_max = max(d.shape[0] for d in ds)
+    m_max = max(d.shape[1] for d in ds)
+    g = np.full((n_max + 1, m_max + 1, len(ds)), INF)
+    for p, d in enumerate(ds):
+        g[1 : d.shape[0] + 1, 1 : d.shape[1] + 1, p] = d
     if band_radius is not None:
         i, j = np.ogrid[: n_max + 1, : m_max + 1]
-        g[:, np.abs(i - j) > band_radius] = INF
-    g[:, 0, 0] = 0.0
+        g[np.abs(i - j) > band_radius] = INF
+    g[0, 0] = 0.0
     row = m_max + 1
-    flat = g.reshape(len(arrays), -1)
-    best = np.empty((len(arrays), min(n_max, m_max)))
+    flat = g.reshape(-1, len(ds))
+    best = np.empty((min(n_max, m_max), len(ds)))
+    if len(ds) == 1:  # numpy steps through 1-d views faster
+        flat, best = flat[:, 0], best[:, 0]
+    band = n_max + m_max if band_radius is None else band_radius
     for k in range(2, n_max + m_max + 1):
-        lo, hi = max(1, k - m_max), min(n_max, k - 1)
-        if band_radius is not None:  # |i - j| = |2i - k| <= band_radius
-            lo, hi = max(lo, (k - band_radius + 1) // 2), min(hi, (k + band_radius) // 2)
+        # Rows of the cells on diagonal k, in the matrix and, as
+        # |i - j| = |2i - k| <= band, in the band.
+        lo = max(1, k - m_max, (k - band + 1) // 2)
+        hi = min(n_max, k - 1, (k + band) // 2)
         if lo > hi:
             continue
         start = lo * row + k - lo
         stop = hi * row + k - hi + 1
-        out = best[:, : hi - lo + 1]
-        np.minimum(flat[:, start - row - 1 : stop - row - 1 : m_max],
-                   flat[:, start - row : stop - row : m_max], out=out)
-        np.minimum(out, flat[:, start - 1 : stop - 1 : m_max], out=out)
-        cells = flat[:, start:stop:m_max]
+        out = best[: hi - lo + 1]
+        vert = flat[start - row : stop - row + m_max : m_max]
+        np.minimum(vert[:-1], vert[1:], out=out)
+        np.minimum(out, flat[start - row - 1 : stop - row - 1 : m_max], out=out)
+        cells = flat[start:stop:m_max]
         np.add(cells, out, out=cells)
-    return [g[p, 1 : len(x) + 1, 1 : len(y) + 1] for p, (x, y) in enumerate(arrays)]
+    return [g[1 : d.shape[0] + 1, 1 : d.shape[1] + 1, p] for p, d in enumerate(ds)]
 
 
 @dataclass(frozen=True)
@@ -522,23 +443,3 @@ def rank_pairs(results: list[tuple[tuple[int, int], DtwResult]]) -> PairRanking:
         [(pair, r.total_cost, r.mean_cost, r.path_length) for pair, r in results]
     )
 
-
-def band_sensitivity(
-    x, y, radii: list[int], options: DtwOptions = DtwOptions()
-) -> list[tuple[int | None, DtwResult]]:
-    """Alignments at each band radius plus the unbanded reference (radius None)."""
-    out: list[tuple[int | None, DtwResult]] = []
-    for r in radii:
-        opts = DtwOptions(
-            band_radius=r,
-            local_metric=options.local_metric,
-            normalize_input=options.normalize_input,
-        )
-        out.append((r, dtw_align(x, y, opts)))
-    unbanded = DtwOptions(
-        band_radius=None,
-        local_metric=options.local_metric,
-        normalize_input=options.normalize_input,
-    )
-    out.append((None, dtw_align(x, y, unbanded)))
-    return out

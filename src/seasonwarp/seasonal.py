@@ -52,12 +52,6 @@ class SeasonalIndexTable:
         if weeks != sorted(set(weeks)):
             raise ValueError("entries must be strictly increasing in iso_week")
 
-    def index_of(self, iso_week: int) -> float:
-        for e in self.entries:
-            if e.iso_week == iso_week:
-                return e.index
-        raise KeyError(f"no entry for iso_week {iso_week}")
-
     def to_dict(self) -> dict:
         return {
             "variable": self.variable.value,

@@ -192,20 +192,11 @@ class WeeklySeries:
     def values(self) -> np.ndarray:
         return self._values
 
-    def weeks(self) -> tuple[WeekKey, ...]:
-        return tuple(map(WeekKey.from_number, self.numbers.tolist()))
-
     def first_week(self) -> WeekKey:
         return WeekKey.from_number(int(self.numbers[0]))
 
     def last_week(self) -> WeekKey:
         return WeekKey.from_number(int(self.numbers[-1]))
-
-    def value_at(self, week: WeekKey) -> float:
-        i = int(np.searchsorted(self.numbers, week.number))
-        if i == len(self.numbers) or self.numbers[i] != week.number:
-            raise KeyError(str(week))
-        return float(self._values[i])
 
     def iso_calendar(self) -> tuple[np.ndarray, np.ndarray]:
         """(ISO year, ISO week) of each point, as int64 arrays."""

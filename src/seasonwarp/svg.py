@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -211,15 +212,16 @@ def _heat_fills(v: np.ndarray) -> np.ndarray:
 
 def dtw_figure(
     cost_matrix,
-    path_steps: list[tuple[int, int]],
-    warped_pair: tuple[list[float], list[float]],
+    path_steps: Sequence[tuple[int, int]],
+    aligned_pair: tuple[Sequence[float], Sequence[float]],
     pair_labels: tuple[str, str],
     *,
     title: str,
     metadata: dict,
 ) -> str:
     """Two panels: the warping path over the cumulative-cost heatmap, and the
-    time-aligned (warped) series overlay."""
+    time-aligned (warped) series overlay, the two aligned sequences read
+    along the path."""
     matrix = np.asarray(cost_matrix, dtype=float)
     n, m = matrix.shape
     width, height = 980.0, 460.0
@@ -269,7 +271,10 @@ def dtw_figure(
 
     wx0 = x0 + panel_w + 92.0
     wframe_w = width - wx0 - _MARGIN_R
-    k = len(warped_pair[0])
+    cells = np.asarray(path_steps, dtype=np.int64) - 1
+    warped_pair = tuple(np.asarray(seq, dtype=float)[cells[:, axis]].tolist()
+                        for axis, seq in enumerate(aligned_pair))
+    k = len(cells)
     steps = list(range(1, k + 1))
     ylo = min(min(warped_pair[0]), min(warped_pair[1]))
     yhi = max(max(warped_pair[0]), max(warped_pair[1]))

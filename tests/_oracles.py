@@ -49,10 +49,23 @@ def week_range_oracle(first: WeekKey, last: WeekKey) -> list[WeekKey]:
     return weeks
 
 
+def weeks_of(series: WeeklySeries) -> tuple[WeekKey, ...]:
+    """The week of each point of a series, in order."""
+    return tuple(WeekKey.from_number(n) for n in series.numbers.tolist())
+
+
+def value_at(series: WeeklySeries, week: WeekKey) -> float:
+    """The value a series holds for one week."""
+    i = int(np.searchsorted(series.numbers, week.number))
+    if i == len(series.numbers) or series.numbers[i] != week.number:
+        raise KeyError(str(week))
+    return float(series.values()[i])
+
+
 def slice_year_message_oracle(series: WeeklySeries, iso_year: int) -> str:
     """The incomplete-year error of a year slice, from a scan of the whole series."""
     wanted = week_range_oracle(WeekKey(iso_year, 1), WeekKey(iso_year, weeks_in_iso_year(iso_year)))
-    have = set(series.weeks())
+    have = set(weeks_of(series))
     missing = [w for w in wanted if w not in have]
     return f"ISO year {iso_year} incomplete in series; missing weeks: " + ", ".join(
         str(w) for w in missing
@@ -137,6 +150,42 @@ def spline_second_derivatives_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray
     for i in range(k - 1, 0, -1):
         m[i] = dp[i - 1] - cp[i - 1] * m[i + 1]
     return m
+
+
+def cumulative_cost_oracle(d, band_radius: int | None = None) -> np.ndarray:
+    """DTW cumulative-cost matrix by a row scan over Python lists.
+
+    gamma(1,1) = d(1,1), the first row and column are running sums, and
+    gamma(i,j) = d(i,j) + min(diagonal, vertical, horizontal), the minimum
+    taken by ``<`` so that ties keep the diagonal, then the vertical.  Cells
+    with |i - j| > band_radius are +inf.
+    """
+    rows = np.asarray(d, dtype=float).tolist()
+    n, m = len(rows), len(rows[0])
+    g = [[math.inf] * m for _ in range(n)]
+    for i in range(n):
+        drow = rows[i]
+        grow = g[i]
+        if band_radius is None:
+            lo, hi = 0, m - 1
+        else:
+            lo = max(0, i - band_radius)
+            hi = min(m - 1, i + band_radius)
+        gprev = g[i - 1] if i > 0 else None
+        for j in range(lo, hi + 1):
+            c = drow[j]
+            if i == 0:
+                grow[j] = c if j == 0 else grow[j - 1] + c
+            elif j == 0:
+                grow[0] = gprev[0] + c
+            else:
+                best = gprev[j - 1]
+                if gprev[j] < best:
+                    best = gprev[j]
+                if grow[j - 1] < best:
+                    best = grow[j - 1]
+                grow[j] = c + best
+    return np.array(g, dtype=float)
 
 
 def enum_dtw_min_cost(d: list[list[float]]) -> float:

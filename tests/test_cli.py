@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import cumulative_cost_oracle
 import seasonwarp.cli
 import seasonwarp.dtw
 from seasonwarp.cleaning import CleaningReport
@@ -480,6 +481,9 @@ class TestDtwCommand:
             str(out),
         )
         payload = _read_json(out / "dtw_modal_price_2020-2021.json")
+        # The warped pair is the path applied to the inputs: not written.
+        assert set(payload["result"]) == {
+            "total_cost", "mean_cost", "path", "path_length", "options"}
         result = DtwResult.from_dict(payload["result"])
         assert result.path.steps[0] == (1, 1)
         assert result.path.end == (53, 52)
@@ -597,8 +601,8 @@ class TestDtwCommand:
         assert len(figures) == 12
         for var, (y1, y2), g in figures:
             x, y = (dtw.zscore(slices[var, year].values) for year in (y1, y2))
-            expected = cumulative_cost(dtw.local_distance_matrix(x, y), 4)
-            assert np.array_equal(g, expected)
+            expected = cumulative_cost_oracle(np.abs(np.subtract.outer(x, y)), 4)
+            assert g.tobytes() == expected.tobytes()
 
     def test_each_slice_zscored_once(self, tmp_path, fixture_csv, monkeypatch):
         zscore, calls = seasonwarp.dtw.zscore, []
@@ -621,7 +625,8 @@ class TestDtwCommand:
         assert n_slices == 30
         assert len(calls) == n_slices
 
-    def test_single_year_is_usage_error(self, tmp_path, fixture_csv, capsys):
+    def test_single_year_is_insufficient_data(self, tmp_path, fixture_csv, capsys):
+        # The same shortfall as in `seasonal`, with the same exit code.
         out = tmp_path / "o"
         code = _run(
             "dtw",
@@ -632,8 +637,11 @@ class TestDtwCommand:
             "--out-dir",
             str(out),
         )
-        assert code == 1
-        assert "usage error" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "seasonwarp: data error: DTW needs at least two complete years for arrivals; "
+            "found 1\n")
+        assert not out.exists()
 
     def test_incomplete_years_warn_and_skip(self, tmp_path, fixture_csv, capsys):
         out = tmp_path / "o"

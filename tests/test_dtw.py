@@ -7,20 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seasonwarp.dtw
-from _oracles import enum_dtw_min_cost
+from _oracles import cumulative_cost_oracle, enum_dtw_min_cost
 from seasonwarp.dtw import (
     DtwOptions,
     DtwResult,
-    LocalMetric,
     Normalization,
     PairRanking,
     PairSet,
     WarpPath,
     backtrack,
-    band_sensitivity,
     cumulative_cost,
     dtw_align,
-    dtw_align_with_matrices,
     local_distance_matrix,
     mean_cost,
     rank_pairs,
@@ -36,21 +33,10 @@ class TestLocalDistanceMatrix:
         d = local_distance_matrix([1.0, 4.0], [2.0, 0.0, 5.0])
         assert d.tolist() == [[1.0, 1.0, 4.0], [2.0, 4.0, 1.0]]
 
-    def test_vector_euclidean(self):
-        d = local_distance_matrix(
-            [[0.0, 0.0], [3.0, 4.0]], [[0.0, 0.0]], metric=LocalMetric.EUCLIDEAN
-        )
-        assert d.tolist() == [[0.0], [5.0]]
-
-    def test_vectors_require_euclidean(self):
-        with pytest.raises(ValueError, match="euclidean"):
-            local_distance_matrix([[1.0, 2.0]], [[3.0, 4.0]], metric=LocalMetric.ABSOLUTE)
-
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions differ"):
-            local_distance_matrix(
-                [[1.0, 2.0]], [[1.0, 2.0, 3.0]], metric=LocalMetric.EUCLIDEAN
-            )
+        # Only 1-d sequences are aligned; vectors of any dimension are not.
+        with pytest.raises(ValueError, match=r"^DTW aligns 1-d sequences, got ndim 2 and 2$"):
+            local_distance_matrix([[1.0, 2.0]], [[1.0, 2.0, 3.0]])
 
     def test_empty_sequence(self):
         with pytest.raises(ValueError):
@@ -96,6 +82,44 @@ class TestCumulativeCost:
     def test_negative_distances_rejected(self):
         with pytest.raises(ValueError):
             cumulative_cost([[1.0, -0.5], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            cumulative_cost([[1.0, math.nan], [0.0, 2.0]])
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_matches_row_scan_oracle(self, data):
+        # Integer-valued distances tie often, so the min of equal
+        # predecessors is exercised; the band runs from 0 to n + m.
+        n, m = data.draw(st.one_of(
+            st.tuples(st.just(1), st.integers(1, 60)),
+            st.tuples(st.integers(1, 60), st.just(1)),
+            st.tuples(st.sampled_from((52, 53)), st.sampled_from((52, 53))),
+            st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        ))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        d = data.draw(st.sampled_from((
+            lambda: rng.integers(0, 4, size=(n, m)).astype(float),
+            lambda: rng.uniform(0.0, 1e6, size=(n, m)),
+            lambda: rng.exponential(size=(n, m)) * 10.0 ** rng.integers(-300, 300),
+        )))()
+        band = data.draw(st.none() | st.integers(0, n + m))
+        if band is not None and band < abs(n - m):
+            with pytest.raises(NoValidPathError):
+                cumulative_cost(d, band)
+            return
+        g = cumulative_cost(d, band)
+        assert g.shape == (n, m)
+        assert g.tobytes() == cumulative_cost_oracle(d, band).tobytes()
+
+    def test_negative_zero_distance_reads_as_positive_zero(self):
+        # The row scan keeps a -0.0 at the first cell (and adds -0.0 to it
+        # along the first row); the sweep starts from a +0.0 corner, so
+        # every cell is +0.0 there, as if the distance were +0.0.
+        d = np.array([[-0.0, -0.0], [1.0, 0.0]])
+        assert np.signbit(cumulative_cost_oracle(d)[0]).all()
+        g = cumulative_cost(d)
+        assert not np.signbit(g).any()
+        assert g.tobytes() == cumulative_cost_oracle(d + 0.0).tobytes()
 
 
 class TestBacktrack:
@@ -189,14 +213,6 @@ class TestDtwAlign:
         assert res.mean_cost == mean_cost(res.total_cost, res.path_length)
         assert res.mean_cost == res.total_cost / res.path_length
 
-    def test_warped_pair_carries_aligned_values(self):
-        rng = np.random.default_rng(7)
-        x, y = rng.normal(size=9), rng.normal(size=11)
-        res = dtw_align(x, y)
-        for k, (i, j) in enumerate(res.path.steps):
-            assert res.warped_pair[0][k] == x[i - 1]
-            assert res.warped_pair[1][k] == y[j - 1]
-
     def test_zscore_normalization_applied(self):
         rng = np.random.default_rng(8)
         x = rng.normal(50, 5, size=25)
@@ -205,9 +221,7 @@ class TestDtwAlign:
         res = dtw_align(x, y, opts)
         raw = dtw_align(x, y)
         assert res.total_cost < raw.total_cost
-        zx = zscore(x)
-        for k, (i, _) in enumerate(res.path.steps):
-            assert res.warped_pair[0][k] == zx[i - 1]
+        assert res == dataclasses.replace(dtw_align(zscore(x), zscore(y)), options=opts)
 
     def test_zscore_shift_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -223,14 +237,12 @@ class TestDtwAlign:
         with pytest.raises(DegenerateDataError):
             dtw_align([1.0, 1.0, 1.0], [1.0, 2.0], opts)
 
-    def test_vector_alignment(self):
+    def test_vector_input_rejected(self):
         x = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
-        y = [[0.0, 0.0], [1.0, 1.0]]
-        opts = DtwOptions(local_metric=LocalMetric.EUCLIDEAN)
-        res = dtw_align(x, y, opts)
-        assert res.warped_pair[0][0] == (0.0, 0.0)
-        assert res.path.steps[0] == (1, 1)
-        assert res.path.end == (3, 2)
+        with pytest.raises(ValueError, match=r"^DTW aligns 1-d sequences, got ndim 2 and 1$"):
+            dtw_align(x, [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^DTW aligns 1-d sequences, got ndim 1 and 2$"):
+            PairSet({0: [0.0, 1.0], 1: x}, [(0, 1)])
 
     def test_result_roundtrip(self):
         rng = np.random.default_rng(10)
@@ -243,18 +255,28 @@ class TestDtwAlign:
         tampered = {
             "path_length": payload["path_length"] + 1,
             "mean_cost": payload["mean_cost"] * 1.001 + 1e-3,
-            "warped_pair": [payload["warped_pair"][0][:-1], payload["warped_pair"][1]],
         }
         for key, value in tampered.items():
             with pytest.raises(ValueError, match=key):
                 DtwResult.from_dict({**payload, key: value})
 
-    def test_vector_result_roundtrip(self):
-        opts = DtwOptions(local_metric=LocalMetric.EUCLIDEAN)
-        res = dtw_align(
-            [[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 2.0]], opts
-        )
-        assert DtwResult.from_dict(res.to_dict()) == res
+    def test_result_stores_cost_path_and_options_only(self):
+        # The warped pair is the path applied to the inputs, so it is
+        # neither stored nor written.
+        res = dtw_align([0.0, 2.0, 1.0], [0.0, 1.0])
+        assert [f.name for f in dataclasses.fields(DtwResult)] == ["total_cost", "path", "options"]
+        assert list(res.to_dict()) == ["total_cost", "mean_cost", "path", "path_length", "options"]
+        assert [f.name for f in dataclasses.fields(DtwOptions)] == ["band_radius", "normalize_input"]
+        assert res.to_dict()["options"] == {
+            "band_radius": None, "local_metric": "absolute", "normalize_input": "none"}
+
+    @pytest.mark.parametrize("metric", ["euclidean", "ABSOLUTE", "", None])
+    def test_options_from_dict_rejects_other_metrics(self, metric):
+        payload = {"band_radius": 3, "local_metric": metric, "normalize_input": "zscore"}
+        with pytest.raises(ValueError, match="local_metric must be 'absolute'"):
+            DtwOptions.from_dict(payload)
+        assert DtwOptions.from_dict({**payload, "local_metric": "absolute"}) == DtwOptions(
+            band_radius=3, normalize_input=Normalization.ZSCORE)
 
 
 class TestBandedAlignment:
@@ -279,7 +301,6 @@ class TestBandedAlignment:
             free = dtw_align(x, y)
             assert banded.total_cost == free.total_cost
             assert banded.path.steps == free.path.steps
-            assert banded.warped_pair == free.warped_pair
 
     def test_zero_radius_on_equal_lengths_is_diagonal(self):
         rng = np.random.default_rng(13)
@@ -291,13 +312,6 @@ class TestBandedAlignment:
     def test_infeasible_radius_raises(self):
         with pytest.raises(NoValidPathError):
             dtw_align(np.zeros(4), np.zeros(9), DtwOptions(band_radius=2))
-
-    def test_band_sensitivity_ends_with_unbanded(self):
-        rng = np.random.default_rng(14)
-        x, y = rng.normal(size=10), rng.normal(size=13)
-        rows = band_sensitivity(x, y, [3, 5, 9])
-        assert [r for r, _ in rows] == [3, 5, 9, None]
-        assert rows[-1][1].total_cost <= rows[0][1].total_cost + 1e-12
 
 
 @st.composite
@@ -326,17 +340,25 @@ def _pair_sets(draw):
     return sequences, pairs, options
 
 
+def _oracle_alignment(x, y, options: DtwOptions) -> tuple[DtwResult, np.ndarray]:
+    """One pair's result and cumulative-cost matrix from the row-scan oracle."""
+    if options.normalize_input is Normalization.ZSCORE:
+        x, y = zscore(x), zscore(y)
+    g = cumulative_cost_oracle(np.abs(np.subtract.outer(x, y)), options.band_radius)
+    return DtwResult(float(g[-1, -1]), backtrack(g), options), g
+
+
 class TestBatchedKernel:
-    """``PairSet`` against the scalar loop it replaces, which is
-    ``dtw_align_with_matrices`` on each pair in turn."""
+    """``PairSet`` against the scalar loop it replaces: the row-scan oracle
+    on each pair in turn, and ``dtw_align``'s errors in pair order."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(case=_pair_sets())
     def test_matches_scalar_loop(self, case):
         sequences, pairs, options = case
         try:
-            scalar = [dtw_align_with_matrices(sequences[a], sequences[b], options)
-                      for a, b in pairs]
+            for a, b in pairs:
+                dtw_align(sequences[a], sequences[b], options)
         except (ValueError, MarketDataError) as exc:
             with pytest.raises(type(exc)) as raised:
                 PairSet(sequences, pairs, options)
@@ -345,13 +367,14 @@ class TestBatchedKernel:
         pair_set = PairSet(sequences, pairs, options)
         batched = list(pair_set.alignments())
         assert len(batched) == len(pairs)
-        for (result, _, g), (batch_result, batch_g) in zip(scalar, batched):
+        for (a, b), (batch_result, batch_g) in zip(pairs, batched):
+            result, g = _oracle_alignment(sequences[a], sequences[b], options)
             assert batch_g.shape == g.shape
             assert batch_g.tobytes() == g.tobytes()
             assert batch_result == result
         # The CLI's reference: unbanded ranks of the same pairs.
         unbanded = dataclasses.replace(options, band_radius=None)
-        expected = rank_pairs([((a, b), dtw_align(sequences[a], sequences[b], unbanded))
+        expected = rank_pairs([((a, b), _oracle_alignment(sequences[a], sequences[b], unbanded)[0])
                                for a, b in pairs])
         assert pair_set.unbanded_ranks() == expected.ranks()
 
@@ -378,8 +401,8 @@ class TestBatchedKernel:
         monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", size)  # 36 pairs
         chunked = [g for _, g in pair_set.alignments()]
         assert [g.tobytes() for g in chunked] == [g.tobytes() for g in whole]
-        assert {g.base.shape[0] for g in whole} == {36}
-        assert {g.base.shape[0] for g in chunked} == chunk_sizes
+        assert {g.base.shape[-1] for g in whole} == {36}
+        assert {g.base.shape[-1] for g in chunked} == chunk_sizes
 
     def test_first_error_in_pair_order(self):
         # The band fails on the first pair before the constant third sequence

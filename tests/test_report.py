@@ -11,8 +11,9 @@ from seasonwarp.descriptive import describe
 from seasonwarp.dtw import (
     DtwOptions,
     Normalization,
+    cumulative_cost,
     dtw_align,
-    dtw_align_with_matrices,
+    local_distance_matrix,
     rank_pairs,
 )
 from seasonwarp.report import (
@@ -160,19 +161,28 @@ class TestSvg:
         rng = np.random.default_rng(20)
         x, y = rng.normal(size=12), rng.normal(size=15)
         res = dtw_align(x, y, DtwOptions(band_radius=6))
-        from seasonwarp.dtw import cumulative_cost, local_distance_matrix
-
         g = cumulative_cost(local_distance_matrix(x, y), band_radius=6)
         text = dtw_figure(
-            g,
-            list(res.path.steps),
-            (list(res.warped_pair[0]), list(res.warped_pair[1])),
-            ("2020", "2021"),
-            title="demo",
-            metadata={},
+            g, res.path.steps, (x, y), ("2020", "2021"), title="demo", metadata={}
         )
         ET.fromstring(text)
         assert "polyline" in text
+
+    def test_dtw_figure_draws_aligned_values_along_path(self):
+        # The overlay panel is the warped pair: step k of its two curves
+        # plots x[i_k] and y[j_k] of the path's k-th step, on one y scale.
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=9), rng.normal(size=11)
+        steps = dtw_align(x, y).path.steps
+        text = dtw_figure(np.zeros((9, 11)), steps, (x, y), ("a", "b"), title="t", metadata={})
+        curves = [[float(point.split(",")[1]) for point in line.get("points").split()]
+                  for line in ET.fromstring(text).iter("{http://www.w3.org/2000/svg}polyline")
+                  if line.get("stroke-width") == "1.50"]
+        assert [len(c) for c in curves] == [len(steps)] * 2
+        values = [x[i - 1] for i, _ in steps] + [y[j - 1] for _, j in steps]
+        slope, offset = np.polyfit(values, curves[0] + curves[1], 1)
+        assert slope < 0
+        assert np.allclose(np.multiply(slope, values) + offset, curves[0] + curves[1], atol=0.01)
 
     @staticmethod
     def _reference_cells(g) -> list[str]:
@@ -204,21 +214,15 @@ class TestSvg:
         rng = np.random.default_rng(52)
         x, y = rng.normal(size=52).cumsum(), rng.normal(size=53).cumsum()
         band = 4 if case == "banded" else None
-        res, _, g = dtw_align_with_matrices(x, y, DtwOptions(band_radius=band))
+        res = dtw_align(x, y, DtwOptions(band_radius=band))
+        g = cumulative_cost(local_distance_matrix(x, y), band)
         if case == "all-zero":
             g = np.zeros((6, 7))
         elif case == "half-way ties":
             # v = k / 478 puts the red channel exactly on .5 for 236 cells.
             g = np.minimum(np.arange(480.0), 478.0).reshape(20, 24)
         assert (case == "banded") == bool(np.isinf(g).any())
-        text = dtw_figure(
-            g,
-            list(res.path.steps),
-            (list(res.warped_pair[0]), list(res.warped_pair[1])),
-            ("2020", "2021"),
-            title="demo",
-            metadata={},
-        )
+        text = dtw_figure(g, res.path.steps, (x, y), ("2020", "2021"), title="demo", metadata={})
         rects = [line for line in text.splitlines() if line.startswith("<rect")]
         cells = [line for line in rects[1:] if 'fill="none"' not in line]
         assert cells == self._reference_cells(g.tolist())

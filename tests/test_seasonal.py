@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from _oracles import seasonal_oracle
+from _oracles import seasonal_oracle, weeks_of
 from seasonwarp.errors import InsufficientDataError
 from seasonwarp.seasonal import (
     SeasonalIndexTable,
@@ -46,15 +46,16 @@ class TestWeeklyMeanMethod:
         s = _dense(2021, 2022, lambda w: 20.0 if w.iso_week == 10 else 10.0)
         table = seasonal_index(s)
         gm = (102 * 10.0 + 2 * 20.0) / 104.0
-        assert table.index_of(10) == pytest.approx(100.0 * 20.0 / gm, rel=1e-14)
-        assert table.index_of(9) == pytest.approx(100.0 * 10.0 / gm, rel=1e-14)
+        index = {e.iso_week: e.index for e in table.entries}
+        assert index[10] == pytest.approx(100.0 * 20.0 / gm, rel=1e-14)
+        assert index[9] == pytest.approx(100.0 * 10.0 / gm, rel=1e-14)
 
     def test_matches_direct_averaging_oracle(self):
         rng = random.Random(12)
         s = _dense(2018, 2022, lambda w: rng.uniform(50, 150))
         table = seasonal_index(s)
         want = seasonal_oracle(
-            {(w.iso_year, w.iso_week): v for w, v in zip(s.weeks(), s.values().tolist())}
+            {(w.iso_year, w.iso_week): v for w, v in zip(weeks_of(s), s.values().tolist())}
         )
         assert len(table.entries) == 53
         for e in table.entries:
@@ -64,7 +65,7 @@ class TestWeeklyMeanMethod:
         s = _dense(2014, 2021, lambda w: float(w.iso_week))
         table = seasonal_index(s)
         # 2015 and 2020 are the long years in range.
-        assert table.index_of(53) > 0
+        assert {e.iso_week: e.index for e in table.entries}[53] > 0
         by_week = {e.iso_week: e.support for e in table.entries}
         assert by_week[53] == 2
         assert by_week[52] == 8
@@ -163,13 +164,6 @@ class TestTableValidation:
             WeekIndexEntry(54, 100.0, 1)
         with pytest.raises(ValueError):
             WeekIndexEntry(1, 100.0, 0)
-
-    def test_index_of_missing_week(self):
-        table = SeasonalIndexTable(
-            Variable.ARRIVALS, "weekly-mean", (WeekIndexEntry(1, 100.0, 2),)
-        )
-        with pytest.raises(KeyError):
-            table.index_of(9)
 
     def test_roundtrip(self, cleaned42):
         series, _ = cleaned42[Variable.MODAL_PRICE]

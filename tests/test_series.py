@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import iso_week_oracle, slice_year_message_oracle, week_range_oracle
+from _oracles import (
+    iso_week_oracle,
+    slice_year_message_oracle,
+    week_range_oracle,
+    weeks_of,
+)
 from seasonwarp.errors import DataIntegrityError, InsufficientDataError
 from seasonwarp.series import (
     FLAGS,
@@ -185,7 +190,7 @@ class TestBuildWeeklySeries:
     def test_sorts_and_flags_observed(self):
         table = _table((2021, 3, 5.0, 100.0), (2021, 1, 7.0, 90.0))
         s = build_weekly_series(table, Variable.ARRIVALS)
-        assert s.weeks() == (WeekKey(2021, 1), WeekKey(2021, 3))
+        assert weeks_of(s) == (WeekKey(2021, 1), WeekKey(2021, 3))
         assert list(s.values()) == [7.0, 5.0]
         assert [FLAGS[code] for code in s.flags] == [PointFlag.OBSERVED] * 2
 
@@ -202,7 +207,7 @@ class TestBuildWeeklySeries:
     def test_blank_cells_become_gaps(self):
         table = _table((2021, 1, 1.0, None), (2021, 2, 2.0, 50.0))
         prices = build_weekly_series(table, Variable.MODAL_PRICE)
-        assert prices.weeks() == (WeekKey(2021, 2),)
+        assert weeks_of(prices) == (WeekKey(2021, 2),)
         arrivals = build_weekly_series(table, Variable.ARRIVALS)
         assert len(arrivals) == 2
 
@@ -234,11 +239,6 @@ class TestWeeklySeries:
             with pytest.raises(ValueError):
                 array[0] = 0
 
-    def test_value_at(self):
-        s = _dense_series(WeekKey(2021, 1), WeekKey(2021, 5), lambda w: float(w.iso_week))
-        assert s.value_at(WeekKey(2021, 4)) == 4.0
-        with pytest.raises(KeyError):
-            s.value_at(WeekKey(2021, 9))
 
 
 def _span(y1, w1, y2, w2):
