@@ -27,6 +27,13 @@ def _f(x: float) -> str:
     return format(x, ".2f")
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Polyline points "x,y x,y ..." from float64 arrays, each coordinate as _f
+    writes it.  A memoryview hands out one Python float at a time, where
+    tolist would allocate them all at once."""
+    return " ".join(map("{:.2f},{:.2f}".format, memoryview(xs), memoryview(ys)))
+
+
 def _tick_label(x: float) -> str:
     return format(x, ".6g")
 
@@ -136,7 +143,9 @@ class _Frame:
         return out
 
     def polyline(self, xs, ys, color: str, width: float = 1.5) -> str:
-        pts = " ".join(f"{_f(self.px(x))},{_f(self.py(y))}" for x, y in zip(xs, ys))
+        # px and py applied to float64 arrays do the same IEEE operations,
+        # in the same order, as on each Python float.
+        pts = _points(self.px(np.asarray(xs, dtype=float)), self.py(np.asarray(ys, dtype=float)))
         return (
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{_f(width)}"/>'
@@ -196,18 +205,49 @@ _RAMP_LIGHT = np.array([247.0, 251.0, 255.0])
 _RAMP_DARK = np.array([8.0, 48.0, 107.0])
 
 
-def _heat_fills(v: np.ndarray) -> np.ndarray:
-    """Ramp colours ("#rrggbb", object array) for a 1-d array of v in [0, 1].
-
-    Channels round half to even (np.rint, as Python's round does).  On [0, 1]
-    every channel lies in 0..255, so one packed integer names a colour and
-    each distinct colour is formatted once.
-    """
-    rgb = np.rint(_RAMP_LIGHT - v[:, None] * (_RAMP_LIGHT - _RAMP_DARK)).astype(np.int64)
-    packed = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-    colours, inverse = np.unique(packed, return_inverse=True)
-    names = np.array([f"#{c:06x}" for c in colours.tolist()], dtype=object)
-    return names[inverse]
+def _heatmap_rows(matrix: np.ndarray, x0: float, y0: float, cw: float, ch: float) -> list[str]:
+    """The cost heatmap, one string of <rect>s per matrix row, with cells of
+    cw x ch from (x0, y0).  A cell's fill is the ramp colour of its cost over
+    the largest finite cost, grey if the cost is not finite; each horizontal
+    run of equal fill is one <rect>."""
+    n, m = matrix.shape
+    finite = np.isfinite(matrix)
+    costs = matrix[finite]
+    if np.any(costs < 0):
+        raise ValueError("dtw_figure needs a non-negative cost matrix")
+    peak = costs.max(initial=0.0)
+    vmax = peak if peak > 0 else 1.0
+    # Each cell is keyed by its packed 0xRRGGBB ramp colour, -1 if grey.
+    # Channels round half to even (np.rint, as Python's round does).
+    rgb = np.rint(_RAMP_LIGHT - (costs / vmax)[:, None] * (_RAMP_LIGHT - _RAMP_DARK))
+    rgb = rgb.astype(np.int64)
+    keys = np.full(matrix.shape, -1, dtype=np.int64)
+    keys[finite] = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    # Every row opens a run, so a row's last run ends where the next row's
+    # first one starts.
+    starts = np.ones(matrix.shape, dtype=bool)
+    starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    first = np.flatnonzero(starts)
+    bounds = np.searchsorted(first, np.arange(n + 1) * m).tolist()
+    cols = (first % m).tolist()
+    spans = np.diff(first, append=n * m).tolist()
+    palette, colours = np.unique(keys.ravel()[first], return_inverse=True)
+    # As big-endian 32-bit words, packed colours read "00rrggbb" in hex.
+    hexes = palette.astype(">u4").tobytes().hex()
+    fills = ["#" + hexes[k + 2:k + 8] for k in range(0, len(hexes), 8)]
+    if palette[0] < 0:
+        fills[0] = "#dddddd"
+    colours = colours.tolist()
+    xs = [_f(x0 + j * cw) for j in range(m)]
+    widths = [_f(k * cw) for k in range(m + 1)]
+    tail = f'" height="{_f(ch)}" fill="'
+    rows = []
+    for i in range(n):
+        row = f'" y="{_f(y0 + i * ch)}" width="'
+        a, b = bounds[i], bounds[i + 1]
+        rows.append("\n".join([f'<rect x="{xs[j]}{row}{widths[k]}{tail}{fills[c]}"/>'
+                               for j, k, c in zip(cols[a:b], spans[a:b], colours[a:b])]))
+    return rows
 
 
 def dtw_figure(
@@ -229,27 +269,11 @@ def dtw_figure(
     panel_h = height - _MARGIN_T - _MARGIN_B
     x0, y0 = 56.0, _MARGIN_T
 
-    finite = np.isfinite(matrix)
-    costs = matrix[finite]
-    if np.any(costs < 0):
-        raise ValueError("dtw_figure needs a non-negative cost matrix")
-    peak = costs.max(initial=0.0)
-    vmax = peak if peak > 0 else 1.0
-    fills = np.full(matrix.shape, "#dddddd", dtype=object)
-    fills[finite] = _heat_fills(costs / vmax)
     cw = panel_w / m
     ch = panel_h / n
-    xs = [_f(x0 + j * cw) for j in range(m)]
-    size = f'width="{_f(cw)}" height="{_f(ch)}"'
-    # One string per heatmap row, not per cell: the same bytes once the
-    # document joins its lines, with far fewer short-lived small strings.
-    body = []
-    for i, row in enumerate(fills.tolist()):
-        row_tail = f'" y="{_f(y0 + i * ch)}" {size} fill="'
-        body.append("\n".join([f'<rect x="{x}{row_tail}{fill}"/>' for x, fill in zip(xs, row)]))
-    pts = " ".join(
-        f"{_f(x0 + (j - 0.5) * cw)},{_f(y0 + (i - 0.5) * ch)}" for i, j in path_steps
-    )
+    body = _heatmap_rows(matrix, x0, y0, cw, ch)
+    steps_ij = np.asarray(path_steps, dtype=np.int64)
+    pts = _points(x0 + (steps_ij[:, 1] - 0.5) * cw, y0 + (steps_ij[:, 0] - 0.5) * ch)
     body.append(
         f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="2"/>'
     )
@@ -271,7 +295,7 @@ def dtw_figure(
 
     wx0 = x0 + panel_w + 92.0
     wframe_w = width - wx0 - _MARGIN_R
-    cells = np.asarray(path_steps, dtype=np.int64) - 1
+    cells = steps_ij - 1
     warped_pair = tuple(np.asarray(seq, dtype=float)[cells[:, axis]].tolist()
                         for axis, seq in enumerate(aligned_pair))
     k = len(cells)

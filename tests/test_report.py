@@ -1,11 +1,13 @@
 import csv
 import io
 import json
-import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seasonwarp.descriptive import describe
 from seasonwarp.dtw import (
@@ -27,8 +29,10 @@ from seasonwarp.report import (
 )
 from seasonwarp.seasonal import seasonal_index
 from seasonwarp.series import Variable, log_diff, slice_year
-from seasonwarp.svg import bar_chart, dtw_figure, line_chart
+from seasonwarp.svg import _Frame, bar_chart, dtw_figure, line_chart
 from seasonwarp.unitroot import adf_test
+
+from _oracles import dtw_heatmap_cells_oracle, polyline_points_oracle
 
 
 @pytest.fixture(scope="module")
@@ -184,30 +188,65 @@ class TestSvg:
         assert slope < 0
         assert np.allclose(np.multiply(slope, values) + offset, curves[0] + curves[1], atol=0.01)
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            (list(range(20)), [float((x * 7) % 11) for x in range(20)]),
+            ([2010 + k / 53 for k in range(60)], [0.1 * k ** 1.5 for k in range(60)]),
+            ([1.0, 2.0, 3.0, 4.0], [0.0, 1e75, 9.999999e74, 1e75]),
+            ([3], [2.5]),
+            ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]),
+        ],
+        ids=["int-xs", "float-xs", "max-cell", "single-point", "flat"],
+    )
+    def test_polyline_points_match_per_point_format(self, xs, ys):
+        frame = _Frame(64.0, 40.0, 878.0, 354.0, min(xs), max(xs), min(ys), max(ys))
+        line = frame.polyline(xs, ys, "#000000")
+        assert re.search(r'points="([^"]*)"', line)[1] == polyline_points_oracle(frame, xs, ys)
+
+    def test_polyline_points_negative_zero(self):
+        # A frame at the canvas origin: -0.0 inputs and points a hair outside
+        # the frame format as -0.00, as the per-point path writes them.
+        frame = _Frame(0.0, 0.0, 878.0, 354.0, 0.0, 2.0, 0.0, 1.0)
+        xs, ys = [-0.0, -1e-6, 0.0, 2.0], [-0.0, 1.0, 1.000001, 0.0]
+        line = frame.polyline(xs, ys, "#000000")
+        assert re.search(r'points="([^"]*)"', line)[1] == polyline_points_oracle(frame, xs, ys)
+        assert "-0.00," in line and ",-0.00" in line
+
     @staticmethod
-    def _reference_cells(g) -> list[str]:
-        """One <rect> per cell, straight from the ramp formula: channels run
-        linearly from (247, 251, 255) at 0 to (8, 48, 107) at the largest
-        finite cost and round half to even; non-finite cells are grey."""
-        n, m = len(g), len(g[0])
-        finite = [v for row in g for v in row if math.isfinite(v)]
-        vmax = max(finite) if finite and max(finite) > 0 else 1.0
-        cw, ch = 400.0 / m, 374.0 / n
-        cells = []
-        for i in range(n):
-            for j in range(m):
-                v = float(g[i][j])
-                if math.isfinite(v):
-                    u = v / vmax
-                    rgb = (round(247 - u * 239), round(251 - u * 203), round(255 - u * 148))
-                    fill = "#%02x%02x%02x" % rgb
-                else:
-                    fill = "#dddddd"
-                cells.append(
-                    f'<rect x="{56 + j * cw:.2f}" y="{40 + i * ch:.2f}" '
-                    f'width="{cw:.2f}" height="{ch:.2f}" fill="{fill}"/>'
-                )
-        return cells
+    def _check_heatmap(g, steps, pair) -> str:
+        """Draw g and expand each heatmap <rect> into the cells it spans.
+
+        A run starts at its first cell's x string, on its row's y string, has
+        the cells' height string, and its right edge lies within 0.01 of the
+        next cell's x (the panel edge after the last column).  Every cell is
+        covered exactly once, with the fill of the per-cell oracle.
+        """
+        text = dtw_figure(g, steps, pair, ("2020", "2021"), title="demo", metadata={})
+        n, m = g.shape
+        cell = [dict(re.findall(r'(\w+)="([^"]*)"', line))
+                for line in dtw_heatmap_cells_oracle(g.tolist())]
+        col_x = [cell[j]["x"] for j in range(m)] + [f"{56 + 400.0:.2f}"]
+        row_of = {cell[i * m]["y"]: i for i in range(n)}
+        rects = [line for line in text.splitlines() if line.startswith("<rect")][1:]
+        fills = [None] * (n * m)
+        for line in rects:
+            rect = dict(re.findall(r'(\w+)="([^"]*)"', line))
+            if rect["fill"] == "none":
+                continue
+            assert line == (f'<rect x="{rect["x"]}" y="{rect["y"]}" width="{rect["width"]}" '
+                            f'height="{rect["height"]}" fill="{rect["fill"]}"/>')
+            i = row_of[rect["y"]]
+            start = col_x.index(rect["x"])
+            assert start < m and rect["height"] == cell[0]["height"]
+            right = float(rect["x"]) + float(rect["width"])
+            stop = min(range(start + 1, m + 1), key=lambda j: abs(float(col_x[j]) - right))
+            assert abs(float(col_x[stop]) - right) <= 0.01 + 1e-9
+            for j in range(start, stop):
+                assert fills[i * m + j] is None, f"cell ({i}, {j}) drawn twice"
+                fills[i * m + j] = rect["fill"]
+        assert fills == [c["fill"] for c in cell]
+        return text
 
     @pytest.mark.parametrize("case", ["banded", "unbanded", "all-zero", "half-way ties"])
     def test_dtw_figure_cells_match_ramp_bytes(self, case):
@@ -222,10 +261,35 @@ class TestSvg:
             # v = k / 478 puts the red channel exactly on .5 for 236 cells.
             g = np.minimum(np.arange(480.0), 478.0).reshape(20, 24)
         assert (case == "banded") == bool(np.isinf(g).any())
-        text = dtw_figure(g, res.path.steps, (x, y), ("2020", "2021"), title="demo", metadata={})
-        rects = [line for line in text.splitlines() if line.startswith("<rect")]
-        cells = [line for line in rects[1:] if 'fill="none"' not in line]
-        assert cells == self._reference_cells(g.tolist())
+        text = self._check_heatmap(g, res.path.steps, (x, y))
+        if case != "half-way ties":
+            # Equal neighbours share one <rect>, as in the grey band and the
+            # flat matrix.
+            assert text.count("<rect") < g.size
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        shape=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+        band=st.none() | st.integers(0, 120),
+        ties=st.booleans(),
+        data=st.data(),
+    )
+    def test_dtw_figure_runs_property(self, shape, band, ties, data):
+        n, m = shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if ties:
+            g = rng.integers(0, data.draw(st.integers(0, 4)) + 1, size=shape).astype(float)
+        else:
+            g = rng.uniform(0.0, 10.0 ** data.draw(st.integers(-3, 9)), size=shape)
+        i, j = np.indices(shape)
+        if band is not None:
+            g[np.abs(i - j) > min(band, n + m)] = np.inf
+        special = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.05, 0.5]))
+        g[special] = rng.choice([np.inf, -np.inf], size=int(special.sum()))
+        # A monotone staircase from (1, 1) to (n, m); the heatmap ignores it.
+        steps = [(1 + k * (n - 1) // (n + m), 1 + k * (m - 1) // (n + m))
+                 for k in range(n + m + 1)]
+        self._check_heatmap(g, steps, (rng.normal(size=n), rng.normal(size=m)))
 
     def test_dtw_figure_rejects_negative_costs(self):
         with pytest.raises(ValueError, match="non-negative"):

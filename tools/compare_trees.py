@@ -11,6 +11,12 @@ tree, each in a fresh working directory with the same relative ``--input`` and
 compared file by file, together with stdout, stderr and the exit code.  One
 line per scenario is printed; the exit code is 1 if any scenario differs.
 
+A ``dtw_*.svg`` that differs is reported as ``PICTURE`` when it draws the same
+picture: every line but the heatmap ``<rect>``s is identical, and every
+heatmap cell is covered once, with the same fill, in both files.  A scenario
+whose only differences are such files prints ``PICTURE`` in place of ``DIFF``;
+it still counts as a difference for the exit code.
+
 Two inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default) and the
 long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``.  ``bench/``
@@ -23,7 +29,9 @@ aligns every pair.
 
 from __future__ import annotations
 
+import bisect
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,12 +85,73 @@ def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
             "tree": tree}
 
 
+RECT = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)" '
+                  r'fill="(#[0-9a-f]{6})"/>')
+# Largest gap between a rect edge and a cell edge: x and width are each
+# rounded to two decimals.  Cells are far wider than this.
+EDGE_TOL = 0.02
+
+
+def heatmap(svg: bytes) -> tuple[list[str], list[tuple[float, float, float, float, str]]]:
+    """A DTW figure's lines other than the heatmap, and the heatmap rects.
+
+    Heatmap rects are the filled ``<rect>`` lines after the first one, the
+    white canvas background.
+    """
+    others, rects = [], []
+    background = False
+    for line in svg.decode().splitlines():
+        match = RECT.fullmatch(line)
+        if match and background:
+            x, y, w, h, fill = match.groups()
+            rects.append((float(x), float(y), float(w), float(h), fill))
+        else:
+            background = background or line.startswith("<rect")
+            others.append(line)
+    return others, rects
+
+
+def cell_fills(rects, xs: list[float], ys: list[float]) -> dict | None:
+    """Fill of each (row start, column start) cell the rects cover, from the
+    sorted cell starts xs and ys; None if a cell is covered twice."""
+    fills = {}
+    for x, y, w, h, fill in rects:
+        columns = xs[bisect.bisect_right(xs, x - EDGE_TOL):bisect.bisect_left(xs, x + w - EDGE_TOL)]
+        for cy in ys[bisect.bisect_right(ys, y - EDGE_TOL):bisect.bisect_left(ys, y + h - EDGE_TOL)]:
+            for cx in columns:
+                if (cy, cx) in fills:
+                    return None
+                fills[cy, cx] = fill
+    return fills
+
+
+def same_picture(a: bytes, b: bytes) -> bool:
+    """Whether two DTW figures differ only in how their heatmap is cut into rects.
+
+    Cells are the grid spanned by every rect's x and y in either file, so a
+    rect per cell compares with a rect per run of equal fill.
+    """
+    others_a, rects_a = heatmap(a)
+    others_b, rects_b = heatmap(b)
+    if others_a != others_b:
+        return False
+    xs = sorted({r[0] for r in rects_a + rects_b})
+    ys = sorted({r[1] for r in rects_a + rects_b})
+    fills_a = cell_fills(rects_a, xs, ys)
+    return fills_a is not None and fills_a == cell_fills(rects_b, xs, ys) \
+        and len(fills_a) == len(xs) * len(ys)
+
+
 def differences(a: dict, b: dict) -> list[str]:
     found = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     names_a, names_b = set(a["tree"]), set(b["tree"])
     found += [f"only in parent: {n}" for n in sorted(names_a - names_b)]
     found += [f"only in change: {n}" for n in sorted(names_b - names_a)]
-    found += [f"{n} differs" for n in sorted(names_a & names_b) if a["tree"][n] != b["tree"][n]]
+    for n in sorted(names_a & names_b):
+        old, new = a["tree"][n], b["tree"][n]
+        if old != new:
+            picture = n.startswith("dtw_") and n.endswith(".svg") and same_picture(old, new)
+            found.append(f"{n} {'PICTURE' if picture else 'differs'}")
     return found
 
 
@@ -100,8 +169,18 @@ def main(argv: list[str]) -> int:
             b = run(change, scenario, data, Path(tmp) / "change" / name)
             found = differences(a, b)
             failed += bool(found)
-            detail = "; ".join(found[:5]) if found else f"{len(a['tree'])} files"
-            print(f"{'DIFF' if found else 'same'}  {name} (exit {a['exit code']}): {detail}")
+            pictures = [f for f in found if f.endswith(" PICTURE")]
+            if not found:
+                status, detail = "same", f"{len(a['tree'])} files"
+            elif len(pictures) == len(found):
+                status, detail = "PICTURE", (f"{len(pictures)} of {len(a['tree'])} files "
+                                             "differ in bytes, each the same picture")
+            else:
+                status = "DIFF"
+                detail = "; ".join([f for f in found if f not in pictures][:5])
+                if pictures:
+                    detail += f"; {len(pictures)} more the same picture"
+            print(f"{status:7}  {name} (exit {a['exit code']}): {detail}")
     return 1 if failed else 0
 
 
