@@ -8,10 +8,12 @@ plain: axes, ticks, polylines, a legend; nothing decorative.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
+import struct
+import zlib
 from collections.abc import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -25,6 +27,11 @@ _MARGIN_B = 46.0
 
 def _f(x: float) -> str:
     return format(x, ".2f")
+
+
+def _escape(text: str) -> str:
+    """Character data with &, > and < escaped, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -62,13 +69,13 @@ def _document(width: float, height: float, title: str, metadata: dict, body: lis
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_f(width)}" height="{_f(height)}" '
         f'viewBox="0 0 {_f(width)} {_f(height)}">',
-        f"<title>{escape(title)}</title>",
-        f"<metadata>{escape(meta)}</metadata>",
+        f"<title>{_escape(title)}</title>",
+        f"<metadata>{_escape(meta)}</metadata>",
         f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>',
         f'<text x="{_f(width / 2)}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#222222">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15" fill="#222222">{_escape(title)}</text>',
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    return "\n".join(head + body + ["</svg>", ""])
 
 
 class _Frame:
@@ -132,13 +139,13 @@ class _Frame:
         out.append(
             f'<text x="{_f(self.x0 + self.w / 2)}" y="{_f(self.y0 + self.h + 34)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'fill="#333333">{escape(x_label)}</text>'
+            f'fill="#333333">{_escape(x_label)}</text>'
         )
         out.append(
             f'<text x="{_f(self.x0 - 48)}" y="{_f(self.y0 + self.h / 2)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="#333333" '
             f'transform="rotate(-90 {_f(self.x0 - 48)} {_f(self.y0 + self.h / 2)})">'
-            f"{escape(y_label)}</text>"
+            f"{_escape(y_label)}</text>"
         )
         return out
 
@@ -195,7 +202,7 @@ def line_chart(
         )
         body.append(
             f'<text x="{_f(lx + 28)}" y="{_f(y + 4)}" font-family="sans-serif" '
-            f'font-size="11" fill="#333333">{escape(label)}</text>'
+            f'font-size="11" fill="#333333">{_escape(label)}</text>'
         )
     return _document(width, height, title, metadata, body)
 
@@ -205,49 +212,53 @@ _RAMP_LIGHT = np.array([247.0, 251.0, 255.0])
 _RAMP_DARK = np.array([8.0, 48.0, 107.0])
 
 
-def _heatmap_rows(matrix: np.ndarray, x0: float, y0: float, cw: float, ch: float) -> list[str]:
-    """The cost heatmap, one string of <rect>s per matrix row, with cells of
-    cw x ch from (x0, y0).  A cell's fill is the ramp colour of its cost over
-    the largest finite cost, grey if the cost is not finite; each horizontal
-    run of equal fill is one <rect>."""
+def _png_chunk(kind: bytes, data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
+
+
+def _heatmap_image(matrix: np.ndarray, x: float, y: float, w: float, h: float) -> str:
+    """The cost heatmap as one <image> covering the w x h panel at (x, y): a
+    PNG with one pixel per cell, scaled nearest-neighbour.  A cell's colour is
+    the ramp colour of its cost over the largest finite cost, grey if the cost
+    is not finite."""
     n, m = matrix.shape
-    finite = np.isfinite(matrix)
-    costs = matrix[finite]
+    cells = np.flatnonzero(np.isfinite(matrix))
+    costs = matrix.ravel()[cells]
     if np.any(costs < 0):
         raise ValueError("dtw_figure needs a non-negative cost matrix")
     peak = costs.max(initial=0.0)
     vmax = peak if peak > 0 else 1.0
-    # Each cell is keyed by its packed 0xRRGGBB ramp colour, -1 if grey.
-    # Channels round half to even (np.rint, as Python's round does).
-    rgb = np.rint(_RAMP_LIGHT - (costs / vmax)[:, None] * (_RAMP_LIGHT - _RAMP_DARK))
-    rgb = rgb.astype(np.int64)
-    keys = np.full(matrix.shape, -1, dtype=np.int64)
-    keys[finite] = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
-    # Every row opens a run, so a row's last run ends where the next row's
-    # first one starts.
-    starts = np.ones(matrix.shape, dtype=bool)
-    starts[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    first = np.flatnonzero(starts)
-    bounds = np.searchsorted(first, np.arange(n + 1) * m).tolist()
-    cols = (first % m).tolist()
-    spans = np.diff(first, append=n * m).tolist()
-    palette, colours = np.unique(keys.ravel()[first], return_inverse=True)
-    # As big-endian 32-bit words, packed colours read "00rrggbb" in hex.
-    hexes = palette.astype(">u4").tobytes().hex()
-    fills = ["#" + hexes[k + 2:k + 8] for k in range(0, len(hexes), 8)]
-    if palette[0] < 0:
-        fills[0] = "#dddddd"
-    colours = colours.tolist()
-    xs = [_f(x0 + j * cw) for j in range(m)]
-    widths = [_f(k * cw) for k in range(m + 1)]
-    tail = f'" height="{_f(ch)}" fill="'
-    rows = []
-    for i in range(n):
-        row = f'" y="{_f(y0 + i * ch)}" width="'
-        a, b = bounds[i], bounds[i + 1]
-        rows.append("\n".join([f'<rect x="{xs[j]}{row}{widths[k]}{tail}{fills[c]}"/>'
-                               for j, k, c in zip(cols[a:b], spans[a:b], colours[a:b])]))
-    return rows
+    # Scanlines of filter byte 0 (none) and m grey pixels each.  Channel c of
+    # cell k = i * m + j is byte i * (1 + 3 * m) + 1 + 3 * j + c, that is
+    # 3 * k + i + 1 + c.  Channels round half to even (np.rint, as Python's
+    # round does).
+    scanlines = np.full((n, 1 + 3 * m), 0xDD, dtype=np.uint8)
+    scanlines[:, 0] = 0
+    channel = np.arange(3)[:, None]
+    scanlines.ravel()[3 * cells + cells // m + 1 + channel] = np.rint(
+        _RAMP_LIGHT[:, None] - (costs / vmax) * (_RAMP_LIGHT - _RAMP_DARK)[:, None])
+    raw = scanlines.tobytes()
+    # A zlib stream of stored deflate blocks, so the bytes depend on no
+    # compressor build: header 78 01, blocks of at most 65,535 bytes, each
+    # led by its final-block bit, LEN and NLEN, then the Adler-32 of raw.
+    size = 65535
+    stream = [b"\x78\x01"]
+    for k in range(0, len(raw), size):
+        block = raw[k:k + size]
+        final = k + size >= len(raw)
+        stream += [struct.pack("<BHH", final, len(block), len(block) ^ 0xFFFF), block]
+    stream.append(struct.pack(">I", zlib.adler32(raw)))
+    png = (b"\x89PNG\r\n\x1a\n"
+           + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", m, n, 8, 2, 0, 0, 0))
+           + _png_chunk(b"IDAT", b"".join(stream))
+           + _png_chunk(b"IEND", b""))
+    data = binascii.b2a_base64(png, newline=False).decode("ascii")
+    return (
+        f'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="{_f(x)}" y="{_f(y)}" '
+        f'width="{_f(w)}" height="{_f(h)}" preserveAspectRatio="none" '
+        f'image-rendering="optimizeSpeed" style="image-rendering:pixelated" '
+        f'xlink:href="data:image/png;base64,{data}"/>'
+    )
 
 
 def dtw_figure(
@@ -271,7 +282,7 @@ def dtw_figure(
 
     cw = panel_w / m
     ch = panel_h / n
-    body = _heatmap_rows(matrix, x0, y0, cw, ch)
+    body = [_heatmap_image(matrix, x0, y0, panel_w, panel_h)]
     steps_ij = np.asarray(path_steps, dtype=np.int64)
     pts = _points(x0 + (steps_ij[:, 1] - 0.5) * cw, y0 + (steps_ij[:, 0] - 0.5) * ch)
     body.append(
@@ -284,13 +295,13 @@ def dtw_figure(
     body.append(
         f'<text x="{_f(x0 + panel_w / 2)}" y="{_f(y0 + panel_h + 18)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" fill="#333333">'
-        f"{escape(pair_labels[1])} (weeks, j)</text>"
+        f"{_escape(pair_labels[1])} (weeks, j)</text>"
     )
     body.append(
         f'<text x="{_f(x0 - 36)}" y="{_f(y0 + panel_h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" fill="#333333" '
         f'transform="rotate(-90 {_f(x0 - 36)} {_f(y0 + panel_h / 2)})">'
-        f"{escape(pair_labels[0])} (weeks, i)</text>"
+        f"{_escape(pair_labels[0])} (weeks, i)</text>"
     )
 
     wx0 = x0 + panel_w + 92.0
@@ -316,7 +327,7 @@ def dtw_figure(
         )
         body.append(
             f'<text x="{_f(wx0 + wframe_w - 122)}" y="{_f(y + 4)}" '
-            f'font-family="sans-serif" font-size="11" fill="#333333">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="11" fill="#333333">{_escape(label)}</text>'
         )
     return _document(width, height, title, metadata, body)
 
@@ -366,12 +377,12 @@ def bar_chart(
         body.append(
             f'<text x="{_f(bx + bw / 2)}" y="{_f(frame.y0 + frame.h + 17)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="#444444">{escape(label)}</text>'
+            f'fill="#444444">{_escape(label)}</text>'
         )
     body.append(
         f'<text x="{_f(frame.x0 - 48)}" y="{_f(frame.y0 + frame.h / 2)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" fill="#333333" '
         f'transform="rotate(-90 {_f(frame.x0 - 48)} {_f(frame.y0 + frame.h / 2)})">'
-        f"{escape(y_label)}</text>"
+        f"{_escape(y_label)}</text>"
     )
     return _document(width, height, title, metadata, body)

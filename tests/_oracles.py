@@ -361,31 +361,24 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
 
 
 def dtw_heatmap_cells_oracle(g) -> list[str]:
-    """One dtw_figure heatmap <rect> per cell, straight from the ramp formula.
+    """The fill of each dtw_figure heatmap cell, straight from the ramp formula.
 
     Channels run linearly from (247, 251, 255) at 0 to (8, 48, 107) at the
     largest finite cost and round half to even; non-finite cells are grey.
     Cells are listed row by row.
     """
-    n, m = len(g), len(g[0])
     finite = [v for row in g for v in row if math.isfinite(v)]
     vmax = max(finite) if finite and max(finite) > 0 else 1.0
-    cw, ch = 400.0 / m, 374.0 / n
-    cells = []
-    for i in range(n):
-        for j in range(m):
-            v = float(g[i][j])
+    fills = []
+    for row in g:
+        for v in map(float, row):
             if math.isfinite(v):
                 u = v / vmax
                 rgb = (round(247 - u * 239), round(251 - u * 203), round(255 - u * 148))
-                fill = "#%02x%02x%02x" % rgb
+                fills.append("#%02x%02x%02x" % rgb)
             else:
-                fill = "#dddddd"
-            cells.append(
-                f'<rect x="{56 + j * cw:.2f}" y="{40 + i * ch:.2f}" '
-                f'width="{cw:.2f}" height="{ch:.2f}" fill="{fill}"/>'
-            )
-    return cells
+                fills.append("#dddddd")
+    return fills
 
 
 def polyline_points_oracle(frame, xs, ys) -> str:

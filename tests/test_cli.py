@@ -3,7 +3,10 @@ import csv
 import filecmp
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -908,3 +911,16 @@ class TestConfigAndUsage:
         assert _run("stats", "--input", str(fixture_csv), "--out-dir", str(out)) == 2
         assert (out / "stats.json").read_bytes() == before["stats.json"]
         assert not (out / "stats.csv").exists()
+
+
+def test_cli_import_leaves_out_network_and_mail_modules():
+    # xml.sax.saxutils pulls in urllib.request, and with it http.client,
+    # email.*, ssl and socket; the CLI escapes its SVG text itself.
+    src = str(Path(seasonwarp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, seasonwarp.cli; "
+            "print(*[m for m in ('xml.sax', 'urllib.request', 'http.client', 'email.parser') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.split() == []

@@ -1,8 +1,11 @@
+import base64
 import csv
 import io
 import json
 import re
+import struct
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -214,41 +217,53 @@ class TestSvg:
         assert "-0.00," in line and ",-0.00" in line
 
     @staticmethod
-    def _check_heatmap(g, steps, pair) -> str:
-        """Draw g and expand each heatmap <rect> into the cells it spans.
+    def _check_heatmap(g, steps, pair):
+        """Draw g and decode its heatmap, the one <image> of the figure.
 
-        A run starts at its first cell's x string, on its row's y string, has
-        the cells' height string, and its right edge lies within 0.01 of the
-        next cell's x (the panel edge after the last column).  Every cell is
-        covered exactly once, with the fill of the per-cell oracle.
+        The image covers exactly the 400 x 374 panel at (56, 40) and is an
+        8-bit RGB PNG of n x m pixels: every chunk CRC holds, IDAT is a zlib
+        stream of stored deflate blocks, and every scanline has filter byte 0.
+        Each pixel has the fill of the per-cell oracle.
         """
         text = dtw_figure(g, steps, pair, ("2020", "2021"), title="demo", metadata={})
         n, m = g.shape
-        cell = [dict(re.findall(r'(\w+)="([^"]*)"', line))
-                for line in dtw_heatmap_cells_oracle(g.tolist())]
-        col_x = [cell[j]["x"] for j in range(m)] + [f"{56 + 400.0:.2f}"]
-        row_of = {cell[i * m]["y"]: i for i in range(n)}
-        rects = [line for line in text.splitlines() if line.startswith("<rect")][1:]
-        fills = [None] * (n * m)
-        for line in rects:
-            rect = dict(re.findall(r'(\w+)="([^"]*)"', line))
-            if rect["fill"] == "none":
-                continue
-            assert line == (f'<rect x="{rect["x"]}" y="{rect["y"]}" width="{rect["width"]}" '
-                            f'height="{rect["height"]}" fill="{rect["fill"]}"/>')
-            i = row_of[rect["y"]]
-            start = col_x.index(rect["x"])
-            assert start < m and rect["height"] == cell[0]["height"]
-            right = float(rect["x"]) + float(rect["width"])
-            stop = min(range(start + 1, m + 1), key=lambda j: abs(float(col_x[j]) - right))
-            assert abs(float(col_x[stop]) - right) <= 0.01 + 1e-9
-            for j in range(start, stop):
-                assert fills[i * m + j] is None, f"cell ({i}, {j}) drawn twice"
-                fills[i * m + j] = rect["fill"]
-        assert fills == [c["fill"] for c in cell]
-        return text
+        # The background and the two panel frames; no heatmap <rect>.
+        assert text.count("<rect") == 3
+        images = list(ET.fromstring(text).iter("{http://www.w3.org/2000/svg}image"))
+        assert len(images) == 1
+        image = images[0]
+        assert [image.get(k) for k in ("x", "y", "width", "height", "preserveAspectRatio")] \
+            == ["56.00", "40.00", "400.00", "374.00", "none"]
+        prefix = "data:image/png;base64,"
+        href = image.get("{http://www.w3.org/1999/xlink}href")
+        assert href.startswith(prefix)
+        png = base64.b64decode(href[len(prefix):], validate=True)
+        assert png[:8] == b"\x89PNG\r\n\x1a\n"
+        chunks, pos = [], 8
+        while pos < len(png):
+            (length,) = struct.unpack(">I", png[pos:pos + 4])
+            kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + length]
+            (crc,) = struct.unpack(">I", png[pos + 8 + length:pos + 12 + length])
+            assert crc == zlib.crc32(kind + data), f"{kind} CRC"
+            chunks.append((kind, data))
+            pos += 12 + length
+        assert pos == len(png)
+        assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+        assert struct.unpack(">IIBBBBB", chunks[0][1]) == (m, n, 8, 2, 0, 0, 0)
+        stream = chunks[1][1]
+        raw = zlib.decompress(stream)
+        assert len(raw) == n * (1 + 3 * m)
+        # Header 78 01, five header bytes per stored block of at most 65,535
+        # bytes, and the Adler-32.
+        assert stream[:2] == b"\x78\x01"
+        assert len(stream) == 2 + 5 * -(-len(raw) // 65535) + len(raw) + 4
+        rows = [raw[i * (1 + 3 * m):(i + 1) * (1 + 3 * m)] for i in range(n)]
+        assert [row[0] for row in rows] == [0] * n
+        fills = ["#" + row[1 + 3 * j:4 + 3 * j].hex() for row in rows for j in range(m)]
+        assert fills == dtw_heatmap_cells_oracle(g.tolist())
 
-    @pytest.mark.parametrize("case", ["banded", "unbanded", "all-zero", "half-way ties"])
+    @pytest.mark.parametrize("case", ["banded", "unbanded", "all-zero", "half-way ties",
+                                      "1x1", "all-inf", "160x160"])
     def test_dtw_figure_cells_match_ramp_bytes(self, case):
         rng = np.random.default_rng(52)
         x, y = rng.normal(size=52).cumsum(), rng.normal(size=53).cumsum()
@@ -260,12 +275,15 @@ class TestSvg:
         elif case == "half-way ties":
             # v = k / 478 puts the red channel exactly on .5 for 236 cells.
             g = np.minimum(np.arange(480.0), 478.0).reshape(20, 24)
-        assert (case == "banded") == bool(np.isinf(g).any())
-        text = self._check_heatmap(g, res.path.steps, (x, y))
-        if case != "half-way ties":
-            # Equal neighbours share one <rect>, as in the grey band and the
-            # flat matrix.
-            assert text.count("<rect") < g.size
+        elif case == "1x1":
+            g = np.array([[3.5]])
+        elif case == "all-inf":
+            g = np.full((5, 4), np.inf)
+        elif case == "160x160":
+            # 160 scanlines of 481 bytes: 76,960 raw bytes, two stored blocks.
+            g = rng.uniform(0.0, 100.0, size=(160, 160))
+        assert (case in ("banded", "all-inf")) == bool(np.isinf(g).any())
+        self._check_heatmap(g, res.path.steps, (x, y))
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
