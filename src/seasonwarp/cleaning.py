@@ -87,39 +87,6 @@ class CleaningReport:
     clamped_weeks: tuple[WeekKey, ...] = field(default_factory=tuple)
     winsorized: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "variable": self.variable.value,
-            "interpolated_weeks": [[w.iso_year, w.iso_week] for w in self.interpolated_weeks],
-            "outlier_weeks": [
-                {
-                    "week": [o.week.iso_year, o.week.iso_week],
-                    "value": o.value,
-                    "fence_violated": o.fence_violated.value,
-                }
-                for o in self.outlier_weeks
-            ],
-            "missing_fraction": self.missing_fraction,
-            "clamped_weeks": [[w.iso_year, w.iso_week] for w in self.clamped_weeks],
-            "winsorized": self.winsorized,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CleaningReport":
-        return cls(
-            variable=Variable(d["variable"]),
-            interpolated_weeks=tuple(WeekKey(y, w) for y, w in d["interpolated_weeks"]),
-            outlier_weeks=tuple(
-                OutlierWeek(
-                    WeekKey(o["week"][0], o["week"][1]), o["value"], Fence(o["fence_violated"])
-                )
-                for o in d["outlier_weeks"]
-            ),
-            missing_fraction=d["missing_fraction"],
-            clamped_weeks=tuple(WeekKey(y, w) for y, w in d["clamped_weeks"]),
-            winsorized=d["winsorized"],
-        )
-
 
 def _parse_cell(raw: str, column: str, line_no: int) -> float:
     raw = raw.strip()

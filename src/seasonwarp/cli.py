@@ -32,7 +32,6 @@ from .dtw import (
     DtwOptions,
     Normalization,
     PairSet,
-    local_distance_matrix,
     rank_pairs,
 )
 from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
@@ -365,7 +364,7 @@ def _clean_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _O
         if "csv" in formats:
             files[f"cleaned_{var.value}.csv"] = series_csv(dense)
         if "json" in formats:
-            files[f"cleaning_{var.value}.json"] = to_json(report.to_dict())
+            files[f"cleaning_{var.value}.json"] = to_json(report)
     return {var.value: report for var, (_, report) in cleaned.items()}
 
 
@@ -387,11 +386,7 @@ def _stats_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _O
     if Variable.MODAL_PRICE in cleaned:
         adf = _adf_on_log_price(cleaned[Variable.MODAL_PRICE][0])
     if "json" in formats:
-        payload = {
-            "summaries": {k: s.to_dict() for k, s in sorted(summaries.items())},
-            "adf_log_price_diff": None if adf is None else adf.to_dict(),
-        }
-        files["stats.json"] = to_json(payload)
+        files["stats.json"] = to_json({"summaries": summaries, "adf_log_price_diff": adf})
     if "csv" in formats:
         files["stats.csv"] = stats_csv(summaries, adf)
     return summaries, adf
@@ -419,9 +414,7 @@ def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str], files:
     method = "moving-average" if getattr(args, "detrend", None) == "moving-average" else "weekly-mean"
     tables = {var.value: seasonal_index(dense, method) for var, (dense, _) in cleaned.items()}
     if "json" in formats:
-        files["seasonal.json"] = to_json(
-            {"tables": {k: t.to_dict() for k, t in sorted(tables.items())}}
-        )
+        files["seasonal.json"] = to_json({"tables": tables})
     if "csv" in formats:
         for name, t in tables.items():
             files[f"seasonal_{name}.csv"] = seasonal_csv(t)
@@ -488,15 +481,15 @@ def _dtw_variable_outputs(
     options = _dtw_options(args)
     pairs = _year_pairs(args, dense)
     years = sorted({year for pair in pairs for year in pair})
-    pair_set = PairSet({year: slice_year(dense, year).values for year in years}, pairs, options)
+    pair_set = PairSet({year: slice_year(dense, year) for year in years}, pairs, options)
     unbanded_ranks = None if options.band_radius is None else pair_set.unbanded_ranks()
     results = []
-    for (y1, y2), (result, g) in zip(pairs, pair_set.alignments()):
+    for (y1, y2), (result, d, g) in zip(pairs, pair_set.alignments()):
         results.append(((y1, y2), result))
         stem = f"dtw_{var}_{y1}-{y2}"
         if "json" in formats:
             files[f"{stem}.json"] = to_json(
-                {"variable": var, "year_pair": [y1, y2], "result": result.to_dict()}
+                {"variable": var, "year_pair": [y1, y2], "result": result}
             )
         if "svg" in formats:
             files[f"{stem}.svg"] = dtw_figure(
@@ -516,14 +509,13 @@ def _dtw_variable_outputs(
                 },
             )
         if getattr(args, "dump_matrices", False):
-            d = local_distance_matrix(pair_set.aligned[y1], pair_set.aligned[y2])
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
     ranking = rank_pairs(results)
     payload = {
         "variable": var,
         "band_radius": options.band_radius,
-        "ranking": ranking.to_dict(),
+        "ranking": ranking,
     }
     if unbanded_ranks is not None:
         payload["rank_order_vs_unbanded"] = {
@@ -588,7 +580,7 @@ def _report_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _
         for var, (dense, _) in cleaned.items():
             files[f"series_{var.value}.svg"] = _series_svg(dense)
     if "json" in formats:
-        files["bundle.json"] = to_json(bundle.to_dict())
+        files["bundle.json"] = to_json(bundle)
     return bundle
 
 

@@ -121,27 +121,6 @@ class DescriptiveSummary:
     jarque_bera: float
     jarque_bera_p: float
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "cv_percent": self.cv_percent,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "minimum": self.minimum,
-            "p25": self.p25,
-            "median": self.median,
-            "p75": self.p75,
-            "maximum": self.maximum,
-            "jarque_bera": self.jarque_bera,
-            "jarque_bera_p": self.jarque_bera_p,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DescriptiveSummary":
-        return cls(**d)
-
 
 def describe(data) -> DescriptiveSummary:
     """Full summary of a series or raw values.

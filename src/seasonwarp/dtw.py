@@ -54,15 +54,6 @@ class DtwOptions:
             "normalize_input": self.normalize_input.value,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DtwOptions":
-        if d["local_metric"] != "absolute":
-            raise ValueError(f"local_metric must be 'absolute', got {d['local_metric']!r}")
-        return cls(
-            band_radius=d["band_radius"],
-            normalize_input=Normalization(d["normalize_input"]),
-        )
-
 
 @dataclass(frozen=True)
 class WarpPath:
@@ -111,26 +102,6 @@ class DtwResult:
             "path_length": self.path_length,
             "options": self.options.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DtwResult":
-        """Rebuild a result from its JSON form, rejecting a payload whose
-        ``path_length`` or ``mean_cost`` disagrees with its path."""
-        result = cls(
-            total_cost=d["total_cost"],
-            path=WarpPath(tuple((i, j) for i, j in d["path"])),
-            options=DtwOptions.from_dict(d["options"]),
-        )
-        k = result.path_length
-        if d["path_length"] != k:
-            raise ValueError(f"path_length {d['path_length']} != |path| {k}")
-        expected = result.mean_cost
-        if abs(d["mean_cost"] - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"mean_cost {d['mean_cost']} inconsistent with "
-                f"total_cost/path_length = {expected}"
-            )
-        return result
 
 
 def mean_cost(total_cost: float, path_length: int) -> float:
@@ -281,37 +252,39 @@ class PairSet:
                     self.aligned[key] = _aligned(sequences[key], options)
             _check_pair(self.aligned[a], self.aligned[b], options.band_radius)
 
-    def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray]]:
-        """Each pair's result and cumulative-cost matrix g, in pair order, as
-        ``dtw_align`` would compute them, with one ``backtrack`` per pair."""
-        for g in self._costs(self.pairs, self.options.band_radius):
-            yield _result(g, self.options), g
+    def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray, np.ndarray]]:
+        """Each pair's result, local-distance matrix d and cumulative-cost
+        matrix g, in pair order, as ``dtw_align`` would compute them, with one
+        ``backtrack`` per pair."""
+        for d, g in self._costs(self.pairs, self.options.band_radius):
+            yield _result(g, self.options), d, g
 
     def unbanded_ranks(self) -> tuple[int, ...]:
         """The ranks ``rank_pairs`` gives the pairs' unbanded alignments,
         read from their corner costs.  Only the pairs whose total ties
         another's are backtracked, in a second sweep over them alone, for
         the mean cost that breaks the tie."""
-        totals = [float(g[-1, -1]) for g in self._costs(self.pairs, None)]
+        totals = [float(g[-1, -1]) for _, g in self._costs(self.pairs, None)]
         count = Counter(totals)
         tied = [p for p, total in enumerate(totals) if count[total] > 1]
         tied_costs = self._costs([self.pairs[p] for p in tied], None)
-        means = {p: mean_cost(totals[p], len(backtrack(g))) for p, g in zip(tied, tied_costs)}
+        means = {p: mean_cost(totals[p], len(backtrack(g))) for p, (_, g) in zip(tied, tied_costs)}
         # A total nothing ties is never compared on its mean.
         return tuple(_ranks([(total, means.get(p, 0.0), pair)
                              for p, (total, pair) in enumerate(zip(totals, self.pairs))]))
 
     def _costs(
         self, pairs: Sequence[tuple[Hashable, Hashable]], band_radius: int | None
-    ) -> Iterator[np.ndarray]:
-        """The pairs' cumulative-cost matrices, swept in even chunks of at
-        most ``BATCH_PAIRS`` as they are read.  A chunk's matrices are views
-        into one array that is freed once none of them is held."""
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each pair's local-distance and cumulative-cost matrices (d, g),
+        swept in even chunks of at most ``BATCH_PAIRS`` as they are read.  A
+        chunk's g matrices are views into one array that is freed once none
+        of them is held."""
         chunks = -(-len(pairs) // BATCH_PAIRS)
         for c in range(chunks):
             chunk = pairs[len(pairs) * c // chunks : len(pairs) * (c + 1) // chunks]
-            yield from _sweep([local_distance_matrix(self.aligned[a], self.aligned[b])
-                               for a, b in chunk], band_radius)
+            ds = [local_distance_matrix(self.aligned[a], self.aligned[b]) for a, b in chunk]
+            yield from zip(ds, _sweep(ds, band_radius))
 
 
 def _sweep(ds: Sequence[np.ndarray], band_radius: int | None) -> list[np.ndarray]:
@@ -379,35 +352,6 @@ class PairRanking:
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(e.rank for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "year_pair": list(e.year_pair),
-                    "total_cost": e.total_cost,
-                    "mean_cost": e.mean_cost,
-                    "path_length": e.path_length,
-                    "rank": e.rank,
-                }
-                for e in self.entries
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PairRanking":
-        return cls(
-            entries=tuple(
-                RankedPair(
-                    (e["year_pair"][0], e["year_pair"][1]),
-                    e["total_cost"],
-                    e["mean_cost"],
-                    e["path_length"],
-                    e["rank"],
-                )
-                for e in d["entries"]
-            )
-        )
 
 
 def rank_summaries(

@@ -10,18 +10,41 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .cleaning import CleaningReport
 from .descriptive import DescriptiveSummary
 from .dtw import PairRanking
 from .seasonal import SeasonalIndexTable
-from .series import FLAGS, WeeklySeries
+from .series import FLAGS, WeekKey, WeeklySeries
 from .unitroot import AdfResult
 
 
-def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def to_json(payload) -> str:
+    """``payload`` as JSON by one rule: a `WeekKey` is ``[iso_year, iso_week]``,
+    a record with a ``to_dict`` is that dict, and any other dataclass is its
+    fields.  Keys are sorted, so field order never reaches the bytes."""
+    return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _plain(value):
+    """``value`` with every record replaced by its JSON form.  Done before
+    encoding, not as the encoder's ``default``: each object ``default``
+    converts nests the encoder's generators two levels deeper, and every
+    line of a DTW path then passes through both."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, WeekKey):
+        return [value.iso_year, value.iso_week]
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -40,35 +63,6 @@ class AnalysisBundle:
     seasonal: dict[str, SeasonalIndexTable]
     dtw: dict[str, PairRanking]
     adf_log_price_diff: AdfResult | None
-
-    def to_dict(self) -> dict:
-        return {
-            "cleaning": {k: v.to_dict() for k, v in sorted(self.cleaning.items())},
-            "summaries": {k: v.to_dict() for k, v in sorted(self.summaries.items())},
-            "seasonal": {k: v.to_dict() for k, v in sorted(self.seasonal.items())},
-            "dtw": {k: v.to_dict() for k, v in sorted(self.dtw.items())},
-            "adf_log_price_diff": (
-                None if self.adf_log_price_diff is None else self.adf_log_price_diff.to_dict()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisBundle":
-        return cls(
-            cleaning={k: CleaningReport.from_dict(v) for k, v in d["cleaning"].items()},
-            summaries={
-                k: DescriptiveSummary.from_dict(v) for k, v in d["summaries"].items()
-            },
-            seasonal={
-                k: SeasonalIndexTable.from_dict(v) for k, v in d["seasonal"].items()
-            },
-            dtw={k: PairRanking.from_dict(v) for k, v in d["dtw"].items()},
-            adf_log_price_diff=(
-                None
-                if d["adf_log_price_diff"] is None
-                else AdfResult.from_dict(d["adf_log_price_diff"])
-            ),
-        )
 
 
 _STAT_ROWS = (

@@ -52,27 +52,6 @@ class SeasonalIndexTable:
         if weeks != sorted(set(weeks)):
             raise ValueError("entries must be strictly increasing in iso_week")
 
-    def to_dict(self) -> dict:
-        return {
-            "variable": self.variable.value,
-            "method": self.method,
-            "entries": [
-                {"iso_week": e.iso_week, "index": e.index, "support": e.support}
-                for e in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeasonalIndexTable":
-        return cls(
-            variable=Variable(d["variable"]),
-            method=d["method"],
-            entries=tuple(
-                WeekIndexEntry(e["iso_week"], e["index"], e["support"])
-                for e in d["entries"]
-            ),
-        )
-
 
 def _complete_years(series: WeeklySeries) -> list[int]:
     years = complete_years(series)

@@ -210,22 +210,6 @@ class WeeklySeries:
         return _week_days(self.numbers, 7)
 
 
-@dataclass(frozen=True)
-class YearSlice:
-    """All values of one ISO year in week order (length 52 or 53)."""
-
-    iso_year: int
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        expected = weeks_in_iso_year(self.iso_year)
-        if len(self.values) != expected:
-            raise ValueError(
-                f"ISO year {self.iso_year} has {expected} weeks, "
-                f"got {len(self.values)} values"
-            )
-
-
 def build_weekly_series(table: MarketTable, variable: Variable) -> WeeklySeries:
     """Sorted Observed-flagged series for one variable.
 
@@ -244,8 +228,9 @@ def build_weekly_series(table: MarketTable, variable: Variable) -> WeeklySeries:
     return WeeklySeries(variable, weeks, values[present][order])
 
 
-def slice_year(series: WeeklySeries, iso_year: int) -> YearSlice:
-    """Exactly the year's 52/53 values in week order.
+def slice_year(series: WeeklySeries, iso_year: int) -> np.ndarray:
+    """Exactly the year's 52/53 values in week order, as a read-only view
+    into the series.
 
     The series must cover every ISO week of the year (clean first).
     """
@@ -259,7 +244,7 @@ def slice_year(series: WeeklySeries, iso_year: int) -> YearSlice:
             f"ISO year {iso_year} incomplete in series; missing weeks: "
             + ", ".join(str(w) for w in missing)
         )
-    return YearSlice(iso_year, tuple(series.values()[lo:hi].tolist()))
+    return series.values()[lo:hi]
 
 
 def complete_years(series: WeeklySeries) -> list[int]:

@@ -87,19 +87,6 @@ class AdfResult:
     def reject_at_5pct(self) -> bool:
         return self.pvalue < 0.05
 
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "pvalue": self.pvalue,
-            "used_lag": self.used_lag,
-            "nobs": self.nobs,
-            "regression": self.regression,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdfResult":
-        return cls(**d)
-
 
 def _ols_tstat0(x: np.ndarray, y: np.ndarray) -> float:
     """t-stat of the first coefficient of an OLS fit of y on x."""

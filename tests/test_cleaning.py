@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ import seasonwarp.series
 from seasonwarp.cleaning import (
     ColumnSchema,
     Fence,
-    CleaningReport,
     clean_series,
     find_missing_weeks,
     iqr_outliers,
@@ -32,6 +32,7 @@ from seasonwarp.errors import (
     InsufficientDataError,
     SchemaError,
 )
+from seasonwarp.report import to_json
 from seasonwarp.series import (
     FLAGS,
     PointFlag,
@@ -553,9 +554,16 @@ class TestCleanSeries:
         assert _flags(cleaned)[WeekKey(2021, 7)] is PointFlag.INTERPOLATED
 
     def test_report_roundtrip(self):
+        # The JSON form is the report's fields, weeks as [iso_year, iso_week].
         _, report = clean_series(self._gappy_series_with_spike(), winsorize=True)
-        again = CleaningReport.from_dict(report.to_dict())
-        assert again == report
+        assert json.loads(to_json(report)) == {
+            "variable": "arrivals",
+            "interpolated_weeks": [[2021, 7]],
+            "outlier_weeks": [{"week": [2021, 20], "value": 5000.0, "fence_violated": "high"}],
+            "missing_fraction": 1 / 26,
+            "clamped_weeks": [],
+            "winsorized": True,
+        }
 
 
 class TestFixtureCleaning:

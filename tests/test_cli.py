@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 from _oracles import cumulative_cost_oracle
 import seasonwarp.cli
 import seasonwarp.dtw
-from seasonwarp.cleaning import CleaningReport
 from seasonwarp.cli import main
-from seasonwarp.dtw import DtwResult, PairRanking
-from seasonwarp.report import AnalysisBundle
-from seasonwarp.seasonal import SeasonalIndexTable
+from seasonwarp.report import matrix_csv, to_json
+from seasonwarp.series import Variable, slice_year
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +37,10 @@ def _run(*argv):
 
 def _read_json(path: Path):
     return json.loads(path.read_text())
+
+
+def _ranking_entries(out: Path, var: str) -> list[dict]:
+    return _read_json(out / f"dtw_ranking_{var}.json")["ranking"]["entries"]
 
 
 def _tree(out: Path) -> dict[str, bytes]:
@@ -80,12 +82,10 @@ class TestCleanCommand:
         ]
 
     def test_cleaning_report_roundtrips(self, tmp_path, fixture_csv, cleaned42):
-        from seasonwarp.series import Variable
-
         out = tmp_path / "o"
         _run("clean", "--input", str(fixture_csv), "--out-dir", str(out))
-        report = CleaningReport.from_dict(_read_json(out / "cleaning_arrivals.json"))
-        assert report == cleaned42[Variable.ARRIVALS][1]
+        report = cleaned42[Variable.ARRIVALS][1]
+        assert _read_json(out / "cleaning_arrivals.json") == json.loads(to_json(report))
 
     def test_cleaned_csv_is_dense(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -122,8 +122,7 @@ class TestCleanCommand:
             return max(float(r[3]) for r in rows[1:])
 
         assert col_max(wins / "cleaned_arrivals.csv") < col_max(plain / "cleaned_arrivals.csv")
-        report = CleaningReport.from_dict(_read_json(wins / "cleaning_arrivals.json"))
-        assert report.winsorized
+        assert _read_json(wins / "cleaning_arrivals.json")["winsorized"] is True
 
     def test_years_filter(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -245,9 +244,9 @@ class TestSeasonalCommand:
             "seasonal_modal_price.csv",
         ]
         payload = _read_json(out / "seasonal.json")
-        table = SeasonalIndexTable.from_dict(payload["tables"]["arrivals"])
-        assert table.method == "weekly-mean"
-        assert len(table.entries) == 53
+        table = payload["tables"]["arrivals"]
+        assert table["method"] == "weekly-mean"
+        assert len(table["entries"]) == 53
 
     def test_moving_average_detrend(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -464,11 +463,8 @@ class TestDtwCommand:
         assert "dtw_modal_price_2020-2021.json" in names
         assert "dtw_modal_price_2022-2023.svg" in names
         assert "dtw_ranking_modal_price.json" in names
-        ranking = PairRanking.from_dict(
-            _read_json(out / "dtw_ranking_modal_price.json")["ranking"]
-        )
-        assert len(ranking.entries) == 3
-        assert sorted(ranking.ranks()) == [1, 2, 3]
+        entries = _ranking_entries(out, "modal_price")
+        assert sorted(e["rank"] for e in entries) == [1, 2, 3]
 
     def test_result_json_roundtrips(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -487,9 +483,11 @@ class TestDtwCommand:
         # The warped pair is the path applied to the inputs: not written.
         assert set(payload["result"]) == {
             "total_cost", "mean_cost", "path", "path_length", "options"}
-        result = DtwResult.from_dict(payload["result"])
-        assert result.path.steps[0] == (1, 1)
-        assert result.path.end == (53, 52)
+        result = payload["result"]
+        assert result["path"][0] == [1, 1]
+        assert result["path"][-1] == [53, 52]
+        assert result["path_length"] == len(result["path"])
+        assert result["mean_cost"] == result["total_cost"] / result["path_length"]
 
     def test_all_pairs(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -508,10 +506,7 @@ class TestDtwCommand:
             )
             == 0
         )
-        ranking = PairRanking.from_dict(
-            _read_json(out / "dtw_ranking_modal_price.json")["ranking"]
-        )
-        assert len(ranking.entries) == 6
+        assert len(_ranking_entries(out, "modal_price")) == 6
 
     def test_band_reports_rank_agreement(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -534,8 +529,7 @@ class TestDtwCommand:
         payload = _read_json(out / "dtw_ranking_modal_price.json")
         assert payload["band_radius"] == 4
         assert payload["rank_order_vs_unbanded"]["changed"] is False
-        ranking = PairRanking.from_dict(payload["ranking"])
-        assert ranking.ranks() == (3, 1, 2)
+        assert [e["rank"] for e in payload["ranking"]["entries"]] == [3, 1, 2]
 
     def test_dump_matrices(self, tmp_path, fixture_csv):
         out = tmp_path / "o"
@@ -557,6 +551,31 @@ class TestDtwCommand:
         local = (out / "dtw_modal_price_2020-2021_local.csv").read_text()
         rows = list(csv.reader(io.StringIO(local)))
         assert len(rows) == 53 and len(rows[0]) == 52
+
+    def test_dumped_distances_are_the_swept_ones(
+        self, tmp_path, fixture_csv, cleaned42, monkeypatch
+    ):
+        dtw = seasonwarp.dtw
+        local_distance_matrix, built = dtw.local_distance_matrix, []
+
+        def counting_local_distance_matrix(x, y):
+            built.append((len(x), len(y)))
+            return local_distance_matrix(x, y)
+
+        monkeypatch.setattr(dtw, "local_distance_matrix", counting_local_distance_matrix)
+        out = tmp_path / "o"
+        code = _run("dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
+                    "--dump-matrices", "--format", "json", "--out-dir", str(out))
+        assert code == 0
+        # Per variable: 4 years, 6 pairs; each pair's distances are built
+        # once, for the sweep, and the dumped matrix is that one.
+        n_pairs = sum(len(_ranking_entries(out, var)) for var in ("arrivals", "modal_price"))
+        assert n_pairs == 12
+        assert len(built) == n_pairs
+        series, _ = cleaned42[Variable.MODAL_PRICE]
+        x, y = (slice_year(series, year) for year in (2021, 2023))
+        assert (out / "dtw_modal_price_2021-2023_local.csv").read_bytes() == matrix_csv(
+            np.abs(np.subtract.outer(x, y))).encode()
 
     def test_each_slice_and_cost_matrix_built_once(self, tmp_path, fixture_csv, monkeypatch):
         dtw = seasonwarp.dtw
@@ -603,7 +622,7 @@ class TestDtwCommand:
         assert len(backtracks) == 12
         assert len(figures) == 12
         for var, (y1, y2), g in figures:
-            x, y = (dtw.zscore(slices[var, year].values) for year in (y1, y2))
+            x, y = (dtw.zscore(slices[var, year]) for year in (y1, y2))
             expected = cumulative_cost_oracle(np.abs(np.subtract.outer(x, y)), 4)
             assert g.tobytes() == expected.tobytes()
 
@@ -620,9 +639,7 @@ class TestDtwCommand:
                     "--normalize", "zscore", "--format", "json", "--out-dir", str(out))
         assert code == 0
         n_slices = sum(
-            len({year for e in PairRanking.from_dict(
-                _read_json(out / f"dtw_ranking_{var}.json")["ranking"]).entries
-                for year in e.year_pair})
+            len({year for e in _ranking_entries(out, var) for year in e["year_pair"]})
             for var in ("arrivals", "modal_price")
         )
         assert n_slices == 30
@@ -661,10 +678,7 @@ class TestDtwCommand:
         )
         assert code == 0
         assert "2019" in capsys.readouterr().err
-        ranking = PairRanking.from_dict(
-            _read_json(out / "dtw_ranking_modal_price.json")["ranking"]
-        )
-        assert [e.year_pair for e in ranking.entries] == [(2020, 2021)]
+        assert [e["year_pair"] for e in _ranking_entries(out, "modal_price")] == [[2020, 2021]]
 
 
 class TestReportAll:
@@ -690,9 +704,9 @@ class TestReportAll:
     def test_bundle_roundtrips(self, tmp_path):
         out = tmp_path / "o"
         _run("report-all", "--out-dir", str(out))
-        bundle = AnalysisBundle.from_dict(_read_json(out / "bundle.json"))
-        assert set(bundle.summaries) == {"arrivals", "modal_price"}
-        assert bundle.adf_log_price_diff is not None
+        bundle = _read_json(out / "bundle.json")
+        assert set(bundle["summaries"]) == {"arrivals", "modal_price"}
+        assert bundle["adf_log_price_diff"] is not None
 
     @pytest.mark.parametrize(
         "data_opts, dtw_opts",
@@ -736,8 +750,7 @@ class TestReportAll:
                     "--format", "json", "--out-dir", str(out))
         assert code == 0
         pairs = [
-            [e.year_pair for e in PairRanking.from_dict(
-                _read_json(out / f"dtw_ranking_{var}.json")["ranking"]).entries]
+            [e["year_pair"] for e in _ranking_entries(out, var)]
             for var in ("arrivals", "modal_price")
         ]
         n_pairs = sum(len(p) for p in pairs)

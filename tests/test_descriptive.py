@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 
 from _oracles import moments_oracle, quantile_oracle
 from seasonwarp.descriptive import (
-    DescriptiveSummary,
     describe,
     jarque_bera,
     moments,
     quantile,
 )
 from seasonwarp.errors import DegenerateDataError, InsufficientDataError
+from seasonwarp.report import to_json
 from seasonwarp.series import Variable
 
 
@@ -170,7 +171,21 @@ class TestDescribe:
     def test_roundtrip(self):
         rng = np.random.default_rng(9)
         s = describe(rng.normal(50, 5, size=64))
-        assert DescriptiveSummary.from_dict(s.to_dict()) == s
+        assert json.loads(to_json(s)) == {
+            "count": 64,
+            "mean": s.mean,
+            "std": s.std,
+            "cv_percent": s.cv_percent,
+            "skewness": s.skewness,
+            "excess_kurtosis": s.excess_kurtosis,
+            "minimum": s.minimum,
+            "p25": s.p25,
+            "median": s.median,
+            "p75": s.p75,
+            "maximum": s.maximum,
+            "jarque_bera": s.jarque_bera,
+            "jarque_bera_p": s.jarque_bera_p,
+        }
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateDataError):

@@ -52,8 +52,8 @@ def bundle42(cleaned42):
         opts = DtwOptions(normalize_input=Normalization.ZSCORE)
         results = []
         for y0, y1 in [(2020, 2021), (2021, 2022)]:
-            a = slice_year(series, y0).values
-            b = slice_year(series, y1).values
+            a = slice_year(series, y0)
+            b = slice_year(series, y1)
             results.append(((y0, y1), dtw_align(a, b, opts)))
         dtw[var.value] = rank_pairs(results)
     prices, _ = cleaned42[Variable.MODAL_PRICE]
@@ -69,12 +69,24 @@ class TestJson:
         assert json.loads(s) == {"b": 1, "a": {"d": 2, "c": 3}}
 
     def test_bundle_roundtrip(self, bundle42):
-        text = to_json(bundle42.to_dict())
-        again = AnalysisBundle.from_dict(json.loads(text))
-        assert again == bundle42
+        # The bundle is its fields, each record in its own JSON form.
+        payload = json.loads(to_json(bundle42))
+        assert payload == {
+            "cleaning": {k: json.loads(to_json(v)) for k, v in bundle42.cleaning.items()},
+            "summaries": {k: json.loads(to_json(v)) for k, v in bundle42.summaries.items()},
+            "seasonal": {k: json.loads(to_json(v)) for k, v in bundle42.seasonal.items()},
+            "dtw": {k: json.loads(to_json(v)) for k, v in bundle42.dtw.items()},
+            "adf_log_price_diff": json.loads(to_json(bundle42.adf_log_price_diff)),
+        }
+        assert set(payload["cleaning"]) == {"arrivals", "modal_price"}
+        assert payload["adf_log_price_diff"]["regression"] == "c"
 
     def test_deterministic_bytes(self, bundle42):
-        assert to_json(bundle42.to_dict()) == to_json(bundle42.to_dict())
+        assert to_json(bundle42) == to_json(bundle42)
+
+    def test_other_objects_rejected(self):
+        with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+            to_json({"values": np.zeros(2)})
 
 
 def _parse_csv(text):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from _oracles import seasonal_oracle, weeks_of
 from seasonwarp.errors import InsufficientDataError
+from seasonwarp.report import to_json
 from seasonwarp.seasonal import (
     SeasonalIndexTable,
     WeekIndexEntry,
@@ -168,7 +170,14 @@ class TestTableValidation:
     def test_roundtrip(self, cleaned42):
         series, _ = cleaned42[Variable.MODAL_PRICE]
         table = seasonal_index(series)
-        assert SeasonalIndexTable.from_dict(table.to_dict()) == table
+        assert json.loads(to_json(table)) == {
+            "variable": "modal_price",
+            "method": "weekly-mean",
+            "entries": [
+                {"iso_week": e.iso_week, "index": e.index, "support": e.support}
+                for e in table.entries
+            ],
+        }
 
 
 class TestFixtureSeasonality:
