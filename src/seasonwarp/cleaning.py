@@ -188,8 +188,9 @@ def parse_market_csv(
 
     Blank value cells read as NaN, which become gaps when a per-variable
     series is built; fully blank lines are skipped.  Each row must have as
-    many fields as the header.  A row that breaks a rule is reported with its
-    1-based line number (header = line 1, blank lines not counted).
+    many fields as the header.  A row that breaks a rule is reported with the
+    1-based number of the physical line it ends on (`csv.reader.line_num`:
+    header = line 1, blank lines and line breaks inside quoted fields count).
 
     Every cell is read in one vectorised pass.  Only the rows that pass
     rejects go through the per-row rule (`_parse_row`), in file order; it
@@ -223,8 +224,13 @@ def parse_market_csv(
     weeks, ok = _dates(columns[cols[0]], schema.date_format)
     arrivals, arrivals_ok = _cells(columns[cols[1]])
     prices, prices_ok = _cells(columns[cols[2]])
-    for i in np.flatnonzero(~(shaped & ok & arrivals_ok & prices_ok)).tolist():
-        weeks[i], arrivals[i], prices[i] = _parse_row(rows[i], i + 2, width, cols, schema)
+    rejected = np.flatnonzero(~(shaped & ok & arrivals_ok & prices_ok)).tolist()
+    if rejected:  # read again for physical line numbers, only when a row needs one
+        reader = csv.reader(io.StringIO(text))
+        next(reader)
+        lines = [reader.line_num for row in reader if row]
+    for i in rejected:
+        weeks[i], arrivals[i], prices[i] = _parse_row(rows[i], lines[i], width, cols, schema)
     return MarketTable(weeks, arrivals, prices)
 
 
@@ -357,10 +363,7 @@ def iqr_outliers(
     rule as the descriptive summaries.
     """
     v = np.asarray(values, dtype=float)
-    lo, hi = _iqr_fences(v, k)
-    low = v < lo
-    flagged = np.flatnonzero(low | (v > hi))
-    return [(int(i), Fence.LOW if low[i] else Fence.HIGH) for i in flagged]
+    return _outside(v, *_iqr_fences(v, k))
 
 
 def _iqr_fences(v: np.ndarray, k: float) -> tuple[float, float]:
@@ -371,6 +374,13 @@ def _iqr_fences(v: np.ndarray, k: float) -> tuple[float, float]:
     q3 = quantile(v, 0.75)
     iqr = q3 - q1
     return q1 - k * iqr, q3 + k * iqr
+
+
+def _outside(v: np.ndarray, lo: float, hi: float) -> list[tuple[int, Fence]]:
+    """Indices of values strictly outside [lo, hi], each with the fence it crosses."""
+    low = v < lo
+    flagged = np.flatnonzero(low | (v > hi))
+    return [(int(i), Fence.LOW if low[i] else Fence.HIGH) for i in flagged]
 
 
 def clean_series(
@@ -385,13 +395,10 @@ def clean_series(
     """
     dense, report = spline_fill(series)
     observed_values = series.values()
-    flags = iqr_outliers(observed_values, k=k)
+    lo, hi = _iqr_fences(observed_values, k)
+    flags = _outside(observed_values, lo, hi)
     if not flags:
         return dense, report
-    if winsorize:
-        lo, hi = _iqr_fences(observed_values, k)
-        fence_value = {Fence.LOW: lo, Fence.HIGH: hi}
-
     first = int(dense.numbers[0])
     values = dense.values().copy()
     codes = dense.flags.copy()
@@ -401,7 +408,7 @@ def clean_series(
         outliers.append(OutlierWeek(WeekKey.from_number(number), float(observed_values[i]), fence))
         if series.flags[i] == _OBSERVED:
             if winsorize:
-                values[number - first] = fence_value[fence]
+                values[number - first] = lo if fence is Fence.LOW else hi
             codes[number - first] = _OUTLIER_RETAINED
     report = replace(report, outlier_weeks=tuple(outliers), winsorized=winsorize)
     return WeeklySeries(dense.variable, dense.numbers, values, codes), report

@@ -23,6 +23,7 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -67,53 +68,67 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    def error(self, message: str) -> NoReturn:  # one stderr line and exit 1, not argparse's 2
+        raise UsageError(message)
 
 
-_BOOL_DESTS = {"winsorize", "all_pairs", "force", "dump_matrices"}
-_INT_DESTS = {"band", "seed"}
+def _years(text: str) -> tuple[int, int]:
+    parts = text.split("..")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"--years expects A..B, got {text!r}")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"--years expects integer years, got {text!r}") from None
+    if a > b:
+        raise argparse.ArgumentTypeError(f"--years range is reversed: {text!r}")
+    return a, b
 
-_DEFAULTS = {
-    "variable": "both",
-    "date_col": "date",
-    "arrivals_col": "arrivals",
-    "price_col": "modal_price",
-    "date_format": "iso",
-    "seed": 42,
-}
-_FORMAT_DEFAULTS = {
-    "clean": "json,csv",
-    "stats": "json,csv",
-    "seasonal": "json,csv,svg",
-    "dtw": "json,csv,svg",
-    "report-all": "json,csv,svg",
-}
+
+def _formats(text: str) -> set[str]:
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    bad = [t for t in tokens if t not in FORMATS]
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown output format(s): {', '.join(bad)}")
+    if not tokens:
+        raise argparse.ArgumentTypeError("--format needs at least one of json,csv,svg")
+    return set(tokens)
 
 
 def _add_common(sp: argparse.ArgumentParser, *, with_input: bool) -> None:
     if with_input:
-        sp.add_argument("--input", default=None, help="input CSV path")
-    sp.add_argument("--out-dir", dest="out_dir", default=None, help="output directory")
-    sp.add_argument("--force", action="store_true", default=None,
-                    help="overwrite existing output files")
-    sp.add_argument("--config", default=None,
-                    help="key=value config file; command-line flags win")
+        sp.add_argument("--input", help="input CSV path")
+    sp.add_argument("--out-dir", help="output directory")
+    sp.add_argument("--force", action="store_true", help="overwrite existing output files")
+    sp.add_argument("--config",
+                    help="file of key = value lines, each read as the flag --key; "
+                         "command-line flags win")
 
 
-def _add_data_opts(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--variable", choices=("arrivals", "price", "both"), default=None)
-    sp.add_argument("--years", default=None, metavar="A..B",
+def _add_data_opts(sp: argparse.ArgumentParser, formats: str) -> None:
+    sp.add_argument("--variable", choices=("arrivals", "price", "both"), default="both")
+    sp.add_argument("--years", type=_years, metavar="A..B",
                     help="restrict to ISO years A through B")
-    sp.add_argument("--winsorize", action="store_true", default=None,
+    sp.add_argument("--winsorize", action="store_true",
                     help="clamp flagged outliers to the IQR fences")
-    sp.add_argument("--date-col", dest="date_col", default=None)
-    sp.add_argument("--arrivals-col", dest="arrivals_col", default=None)
-    sp.add_argument("--price-col", dest="price_col", default=None)
-    sp.add_argument("--date-format", dest="date_format", choices=("iso", "dmy"), default=None)
-    sp.add_argument("--format", dest="formats", default=None,
-                    help="comma-separated subset of json,csv,svg")
+    sp.add_argument("--date-col", default="date")
+    sp.add_argument("--arrivals-col", default="arrivals")
+    sp.add_argument("--price-col", default="modal_price")
+    sp.add_argument("--date-format", choices=("iso", "dmy"), default="iso")
+    sp.add_argument("--format", dest="formats", type=_formats, default=formats,
+                    help=f"comma-separated subset of json,csv,svg (default: {formats})")
+
+
+def _add_dtw_opts(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--band", type=int, metavar="R",
+                    help="Sakoe-Chiba band radius (default: full window)")
+    sp.add_argument("--normalize", choices=("zscore",))
+    sp.add_argument("--all-pairs", action="store_true",
+                    help="align every year pair, not just consecutive ones")
+
+
+def _add_seed(sp: argparse.ArgumentParser, help: str) -> None:
+    sp.add_argument("--seed", type=int, default=42, help=help)
 
 
 def build_parser() -> _Parser:
@@ -122,137 +137,104 @@ def build_parser() -> _Parser:
                                  "seasonal indices, and DTW alignment.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fixture", help="write the synthetic dataset", parents=[])
+    p = sub.add_parser("fixture", help="write the synthetic dataset")
     _add_common(p, with_input=False)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p, "fixture seed")
     p.set_defaults(handler=cmd_fixture)
 
     p = sub.add_parser("clean", help="gap-fill and outlier-flag a CSV")
     _add_common(p, with_input=True)
-    _add_data_opts(p)
+    _add_data_opts(p, "json,csv")
     p.set_defaults(handler=partial(_run_stage, stage=_clean_stage))
 
     p = sub.add_parser("stats", help="descriptive statistics and ADF test")
     _add_common(p, with_input=True)
-    _add_data_opts(p)
+    _add_data_opts(p, "json,csv")
     p.set_defaults(handler=partial(_run_stage, stage=_stats_stage))
 
     p = sub.add_parser("seasonal", help="ISO-week seasonal index tables")
     _add_common(p, with_input=True)
-    _add_data_opts(p)
-    p.add_argument("--detrend", choices=("moving-average",), default=None,
+    _add_data_opts(p, "json,csv,svg")
+    p.add_argument("--detrend", choices=("moving-average",),
                    help="ratio-to-moving-average instead of weekly means")
     p.set_defaults(handler=partial(_run_stage, stage=_seasonal_stage))
 
     p = sub.add_parser("dtw", help="align year pairs by dynamic time warping")
     _add_common(p, with_input=True)
-    _add_data_opts(p)
-    p.add_argument("--band", type=int, default=None, metavar="R",
-                   help="Sakoe-Chiba band radius (default: full window)")
-    p.add_argument("--normalize", choices=("zscore",), default=None)
-    p.add_argument("--all-pairs", dest="all_pairs", action="store_true", default=None,
-                   help="align every year pair, not just consecutive ones")
-    p.add_argument("--dump-matrices", dest="dump_matrices", action="store_true",
-                   default=None, help="also write local/cumulative matrices as CSV")
+    _add_data_opts(p, "json,csv,svg")
+    _add_dtw_opts(p)
+    p.add_argument("--dump-matrices", action="store_true",
+                   help="also write local/cumulative matrices as CSV")
     p.set_defaults(handler=partial(_run_stage, stage=_dtw_stage))
 
     p = sub.add_parser("report-all", help="full pipeline: clean, stats, seasonal, dtw")
     _add_common(p, with_input=True)
-    _add_data_opts(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="fixture seed when --input is omitted")
-    p.add_argument("--band", type=int, default=None, metavar="R")
-    p.add_argument("--normalize", choices=("zscore",), default=None)
-    p.add_argument("--all-pairs", dest="all_pairs", action="store_true", default=None)
+    _add_data_opts(p, "json,csv,svg")
+    _add_seed(p, "fixture seed when --input is omitted")
+    _add_dtw_opts(p)
     p.set_defaults(handler=partial(_run_stage, stage=_report_stage))
 
     return parser
 
 
-def _parse_config_value(dest: str, raw: str):
-    raw = raw.strip()
-    if dest in _BOOL_DESTS:
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {dest!r} expects a boolean, got {raw!r}")
-    if dest in _INT_DESTS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"config key {dest!r} expects an integer, got {raw!r}") from None
-    return raw
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if args.config is None:
-        return
-    path = Path(args.config)
+def _config_flags(parser: _Parser, command: str, path: Path) -> list[str]:
+    """The flags the ``key = value`` lines of a config file name, each line
+    checked on its own against the command's options: ``--key=value``, a
+    bare ``--key`` for a switch set to a true word, nothing for a false one."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(
             f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
         ) from None
+    switches = {dest for dest, value in vars(parser.parse_args([command])).items()
+                if value is False}
+    flags = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
+        key, equals, value = (part.strip() for part in stripped.partition("="))
+        if not (key and equals):
             raise UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest == "format":
-            dest = "formats"
-        if not hasattr(args, dest) or dest in ("handler", "command", "config"):
-            raise UsageError(f"{path}:{line_no}: unknown option {key.strip()!r}")
-        if getattr(args, dest) is None:  # flags override config
-            setattr(args, dest, _parse_config_value(dest, raw))
+        flag = "--" + key.replace("_", "-")
+        if key.replace("-", "_") in switches and value.lower() in _SWITCH_WORDS:
+            line_flags = [flag] if _SWITCH_WORDS[value.lower()] else []
+        else:
+            line_flags = [f"{flag}={value}"]
+        try:
+            named = parser.parse_args([command, *line_flags])
+        except UsageError as exc:
+            raise UsageError(f"{path}:{line_no}: {exc}") from None
+        if named.config is not None:
+            raise UsageError(f"{path}:{line_no}: unknown option {key!r}")
+        flags += line_flags
+    return flags
 
 
-def _resolve(args: argparse.Namespace) -> None:
-    for dest, value in _DEFAULTS.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-    for dest in _BOOL_DESTS:
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, False)
-    if hasattr(args, "formats") and getattr(args, "formats") is None:
-        args.formats = _FORMAT_DEFAULTS[args.command]
-    if getattr(args, "out_dir", None) is None:
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """The command line, with a --config file's flags placed before its own
+    flags, so that the command line wins by argparse's last-one-wins rule."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    at = argv.index(args.command) + 1
+    flags = _config_flags(parser, args.command, Path(args.config))
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
+
+
+def _check(args: argparse.Namespace) -> None:
+    """The rules the option declarations do not state."""
+    if args.out_dir is None:
         raise UsageError("--out-dir is required")
-    if hasattr(args, "band") and args.band is not None and args.band < 0:
+    if getattr(args, "band", None) is not None and args.band < 0:
         raise UsageError(f"--band must be >= 0, got {args.band}")
-    if hasattr(args, "seed") and args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-
-
-def _formats(args: argparse.Namespace) -> set[str]:
-    tokens = [t.strip() for t in args.formats.split(",") if t.strip()]
-    bad = [t for t in tokens if t not in FORMATS]
-    if bad:
-        raise UsageError(f"unknown output format(s): {', '.join(bad)}")
-    if not tokens:
-        raise UsageError("--format needs at least one of json,csv,svg")
-    return set(tokens)
-
-
-def _years_range(args: argparse.Namespace) -> tuple[int, int] | None:
-    if getattr(args, "years", None) is None:
-        return None
-    text = args.years
-    parts = text.split("..")
-    if len(parts) != 2:
-        raise UsageError(f"--years expects A..B, got {text!r}")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"--years expects integer years, got {text!r}") from None
-    if a > b:
-        raise UsageError(f"--years range is reversed: {text!r}")
-    return a, b
 
 
 def _variables(args: argparse.Namespace) -> list[Variable]:
@@ -274,8 +256,7 @@ def _schema(args: argparse.Namespace) -> ColumnSchema:
 
 def _read_table(args: argparse.Namespace, data: bytes) -> MarketTable:
     table = parse_market_csv(data, _schema(args))
-    years = _years_range(args)
-    return table if years is None else table.in_years(*years)
+    return table if args.years is None else table.in_years(*args.years)
 
 
 def _cleaned(
@@ -284,7 +265,7 @@ def _cleaned(
     out = {}
     for var in _variables(args):
         series = build_weekly_series(table, var)
-        out[var] = clean_series(series, winsorize=bool(args.winsorize))
+        out[var] = clean_series(series, winsorize=args.winsorize)
     return out
 
 
@@ -296,7 +277,7 @@ class _OutputTree:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.out_dir = Path(args.out_dir)
-        self.force = bool(args.force)
+        self.force = args.force
         self.names: set[str] = set()
         self.staging: Path | None = None
 
@@ -341,7 +322,6 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
     output tree."""
     if args.input is None and not hasattr(args, "seed"):
         raise UsageError("--input is required")
-    formats = _formats(args)
     with _OutputTree(args) as files:
         if args.input is not None:
             data = Path(args.input).read_bytes()
@@ -349,7 +329,7 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
             fx = generate_fixture(args.seed)
             data = fx.csv_bytes()
             files["fixture.csv"] = fx.csv_text
-        stage(args, _cleaned(args, _read_table(args, data)), formats, files)
+        stage(args, _cleaned(args, _read_table(args, data)), args.formats, files)
     return 0
 
 
@@ -411,7 +391,7 @@ def _seasonal_svg(tables: dict) -> str:
 
 
 def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
-    method = "moving-average" if getattr(args, "detrend", None) == "moving-average" else "weekly-mean"
+    method = getattr(args, "detrend", None) or "weekly-mean"
     tables = {var.value: seasonal_index(dense, method) for var, (dense, _) in cleaned.items()}
     if "json" in formats:
         files["seasonal.json"] = to_json({"tables": tables})
@@ -424,12 +404,8 @@ def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str], files:
 
 
 def _dtw_options(args: argparse.Namespace) -> DtwOptions:
-    normalize = (
-        Normalization.ZSCORE
-        if getattr(args, "normalize", None) == "zscore"
-        else Normalization.NONE
-    )
-    return DtwOptions(band_radius=getattr(args, "band", None), normalize_input=normalize)
+    normalize = Normalization.ZSCORE if args.normalize == "zscore" else Normalization.NONE
+    return DtwOptions(band_radius=args.band, normalize_input=normalize)
 
 
 def _year_span(first: int, last: int) -> str:
@@ -441,9 +417,8 @@ def _year_span(first: int, last: int) -> str:
 
 def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int, int]]:
     years = complete_years(dense)
-    span = _years_range(args)
-    if span is not None:
-        lo, hi = span
+    if args.years is not None:
+        lo, hi = args.years
         years = [y for y in years if lo <= y <= hi]
         lo, hi = max(lo, 1), min(hi, 9999)  # only these ISO years hold dates
         # Requested years the data does not reach are named as ranges, so
@@ -585,15 +560,13 @@ def _report_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config(args)
-        _resolve(args)
+        args = _parse_args(build_parser(), argv)
+        _check(args)
         return args.handler(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"seasonwarp: usage error: {exc}", file=sys.stderr)
         return 1

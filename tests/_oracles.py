@@ -112,7 +112,8 @@ def parse_market_csv_oracle(
     for col in (date_col, arrivals_col, price_col):
         if col not in reader.fieldnames:
             raise SchemaError(f"column {col!r} not found in CSV header {reader.fieldnames}")
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num  # the physical line the row ends on
         raw_date = (row[date_col] or "").strip()
         try:
             day = dt.datetime.strptime(raw_date, fmt).date()

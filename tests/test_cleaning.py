@@ -110,9 +110,15 @@ class TestParseMarketCsv:
             parse_market_csv(_csv("2022-03-06,120,1500", row))
         assert str(err.value) == f"line 3: {fields} fields where the header has 3"
 
-    def test_blank_lines_skipped_and_not_counted(self):
+    def test_blank_lines_skipped_and_counted_as_lines(self):
         data = b"date,arrivals,modal_price\r\n\r\n2022-03-06,120,1500\n\n\n2022-03-13,x,1\n"
-        with pytest.raises(DataIntegrityError, match="^line 3: cannot parse arrivals value 'x'"):
+        with pytest.raises(DataIntegrityError, match="^line 6: cannot parse arrivals value 'x'"):
+            parse_market_csv(data)
+
+    def test_row_named_by_the_physical_line_it_ends_on(self):
+        data = _csv('2022-03-06,120,1500,"two\nlines"', "2022-03-13,x,1,",
+                    header="date,arrivals,modal_price,note")
+        with pytest.raises(DataIntegrityError, match="^line 4: cannot parse arrivals value"):
             parse_market_csv(data)
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
@@ -525,7 +531,8 @@ class TestCleanSeries:
         q1, q3 = quantile(obs, 0.25), quantile(obs, 0.75)
         assert clamped == pytest.approx(q3 + 3.0 * (q3 - q1), rel=0, abs=1e-12)
 
-    def test_fences_computed_once(self, monkeypatch):
+    @pytest.mark.parametrize("winsorize", [False, True])
+    def test_fences_computed_once(self, monkeypatch, winsorize):
         import seasonwarp.cleaning as cleaning
 
         calls = []
@@ -533,7 +540,7 @@ class TestCleanSeries:
         monkeypatch.setattr(
             cleaning, "quantile", lambda v, q: calls.append(q) or real_quantile(v, q)
         )
-        _, report = clean_series(self._gappy_series_with_spike())
+        _, report = clean_series(self._gappy_series_with_spike(), winsorize=winsorize)
         assert report.outlier_weeks
         assert calls == [0.25, 0.75]
 

@@ -926,6 +926,135 @@ class TestConfigAndUsage:
         assert not (out / "stats.csv").exists()
 
 
+# Keys a config line may name: every flag of some data command, abbreviations,
+# names no command has, and the two that no config line may set.
+_CONFIG_KEYS = [
+    "input", "out-dir", "force", "variable", "years", "winsorize", "date-col",
+    "arrivals-col", "price-col", "date-format", "format", "detrend", "band",
+    "normalize", "all-pairs", "dump-matrices", "seed", "var", "norm",
+    "bogus-key", "formats", "command", "config", "help",
+]
+_CONFIG_VALUES = [
+    "price", "arrivals", "both", "2020..2021", "json,csv", "svg", "zscore",
+    "moving-average", "iso", "dmy", "modal_price", "date", "0", "1", "4", "42",
+    "-1", "-3", "yes", "No", "TRUE", "off", "", "pricee", "zscor",
+    "moving_average", "json,pdf", "2020-2021", "2021..2020", "x",
+]
+# Values each key accepts, drawn as often as the shared pool above.
+_VALID_VALUES = {
+    "force": ["true"], "variable": ["price", "arrivals"], "var": ["price"],
+    "years": ["2020..2022", "2019..2021"], "winsorize": ["yes", "ON"],
+    "date-col": ["date"], "arrivals-col": ["arrivals"], "price-col": ["modal_price"],
+    "date-format": ["iso"], "format": ["json", "csv,svg"], "detrend": ["moving-average"],
+    "band": ["2", "5"], "normalize": ["zscore"], "norm": ["zscore"], "all-pairs": ["1"],
+    "dump-matrices": ["yes"], "seed": ["7"],
+}
+_SWITCHES = {
+    "clean": {"force", "winsorize"},
+    "stats": {"force", "winsorize"},
+    "seasonal": {"force", "winsorize"},
+    "dtw": {"force", "winsorize", "all-pairs", "dump-matrices"},
+    "report-all": {"force", "winsorize", "all-pairs"},
+}
+
+
+@pytest.fixture(scope="module")
+def four_years_csv(tmp_path_factory, fixture42):
+    """The seed-42 fixture's rows dated 2019 to 2022."""
+    lines = fixture42.csv_bytes().splitlines(keepends=True)
+    path = tmp_path_factory.mktemp("data") / "four_years.csv"
+    path.write_bytes(b"".join(lines[:1] + [l for l in lines[1:] if b"2019" <= l[:4] <= b"2022"]))
+    return path
+
+
+def _flag_form(command: str, key: str, value: str) -> list[str]:
+    """The command-line flags a config line stands for."""
+    if key.replace("_", "-") in _SWITCHES[command] and value.lower() in (
+        "1", "true", "yes", "on", "0", "false", "no", "off"
+    ):
+        return [f"--{key.replace('_', '-')}"] if value.lower() in ("1", "true", "yes", "on") else []
+    return [f"--{key.replace('_', '-')}={value}"]
+
+
+def _outcome(argv: list[str], out: Path) -> tuple[int, str, dict]:
+    """Exit code, stderr and output tree of one in-process run into a
+    --out-dir that holds one file beforehand."""
+    out.mkdir()
+    (out / "keep.txt").write_bytes(b"kept")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = _run(*argv, "--out-dir", str(out))
+    return code, err.getvalue(), _tree(out)
+
+
+class TestConfigLineContract:
+    """A config line is checked and layered as the flag it names; every
+    usage error is one stderr line."""
+
+    @pytest.mark.parametrize("command", ["clean", "stats", "seasonal", "dtw", "report-all"])
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(line=st.sampled_from(_CONFIG_KEYS).flatmap(lambda key: st.tuples(
+               st.just(key),
+               st.sampled_from(_VALID_VALUES.get(key, _CONFIG_VALUES)) | st.sampled_from(
+                   _CONFIG_VALUES))),
+           dashes=st.booleans())
+    @example(line=("variable", "foo"), dashes=True)
+    @example(line=("date-format", "xyz"), dashes=False)
+    @example(line=("detrend", "linear"), dashes=True)
+    @example(line=("normalize", "minmax"), dashes=True)
+    def test_line_exits_cleanly_and_acts_as_its_flag(self, four_years_csv, command, line,
+                                                      dashes):
+        key, value = line
+        key = key if dashes else key.replace("-", "_")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            code, err, tree = _outcome(
+                [command, "--config", str(cfg), "--input", str(four_years_csv)],
+                Path(tmp) / "by-config")
+            if key != "config":  # as a flag, --config names a file to read
+                as_flags = _outcome(
+                    [command, *_flag_form(command, key, value), "--input", str(four_years_csv)],
+                    Path(tmp) / "by-flags")
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("seasonwarp: usage error: ") and err.count("\n") == 1
+        elif code == 2:
+            assert err.startswith("seasonwarp: data error: ") and err.count("\n") == 1
+        else:
+            assert code == 0
+        if code:
+            assert tree == {"keep.txt": b"kept"}
+        if key == "config":
+            assert (code, err) == (1, f"seasonwarp: usage error: {cfg}:1: unknown option 'config'\n")
+        else:
+            assert (code, err.replace(f"usage error: {cfg}:1: ", "usage error: "), tree) == as_flags
+
+    @pytest.mark.parametrize("argv", [["dtw", "--band", "x"], ["--bogus"], [],
+                                      ["stats", "--bogus"], ["frobnicate"]])
+    def test_bad_flags_print_one_line(self, capsys, argv):
+        assert _run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("seasonwarp: usage error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        assert _run("dtw", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: seasonwarp dtw")
+
+    def test_config_lines_layer_as_flags(self, tmp_path, fixture_csv):
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        assert _run("dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
+                    "--band", "4", "--normalize", "zscore", "--winsorize",
+                    "--out-dir", str(by_flags)) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("years = 2020..2023\nall_pairs = yes\nband = 4\n"
+                       "normalize = zscore\nwinsorize = on\n")
+        assert _run("dtw", "--input", str(fixture_csv), "--config", str(cfg),
+                    "--out-dir", str(by_config)) == 0
+        assert _tree(by_config) == _tree(by_flags)
+
+
 def test_cli_import_leaves_out_network_and_mail_modules():
     # xml.sax.saxutils pulls in urllib.request, and with it http.client,
     # email.*, ssl and socket; the CLI escapes its SVG text itself.

@@ -26,7 +26,9 @@ is only imported, never changed.  The DTW scenario on the long history is
 limited to the prices of 2000..2010, because all 44,850 pairs of 300 years
 would write tens of GB.  Two DTW scenarios on the fixture pin error paths:
 band 0 exits 2 on the first 52-vs-53-week pair, and band 1 with z-scores
-aligns every pair.
+aligns every pair.  ``report-all-config`` gives ``report-all-winsorize``'s
+options as the lines of a config file, written into each run's working
+directory.
 """
 
 from __future__ import annotations
@@ -46,12 +48,16 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LONG_HISTORY = (501, 300, 60, 80)
 
+# Config file of a scenario whose argv passes --config run.cfg.
+WINSORIZE_CONFIG = "winsorize = yes\nnormalize = zscore\nyears = 2012..2020\n"
+
 # (name, argv before --out-dir, input: None, "fixture" or "long")
 SCENARIOS = (
     ("report-all", ["report-all"], None),
     ("report-all-band4", ["report-all", "--seed", "201", "--all-pairs", "--band", "4"], None),
     ("report-all-winsorize",
      ["report-all", "--winsorize", "--normalize", "zscore", "--years", "2012..2020"], None),
+    ("report-all-config", ["report-all", "--config", "run.cfg"], None),
     ("dtw-band0", ["dtw", "--all-pairs", "--band", "0"], "fixture"),
     ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
      "fixture"),
@@ -79,6 +85,8 @@ def input_csv(src: Path, name: str) -> bytes:
 def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
     """Exit code, stdout, stderr and output tree of one CLI run."""
     workdir.mkdir(parents=True)
+    if "--config" in argv:
+        (workdir / "run.cfg").write_text(WINSORIZE_CONFIG)
     if data is not None:
         (workdir / "input.csv").write_bytes(data)
         argv = [argv[0], "--input", "input.csv", *argv[1:]]
