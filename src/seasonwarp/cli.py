@@ -184,7 +184,9 @@ _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 def _config_flags(parser: _Parser, command: str, path: Path) -> list[str]:
     """The flags the ``key = value`` lines of a config file name, each line
     checked on its own against the command's options: ``--key=value``, a
-    bare ``--key`` for a switch set to a true word, nothing for a false one."""
+    bare ``--key`` for a switch set to a true word, nothing for a false one.
+    A key names a switch as argparse reads ``--key``: the option it spells,
+    or else the one option it is a prefix of."""
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -193,6 +195,8 @@ def _config_flags(parser: _Parser, command: str, path: Path) -> list[str]:
         ) from None
     switches = {dest for dest, value in vars(parser.parse_args([command])).items()
                 if value is False}
+    subparser = next(a for a in parser._actions if a.dest == "command").choices[command]
+    dests = {option: a.dest for a in subparser._actions for option in a.option_strings}
     flags = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -202,7 +206,8 @@ def _config_flags(parser: _Parser, command: str, path: Path) -> list[str]:
         if not (key and equals):
             raise UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
         flag = "--" + key.replace("_", "-")
-        if key.replace("-", "_") in switches and value.lower() in _SWITCH_WORDS:
+        options = [flag] if flag in dests else [o for o in dests if o.startswith(flag)]
+        if len(options) == 1 and dests[options[0]] in switches and value.lower() in _SWITCH_WORDS:
             line_flags = [flag] if _SWITCH_WORDS[value.lower()] else []
         else:
             line_flags = [f"{flag}={value}"]

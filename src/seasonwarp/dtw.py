@@ -98,7 +98,7 @@ class DtwResult:
         return {
             "total_cost": self.total_cost,
             "mean_cost": self.mean_cost,
-            "path": [[i, j] for i, j in self.path.steps],
+            "path": self.path,
             "path_length": self.path_length,
             "options": self.options.to_dict(),
         }

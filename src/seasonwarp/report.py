@@ -1,6 +1,7 @@
 """Report assembly and deterministic serialization (JSON / CSV).
 
-JSON is emitted with sorted keys and two-space indentation; CSV uses
+JSON is emitted with sorted keys and two-space indentation, byte for byte
+as ``json.dumps`` writes it with those settings; CSV uses
 RFC-4180 quoting with CRLF row endings.  Identical inputs give identical
 bytes, which the golden-file tests rely on.
 """
@@ -9,42 +10,71 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cleaning import CleaningReport
 from .descriptive import DescriptiveSummary
-from .dtw import PairRanking
+from .dtw import PairRanking, WarpPath
 from .seasonal import SeasonalIndexTable
 from .series import FLAGS, WeekKey, WeeklySeries
 from .unitroot import AdfResult
 
 
 def to_json(payload) -> str:
-    """``payload`` as JSON by one rule: a `WeekKey` is ``[iso_year, iso_week]``,
-    a record with a ``to_dict`` is that dict, and any other dataclass is its
-    fields.  Keys are sorted, so field order never reaches the bytes."""
-    return json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n"
+    """``payload`` as ``json.dumps`` writes it with two-space indentation
+    and sorted keys, plus a newline, once every record is in its JSON form:
+    a `WeekKey` is ``[iso_year, iso_week]``, a `WarpPath` is its ``[i, j]``
+    rows, a record with a ``to_dict`` is that dict, and any other dataclass
+    is its fields.  Sorted keys keep field order out of the bytes; a key
+    that is not a str raises TypeError.  NaN and the infinities are written
+    as ``NaN`` and ``Infinity``, as json writes them."""
+    return _json(payload, "\n") + "\n"
 
 
-def _plain(value):
-    """``value`` with every record replaced by its JSON form.  Done before
-    encoding, not as the encoder's ``default``: each object ``default``
-    converts nests the encoder's generators two levels deeper, and every
-    line of a DTW path then passes through both."""
-    if value is None or isinstance(value, (str, int, float)):
-        return value
+def _json(value, nl: str) -> str:
+    """The JSON text of ``value``, one pass, no copy of the payload.  ``nl``
+    is the newline and indentation of the line the value starts on."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = nl + "  "
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [_quote(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + nl + "]"
+    if isinstance(value, WarpPath):
+        # One % over the flattened steps; a path is never empty.
+        cell = inner + "  "
+        rows = ("," + inner).join(["[" + cell + "%d," + cell + "%d" + inner + "]"] * len(value))
+        return "[" + inner + rows % tuple(chain.from_iterable(value.steps)) + nl + "]"
     if isinstance(value, WeekKey):
-        return [value.iso_year, value.iso_week]
+        return _json([value.iso_year, value.iso_week], nl)
     if hasattr(value, "to_dict"):
-        return value.to_dict()
+        return _json(value.to_dict(), nl)
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    return value
+        return _json({f.name: getattr(value, f.name) for f in fields(value)}, nl)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _csv_text(rows: list[list]) -> str:

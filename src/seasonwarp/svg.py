@@ -36,9 +36,10 @@ def _escape(text: str) -> str:
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """Polyline points "x,y x,y ..." from float64 arrays, each coordinate as _f
-    writes it.  A memoryview hands out one Python float at a time, where
-    tolist would allocate them all at once."""
-    return " ".join(map("{:.2f},{:.2f}".format, memoryview(xs), memoryview(ys)))
+    writes it: ``%.2f`` is the same conversion as ``format(x, ".2f")``, and
+    one ``%`` formats every point."""
+    coords = np.column_stack((xs, ys)).ravel()
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords.tolist())
 
 
 def _tick_label(x: float) -> str:

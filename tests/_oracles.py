@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import json
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
+from seasonwarp.dtw import WarpPath
 from seasonwarp.errors import (
     DataIntegrityError,
     DegenerateDataError,
@@ -386,3 +389,28 @@ def polyline_points_oracle(frame, xs, ys) -> str:
     """A _Frame polyline's points, one Python-float point at a time."""
     return " ".join(f"{format(frame.px(x), '.2f')},{format(frame.py(y), '.2f')}"
                     for x, y in zip(xs, ys))
+
+
+def to_json_oracle(payload) -> str:
+    """report.to_json by its defining rule: a copy of the payload with every
+    record in its JSON form, then json.dumps(indent=2, sort_keys=True) and a
+    newline."""
+    return json.dumps(_json_plain(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _json_plain(value):
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, dict):
+        return {k: _json_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_plain(v) for v in value]
+    if isinstance(value, WarpPath):
+        return [[i, j] for i, j in value.steps]
+    if isinstance(value, WeekKey):
+        return [value.iso_year, value.iso_week]
+    if hasattr(value, "to_dict"):
+        return _json_plain(value.to_dict())
+    if is_dataclass(value):
+        return {f.name: _json_plain(getattr(value, f.name)) for f in fields(value)}
+    return value

@@ -779,6 +779,16 @@ class TestReportAll:
         match, mismatch, errors = filecmp.cmpfiles(a, b, names_a, shallow=False)
         assert mismatch == [] and errors == []
 
+    def test_every_json_file_in_json_dumps_form(self, tmp_path):
+        # to_json writes its own text; every file must read as json.dumps
+        # with indent=2 and sorted keys writes the data it holds.
+        out = tmp_path / "o"
+        assert _run("report-all", "--all-pairs", "--band", "4", "--out-dir", str(out)) == 0
+        texts = {p.name: p.read_text() for p in out.glob("*.json")}
+        assert len(texts) > 200 and "bundle.json" in texts
+        for name, text in texts.items():
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
 
 class TestConfigAndUsage:
     def test_config_file_supplies_defaults(self, tmp_path, fixture_csv):
@@ -931,7 +941,7 @@ class TestConfigAndUsage:
 _CONFIG_KEYS = [
     "input", "out-dir", "force", "variable", "years", "winsorize", "date-col",
     "arrivals-col", "price-col", "date-format", "format", "detrend", "band",
-    "normalize", "all-pairs", "dump-matrices", "seed", "var", "norm",
+    "normalize", "all-pairs", "dump-matrices", "seed", "var", "norm", "winsor", "all",
     "bogus-key", "formats", "command", "config", "help",
 ]
 _CONFIG_VALUES = [
@@ -947,8 +957,10 @@ _VALID_VALUES = {
     "date-col": ["date"], "arrivals-col": ["arrivals"], "price-col": ["modal_price"],
     "date-format": ["iso"], "format": ["json", "csv,svg"], "detrend": ["moving-average"],
     "band": ["2", "5"], "normalize": ["zscore"], "norm": ["zscore"], "all-pairs": ["1"],
-    "dump-matrices": ["yes"], "seed": ["7"],
+    "dump-matrices": ["yes"], "seed": ["7"], "winsor": ["yes", "Off"], "all": ["on"],
 }
+# Keys that are a prefix of exactly one switch, which argparse reads as that switch.
+_SWITCH_PREFIXES = {"winsor": "winsorize", "all": "all-pairs"}
 _SWITCHES = {
     "clean": {"force", "winsorize"},
     "stats": {"force", "winsorize"},
@@ -969,11 +981,12 @@ def four_years_csv(tmp_path_factory, fixture42):
 
 def _flag_form(command: str, key: str, value: str) -> list[str]:
     """The command-line flags a config line stands for."""
-    if key.replace("_", "-") in _SWITCHES[command] and value.lower() in (
+    name = key.replace("_", "-")
+    if _SWITCH_PREFIXES.get(name, name) in _SWITCHES[command] and value.lower() in (
         "1", "true", "yes", "on", "0", "false", "no", "off"
     ):
-        return [f"--{key.replace('_', '-')}"] if value.lower() in ("1", "true", "yes", "on") else []
-    return [f"--{key.replace('_', '-')}={value}"]
+        return [f"--{name}"] if value.lower() in ("1", "true", "yes", "on") else []
+    return [f"--{name}={value}"]
 
 
 def _outcome(argv: list[str], out: Path) -> tuple[int, str, dict]:
@@ -1001,6 +1014,8 @@ class TestConfigLineContract:
     @example(line=("date-format", "xyz"), dashes=False)
     @example(line=("detrend", "linear"), dashes=True)
     @example(line=("normalize", "minmax"), dashes=True)
+    @example(line=("winsor", "yes"), dashes=True)
+    @example(line=("all", "on"), dashes=False)
     def test_line_exits_cleanly_and_acts_as_its_flag(self, four_years_csv, command, line,
                                                       dashes):
         key, value = line

@@ -266,6 +266,7 @@ class TestDtwAlign:
         res = dtw_align([0.0, 2.0, 1.0], [0.0, 1.0])
         assert [f.name for f in dataclasses.fields(DtwResult)] == ["total_cost", "path", "options"]
         assert list(res.to_dict()) == ["total_cost", "mean_cost", "path", "path_length", "options"]
+        assert res.to_dict()["path"] is res.path  # to_json writes a WarpPath as its rows
         assert [f.name for f in dataclasses.fields(DtwOptions)] == ["band_radius", "normalize_input"]
         assert res.to_dict()["options"] == {
             "band_radius": None, "local_metric": "absolute", "normalize_input": "none"}

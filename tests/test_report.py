@@ -2,20 +2,25 @@ import base64
 import csv
 import io
 import json
+import math
 import re
 import struct
 import xml.etree.ElementTree as ET
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seasonwarp.cleaning import Fence, OutlierWeek
 from seasonwarp.descriptive import describe
 from seasonwarp.dtw import (
     DtwOptions,
+    DtwResult,
     Normalization,
+    WarpPath,
     cumulative_cost,
     dtw_align,
     local_distance_matrix,
@@ -31,11 +36,15 @@ from seasonwarp.report import (
     to_json,
 )
 from seasonwarp.seasonal import seasonal_index
-from seasonwarp.series import Variable, log_diff, slice_year
-from seasonwarp.svg import _Frame, bar_chart, dtw_figure, line_chart
+from seasonwarp.series import Variable, WeekKey, log_diff, slice_year
+from seasonwarp.svg import _Frame, _points, bar_chart, dtw_figure, line_chart
 from seasonwarp.unitroot import adf_test
 
-from _oracles import dtw_heatmap_cells_oracle, polyline_points_oracle
+from _oracles import (
+    dtw_heatmap_cells_oracle,
+    polyline_points_oracle,
+    to_json_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +68,44 @@ def bundle42(cleaned42):
     prices, _ = cleaned42[Variable.MODAL_PRICE]
     adf = adf_test(log_diff(prices.values()), regression="c")
     return AnalysisBundle(cleaning, summaries, seasonal, dtw, adf)
+
+
+@dataclass(frozen=True)
+class _Record:
+    name: object
+    value: object
+
+
+def _warp_path(moves: list[tuple[int, int]]) -> WarpPath:
+    steps = [(1, 1)]
+    for di, dj in moves:
+        steps.append((steps[-1][0] + di, steps[-1][1] + dj))
+    return WarpPath(tuple(steps))
+
+
+_json_floats = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e308, math.nan, math.inf, -math.inf])
+# Every code point, lone surrogates included, and the characters json escapes.
+_json_text = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\b", "\u2028", "é", "\U0001f600", "\ud800"]),
+    max_size=12)
+_week_keys = st.builds(WeekKey, st.integers(1, 9999), st.integers(1, 52))
+_warp_paths = st.lists(st.sampled_from([(1, 0), (0, 1), (1, 1)]), max_size=40).map(_warp_path)
+_json_leaves = (
+    st.none() | st.booleans() | st.integers(-10**40, 10**40) | _json_floats | _json_text
+    | st.sampled_from(list(Fence) + list(Normalization)) | _week_keys | _warp_paths
+    | st.builds(DtwResult, total_cost=_json_floats, path=_warp_paths,
+                options=st.builds(DtwOptions, band_radius=st.none() | st.integers(0, 9),
+                                  normalize_input=st.sampled_from(Normalization)))
+    | st.builds(OutlierWeek, _week_keys, _json_floats, st.sampled_from(Fence))
+)
+_json_payloads = st.recursive(
+    _json_leaves,
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(_json_text, children, max_size=5)
+                      | st.builds(_Record, children, children)),
+    max_leaves=30,
+)
 
 
 class TestJson:
@@ -87,6 +134,22 @@ class TestJson:
     def test_other_objects_rejected(self):
         with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
             to_json({"values": np.zeros(2)})
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(payload=_json_payloads)
+    @example(payload={"a": [], "b": {}, "c": (), "d": [[{}]]})
+    @example(payload=[-0.0, 5e-324, 1e16, 1e308, math.nan, math.inf, -math.inf])
+    @example(payload={'"\\\x00\x1f\x7f\u2028\ud800\U0001f600': "é\udfff"})
+    def test_same_bytes_as_json_dumps(self, payload):
+        assert to_json(payload) == to_json_oracle(payload)
+
+    @pytest.mark.parametrize("payload", [{1: "a"}, {"a": 0, 2: "b"}, {None: 0}, [{1.5: 0}],
+                                         {True: 0}, {("a",): 0}])
+    def test_non_str_keys_rejected(self, payload):
+        # json.dumps would write int, float, bool and None keys as strings;
+        # no report has them, so to_json refuses every key that is not a str.
+        with pytest.raises(TypeError):
+            to_json(payload)
 
 
 def _parse_csv(text):
@@ -227,6 +290,17 @@ class TestSvg:
         line = frame.polyline(xs, ys, "#000000")
         assert re.search(r'points="([^"]*)"', line)[1] == polyline_points_oracle(frame, xs, ys)
         assert "-0.00," in line and ",-0.00" in line
+
+    def test_points_match_per_point_format(self):
+        # Lengths 1..200; magnitudes up to 1e6, decimal ties x.xx5 and -0.0.
+        rng = np.random.default_rng(14)
+        for n in range(1, 201):
+            vals = rng.uniform(-1, 1, size=(2, n)) * 10.0 ** rng.integers(-3, 7, size=(2, n))
+            kind = rng.integers(0, 4, size=(2, n))
+            vals = np.where(kind == 1, np.trunc(vals * 100) / 100 + 0.005, vals)
+            vals = np.where(kind == 2, -0.0, vals)
+            xs, ys = vals.tolist()
+            assert _points(vals[0], vals[1]) == " ".join(map("{:.2f},{:.2f}".format, xs, ys))
 
     @staticmethod
     def _check_heatmap(g, steps, pair):

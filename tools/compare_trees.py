@@ -28,7 +28,8 @@ would write tens of GB.  Two DTW scenarios on the fixture pin error paths:
 band 0 exits 2 on the first 52-vs-53-week pair, and band 1 with z-scores
 aligns every pair.  ``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
-directory.
+directory.  ``report-all-arrivals`` is the one tree whose bundle holds a single
+variable and whose ``adf_log_price_diff`` is null.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ SCENARIOS = (
     ("report-all-winsorize",
      ["report-all", "--winsorize", "--normalize", "zscore", "--years", "2012..2020"], None),
     ("report-all-config", ["report-all", "--config", "run.cfg"], None),
+    ("report-all-arrivals", ["report-all", "--variable", "arrivals"], None),
     ("dtw-band0", ["dtw", "--all-pairs", "--band", "0"], "fixture"),
     ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
      "fixture"),
