@@ -4,6 +4,12 @@ Charts are built by direct string assembly with fixed-precision coordinates,
 so identical inputs give identical bytes.  Each document embeds its
 generating parameters in a <metadata> element.  Layout is data-faithful and
 plain: axes, ticks, polylines, a legend; nothing decorative.
+
+Each kind of element is written by one helper: ``_text``, ``_line`` and
+``_outline`` (a panel's grey border); only ``_document`` writes its title
+itself.  ``_plot`` draws a whole line plot (frame, axes, 5%-padded y range,
+polylines, legend); ``line_chart`` is one ``_plot`` and so is the right panel
+of ``dtw_figure``.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     t = start
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 else t)
+        if t + step == t:  # step below half an ulp of t: t would never move
+            break
         t += step
     return ticks
 
@@ -79,20 +87,38 @@ def _document(width: float, height: float, title: str, metadata: dict, body: lis
     return "\n".join(head + body + ["</svg>", ""])
 
 
+# Text styles: tick and bar labels, axis labels, legend entries.
+_TICK = 'font-size="11" fill="#444444"'
+_LABEL = 'font-size="12" fill="#333333"'
+_KEY = 'font-size="11" fill="#333333"'
+
+
+def _text(x: float, y: float, text: str, style: str, anchor: str | None = "middle",
+          rotate: bool = False) -> str:
+    """Escaped text at (x, y); rotate turns it -90 degrees about that point."""
+    a = f' text-anchor="{anchor}"' if anchor else ""
+    r = f' transform="rotate(-90 {_f(x)} {_f(y)})"' if rotate else ""
+    return (f'<text x="{_f(x)}" y="{_f(y)}"{a} font-family="sans-serif" {style}{r}>'
+            f"{_escape(text)}</text>")
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#888888",
+          width: str = "1") -> str:
+    return (f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _outline(x: float, y: float, w: float, h: float) -> str:
+    """The grey border of a plot panel."""
+    return (f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
+            f'fill="none" stroke="#888888" stroke-width="1"/>')
+
+
 class _Frame:
     """Maps data coordinates into one plot rectangle of the canvas."""
 
-    def __init__(
-        self,
-        x0: float,
-        y0: float,
-        plot_w: float,
-        plot_h: float,
-        xlo: float,
-        xhi: float,
-        ylo: float,
-        yhi: float,
-    ):
+    def __init__(self, x0: float, y0: float, plot_w: float, plot_h: float,
+                 xlo: float, xhi: float, ylo: float, yhi: float):
         self.x0, self.y0 = x0, y0
         self.w, self.h = plot_w, plot_h
         if xhi <= xlo:
@@ -109,55 +135,48 @@ class _Frame:
         return self.y0 + self.h - (y - self.ylo) / (self.yhi - self.ylo) * self.h
 
     def axes(self, x_label: str, y_label: str) -> list[str]:
-        out = [
-            f'<rect x="{_f(self.x0)}" y="{_f(self.y0)}" width="{_f(self.w)}" '
-            f'height="{_f(self.h)}" fill="none" stroke="#888888" stroke-width="1"/>'
-        ]
+        bottom = self.y0 + self.h
+        out = [_outline(self.x0, self.y0, self.w, self.h)]
         for t in _nice_ticks(self.xlo, self.xhi):
-            if not self.xlo <= t <= self.xhi:
-                continue
-            x = self.px(t)
-            out.append(
-                f'<line x1="{_f(x)}" y1="{_f(self.y0 + self.h)}" x2="{_f(x)}" '
-                f'y2="{_f(self.y0 + self.h + 4)}" stroke="#888888" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_f(x)}" y="{_f(self.y0 + self.h + 17)}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11" fill="#444444">{_tick_label(t)}</text>'
-            )
+            if self.xlo <= t <= self.xhi:
+                x = self.px(t)
+                out += [_line(x, bottom, x, bottom + 4),
+                        _text(x, bottom + 17, _tick_label(t), _TICK)]
         for t in _nice_ticks(self.ylo, self.yhi):
-            if not self.ylo <= t <= self.yhi:
-                continue
-            y = self.py(t)
-            out.append(
-                f'<line x1="{_f(self.x0 - 4)}" y1="{_f(y)}" x2="{_f(self.x0)}" '
-                f'y2="{_f(y)}" stroke="#888888" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_f(self.x0 - 7)}" y="{_f(y + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11" fill="#444444">{_tick_label(t)}</text>'
-            )
-        out.append(
-            f'<text x="{_f(self.x0 + self.w / 2)}" y="{_f(self.y0 + self.h + 34)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'fill="#333333">{_escape(x_label)}</text>'
-        )
-        out.append(
-            f'<text x="{_f(self.x0 - 48)}" y="{_f(self.y0 + self.h / 2)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="#333333" '
-            f'transform="rotate(-90 {_f(self.x0 - 48)} {_f(self.y0 + self.h / 2)})">'
-            f"{_escape(y_label)}</text>"
-        )
+            if self.ylo <= t <= self.yhi:
+                y = self.py(t)
+                out += [_line(self.x0 - 4, y, self.x0, y),
+                        _text(self.x0 - 7, y + 4, _tick_label(t), _TICK, "end")]
+        out.append(_text(self.x0 + self.w / 2, bottom + 34, x_label, _LABEL))
+        out.append(_text(self.x0 - 48, self.y0 + self.h / 2, y_label, _LABEL, rotate=True))
         return out
 
-    def polyline(self, xs, ys, color: str, width: float = 1.5) -> str:
+    def polyline(self, xs, ys, color: str) -> str:
         # px and py applied to float64 arrays do the same IEEE operations,
         # in the same order, as on each Python float.
         pts = _points(self.px(np.asarray(xs, dtype=float)), self.py(np.asarray(ys, dtype=float)))
-        return (
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{_f(width)}"/>'
-        )
+        return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.50"/>'
+
+
+def _plot(x0: float, y0: float, w: float, h: float, curves, x_label: str, y_label: str,
+          legend_inset: float) -> list[str]:
+    """A w x h plot at (x0, y0) of curves = [(label, xs, ys), ...]: axes over
+    the data's x range and its y range padded by 5%, one polyline per curve,
+    and a legend legend_inset from the plot's right edge."""
+    xs = [np.asarray(c[1], dtype=float) for c in curves]
+    ys = [np.asarray(c[2], dtype=float) for c in curves]
+    all_x, all_y = np.concatenate(xs), np.concatenate(ys)
+    ylo, yhi = float(all_y.min()), float(all_y.max())
+    pad = 0.05 * (yhi - ylo if yhi > ylo else abs(ylo) + 1.0)
+    frame = _Frame(x0, y0, w, h, float(all_x.min()), float(all_x.max()), ylo - pad, yhi + pad)
+    body = frame.axes(x_label, y_label)
+    colors = [PALETTE[k % len(PALETTE)] for k in range(len(curves))]
+    body += [frame.polyline(cx, cy, color) for cx, cy, color in zip(xs, ys, colors)]
+    lx = x0 + w - legend_inset
+    for k, ((label, _, _), color) in enumerate(zip(curves, colors)):
+        y = y0 + 12.0 + 16.0 * k
+        body += [_line(lx, y, lx + 22, y, color, "2"), _text(lx + 28, y + 4, label, _KEY, None)]
+    return body
 
 
 def line_chart(
@@ -167,44 +186,13 @@ def line_chart(
     x_label: str,
     y_label: str,
     metadata: dict,
-    width: float = 960.0,
-    height: float = 440.0,
 ) -> str:
     """Overlaid polylines with shared axes.  curves = [(label, xs, ys), ...]."""
     if not curves:
         raise ValueError("line_chart needs at least one curve")
-    all_x = [x for _, xs, _ in curves for x in xs]
-    all_y = [y for _, _, ys in curves for y in ys]
-    xlo, xhi = min(all_x), max(all_x)
-    ylo, yhi = min(all_y), max(all_y)
-    pad = 0.05 * (yhi - ylo if yhi > ylo else abs(ylo) + 1.0)
-    frame = _Frame(
-        _MARGIN_L,
-        _MARGIN_T,
-        width - _MARGIN_L - _MARGIN_R,
-        height - _MARGIN_T - _MARGIN_B,
-        xlo,
-        xhi,
-        ylo - pad,
-        yhi + pad,
-    )
-    body = frame.axes(x_label, y_label)
-    for k, (label, xs, ys) in enumerate(curves):
-        body.append(frame.polyline(xs, ys, PALETTE[k % len(PALETTE)]))
-    # legend, upper right inside the frame
-    lx = frame.x0 + frame.w - 170.0
-    ly = frame.y0 + 12.0
-    for k, (label, _, _) in enumerate(curves):
-        y = ly + 16.0 * k
-        color = PALETTE[k % len(PALETTE)]
-        body.append(
-            f'<line x1="{_f(lx)}" y1="{_f(y)}" x2="{_f(lx + 22)}" y2="{_f(y)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        body.append(
-            f'<text x="{_f(lx + 28)}" y="{_f(y + 4)}" font-family="sans-serif" '
-            f'font-size="11" fill="#333333">{_escape(label)}</text>'
-        )
+    width, height = 960.0, 440.0
+    body = _plot(_MARGIN_L, _MARGIN_T, width - _MARGIN_L - _MARGIN_R,
+                 height - _MARGIN_T - _MARGIN_B, curves, x_label, y_label, 170.0)
     return _document(width, height, title, metadata, body)
 
 
@@ -286,50 +274,20 @@ def dtw_figure(
     body = [_heatmap_image(matrix, x0, y0, panel_w, panel_h)]
     steps_ij = np.asarray(path_steps, dtype=np.int64)
     pts = _points(x0 + (steps_ij[:, 1] - 0.5) * cw, y0 + (steps_ij[:, 0] - 0.5) * ch)
-    body.append(
-        f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="2"/>'
-    )
-    body.append(
-        f'<rect x="{_f(x0)}" y="{_f(y0)}" width="{_f(panel_w)}" height="{_f(panel_h)}" '
-        f'fill="none" stroke="#888888" stroke-width="1"/>'
-    )
-    body.append(
-        f'<text x="{_f(x0 + panel_w / 2)}" y="{_f(y0 + panel_h + 18)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#333333">'
-        f"{_escape(pair_labels[1])} (weeks, j)</text>"
-    )
-    body.append(
-        f'<text x="{_f(x0 - 36)}" y="{_f(y0 + panel_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#333333" '
-        f'transform="rotate(-90 {_f(x0 - 36)} {_f(y0 + panel_h / 2)})">'
-        f"{_escape(pair_labels[0])} (weeks, i)</text>"
-    )
+    body += [
+        f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="2"/>',
+        _outline(x0, y0, panel_w, panel_h),
+        _text(x0 + panel_w / 2, y0 + panel_h + 18, f"{pair_labels[1]} (weeks, j)", _LABEL),
+        _text(x0 - 36, y0 + panel_h / 2, f"{pair_labels[0]} (weeks, i)", _LABEL, rotate=True),
+    ]
 
     wx0 = x0 + panel_w + 92.0
-    wframe_w = width - wx0 - _MARGIN_R
     cells = steps_ij - 1
-    warped_pair = tuple(np.asarray(seq, dtype=float)[cells[:, axis]].tolist()
-                        for axis, seq in enumerate(aligned_pair))
-    k = len(cells)
-    steps = list(range(1, k + 1))
-    ylo = min(min(warped_pair[0]), min(warped_pair[1]))
-    yhi = max(max(warped_pair[0]), max(warped_pair[1]))
-    pad = 0.05 * (yhi - ylo if yhi > ylo else abs(ylo) + 1.0)
-    frame = _Frame(wx0, y0, wframe_w, panel_h, 1.0, float(k), ylo - pad, yhi + pad)
-    body += frame.axes("path step k", "aligned value")
-    body.append(frame.polyline(steps, warped_pair[0], PALETTE[0]))
-    body.append(frame.polyline(steps, warped_pair[1], PALETTE[1]))
-    for idx, label in enumerate(pair_labels):
-        y = y0 + 12.0 + 16.0 * idx
-        body.append(
-            f'<line x1="{_f(wx0 + wframe_w - 150)}" y1="{_f(y)}" '
-            f'x2="{_f(wx0 + wframe_w - 128)}" y2="{_f(y)}" '
-            f'stroke="{PALETTE[idx]}" stroke-width="2"/>'
-        )
-        body.append(
-            f'<text x="{_f(wx0 + wframe_w - 122)}" y="{_f(y + 4)}" '
-            f'font-family="sans-serif" font-size="11" fill="#333333">{_escape(label)}</text>'
-        )
+    steps = np.arange(1.0, len(cells) + 1.0)
+    curves = [(label, steps, np.asarray(seq, dtype=float)[cells[:, axis]])
+              for axis, (label, seq) in enumerate(zip(pair_labels, aligned_pair))]
+    body += _plot(wx0, y0, width - wx0 - _MARGIN_R, panel_h, curves,
+                  "path step k", "aligned value", 150.0)
     return _document(width, height, title, metadata, body)
 
 
@@ -339,33 +297,19 @@ def bar_chart(
     title: str,
     y_label: str,
     metadata: dict,
-    width: float = 720.0,
-    height: float = 420.0,
 ) -> str:
     """Labeled vertical bars (ranking totals)."""
     if not bars:
         raise ValueError("bar_chart needs at least one bar")
+    width, height = 720.0, 420.0
     yhi = max(v for _, v in bars)
-    frame = _Frame(
-        _MARGIN_L,
-        _MARGIN_T,
-        width - _MARGIN_L - _MARGIN_R,
-        height - _MARGIN_T - _MARGIN_B,
-        0.0,
-        float(len(bars)),
-        0.0,
-        yhi * 1.08 if yhi > 0 else 1.0,
-    )
-    body = [
-        f'<rect x="{_f(frame.x0)}" y="{_f(frame.y0)}" width="{_f(frame.w)}" '
-        f'height="{_f(frame.h)}" fill="none" stroke="#888888" stroke-width="1"/>'
-    ]
-    for t in _nice_ticks(frame.ylo, frame.yhi):
-        y = frame.py(t)
-        body.append(
-            f'<text x="{_f(frame.x0 - 7)}" y="{_f(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#444444">{_tick_label(t)}</text>'
-        )
+    frame = _Frame(_MARGIN_L, _MARGIN_T, width - _MARGIN_L - _MARGIN_R,
+                   height - _MARGIN_T - _MARGIN_B, 0.0, float(len(bars)),
+                   0.0, yhi * 1.08 if yhi > 0 else 1.0)
+    body = [_outline(frame.x0, frame.y0, frame.w, frame.h)]
+    body += [_text(frame.x0 - 7, frame.py(t) + 4, _tick_label(t), _TICK, "end")
+             for t in _nice_ticks(frame.ylo, frame.yhi)]
+    bottom = frame.y0 + frame.h
     slot = frame.w / len(bars)
     for k, (label, v) in enumerate(bars):
         bx = frame.x0 + k * slot + 0.18 * slot
@@ -373,17 +317,8 @@ def bar_chart(
         by = frame.py(v)
         body.append(
             f'<rect x="{_f(bx)}" y="{_f(by)}" width="{_f(bw)}" '
-            f'height="{_f(frame.y0 + frame.h - by)}" fill="{PALETTE[0]}"/>'
+            f'height="{_f(bottom - by)}" fill="{PALETTE[0]}"/>'
         )
-        body.append(
-            f'<text x="{_f(bx + bw / 2)}" y="{_f(frame.y0 + frame.h + 17)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="#444444">{_escape(label)}</text>'
-        )
-    body.append(
-        f'<text x="{_f(frame.x0 - 48)}" y="{_f(frame.y0 + frame.h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" fill="#333333" '
-        f'transform="rotate(-90 {_f(frame.x0 - 48)} {_f(frame.y0 + frame.h / 2)})">'
-        f"{_escape(y_label)}</text>"
-    )
+        body.append(_text(bx + bw / 2, bottom + 17, label, _TICK))
+    body.append(_text(frame.x0 - 48, frame.y0 + frame.h / 2, y_label, _LABEL, rotate=True))
     return _document(width, height, title, metadata, body)

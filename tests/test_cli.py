@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -1068,6 +1069,28 @@ class TestConfigLineContract:
         assert _run("dtw", "--input", str(fixture_csv), "--config", str(cfg),
                     "--out-dir", str(by_config)) == 0
         assert _tree(by_config) == _tree(by_flags)
+
+
+@pytest.mark.parametrize("command", ["dtw", "report-all"])
+@pytest.mark.parametrize("low, high", [("1", "1.0000000000000002"),
+                                       ("9.999999999999997e+74", "1e75")])
+def test_arrivals_a_few_ulps_apart_end(tmp_path, command, low, high):
+    # Arrivals that alternate between two adjacent doubles give a plot whose
+    # tick step is below half an ulp of the first tick.  The tick loop must
+    # end anyway; the CLI runs in a child process so a hang fails the test.
+    first = date.fromisocalendar(2019, 1, 7)
+    rows = ["date,arrivals,modal_price"] + [
+        f"{first + timedelta(weeks=k)},{(low, high)[k % 2]},{1000 + 37 * (k % 9)}"
+        for k in range(105)]  # 2019-W01 .. 2020-W53
+    (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+    src = str(Path(seasonwarp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seasonwarp.cli", command, "--input", "in.csv",
+         "--variable", "arrivals", "--out-dir", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "dtw_arrivals_2019-2020.svg" in os.listdir(tmp_path / "out")
 
 
 def test_cli_import_leaves_out_network_and_mail_modules():

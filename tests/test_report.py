@@ -1,5 +1,6 @@
 import base64
 import csv
+import hashlib
 import io
 import json
 import math
@@ -405,6 +406,49 @@ class TestSvg:
                 title="t",
                 metadata={},
             )
+
+    @staticmethod
+    def _banded_figure():
+        rng = np.random.default_rng(52)
+        x, y = rng.normal(size=52).cumsum(), rng.normal(size=53).cumsum()
+        g = cumulative_cost(local_distance_matrix(x, y), 4)
+        assert np.isinf(g).any()
+        return dtw_figure(g, dtw_align(x, y, DtwOptions(band_radius=4)).path.steps, (x, y),
+                          ("2020", "2021"), title="DTW alignment, price 2020 vs 2021",
+                          metadata={"chart": "dtw_alignment", "band": 4})
+
+    # sha256 of each chart's UTF-8 bytes, pinned so that a change to how a
+    # chart is drawn is a declared byte change, never a silent one.
+    GOLDEN = {
+        "line_chart": (
+            lambda: line_chart(
+                [("a & <b>", list(range(12)), [float((k * 7) % 11) for k in range(12)]),
+                 ("c > d", list(range(12)), [0.5 * k - 1.0 for k in range(12)])],
+                title="Index & <base 100>", x_label="week <k>", y_label="value & more",
+                metadata={"chart": "demo", "note": "<&>"}),
+            "b76d5e63fb7adaca56b2ceac958a1d620692cfe6667f374255aa2126a741cdfb",
+        ),
+        "dtw_figure banded 52x53": (
+            lambda: TestSvg._banded_figure(),
+            "0bade620ba8b473144087bbeb41488dd5ef98b853aca234e570a9076d8e70540",
+        ),
+        "dtw_figure 1x1": (
+            lambda: dtw_figure(np.array([[3.5]]), [(1, 1)], ([2.0], [4.0]), ("2019", "2020"),
+                               title="one cell", metadata={}),
+            "42e00ff7a7fd7e8a58bca4fb13b6fbb482141595090f1163188f955c41bd3cd8",
+        ),
+        "bar_chart": (
+            lambda: bar_chart([("2010-2011", 12.5), ("2011-2012", 0.0), ("2012-2013", 3.25)],
+                              title="costs & ranks", y_label="total cost",
+                              metadata={"chart": "dtw_ranking"}),
+            "8a0a7d05009b956e2ba4507f16cbb9ecabb0c16b0e94947426361036f3b30ac8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_chart_bytes_golden(self, name):
+        draw, digest = self.GOLDEN[name]
+        assert hashlib.sha256(draw().encode("utf-8")).hexdigest() == digest
 
     def test_bar_chart(self, bundle42):
         ranking = bundle42.dtw["arrivals"]

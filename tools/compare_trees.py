@@ -12,12 +12,11 @@ compared file by file, together with stdout, stderr and the exit code.  One
 line per scenario is printed; the exit code is 1 if any scenario differs.
 
 A ``dtw_*.svg`` that differs is reported as ``PICTURE`` when it draws the same
-picture: every line but the heatmap is identical, and every heatmap cell has
-the same fill in both files.  A heatmap is either ``<rect>``s, each covering a
-run of cells, or one ``<image>`` holding an 8-bit RGB PNG with one pixel per
-cell; both are expanded into cell fills, so either form compares with the
-other.  A scenario whose only differences are such files prints ``PICTURE`` in
-place of ``DIFF``; it still counts as a difference for the exit code.
+picture: every line but the heatmap ``<image>`` is identical, and both images
+sit at the same place and decode to the same pixel rows (an 8-bit RGB PNG with
+one pixel per cell).  A scenario whose only differences are such files prints
+``PICTURE`` in place of ``DIFF``; it still counts as a difference for the exit
+code.
 
 Two inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default) and the
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import bisect
 import os
 import re
 import struct
@@ -101,19 +99,14 @@ def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
             "tree": tree}
 
 
-RECT = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)" '
-                  r'fill="(#[0-9a-f]{6})"/>')
 IMAGE = re.compile(r'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="([^"]+)" y="([^"]+)" '
                    r'width="([^"]+)" height="([^"]+)" [^>]*'
                    r'xlink:href="data:image/png;base64,([A-Za-z0-9+/=]+)"/>')
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
-# Largest gap between a rect edge and a cell edge: x and width are each
-# rounded to two decimals.  Cells are far wider than this.
-EDGE_TOL = 0.02
 
 
 def png_fills(png: bytes) -> list[list[str]] | None:
-    """Rows of "#rrggbb" pixel fills of an 8-bit RGB, non-interlaced PNG whose
+    """Pixel rows, as RGB bytes, of an 8-bit RGB, non-interlaced PNG whose
     scanlines all have filter byte 0; None for any other or broken PNG."""
     if not png.startswith(PNG_SIGNATURE):
         return None
@@ -133,80 +126,34 @@ def png_fills(png: bytes) -> list[list[str]] | None:
     stride = 1 + 3 * width
     if len(raw) != height * stride or any(raw[i * stride] for i in range(height)):
         return None
-    return [["#" + raw[i * stride + 1 + 3 * j:i * stride + 4 + 3 * j].hex() for j in range(width)]
-            for i in range(height)]
+    return [raw[i * stride + 1:(i + 1) * stride] for i in range(height)]
 
 
-def image_rects(match: re.Match) -> list[tuple[float, float, float, float, str]] | None:
-    """One rect per pixel of a heatmap <image>, its x and y rounded to two
-    decimals as a rect heatmap writes them; None if the PNG does not decode."""
-    x, y, w, h = map(float, match.groups()[:4])
-    try:
-        rows = png_fills(base64.b64decode(match[5], validate=True))
-    except (binascii.Error, struct.error, KeyError, zlib.error):
-        return None
-    if rows is None:
-        return None
-    pw, ph = w / len(rows[0]), h / len(rows)
-    return [(float(f"{x + j * pw:.2f}"), float(f"{y + i * ph:.2f}"), pw, ph, fill)
-            for i, row in enumerate(rows) for j, fill in enumerate(row)]
-
-
-def heatmap(svg: bytes) -> tuple[list[str], list[tuple[float, float, float, float, str]] | None]:
-    """A DTW figure's lines other than the heatmap, and the heatmap as rects
-    (None if a heatmap image does not decode).
-
-    Heatmap rects are the filled ``<rect>`` lines after the first one, the
-    white canvas background; a heatmap ``<image>`` gives one rect per pixel.
-    """
-    others, rects = [], []
-    background = False
+def heatmap(svg: bytes) -> tuple[list[str], list | None]:
+    """A DTW figure's lines other than the heatmap, and each heatmap <image>
+    as its x, y, width and height with its pixel rows (None if one does not
+    decode)."""
+    others, images = [], []
     for line in svg.decode().splitlines():
-        match = RECT.fullmatch(line)
         image = IMAGE.fullmatch(line)
-        if match and background:
-            x, y, w, h, fill = match.groups()
-            rects.append((float(x), float(y), float(w), float(h), fill))
-        elif image:
-            pixels = image_rects(image)
-            if pixels is None:
-                return others, None
-            rects += pixels
-        else:
-            background = background or line.startswith("<rect")
+        if image is None:
             others.append(line)
-    return others, rects
-
-
-def cell_fills(rects, xs: list[float], ys: list[float]) -> dict | None:
-    """Fill of each (row start, column start) cell the rects cover, from the
-    sorted cell starts xs and ys; None if a cell is covered twice."""
-    fills = {}
-    for x, y, w, h, fill in rects:
-        columns = xs[bisect.bisect_right(xs, x - EDGE_TOL):bisect.bisect_left(xs, x + w - EDGE_TOL)]
-        for cy in ys[bisect.bisect_right(ys, y - EDGE_TOL):bisect.bisect_left(ys, y + h - EDGE_TOL)]:
-            for cx in columns:
-                if (cy, cx) in fills:
-                    return None
-                fills[cy, cx] = fill
-    return fills
+            continue
+        try:
+            rows = png_fills(base64.b64decode(image[5], validate=True))
+        except (binascii.Error, struct.error, KeyError, zlib.error):
+            rows = None
+        if rows is None:
+            return others, None
+        images.append((image.groups()[:4], rows))
+    return others, images
 
 
 def same_picture(a: bytes, b: bytes) -> bool:
-    """Whether two DTW figures differ only in how their heatmap is drawn.
-
-    Cells are the grid spanned by every rect's x and y in either file, so a
-    rect per cell compares with a rect per run of equal fill or a pixel.
-    """
-    others_a, rects_a = heatmap(a)
-    others_b, rects_b = heatmap(b)
-    if others_a != others_b or rects_a is None or rects_b is None:
-        return False
-    xs = sorted({r[0] for r in rects_a + rects_b})
-    ys = sorted({r[1] for r in rects_a + rects_b})
-    fills_a = cell_fills(rects_a, xs, ys)
-    return fills_a is not None and fills_a == cell_fills(rects_b, xs, ys) \
-        and len(fills_a) == len(xs) * len(ys)
+    """Whether two DTW figures differ only in how their heatmap is encoded."""
+    others_a, images_a = heatmap(a)
+    others_b, images_b = heatmap(b)
+    return others_a == others_b and images_a is not None and images_a == images_b
 
 
 def differences(a: dict, b: dict) -> list[str]:
