@@ -37,15 +37,7 @@ from .dtw import (
 )
 from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
 from .fixture import generate_fixture
-from .report import (
-    AnalysisBundle,
-    matrix_csv,
-    ranking_csv,
-    seasonal_csv,
-    series_csv,
-    stats_csv,
-    to_json,
-)
+from .report import matrix_csv, pair_label, records_csv, series_csv, stats_csv, to_json
 from .seasonal import seasonal_index
 from .series import (
     MarketTable,
@@ -310,13 +302,20 @@ class _OutputTree:
     def _commit(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         names = sorted(self.names)
-        if not self.force:
-            clashes = [name for name in names if (self.out_dir / name).exists()]
-            if clashes:
-                raise FileExistsError(
-                    f"output already exists in {self.out_dir}: {', '.join(clashes)} "
-                    f"(pass --force to overwrite)"
-                )
+        clashes = [name for name in names if (self.out_dir / name).exists()]
+        # A file cannot replace a directory, even with --force; found after
+        # the first move, one would leave a partial tree.
+        dirs = [name for name in clashes
+                if (self.out_dir / name).is_dir() and not (self.out_dir / name).is_symlink()]
+        if dirs:
+            raise IsADirectoryError(
+                f"output name is a directory in {self.out_dir}: {', '.join(dirs)}"
+            )
+        if clashes and not self.force:
+            raise FileExistsError(
+                f"output already exists in {self.out_dir}: {', '.join(clashes)} "
+                f"(pass --force to overwrite)"
+            )
         for name in names:
             os.replace(self.staging / name, self.out_dir / name)
 
@@ -402,7 +401,7 @@ def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str], files:
         files["seasonal.json"] = to_json({"tables": tables})
     if "csv" in formats:
         for name, t in tables.items():
-            files[f"seasonal_{name}.csv"] = seasonal_csv(t)
+            files[f"seasonal_{name}.csv"] = records_csv(t.entries)
     if "svg" in formats:
         files["seasonal.svg"] = _seasonal_svg(tables)
     return tables
@@ -422,25 +421,24 @@ def _year_span(first: int, last: int) -> str:
 
 def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int, int]]:
     years = complete_years(dense)
-    if args.years is not None:
-        lo, hi = args.years
-        years = [y for y in years if lo <= y <= hi]
-        lo, hi = max(lo, 1), min(hi, 9999)  # only these ISO years hold dates
-        # Requested years the data does not reach are named as ranges, so
-        # the warning stays one short line for any --years span.
-        first, last = dense.first_week().iso_year, dense.last_week().iso_year
-        skipped = [
-            _year_span(lo, min(hi, first - 1)),
-            *(str(y) for y in range(max(lo, first), min(hi, last) + 1) if y not in years),
-            _year_span(max(lo, last + 1), hi),
-        ]
-        skipped = [token for token in skipped if token]
-        if skipped:
-            print(
-                f"warning: skipping incomplete year(s) for {dense.variable.value}: "
-                f"{', '.join(skipped)}",
-                file=sys.stderr,
-            )
+    first, last = dense.first_week().iso_year, dense.last_week().iso_year
+    # The window is --years (only ISO years 1..9999 hold dates), else the
+    # data's own span; the table was cut to it, so the data lies inside.
+    # Years the data does not reach are named as ranges, keeping the
+    # warning one short line for any span.
+    lo, hi = (max(args.years[0], 1), min(args.years[1], 9999)) if args.years else (first, last)
+    skipped = [
+        _year_span(lo, first - 1),
+        *(str(y) for y in range(first, last + 1) if y not in years),
+        _year_span(last + 1, hi),
+    ]
+    skipped = [token for token in skipped if token]
+    if skipped:
+        print(
+            f"warning: skipping incomplete year(s) for {dense.variable.value}: "
+            f"{', '.join(skipped)}",
+            file=sys.stderr,
+        )
     if len(years) < 2:
         raise InsufficientDataError(
             f"DTW needs at least two complete years for {dense.variable.value}; "
@@ -466,7 +464,7 @@ def _dtw_variable_outputs(
     results = []
     for (y1, y2), (result, d, g) in zip(pairs, pair_set.alignments()):
         results.append(((y1, y2), result))
-        stem = f"dtw_{var}_{y1}-{y2}"
+        stem = f"dtw_{var}_{pair_label((y1, y2))}"
         if "json" in formats:
             files[f"{stem}.json"] = to_json(
                 {"variable": var, "year_pair": [y1, y2], "result": result}
@@ -479,13 +477,10 @@ def _dtw_variable_outputs(
                 (str(y1), str(y2)),
                 title=f"DTW alignment, {var} {y1} vs {y2}",
                 metadata={
+                    **{k: v for k, v in result.to_dict().items() if k != "path"},
                     "chart": "dtw_alignment",
                     "variable": var,
                     "year_pair": [y1, y2],
-                    "options": options.to_dict(),
-                    "total_cost": result.total_cost,
-                    "mean_cost": result.mean_cost,
-                    "path_length": result.path_length,
                 },
             )
         if getattr(args, "dump_matrices", False):
@@ -505,10 +500,10 @@ def _dtw_variable_outputs(
     if "json" in formats:
         files[f"dtw_ranking_{var}.json"] = to_json(payload)
     if "csv" in formats:
-        files[f"dtw_ranking_{var}.csv"] = ranking_csv(ranking)
+        files[f"dtw_ranking_{var}.csv"] = records_csv(ranking.entries)
     if "svg" in formats:
         files[f"dtw_ranking_{var}.svg"] = bar_chart(
-            [(f"{p[0]}-{p[1]}", e.total_cost) for (p, _), e in zip(results, ranking.entries)],
+            [(pair_label(e.year_pair), e.total_cost) for e in ranking.entries],
             title=f"DTW total cost by year pair, {var}",
             y_label="total cost",
             metadata={"chart": "dtw_ranking", "variable": var,
@@ -549,13 +544,8 @@ def _report_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _
         stage(args, cleaned, formats, files)
         for stage in (_clean_stage, _stats_stage, _seasonal_stage, _dtw_stage)
     ]
-    bundle = AnalysisBundle(
-        cleaning=reports,
-        summaries=summaries,
-        seasonal=tables,
-        dtw=rankings,
-        adf_log_price_diff=adf,
-    )
+    bundle = {"cleaning": reports, "summaries": summaries, "seasonal": tables,
+              "dtw": rankings, "adf_log_price_diff": adf}
     if "svg" in formats:
         for var, (dense, _) in cleaned.items():
             files[f"series_{var.value}.svg"] = _series_svg(dense)

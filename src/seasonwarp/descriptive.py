@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
 
-QUANTILE_LEVELS = (0.25, 0.50, 0.75)
-
 
 def quantile(values: np.ndarray | list[float], q: float) -> float:
     """Quantile by linear interpolation between order statistics.
@@ -41,17 +39,21 @@ def _sorted_quantile(v: np.ndarray, q: float) -> float:
     return float(v[lo] + frac * (v[lo + 1] - v[lo]))
 
 
-def central_moments(values: np.ndarray | list[float]) -> tuple[float, float, float, float]:
-    """(mean, m2, m3, m4) with 1/n denominators for the central moments."""
+def central_moments(
+    values: np.ndarray | list[float],
+) -> tuple[float, float, float, float, float]:
+    """(mean, ss, m2, m3, m4): the sum of squared deviations ss and the
+    central moments with 1/n denominators, m2 being ss / n.  The sample std
+    sqrt(ss / (n - 1)) is bit-equal to ``np.std(values, ddof=1)``."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise InsufficientDataError("moments of an empty sample")
     mean = float(np.mean(v))
     d = v - mean
-    m2 = float(np.mean(d**2))
+    ss = float(np.sum(d**2))
     m3 = float(np.mean(d**3))
     m4 = float(np.mean(d**4))
-    return mean, m2, m3, m4
+    return mean, ss, ss / v.size, m3, m4
 
 
 def moments(values: np.ndarray | list[float]) -> tuple[float, float, float, float]:
@@ -67,13 +69,12 @@ def moments(values: np.ndarray | list[float]) -> tuple[float, float, float, floa
         raise InsufficientDataError(
             f"moments needs >= 4 observations (first unavailable: {needed}), got {v.size}"
         )
-    mean, m2, m3, m4 = central_moments(v)
+    mean, ss, m2, m3, m4 = central_moments(v)
     if m2 == 0.0:
         raise DegenerateDataError(
             "skewness and kurtosis undefined for a constant sample"
         )
-    std = float(np.std(v, ddof=1))
-    return (mean, std, *_shape(m2, m3, m4))
+    return (mean, math.sqrt(ss / (v.size - 1)), *_shape(m2, m3, m4))
 
 
 def _shape(m2: float, m3: float, m4: float) -> tuple[float, float]:
@@ -92,7 +93,7 @@ def jarque_bera(values: np.ndarray | list[float]) -> tuple[float, float]:
         raise InsufficientDataError(
             f"Jarque-Bera needs >= 8 observations, got {v.size}"
         )
-    _, m2, m3, m4 = central_moments(v)
+    _, _, m2, m3, m4 = central_moments(v)
     if m2 == 0.0:
         raise DegenerateDataError("skewness undefined for a constant sample")
     return _jarque_bera(v.size, *_shape(m2, m3, m4))
@@ -133,12 +134,12 @@ def describe(data) -> DescriptiveSummary:
     v = np.asarray(values, dtype=float)
     if v.size < 8:
         raise InsufficientDataError(f"describe needs >= 8 observations, got {v.size}")
-    mean, m2, m3, m4 = central_moments(v)
+    mean, ss, m2, m3, m4 = central_moments(v)
     if m2 == 0.0:
         raise DegenerateDataError("describe undefined for a constant sample")
     if mean == 0.0:
         raise DegenerateDataError("coefficient of variation undefined for zero mean")
-    std = float(np.std(v, ddof=1))
+    std = math.sqrt(ss / (v.size - 1))
     skew, kurt = _shape(m2, m3, m4)
     jb, jb_p = _jarque_bera(v.size, skew, kurt)
     ordered = np.sort(v)

@@ -114,10 +114,11 @@ def mean_cost(total_cost: float, path_length: int) -> float:
 def zscore(values) -> np.ndarray:
     """Standardize to zero mean, unit population std."""
     v = np.asarray(values, dtype=float)
-    std = float(np.std(v))
+    d = v - float(np.mean(v))
+    std = math.sqrt(float(np.mean(d * d)))  # np.std(v), without its second mean
     if std == 0.0:
         raise DegenerateDataError("z-score undefined for a constant series")
-    return (v - float(np.mean(v))) / std
+    return d / std
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> None:

@@ -2,7 +2,8 @@
 
 JSON is emitted with sorted keys and two-space indentation, byte for byte
 as ``json.dumps`` writes it with those settings; CSV uses
-RFC-4180 quoting with CRLF row endings.  Identical inputs give identical
+RFC-4180 quoting with CRLF row endings, and a table of records has one row
+per record and one column per field.  Identical inputs give identical
 bytes, which the golden-file tests rely on.
 """
 
@@ -11,14 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
-from .cleaning import CleaningReport
 from .descriptive import DescriptiveSummary
-from .dtw import PairRanking, WarpPath
-from .seasonal import SeasonalIndexTable
+from .dtw import WarpPath
 from .series import FLAGS, WeekKey, WeeklySeries
 from .unitroot import AdfResult
 
@@ -84,47 +83,21 @@ def _csv_text(rows: list[list]) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class AnalysisBundle:
-    """Everything one full pipeline run produces, keyed by variable name."""
-
-    cleaning: dict[str, CleaningReport]
-    summaries: dict[str, DescriptiveSummary]
-    seasonal: dict[str, SeasonalIndexTable]
-    dtw: dict[str, PairRanking]
-    adf_log_price_diff: AdfResult | None
-
-
-_STAT_ROWS = (
-    ("count", "count"),
-    ("mean", "mean"),
-    ("std", "std"),
-    ("cv_percent", "cv_percent"),
-    ("skewness", "skewness"),
-    ("excess_kurtosis", "excess_kurtosis"),
-    ("min", "minimum"),
-    ("p25", "p25"),
-    ("median", "median"),
-    ("p75", "p75"),
-    ("max", "maximum"),
-    ("jb_statistic", "jarque_bera"),
-    ("jb_p_value", "jarque_bera_p"),
-)
+# The stats rows whose metric label is not the field's name.
+_STAT_LABELS = {"minimum": "min", "maximum": "max",
+                "jarque_bera": "jb_statistic", "jarque_bera_p": "jb_p_value"}
 
 
 def stats_csv(
     summaries: dict[str, DescriptiveSummary], adf: AdfResult | None
 ) -> str:
-    """Fixed-shape metric table: metric, arrivals, modal_price columns."""
+    """Fixed-shape metric table: metric, arrivals, modal_price columns, one
+    row per `DescriptiveSummary` field, then the ADF rows."""
     rows: list[list] = [["metric", "arrivals", "modal_price"]]
-    arr = summaries.get("arrivals")
-    pri = summaries.get("modal_price")
-
-    def cell(summary: DescriptiveSummary | None, attr: str):
-        return "" if summary is None else getattr(summary, attr)
-
-    for label, attr in _STAT_ROWS:
-        rows.append([label, cell(arr, attr), cell(pri, attr)])
+    columns = [summaries.get("arrivals"), summaries.get("modal_price")]
+    for f in fields(DescriptiveSummary):
+        rows.append([_STAT_LABELS.get(f.name, f.name),
+                     *("" if s is None else getattr(s, f.name) for s in columns)])
     if adf is not None:
         rows.append(["adf_statistic_log_price_diff", "", adf.statistic])
         rows.append(["adf_p_value_log_price_diff", "", adf.pvalue])
@@ -133,25 +106,20 @@ def stats_csv(
     return _csv_text(rows)
 
 
-def seasonal_csv(table: SeasonalIndexTable) -> str:
-    rows: list[list] = [["iso_week", "index", "support"]]
-    for e in table.entries:
-        rows.append([e.iso_week, e.index, e.support])
-    return _csv_text(rows)
+def pair_label(pair: tuple[int, int]) -> str:
+    """A year pair as ``a-b``: its CSV cell, bar label and file-name part."""
+    return f"{pair[0]}-{pair[1]}"
 
 
-def ranking_csv(ranking: PairRanking) -> str:
-    rows: list[list] = [["year_pair", "total_cost", "mean_cost", "path_length", "rank"]]
-    for e in ranking.entries:
-        rows.append(
-            [
-                f"{e.year_pair[0]}-{e.year_pair[1]}",
-                e.total_cost,
-                e.mean_cost,
-                e.path_length,
-                e.rank,
-            ]
-        )
+def records_csv(records) -> str:
+    """One row per record and one column per field of the records'
+    dataclass, under a header of the field names; a year pair is written
+    ``a-b``.  ``records`` is a non-empty sequence of one dataclass."""
+    names = [f.name for f in fields(records[0])]
+    rows: list[list] = [names]
+    for record in records:
+        cells = [getattr(record, name) for name in names]
+        rows.append([pair_label(c) if isinstance(c, tuple) else c for c in cells])
     return _csv_text(rows)
 
 

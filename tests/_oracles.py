@@ -414,3 +414,54 @@ def _json_plain(value):
     if is_dataclass(value):
         return {f.name: _json_plain(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+# The report tables as each CSV emitter once wrote them, row layout by hand.
+def _csv_oracle(rows: list[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+_STAT_ROWS_ORACLE = (
+    ("count", "count"),
+    ("mean", "mean"),
+    ("std", "std"),
+    ("cv_percent", "cv_percent"),
+    ("skewness", "skewness"),
+    ("excess_kurtosis", "excess_kurtosis"),
+    ("min", "minimum"),
+    ("p25", "p25"),
+    ("median", "median"),
+    ("p75", "p75"),
+    ("max", "maximum"),
+    ("jb_statistic", "jarque_bera"),
+    ("jb_p_value", "jarque_bera_p"),
+)
+
+
+def stats_csv_oracle(summaries: dict, adf: AdfResult | None) -> str:
+    rows: list[list] = [["metric", "arrivals", "modal_price"]]
+    arr, pri = summaries.get("arrivals"), summaries.get("modal_price")
+    for label, attr in _STAT_ROWS_ORACLE:
+        rows.append([label, "" if arr is None else getattr(arr, attr),
+                     "" if pri is None else getattr(pri, attr)])
+    if adf is not None:
+        rows.append(["adf_statistic_log_price_diff", "", adf.statistic])
+        rows.append(["adf_p_value_log_price_diff", "", adf.pvalue])
+        rows.append(["adf_lags_used", "", adf.used_lag])
+        rows.append(["adf_n_effective", "", adf.nobs])
+    return _csv_oracle(rows)
+
+
+def seasonal_csv_oracle(table) -> str:
+    rows: list[list] = [["iso_week", "index", "support"]]
+    rows += [[e.iso_week, e.index, e.support] for e in table.entries]
+    return _csv_oracle(rows)
+
+
+def ranking_csv_oracle(ranking) -> str:
+    rows: list[list] = [["year_pair", "total_cost", "mean_cost", "path_length", "rank"]]
+    rows += [[f"{e.year_pair[0]}-{e.year_pair[1]}", e.total_cost, e.mean_cost,
+              e.path_length, e.rank] for e in ranking.entries]
+    return _csv_oracle(rows)

@@ -682,6 +682,28 @@ class TestDtwCommand:
         assert [e["year_pair"] for e in _ranking_entries(out, "modal_price")] == [[2020, 2021]]
 
 
+    @pytest.mark.parametrize("edge, skipped, pairs", [
+        ("first", "2010", ["2011-2012", "2023-2024"]),
+        ("last", "2024", ["2010-2011", "2022-2023"]),
+    ])
+    def test_incomplete_edge_year_warns_without_years(
+        self, tmp_path, capsys, fixture42, edge, skipped, pairs
+    ):
+        # Without --years the window is the data's own span, so a year cut
+        # short at either end is named like any other skipped year.
+        header, *rows = fixture42.csv_bytes().splitlines(keepends=True)
+        path = tmp_path / "edge.csv"
+        path.write_bytes(b"".join([header, *(rows[1:] if edge == "first" else rows[:-1])]))
+        out = tmp_path / "o"
+        assert _run("dtw", "--input", str(path), "--variable", "price", "--format", "csv",
+                    "--out-dir", str(out)) == 0
+        assert capsys.readouterr().err == (
+            f"warning: skipping incomplete year(s) for modal_price: {skipped}\n")
+        rows = list(csv.reader(io.StringIO((out / "dtw_ranking_modal_price.csv").read_text())))
+        assert [rows[1][0], rows[-1][0]] == pairs
+        assert len(rows) == 1 + 13
+
+
 class TestReportAll:
     def test_full_tree_without_input_uses_generated_data(self, tmp_path):
         out = tmp_path / "o"
@@ -899,6 +921,24 @@ class TestConfigAndUsage:
         assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no staging left
         assert _tree(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["o"]
+
+    def test_force_onto_a_directory_leaves_out_dir_as_it_was(self, tmp_path, capsys):
+        # --force replaces files, never a directory; one found among the
+        # names stops the run before any file is moved.
+        out = tmp_path / "o"
+        assert _run("report-all", "--out-dir", str(out)) == 0
+        (out / "stats.json").unlink()
+        (out / "stats.json").mkdir()
+        (out / "stats.json" / "inner.txt").write_bytes(b"inner")
+        (out / "seasonal.json").write_bytes(b"old")
+        before = {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+                  for p in out.rglob("*")}
+        capsys.readouterr()
+        assert _run("report-all", "--force", "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stats.json" in err, err
+        assert {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+                for p in out.rglob("*")} == before
 
     def test_each_file_staged_as_it_is_made(self, tmp_path, fixture_csv, monkeypatch):
         # No run holds its whole output tree: each DTW figure reaches the

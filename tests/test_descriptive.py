@@ -77,6 +77,18 @@ class TestMoments:
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-10, abs=1e-12)
 
+    def test_std_equals_numpy_ddof1(self):
+        # The std comes from the moment pass's sum of squared deviations,
+        # bit-equal to numpy's own two-pass std.
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(8, 16000)) if rng.random() < 0.1 else int(rng.integers(8, 600))
+            scale = 10.0 ** rng.integers(-3, 6)
+            v = rng.lognormal(rng.uniform(-2, 2), rng.uniform(0.1, 1.5), size=n) * scale
+            want = float(np.std(v, ddof=1))
+            assert moments(v)[1] == want
+            assert describe(v).std == want
+
     def test_skewness_translation_invariant(self):
         rng = np.random.default_rng(3)
         v = rng.gamma(2.0, size=200)

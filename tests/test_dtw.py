@@ -224,6 +224,14 @@ class TestDtwAlign:
         assert res.total_cost < raw.total_cost
         assert res == dataclasses.replace(dtw_align(zscore(x), zscore(y)), options=opts)
 
+    def test_zscore_equals_numpy_two_pass_form(self):
+        # One mean, reused for the std, gives numpy's bytes exactly.
+        rng = np.random.default_rng(12)
+        for n in [2, 3, 52, 53, 517] * 20:
+            v = rng.lognormal(rng.uniform(-3, 8), 0.8, size=n)
+            want = (v - float(np.mean(v))) / float(np.std(v))
+            assert zscore(v).tobytes() == want.tobytes()
+
     def test_zscore_shift_scale_invariance(self):
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=22), rng.normal(size=22)

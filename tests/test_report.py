@@ -26,12 +26,12 @@ from seasonwarp.dtw import (
     dtw_align,
     local_distance_matrix,
     rank_pairs,
+    rank_summaries,
 )
 from seasonwarp.report import (
-    AnalysisBundle,
     matrix_csv,
-    ranking_csv,
-    seasonal_csv,
+    pair_label,
+    records_csv,
     series_csv,
     stats_csv,
     to_json,
@@ -44,6 +44,9 @@ from seasonwarp.unitroot import adf_test
 from _oracles import (
     dtw_heatmap_cells_oracle,
     polyline_points_oracle,
+    ranking_csv_oracle,
+    seasonal_csv_oracle,
+    stats_csv_oracle,
     to_json_oracle,
 )
 
@@ -68,7 +71,8 @@ def bundle42(cleaned42):
         dtw[var.value] = rank_pairs(results)
     prices, _ = cleaned42[Variable.MODAL_PRICE]
     adf = adf_test(log_diff(prices.values()), regression="c")
-    return AnalysisBundle(cleaning, summaries, seasonal, dtw, adf)
+    return {"cleaning": cleaning, "summaries": summaries, "seasonal": seasonal, "dtw": dtw,
+            "adf_log_price_diff": adf}
 
 
 @dataclass(frozen=True)
@@ -117,14 +121,14 @@ class TestJson:
         assert json.loads(s) == {"b": 1, "a": {"d": 2, "c": 3}}
 
     def test_bundle_roundtrip(self, bundle42):
-        # The bundle is its fields, each record in its own JSON form.
+        # The bundle is a plain dict, each record in its own JSON form.
         payload = json.loads(to_json(bundle42))
         assert payload == {
-            "cleaning": {k: json.loads(to_json(v)) for k, v in bundle42.cleaning.items()},
-            "summaries": {k: json.loads(to_json(v)) for k, v in bundle42.summaries.items()},
-            "seasonal": {k: json.loads(to_json(v)) for k, v in bundle42.seasonal.items()},
-            "dtw": {k: json.loads(to_json(v)) for k, v in bundle42.dtw.items()},
-            "adf_log_price_diff": json.loads(to_json(bundle42.adf_log_price_diff)),
+            "cleaning": {k: json.loads(to_json(v)) for k, v in bundle42["cleaning"].items()},
+            "summaries": {k: json.loads(to_json(v)) for k, v in bundle42["summaries"].items()},
+            "seasonal": {k: json.loads(to_json(v)) for k, v in bundle42["seasonal"].items()},
+            "dtw": {k: json.loads(to_json(v)) for k, v in bundle42["dtw"].items()},
+            "adf_log_price_diff": json.loads(to_json(bundle42["adf_log_price_diff"])),
         }
         assert set(payload["cleaning"]) == {"arrivals", "modal_price"}
         assert payload["adf_log_price_diff"]["regression"] == "c"
@@ -159,11 +163,11 @@ def _parse_csv(text):
 
 class TestCsv:
     def test_crlf_row_endings(self, bundle42):
-        text = stats_csv(bundle42.summaries, bundle42.adf_log_price_diff)
+        text = stats_csv(bundle42["summaries"], bundle42["adf_log_price_diff"])
         assert "\r\n" in text and "\n" == text[-1]
 
     def test_stats_shape(self, bundle42):
-        rows = _parse_csv(stats_csv(bundle42.summaries, bundle42.adf_log_price_diff))
+        rows = _parse_csv(stats_csv(bundle42["summaries"], bundle42["adf_log_price_diff"]))
         assert rows[0] == ["metric", "arrivals", "modal_price"]
         metrics = [r[0] for r in rows[1:]]
         assert metrics[:4] == ["count", "mean", "std", "cv_percent"]
@@ -171,15 +175,15 @@ class TestCsv:
         # ADF rows describe the price series only; the arrivals cell is blank.
         adf_row = rows[metrics.index("adf_statistic_log_price_diff") + 1]
         assert adf_row[1] == ""
-        assert float(adf_row[2]) == bundle42.adf_log_price_diff.statistic
+        assert float(adf_row[2]) == bundle42["adf_log_price_diff"].statistic
 
     def test_stats_without_adf(self, bundle42):
-        rows = _parse_csv(stats_csv(bundle42.summaries, None))
+        rows = _parse_csv(stats_csv(bundle42["summaries"], None))
         assert len(rows) == 1 + 13
 
     def test_seasonal_csv_values_roundtrip(self, bundle42):
-        table = bundle42.seasonal["arrivals"]
-        rows = _parse_csv(seasonal_csv(table))
+        table = bundle42["seasonal"]["arrivals"]
+        rows = _parse_csv(records_csv(table.entries))
         assert rows[0] == ["iso_week", "index", "support"]
         assert len(rows) == 1 + len(table.entries)
         for row, e in zip(rows[1:], table.entries):
@@ -188,11 +192,41 @@ class TestCsv:
             assert int(row[2]) == e.support
 
     def test_ranking_csv(self, bundle42):
-        ranking = bundle42.dtw["modal_price"]
-        rows = _parse_csv(ranking_csv(ranking))
+        ranking = bundle42["dtw"]["modal_price"]
+        rows = _parse_csv(records_csv(ranking.entries))
         assert rows[0] == ["year_pair", "total_cost", "mean_cost", "path_length", "rank"]
         assert rows[1][0] == "2020-2021"
         assert float(rows[1][1]) == ranking.entries[0].total_cost
+
+    @pytest.mark.parametrize("method", ["weekly-mean", "moving-average"])
+    @pytest.mark.parametrize("var", list(Variable))
+    def test_records_csv_seasonal_bytes(self, cleaned42, var, method):
+        table = seasonal_index(cleaned42[var][0], method)
+        assert table.entries[-1].iso_week == 53  # 2015 and 2020 have 53 weeks
+        assert records_csv(table.entries) == seasonal_csv_oracle(table)
+
+    def test_records_csv_ranking_bytes_with_ties(self, bundle42):
+        ranking = rank_summaries([
+            ((2012, 2013), 5.0, 0.1, 50),
+            ((2010, 2011), 5.0, 0.1, 50),
+            ((2011, 2012), 5.0, 0.0625, 80),
+            ((2013, 2014), 0.1 + 0.2, 1e-17, 53),
+            ((2010, 2014), 5.0, 0.1, 50),
+        ])
+        assert sorted(e.rank for e in ranking.entries) == [1, 2, 3, 4, 5]
+        for ranking in (ranking, *bundle42["dtw"].values()):
+            assert records_csv(ranking.entries) == ranking_csv_oracle(ranking)
+
+    @pytest.mark.parametrize("variables, with_adf", [
+        (("arrivals", "modal_price"), True),
+        (("arrivals", "modal_price"), False),
+        (("arrivals",), False),
+        (("modal_price",), True),
+    ])
+    def test_stats_csv_bytes(self, bundle42, variables, with_adf):
+        summaries = {v: bundle42["summaries"][v] for v in variables}
+        adf = bundle42["adf_log_price_diff"] if with_adf else None
+        assert stats_csv(summaries, adf) == stats_csv_oracle(summaries, adf)
 
     def test_series_csv(self, cleaned42):
         series, _ = cleaned42[Variable.ARRIVALS]
@@ -451,11 +485,8 @@ class TestSvg:
         assert hashlib.sha256(draw().encode("utf-8")).hexdigest() == digest
 
     def test_bar_chart(self, bundle42):
-        ranking = bundle42.dtw["arrivals"]
-        bars = [
-            (f"{e.year_pair[0]}-{e.year_pair[1]}", e.total_cost)
-            for e in ranking.entries
-        ]
+        ranking = bundle42["dtw"]["arrivals"]
+        bars = [(pair_label(e.year_pair), e.total_cost) for e in ranking.entries]
         text = bar_chart(bars, title="t", y_label="cost", metadata={})
         ET.fromstring(text)
         assert "rect" in text

@@ -18,14 +18,16 @@ one pixel per cell).  A scenario whose only differences are such files prints
 ``PICTURE`` in place of ``DIFF``; it still counts as a difference for the exit
 code.
 
-Two inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
-fixture CSV (seed 42, what ``report-all`` generates by default) and the
-long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``.  ``bench/``
+Three inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
+fixture CSV (seed 42, what ``report-all`` generates by default), the same
+without its first data row, and the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``.  ``bench/``
 is only imported, never changed.  The DTW scenario on the long history is
 limited to the prices of 2000..2010, because all 44,850 pairs of 300 years
 would write tens of GB.  Two DTW scenarios on the fixture pin error paths:
 band 0 exits 2 on the first 52-vs-53-week pair, and band 1 with z-scores
-aligns every pair.  ``report-all-config`` gives ``report-all-winsorize``'s
+aligns every pair.  ``dtw-edge-gap`` runs on the fixture without its first
+data row, so the first ISO year is incomplete and skipped with a warning.
+``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
 directory.  ``report-all-arrivals`` is the one tree whose bundle holds a single
 variable and whose ``adf_log_price_diff`` is null.
@@ -50,7 +52,7 @@ LONG_HISTORY = (501, 300, 60, 80)
 # Config file of a scenario whose argv passes --config run.cfg.
 WINSORIZE_CONFIG = "winsorize = yes\nnormalize = zscore\nyears = 2012..2020\n"
 
-# (name, argv before --out-dir, input: None, "fixture" or "long")
+# (name, argv before --out-dir, input: None or a key of INPUT_CODE)
 SCENARIOS = (
     ("report-all", ["report-all"], None),
     ("report-all-band4", ["report-all", "--seed", "201", "--all-pairs", "--band", "4"], None),
@@ -61,6 +63,7 @@ SCENARIOS = (
     ("dtw-band0", ["dtw", "--all-pairs", "--band", "0"], "fixture"),
     ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
      "fixture"),
+    ("dtw-edge-gap", ["dtw", "--variable", "price"], "edge-gap"),
     ("long-clean", ["clean"], "long"),
     ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
     ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], "long"),
@@ -71,6 +74,9 @@ SCENARIOS = (
 INPUT_CODE = {
     "fixture": "from seasonwarp.fixture import generate_fixture; "
                "sys.stdout.buffer.write(generate_fixture(42).csv_bytes())",
+    "edge-gap": "from seasonwarp.fixture import generate_fixture; "
+                "lines = generate_fixture(42).csv_bytes().splitlines(keepends=True); "
+                "sys.stdout.buffer.write(b''.join([lines[0], *lines[2:]]))",
     "long": "from inputs import long_history; "
             f"sys.stdout.buffer.write(long_history{LONG_HISTORY}.csv_text.encode())",
 }
