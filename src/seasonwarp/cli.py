@@ -2,7 +2,9 @@
 
 Each data command is one driver (`_run_stage`: read, clean, stage) around
 one stage function.  A stage takes ``(args, cleaned, formats, files)``,
-stores each output as ``files[filename] = text`` and returns its value;
+stores each output as ``files[filename] = text`` and returns its value.
+``cleaned`` maps each variable to its `_Cleaned` record, whose complete
+years are found and warned about once, by the first stage that needs them;
 ``report-all``'s stage is the union of the clean, stats, seasonal and dtw
 stages plus the series charts and the bundle it builds from their values.
 
@@ -21,13 +23,14 @@ import os
 import shutil
 import sys
 import tempfile
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from .cleaning import ColumnSchema, clean_series, parse_market_csv
+from .cleaning import CleaningReport, ColumnSchema, clean_series, parse_market_csv
 from .descriptive import describe
 from .dtw import (
     DtwOptions,
@@ -40,7 +43,6 @@ from .fixture import generate_fixture
 from .report import matrix_csv, pair_label, records_csv, series_csv, stats_csv, to_json
 from .seasonal import seasonal_index
 from .series import (
-    MarketTable,
     Variable,
     WeeklySeries,
     build_weekly_series,
@@ -242,28 +244,53 @@ def _variables(args: argparse.Namespace) -> list[Variable]:
     }[args.variable]
 
 
-def _schema(args: argparse.Namespace) -> ColumnSchema:
-    return ColumnSchema(
-        date=args.date_col,
-        arrivals=args.arrivals_col,
-        price=args.price_col,
-        date_format=args.date_format,
-    )
+def _year_span(first: int, last: int) -> str:
+    """``first..last`` as one token: empty if reversed, one year if equal."""
+    if first > last:
+        return ""
+    return str(first) if first == last else f"{first}..{last}"
 
 
-def _read_table(args: argparse.Namespace, data: bytes) -> MarketTable:
-    table = parse_market_csv(data, _schema(args))
-    return table if args.years is None else table.in_years(*args.years)
+@dataclass
+class _Cleaned:
+    """One variable's cleaned series and cleaning report, in the window of
+    ISO years the run reads: ``--years`` if given, else the data's own."""
+
+    dense: WeeklySeries
+    report: CleaningReport
+    window: tuple[int, int] | None
+
+    @cached_property
+    def years(self) -> list[int]:
+        """The complete ISO years, found on first use, when the window's other
+        years are warned of once: one by one inside the data's span, as ranges
+        outside it, so the line stays short for any window."""
+        years = complete_years(self.dense)
+        first, last = self.dense.first_week().iso_year, self.dense.last_week().iso_year
+        lo, hi = self.window or (first, last)
+        # Only ISO years 1..9999 hold dates; the table was cut to the window.
+        skipped = [
+            _year_span(max(lo, 1), first - 1),
+            *(str(y) for y in range(first, last + 1) if y not in years),
+            _year_span(last + 1, min(hi, 9999)),
+        ]
+        if any(skipped):
+            var, tokens = self.dense.variable.value, ", ".join(filter(None, skipped))
+            print(f"warning: skipping incomplete year(s) for {var}: {tokens}", file=sys.stderr)
+        return years
 
 
-def _cleaned(
-    args: argparse.Namespace, table: MarketTable
-) -> dict[Variable, tuple[WeeklySeries, object]]:
-    out = {}
-    for var in _variables(args):
-        series = build_weekly_series(table, var)
-        out[var] = clean_series(series, winsorize=args.winsorize)
-    return out
+def _cleaned(args: argparse.Namespace, data: bytes) -> dict[Variable, _Cleaned]:
+    schema = ColumnSchema(date=args.date_col, arrivals=args.arrivals_col,
+                          price=args.price_col, date_format=args.date_format)
+    table = parse_market_csv(data, schema)
+    if args.years is not None:
+        table = table.in_years(*args.years)
+    return {
+        var: _Cleaned(*clean_series(build_weekly_series(table, var), winsorize=args.winsorize),
+                      args.years)
+        for var in _variables(args)
+    }
 
 
 class _OutputTree:
@@ -333,7 +360,7 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
             fx = generate_fixture(args.seed)
             data = fx.csv_bytes()
             files["fixture.csv"] = fx.csv_text
-        stage(args, _cleaned(args, _read_table(args, data)), args.formats, files)
+        stage(args, _cleaned(args, data), args.formats, files)
     return 0
 
 
@@ -344,12 +371,12 @@ def cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def _clean_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
-    for var, (dense, report) in cleaned.items():
+    for var, c in cleaned.items():
         if "csv" in formats:
-            files[f"cleaned_{var.value}.csv"] = series_csv(dense)
+            files[f"cleaned_{var.value}.csv"] = series_csv(c.dense)
         if "json" in formats:
-            files[f"cleaning_{var.value}.json"] = to_json(report)
-    return {var.value: report for var, (_, report) in cleaned.items()}
+            files[f"cleaning_{var.value}.json"] = to_json(c.report)
+    return {var.value: c.report for var, c in cleaned.items()}
 
 
 def _adf_on_log_price(dense_price: WeeklySeries):
@@ -363,12 +390,10 @@ def _adf_on_log_price(dense_price: WeeklySeries):
 
 
 def _stats_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
-    summaries = {
-        var.value: describe(dense.values()) for var, (dense, _) in cleaned.items()
-    }
+    summaries = {var.value: describe(c.dense.values()) for var, c in cleaned.items()}
     adf = None
     if Variable.MODAL_PRICE in cleaned:
-        adf = _adf_on_log_price(cleaned[Variable.MODAL_PRICE][0])
+        adf = _adf_on_log_price(cleaned[Variable.MODAL_PRICE].dense)
     if "json" in formats:
         files["stats.json"] = to_json({"summaries": summaries, "adf_log_price_diff": adf})
     if "csv" in formats:
@@ -396,7 +421,7 @@ def _seasonal_svg(tables: dict) -> str:
 
 def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
     method = getattr(args, "detrend", None) or "weekly-mean"
-    tables = {var.value: seasonal_index(dense, method) for var, (dense, _) in cleaned.items()}
+    tables = {var.value: seasonal_index(c.dense, c.years, method) for var, c in cleaned.items()}
     if "json" in formats:
         files["seasonal.json"] = to_json({"tables": tables})
     if "csv" in formats:
@@ -412,36 +437,11 @@ def _dtw_options(args: argparse.Namespace) -> DtwOptions:
     return DtwOptions(band_radius=args.band, normalize_input=normalize)
 
 
-def _year_span(first: int, last: int) -> str:
-    """``first..last`` as one token: empty if reversed, one year if equal."""
-    if first > last:
-        return ""
-    return str(first) if first == last else f"{first}..{last}"
-
-
-def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int, int]]:
-    years = complete_years(dense)
-    first, last = dense.first_week().iso_year, dense.last_week().iso_year
-    # The window is --years (only ISO years 1..9999 hold dates), else the
-    # data's own span; the table was cut to it, so the data lies inside.
-    # Years the data does not reach are named as ranges, keeping the
-    # warning one short line for any span.
-    lo, hi = (max(args.years[0], 1), min(args.years[1], 9999)) if args.years else (first, last)
-    skipped = [
-        _year_span(lo, first - 1),
-        *(str(y) for y in range(first, last + 1) if y not in years),
-        _year_span(last + 1, hi),
-    ]
-    skipped = [token for token in skipped if token]
-    if skipped:
-        print(
-            f"warning: skipping incomplete year(s) for {dense.variable.value}: "
-            f"{', '.join(skipped)}",
-            file=sys.stderr,
-        )
+def _year_pairs(args: argparse.Namespace, cleaned: _Cleaned) -> list[tuple[int, int]]:
+    years = cleaned.years
     if len(years) < 2:
         raise InsufficientDataError(
-            f"DTW needs at least two complete years for {dense.variable.value}; "
+            f"DTW needs at least two complete years for {cleaned.dense.variable.value}; "
             f"found {len(years)}"
         )
     if args.all_pairs:
@@ -450,16 +450,16 @@ def _year_pairs(args: argparse.Namespace, dense: WeeklySeries) -> list[tuple[int
 
 
 def _dtw_variable_outputs(
-    args: argparse.Namespace, dense: WeeklySeries, formats: set[str], files: _OutputTree
+    args: argparse.Namespace, cleaned: _Cleaned, formats: set[str], files: _OutputTree
 ):
     """One variable's year pairs: each slice aligned as-is or z-scored once,
     the drawn matrices from the batched kernel, backtracked once per pair,
     and the unbanded reference ranks from the kernel's corner costs."""
-    var = dense.variable.value
+    var = cleaned.dense.variable.value
     options = _dtw_options(args)
-    pairs = _year_pairs(args, dense)
-    years = sorted({year for pair in pairs for year in pair})
-    pair_set = PairSet({year: slice_year(dense, year) for year in years}, pairs, options)
+    pairs = _year_pairs(args, cleaned)
+    # The pairs hold every complete year, there being at least two.
+    pair_set = PairSet({y: slice_year(cleaned.dense, y) for y in cleaned.years}, pairs, options)
     unbanded_ranks = None if options.band_radius is None else pair_set.unbanded_ranks()
     results = []
     for (y1, y2), (result, d, g) in zip(pairs, pair_set.alignments()):
@@ -513,8 +513,8 @@ def _dtw_variable_outputs(
 
 
 def _dtw_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
-    return {var.value: _dtw_variable_outputs(args, dense, formats, files)
-            for var, (dense, _) in cleaned.items()}
+    return {var.value: _dtw_variable_outputs(args, c, formats, files)
+            for var, c in cleaned.items()}
 
 
 def _series_svg(dense: WeeklySeries) -> str:
@@ -547,8 +547,8 @@ def _report_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _
     bundle = {"cleaning": reports, "summaries": summaries, "seasonal": tables,
               "dtw": rankings, "adf_log_price_diff": adf}
     if "svg" in formats:
-        for var, (dense, _) in cleaned.items():
-            files[f"series_{var.value}.svg"] = _series_svg(dense)
+        for var, c in cleaned.items():
+            files[f"series_{var.value}.svg"] = _series_svg(c.dense)
     if "json" in formats:
         files["bundle.json"] = to_json(bundle)
     return bundle

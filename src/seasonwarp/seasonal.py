@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .series import Variable, WeekKey, WeeklySeries, complete_years
+from .series import Variable, WeekKey, WeeklySeries, slice_year, weeks_in_iso_year
 
 METHODS = ("weekly-mean", "moving-average")
 
@@ -53,19 +53,7 @@ class SeasonalIndexTable:
             raise ValueError("entries must be strictly increasing in iso_week")
 
 
-def _complete_years(series: WeeklySeries) -> list[int]:
-    years = complete_years(series)
-    if len(years) < 2:
-        raise InsufficientDataError(
-            f"seasonal index needs >= 2 complete ISO years, got {len(years)}"
-        )
-    return years
-
-
-def _weekly_mean_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
-    iso_years, iso_weeks = series.iso_calendar()
-    keep = np.isin(iso_years, _complete_years(series))
-    weeks, values = iso_weeks[keep].tolist(), series.values()[keep].tolist()
+def _weekly_mean_entries(weeks: list[int], values: list[float]) -> list[WeekIndexEntry]:
     total = 0.0
     by_week: dict[int, list[float]] = {}
     for week, value in zip(weeks, values):
@@ -80,15 +68,16 @@ def _weekly_mean_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
     ]
 
 
-def _moving_average_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
-    year_set = set(_complete_years(series))
-    iso_years, iso_weeks = (a.tolist() for a in series.iso_calendar())
+def _moving_average_entries(
+    series: WeeklySeries, iso_weeks: np.ndarray, keep: np.ndarray
+) -> list[WeekIndexEntry]:
+    iso_weeks, keep = iso_weeks.tolist(), keep.tolist()
     values = series.values().tolist()
     n = len(values)
     # ratio to the centered 52-week moving average wherever the window fits
     ratios: dict[int, list[float]] = {}
     for t in range(MA_HALF_SPAN, n - MA_HALF_SPAN):
-        if iso_years[t] not in year_set:
+        if not keep[t]:
             continue
         window = (
             0.5 * values[t - MA_HALF_SPAN]
@@ -97,14 +86,9 @@ def _moving_average_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
         )
         ma = window / (2 * MA_HALF_SPAN)
         if ma == 0.0:
-            raise DegenerateDataError(
-                f"zero moving average at {WeekKey(iso_years[t], iso_weeks[t])}; cannot form ratio"
-            )
+            week = WeekKey.from_number(int(series.numbers[t]))
+            raise DegenerateDataError(f"zero moving average at {week}; cannot form ratio")
         ratios.setdefault(iso_weeks[t], []).append(values[t] / ma)
-    if not ratios:
-        raise InsufficientDataError(
-            "series too short for a centered 52-week moving average"
-        )
     raw = {w: sum(r) / len(r) for w, r in ratios.items()}
     support = {w: len(r) for w, r in ratios.items()}
     # rescale so the support-weighted mean is exactly 100
@@ -115,18 +99,33 @@ def _moving_average_entries(series: WeeklySeries) -> list[WeekIndexEntry]:
     ]
 
 
-def seasonal_index(series: WeeklySeries, method: str = "weekly-mean") -> SeasonalIndexTable:
-    """Per-ISO-week index table for a dense series covering >= 2 full years.
+def seasonal_index(
+    series: WeeklySeries, years: list[int], method: str = "weekly-mean"
+) -> SeasonalIndexTable:
+    """Per-ISO-week index table of a dense series over `years`: at least two
+    ISO years, each held in full, such as the series' complete years.  A
+    year with a missing week raises as `slice_year` does.
 
     support(w) counts the years contributing to week w; week 53 appears only
-    when a covered year has 53 weeks.
+    when one of the years has 53 weeks.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    years = set(years)
+    if len(years) < 2:
+        raise InsufficientDataError(
+            f"seasonal index needs >= 2 complete ISO years, got {len(years)}"
+        )
+    iso_years, iso_weeks = series.iso_calendar()
+    keep = np.isin(iso_years, list(years))
+    # Points never repeat a week, so only a short year makes the count fall short.
+    if np.count_nonzero(keep) != sum(map(weeks_in_iso_year, years)):
+        for year in sorted(years):
+            slice_year(series, year)  # raises for the first year held short
     if method == "weekly-mean":
-        entries = _weekly_mean_entries(series)
+        entries = _weekly_mean_entries(iso_weeks[keep].tolist(), series.values()[keep].tolist())
     else:
-        entries = _moving_average_entries(series)
+        entries = _moving_average_entries(series, iso_weeks, keep)
     return SeasonalIndexTable(series.variable, method, tuple(entries))
 
 

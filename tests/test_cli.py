@@ -430,17 +430,19 @@ class TestIngestBoundary:
         assert [r[0] for r in rows[1:]] == ["2021-2022", "2022-2023", "2023-2024"]
 
     def test_dtw_years_around_the_data_are_ranges(self, tmp_path, capsys, fixture_csv):
-        # The fixture holds 2010..2024; years on either side are summarised.
-        assert _run("dtw", "--input", str(fixture_csv), "--variable", "price",
-                    "--years=-5..2013", "--format", "csv",
-                    "--out-dir", str(tmp_path / "a")) == 0
-        assert _run("dtw", "--input", str(fixture_csv), "--variable", "price",
-                    "--years", "2000..2026", "--format", "csv",
-                    "--out-dir", str(tmp_path / "b")) == 0
-        assert capsys.readouterr().err == (
-            "warning: skipping incomplete year(s) for modal_price: 1..2009\n"
-            "warning: skipping incomplete year(s) for modal_price: 2000..2009, 2025..2026\n"
-        )
+        # The fixture holds 2010..2024; years on either side are summarised,
+        # by both commands that keep complete years only.
+        for command in ("dtw", "seasonal"):
+            assert _run(command, "--input", str(fixture_csv), "--variable", "price",
+                        "--years=-5..2013", "--format", "csv",
+                        "--out-dir", str(tmp_path / command / "a")) == 0
+            assert _run(command, "--input", str(fixture_csv), "--variable", "price",
+                        "--years", "2000..2026", "--format", "csv",
+                        "--out-dir", str(tmp_path / command / "b")) == 0
+            assert capsys.readouterr().err == (
+                "warning: skipping incomplete year(s) for modal_price: 1..2009\n"
+                "warning: skipping incomplete year(s) for modal_price: 2000..2009, 2025..2026\n"
+            )
 
 
 class TestDtwCommand:
@@ -690,18 +692,43 @@ class TestDtwCommand:
         self, tmp_path, capsys, fixture42, edge, skipped, pairs
     ):
         # Without --years the window is the data's own span, so a year cut
-        # short at either end is named like any other skipped year.
+        # short at either end is named like any other skipped year, by dtw
+        # and seasonal alike.
         header, *rows = fixture42.csv_bytes().splitlines(keepends=True)
         path = tmp_path / "edge.csv"
         path.write_bytes(b"".join([header, *(rows[1:] if edge == "first" else rows[:-1])]))
         out = tmp_path / "o"
-        assert _run("dtw", "--input", str(path), "--variable", "price", "--format", "csv",
-                    "--out-dir", str(out)) == 0
-        assert capsys.readouterr().err == (
-            f"warning: skipping incomplete year(s) for modal_price: {skipped}\n")
+        for command in ("dtw", "seasonal"):
+            assert _run(command, "--input", str(path), "--variable", "price", "--format", "csv",
+                        "--out-dir", str(out)) == 0
+            assert capsys.readouterr().err == (
+                f"warning: skipping incomplete year(s) for modal_price: {skipped}\n")
         rows = list(csv.reader(io.StringIO((out / "dtw_ranking_modal_price.csv").read_text())))
         assert [rows[1][0], rows[-1][0]] == pairs
         assert len(rows) == 1 + 13
+        rows = list(csv.reader(io.StringIO((out / "seasonal_modal_price.csv").read_text())))
+        assert {row[2] for row in rows[1:53]} == {"14"}  # support of weeks 1..52
+
+    @pytest.mark.parametrize("command, calls", [
+        ("clean", 0), ("stats", 0), ("seasonal", 2), ("dtw", 2), ("report-all", 2),
+    ])
+    def test_complete_years_found_and_warned_once_per_variable(
+        self, tmp_path, capsys, fixture42, monkeypatch, command, calls
+    ):
+        # The fixture without its first data row: 2010 is short for both variables.
+        header, _, *rows = fixture42.csv_bytes().splitlines(keepends=True)
+        path = tmp_path / "edge.csv"
+        path.write_bytes(b"".join([header, *rows]))
+        found = []
+        inner = seasonwarp.series.complete_years
+        for module in [m for name, m in sys.modules.items() if name.startswith("seasonwarp")]:
+            if getattr(module, "complete_years", None) is inner:  # every alias counts
+                monkeypatch.setattr(module, "complete_years",
+                                    lambda dense: found.append(dense.variable) or inner(dense))
+        assert _run(command, "--input", str(path), "--out-dir", str(tmp_path / "o")) == 0
+        assert found == [Variable.ARRIVALS, Variable.MODAL_PRICE][:calls]
+        assert capsys.readouterr().err == "".join(
+            f"warning: skipping incomplete year(s) for {var.value}: 2010\n" for var in found)
 
 
 class TestReportAll:

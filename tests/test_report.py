@@ -37,7 +37,7 @@ from seasonwarp.report import (
     to_json,
 )
 from seasonwarp.seasonal import seasonal_index
-from seasonwarp.series import Variable, WeekKey, log_diff, slice_year
+from seasonwarp.series import Variable, WeekKey, complete_years, log_diff, slice_year
 from seasonwarp.svg import _Frame, _points, bar_chart, dtw_figure, line_chart
 from seasonwarp.unitroot import adf_test
 
@@ -61,7 +61,7 @@ def bundle42(cleaned42):
         series, report = cleaned42[var]
         cleaning[var.value] = report
         summaries[var.value] = describe(series)
-        seasonal[var.value] = seasonal_index(series)
+        seasonal[var.value] = seasonal_index(series, complete_years(series))
         opts = DtwOptions(normalize_input=Normalization.ZSCORE)
         results = []
         for y0, y1 in [(2020, 2021), (2021, 2022)]:
@@ -201,7 +201,8 @@ class TestCsv:
     @pytest.mark.parametrize("method", ["weekly-mean", "moving-average"])
     @pytest.mark.parametrize("var", list(Variable))
     def test_records_csv_seasonal_bytes(self, cleaned42, var, method):
-        table = seasonal_index(cleaned42[var][0], method)
+        series = cleaned42[var][0]
+        table = seasonal_index(series, complete_years(series), method)
         assert table.entries[-1].iso_week == 53  # 2015 and 2020 have 53 weeks
         assert records_csv(table.entries) == seasonal_csv_oracle(table)
 

@@ -25,8 +25,9 @@ is only imported, never changed.  The DTW scenario on the long history is
 limited to the prices of 2000..2010, because all 44,850 pairs of 300 years
 would write tens of GB.  Two DTW scenarios on the fixture pin error paths:
 band 0 exits 2 on the first 52-vs-53-week pair, and band 1 with z-scores
-aligns every pair.  ``dtw-edge-gap`` runs on the fixture without its first
-data row, so the first ISO year is incomplete and skipped with a warning.
+aligns every pair.  ``dtw-edge-gap``, ``seasonal-edge-gap`` and
+``report-all-edge-gap`` run on the fixture without its first data row, so the
+first ISO year is incomplete and skipped with a warning, once per variable.
 ``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
 directory.  ``report-all-arrivals`` is the one tree whose bundle holds a single
@@ -64,6 +65,8 @@ SCENARIOS = (
     ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
      "fixture"),
     ("dtw-edge-gap", ["dtw", "--variable", "price"], "edge-gap"),
+    ("seasonal-edge-gap", ["seasonal", "--variable", "price"], "edge-gap"),
+    ("report-all-edge-gap", ["report-all"], "edge-gap"),
     ("long-clean", ["clean"], "long"),
     ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
     ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], "long"),
