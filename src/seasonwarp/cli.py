@@ -1,12 +1,13 @@
 """Command-line front end: seasonwarp clean|stats|seasonal|dtw|fixture|report-all.
 
 Each data command is one driver (`_run_stage`: read, clean, stage) around
-one stage function.  A stage takes ``(args, cleaned, formats, files)``,
-stores each output as ``files[filename] = text`` and returns its value.
-``cleaned`` maps each variable to its `_Cleaned` record, whose complete
-years are found and warned about once, by the first stage that needs them;
-``report-all``'s stage is the union of the clean, stats, seasonal and dtw
-stages plus the series charts and the bundle it builds from their values.
+one stage function.  A stage takes ``(args, cleaned, files)``, stores each
+output ``args.formats`` asks for as ``files[filename] = text`` and returns
+its value.  ``cleaned`` maps each variable to its `_Cleaned` record, whose
+complete years are found and warned about once, by the first stage that
+needs them; ``report-all``'s stage is the union of the clean, stats,
+seasonal and dtw stages plus the series charts and the bundle it builds
+from their values.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error.  Each output is
 written into a staging directory as soon as it is made, and the files are
@@ -360,7 +361,7 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
             fx = generate_fixture(args.seed)
             data = fx.csv_bytes()
             files["fixture.csv"] = fx.csv_text
-        stage(args, _cleaned(args, data), args.formats, files)
+        stage(args, _cleaned(args, data), files)
     return 0
 
 
@@ -370,11 +371,11 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _clean_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
+def _clean_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
     for var, c in cleaned.items():
-        if "csv" in formats:
+        if "csv" in args.formats:
             files[f"cleaned_{var.value}.csv"] = series_csv(c.dense)
-        if "json" in formats:
+        if "json" in args.formats:
             files[f"cleaning_{var.value}.json"] = to_json(c.report)
     return {var.value: c.report for var, c in cleaned.items()}
 
@@ -389,14 +390,14 @@ def _adf_on_log_price(dense_price: WeeklySeries):
     return adf_test(log_diff(values))
 
 
-def _stats_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
+def _stats_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
     summaries = {var.value: describe(c.dense.values()) for var, c in cleaned.items()}
     adf = None
     if Variable.MODAL_PRICE in cleaned:
         adf = _adf_on_log_price(cleaned[Variable.MODAL_PRICE].dense)
-    if "json" in formats:
+    if "json" in args.formats:
         files["stats.json"] = to_json({"summaries": summaries, "adf_log_price_diff": adf})
-    if "csv" in formats:
+    if "csv" in args.formats:
         files["stats.csv"] = stats_csv(summaries, adf)
     return summaries, adf
 
@@ -419,22 +420,17 @@ def _seasonal_svg(tables: dict) -> str:
     )
 
 
-def _seasonal_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
+def _seasonal_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
     method = getattr(args, "detrend", None) or "weekly-mean"
     tables = {var.value: seasonal_index(c.dense, c.years, method) for var, c in cleaned.items()}
-    if "json" in formats:
+    if "json" in args.formats:
         files["seasonal.json"] = to_json({"tables": tables})
-    if "csv" in formats:
+    if "csv" in args.formats:
         for name, t in tables.items():
             files[f"seasonal_{name}.csv"] = records_csv(t.entries)
-    if "svg" in formats:
+    if "svg" in args.formats:
         files["seasonal.svg"] = _seasonal_svg(tables)
     return tables
-
-
-def _dtw_options(args: argparse.Namespace) -> DtwOptions:
-    normalize = Normalization.ZSCORE if args.normalize == "zscore" else Normalization.NONE
-    return DtwOptions(band_radius=args.band, normalize_input=normalize)
 
 
 def _year_pairs(args: argparse.Namespace, cleaned: _Cleaned) -> list[tuple[int, int]]:
@@ -449,27 +445,26 @@ def _year_pairs(args: argparse.Namespace, cleaned: _Cleaned) -> list[tuple[int, 
     return list(zip(years, years[1:]))
 
 
-def _dtw_variable_outputs(
-    args: argparse.Namespace, cleaned: _Cleaned, formats: set[str], files: _OutputTree
-):
+def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _OutputTree):
     """One variable's year pairs: each slice aligned as-is or z-scored once,
     the drawn matrices from the batched kernel, backtracked once per pair,
-    and the unbanded reference ranks from the kernel's corner costs."""
+    and the unbanded reference ranks from the corner costs of the same pass."""
     var = cleaned.dense.variable.value
-    options = _dtw_options(args)
+    normalize = Normalization(args.normalize or "none")
+    options = DtwOptions(band_radius=args.band, normalize_input=normalize)
     pairs = _year_pairs(args, cleaned)
     # The pairs hold every complete year, there being at least two.
     pair_set = PairSet({y: slice_year(cleaned.dense, y) for y in cleaned.years}, pairs, options)
-    unbanded_ranks = None if options.band_radius is None else pair_set.unbanded_ranks()
-    results = []
-    for (y1, y2), (result, d, g) in zip(pairs, pair_set.alignments()):
+    results, totals = [], []
+    for (y1, y2), (result, d, g, total) in zip(pairs, pair_set.alignments()):
         results.append(((y1, y2), result))
+        totals.append(total)
         stem = f"dtw_{var}_{pair_label((y1, y2))}"
-        if "json" in formats:
+        if "json" in args.formats:
             files[f"{stem}.json"] = to_json(
                 {"variable": var, "year_pair": [y1, y2], "result": result}
             )
-        if "svg" in formats:
+        if "svg" in args.formats:
             files[f"{stem}.svg"] = dtw_figure(
                 g,
                 result.path.steps,
@@ -492,16 +487,17 @@ def _dtw_variable_outputs(
         "band_radius": options.band_radius,
         "ranking": ranking,
     }
-    if unbanded_ranks is not None:
+    if options.band_radius is not None:
+        unbanded_ranks = pair_set.unbanded_ranks(totals)
         payload["rank_order_vs_unbanded"] = {
             "changed": ranking.ranks() != unbanded_ranks,
             "unbanded_ranks": list(unbanded_ranks),
         }
-    if "json" in formats:
+    if "json" in args.formats:
         files[f"dtw_ranking_{var}.json"] = to_json(payload)
-    if "csv" in formats:
+    if "csv" in args.formats:
         files[f"dtw_ranking_{var}.csv"] = records_csv(ranking.entries)
-    if "svg" in formats:
+    if "svg" in args.formats:
         files[f"dtw_ranking_{var}.svg"] = bar_chart(
             [(pair_label(e.year_pair), e.total_cost) for e in ranking.entries],
             title=f"DTW total cost by year pair, {var}",
@@ -512,9 +508,8 @@ def _dtw_variable_outputs(
     return ranking
 
 
-def _dtw_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
-    return {var.value: _dtw_variable_outputs(args, c, formats, files)
-            for var, c in cleaned.items()}
+def _dtw_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
+    return {var.value: _dtw_variable_outputs(args, c, files) for var, c in cleaned.items()}
 
 
 def _series_svg(dense: WeeklySeries) -> str:
@@ -538,18 +533,18 @@ def _series_svg(dense: WeeklySeries) -> str:
     )
 
 
-def _report_stage(args: argparse.Namespace, cleaned, formats: set[str], files: _OutputTree):
+def _report_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
     """Every stage once, plus the series charts and the bundle of their values."""
     reports, (summaries, adf), tables, rankings = [
-        stage(args, cleaned, formats, files)
+        stage(args, cleaned, files)
         for stage in (_clean_stage, _stats_stage, _seasonal_stage, _dtw_stage)
     ]
     bundle = {"cleaning": reports, "summaries": summaries, "seasonal": tables,
               "dtw": rankings, "adf_log_price_diff": adf}
-    if "svg" in formats:
+    if "svg" in args.formats:
         for var, c in cleaned.items():
             files[f"series_{var.value}.svg"] = _series_svg(c.dense)
-    if "json" in formats:
+    if "json" in args.formats:
         files["bundle.json"] = to_json(bundle)
     return bundle
 

@@ -9,11 +9,11 @@ anywhere.
 One kernel, ``_sweep``, builds every cumulative-cost matrix: it pads a list
 of local-distance matrices into one array and sweeps its anti-diagonals in
 numpy, one vectorised step per diagonal whatever the number of matrices.
-``cumulative_cost`` (and so ``dtw_align``) runs it on one matrix; ``PairSet``
-runs it on a list of pairs, such as the CLI's year pairs, up to
-``BATCH_PAIRS`` at a time.  A result stores the corner cost and the path;
-everything else, the warped pair included, is derived from them and the
-aligned inputs.
+``cumulative_cost`` (and so ``dtw_align``) runs it on one matrix;
+``PairSet`` runs it on a list of pairs, such as the CLI's year pairs, up to
+``BATCH_PAIRS`` at a time, each chunk's distances built once for the banded
+and unbanded sweeps.  A result stores the corner cost and the path; the
+rest, the warped pair included, is derived from them and the aligned inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateDataError, NoValidPathError
+from .errors import DataIntegrityError, DegenerateDataError, NoValidPathError
 
 INF = math.inf
 
@@ -202,8 +202,12 @@ def backtrack(g) -> WarpPath:
 
 
 def _aligned(values, options: DtwOptions) -> np.ndarray:
-    """A sequence as it is aligned: z-scored under z-score normalization."""
+    """A sequence as it is aligned: finite, and z-scored under z-score normalization."""
     v = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v))  # adf_test's rule, before any z-score
+    if bad.size:
+        raise DataIntegrityError(
+            f"DTW needs finite values; got {v.flat[bad[0]]} at index {bad[0]}")
     return zscore(v) if options.normalize_input is Normalization.ZSCORE else v
 
 
@@ -234,8 +238,8 @@ class PairSet:
 
     Each sequence is normalized once, here, and every pair is checked here
     in order, so the error raised is the one that loop would raise first:
-    x's z-score, y's z-score, an empty or non-1-d sequence, then the band.  ``aligned``
-    maps each key to its sequence as aligned.
+    x's then y's non-finite value or z-score, an empty or non-1-d sequence,
+    then the band.  ``aligned`` maps each key to its sequence as aligned.
     """
 
     def __init__(
@@ -253,39 +257,39 @@ class PairSet:
                     self.aligned[key] = _aligned(sequences[key], options)
             _check_pair(self.aligned[a], self.aligned[b], options.band_radius)
 
-    def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray, np.ndarray]]:
-        """Each pair's result, local-distance matrix d and cumulative-cost
-        matrix g, in pair order, as ``dtw_align`` would compute them, with one
-        ``backtrack`` per pair."""
-        for d, g in self._costs(self.pairs, self.options.band_radius):
-            yield _result(g, self.options), d, g
+    def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray, np.ndarray, float]]:
+        """Each pair's result, local-distance matrix d, cumulative-cost matrix
+        g and unbanded total cost, in pair order, as ``dtw_align`` would
+        compute them, with one ``backtrack`` per pair.  Under a band, each
+        chunk is first swept unbanded and only its corner totals are kept."""
+        band = self.options.band_radius
+        for ds in self._distances(self.pairs):
+            totals = None if band is None else [float(g[-1, -1]) for g in _sweep(ds, None)]
+            for p, (d, g) in enumerate(zip(ds, _sweep(ds, band))):
+                result = _result(g, self.options)
+                yield result, d, g, result.total_cost if totals is None else totals[p]
 
-    def unbanded_ranks(self) -> tuple[int, ...]:
+    def unbanded_ranks(self, totals: Sequence[float]) -> tuple[int, ...]:
         """The ranks ``rank_pairs`` gives the pairs' unbanded alignments,
-        read from their corner costs.  Only the pairs whose total ties
-        another's are backtracked, in a second sweep over them alone, for
-        the mean cost that breaks the tie."""
-        totals = [float(g[-1, -1]) for _, g in self._costs(self.pairs, None)]
+        from the unbanded ``totals`` that ``alignments`` yields.  Only the
+        pairs whose total ties another's are swept again, unbanded, and
+        backtracked for the mean cost that breaks the tie."""
         count = Counter(totals)
         tied = [p for p, total in enumerate(totals) if count[total] > 1]
-        tied_costs = self._costs([self.pairs[p] for p in tied], None)
-        means = {p: mean_cost(totals[p], len(backtrack(g))) for p, (_, g) in zip(tied, tied_costs)}
+        gs = (g for ds in self._distances([self.pairs[p] for p in tied]) for g in _sweep(ds, None))
+        means = {p: mean_cost(totals[p], len(backtrack(g))) for p, g in zip(tied, gs)}
         # A total nothing ties is never compared on its mean.
         return tuple(_ranks([(total, means.get(p, 0.0), pair)
                              for p, (total, pair) in enumerate(zip(totals, self.pairs))]))
 
-    def _costs(
-        self, pairs: Sequence[tuple[Hashable, Hashable]], band_radius: int | None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each pair's local-distance and cumulative-cost matrices (d, g),
-        swept in even chunks of at most ``BATCH_PAIRS`` as they are read.  A
-        chunk's g matrices are views into one array that is freed once none
-        of them is held."""
+    def _distances(self, pairs: Sequence[tuple[Hashable, Hashable]]) -> Iterator[list[np.ndarray]]:
+        """The pairs' local-distance matrices, built in even chunks of at
+        most ``BATCH_PAIRS`` as they are read.  A sweep of a chunk returns
+        views into one array that is freed once none of them is held."""
         chunks = -(-len(pairs) // BATCH_PAIRS)
         for c in range(chunks):
             chunk = pairs[len(pairs) * c // chunks : len(pairs) * (c + 1) // chunks]
-            ds = [local_distance_matrix(self.aligned[a], self.aligned[b]) for a, b in chunk]
-            yield from zip(ds, _sweep(ds, band_radius))
+            yield [local_distance_matrix(self.aligned[a], self.aligned[b]) for a, b in chunk]
 
 
 def _sweep(ds: Sequence[np.ndarray], band_radius: int | None) -> list[np.ndarray]:

@@ -21,6 +21,7 @@ from _oracles import cumulative_cost_oracle
 import seasonwarp.cli
 import seasonwarp.dtw
 from seasonwarp.cli import main
+from seasonwarp.dtw import dtw_align, rank_pairs
 from seasonwarp.report import matrix_csv, to_json
 from seasonwarp.series import Variable, slice_year
 
@@ -555,8 +556,9 @@ class TestDtwCommand:
         rows = list(csv.reader(io.StringIO(local)))
         assert len(rows) == 53 and len(rows[0]) == 52
 
+    @pytest.mark.parametrize("band", [[], ["--band", "4"]])
     def test_dumped_distances_are_the_swept_ones(
-        self, tmp_path, fixture_csv, cleaned42, monkeypatch
+        self, tmp_path, fixture_csv, cleaned42, monkeypatch, band
     ):
         dtw = seasonwarp.dtw
         local_distance_matrix, built = dtw.local_distance_matrix, []
@@ -568,10 +570,11 @@ class TestDtwCommand:
         monkeypatch.setattr(dtw, "local_distance_matrix", counting_local_distance_matrix)
         out = tmp_path / "o"
         code = _run("dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
-                    "--dump-matrices", "--format", "json", "--out-dir", str(out))
+                    "--dump-matrices", "--format", "json", "--out-dir", str(out), *band)
         assert code == 0
         # Per variable: 4 years, 6 pairs; each pair's distances are built
-        # once, for the sweep, and the dumped matrix is that one.
+        # once, for the sweep (and, under a band, the unbanded reference
+        # sweep, no total tying), and the dumped matrix is that one.
         n_pairs = sum(len(_ranking_entries(out, var)) for var in ("arrivals", "modal_price"))
         assert n_pairs == 12
         assert len(built) == n_pairs
@@ -579,6 +582,40 @@ class TestDtwCommand:
         x, y = (slice_year(series, year) for year in (2021, 2023))
         assert (out / "dtw_modal_price_2021-2023_local.csv").read_bytes() == matrix_csv(
             np.abs(np.subtract.outer(x, y))).encode()
+
+    def test_tied_unbanded_totals_rebuild_only_the_tied_pairs(self, tmp_path, monkeypatch):
+        # 2023 repeats 2021, so (2021, 2022) and (2022, 2023) tie on their
+        # unbanded total; their paths have 53 and 54 steps, and the longer
+        # path's lower mean ranks (2022, 2023) before (2021, 2022).
+        weeks = {2021: [2, 2, 3, 2] + [6] * 48, 2022: [3, 1, 2] + [6] * 49}
+        weeks[2023] = weeks[2021]
+        first = date.fromisocalendar(2021, 1, 7)
+        rows = ["date,arrivals,modal_price"] + [
+            f"{first + timedelta(weeks=k)},100,{price}"
+            for k, price in enumerate(weeks[2021] + weeks[2022] + weeks[2023])]
+        (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+        dtw = seasonwarp.dtw
+        local_distance_matrix, built = dtw.local_distance_matrix, []
+
+        def counting_local_distance_matrix(x, y):
+            built.append((tuple(x), tuple(y)))
+            return local_distance_matrix(x, y)
+
+        monkeypatch.setattr(dtw, "local_distance_matrix", counting_local_distance_matrix)
+        out = tmp_path / "o"
+        assert _run("dtw", "--input", str(tmp_path / "in.csv"), "--variable", "price",
+                    "--all-pairs", "--band", "4", "--format", "json", "--out-dir", str(out)) == 0
+        # Each pair is built once, and the two tied pairs once more.
+        a, b, c = (tuple(weeks[year]) for year in sorted(weeks))
+        assert built == [(a, b), (a, c), (b, c), (a, b), (b, c)]
+        monkeypatch.undo()
+        pairs = [(2021, 2022), (2021, 2023), (2022, 2023)]
+        expected = rank_pairs([(pair, dtw_align(weeks[pair[0]], weeks[pair[1]])) for pair in pairs])
+        assert [(e.total_cost, e.path_length) for e in expected.entries] == [
+            (3.0, 53), (0.0, 52), (3.0, 54)]
+        payload = _read_json(out / "dtw_ranking_modal_price.json")
+        assert payload["rank_order_vs_unbanded"]["unbanded_ranks"] == list(expected.ranks()) == [
+            3, 1, 2]
 
     def test_each_slice_and_cost_matrix_built_once(self, tmp_path, fixture_csv, monkeypatch):
         dtw = seasonwarp.dtw

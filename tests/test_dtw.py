@@ -24,7 +24,12 @@ from seasonwarp.dtw import (
     rank_summaries,
     zscore,
 )
-from seasonwarp.errors import DegenerateDataError, MarketDataError, NoValidPathError
+from seasonwarp.errors import (
+    DataIntegrityError,
+    DegenerateDataError,
+    MarketDataError,
+    NoValidPathError,
+)
 from seasonwarp.report import to_json
 from seasonwarp.series import Variable, slice_year
 
@@ -317,11 +322,12 @@ class TestBandedAlignment:
 
 @st.composite
 def _pair_sets(draw):
-    """Integer-valued sequences (so totals tie), some 52 or 53 long and a
-    sixth of them constant, a list of pairs of distinct sequences, each
-    followed by its reverse, and options with any band up to n + m.  A
-    reversed pair ties on total cost but can backtrack to a path of another
-    length, which exercises the mean-cost tie-break."""
+    """Integer-valued sequences (so totals tie), some 52 or 53 long, a
+    sixth of them constant and a tenth holding one NaN or infinity, a list
+    of pairs of distinct sequences, each followed by its reverse, and
+    options with any band up to n + m.  A reversed pair ties on total cost
+    but can backtrack to a path of another length, which exercises the
+    mean-cost tie-break."""
     length = st.one_of(st.integers(1, 60), st.sampled_from((52, 53)))
     sequences = {}
     for key, n in enumerate(draw(st.lists(length, min_size=2, max_size=5))):
@@ -329,6 +335,9 @@ def _pair_sets(draw):
         values = [1] * n if constant else draw(
             st.lists(st.integers(0, 3), min_size=n, max_size=n))
         sequences[key] = np.array(values, dtype=float)
+        if draw(st.integers(0, 9)) == 0:
+            sequences[key][draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from((math.nan, math.inf, -math.inf)))
     distinct = [(a, b) for a in sequences for b in sequences if a < b]
     pairs = [pair for a, b in draw(st.lists(st.sampled_from(distinct), min_size=1,
                                             max_size=5))
@@ -368,18 +377,21 @@ class TestBatchedKernel:
         pair_set = PairSet(sequences, pairs, options)
         batched = list(pair_set.alignments())
         assert len(batched) == len(pairs)
-        for (a, b), (batch_result, batch_d, batch_g) in zip(pairs, batched):
+        # The CLI's reference: unbanded totals and ranks of the same pairs.
+        unbanded = dataclasses.replace(options, band_radius=None)
+        reference = [((a, b), _oracle_alignment(sequences[a], sequences[b], unbanded)[0])
+                     for a, b in pairs]
+        for (a, b), (batch_result, batch_d, batch_g, total), (_, free) in zip(
+                pairs, batched, reference):
             result, g = _oracle_alignment(sequences[a], sequences[b], options)
             x, y = pair_set.aligned[a], pair_set.aligned[b]
             assert batch_d.tobytes() == np.abs(np.subtract.outer(x, y)).tobytes()
             assert batch_g.shape == g.shape
             assert batch_g.tobytes() == g.tobytes()
             assert batch_result == result
-        # The CLI's reference: unbanded ranks of the same pairs.
-        unbanded = dataclasses.replace(options, band_radius=None)
-        expected = rank_pairs([((a, b), _oracle_alignment(sequences[a], sequences[b], unbanded)[0])
-                               for a, b in pairs])
-        assert pair_set.unbanded_ranks() == expected.ranks()
+            assert total == free.total_cost
+        totals = [total for *_, total in batched]
+        assert pair_set.unbanded_ranks(totals) == rank_pairs(reference).ranks()
 
     def test_ties_break_on_backtracked_mean(self):
         # (0, 1) and (1, 0) tie on total cost 3, but backtracking prefers a
@@ -391,7 +403,9 @@ class TestBatchedKernel:
                                for pair in pairs])
         assert [(e.total_cost, e.path_length) for e in expected.entries] == [
             (3.0, 4), (3.0, 5), (0.0, 4)]
-        assert PairSet(sequences, pairs).unbanded_ranks() == expected.ranks() == (3, 2, 1)
+        pair_set = PairSet(sequences, pairs)
+        totals = [total for *_, total in pair_set.alignments()]
+        assert pair_set.unbanded_ranks(totals) == expected.ranks() == (3, 2, 1)
 
     @pytest.mark.parametrize("size, chunk_sizes", [(5, {4, 5}), (1, {1})])
     def test_chunks_match_one_sweep(self, monkeypatch, size, chunk_sizes):
@@ -400,12 +414,15 @@ class TestBatchedKernel:
         pairs = [(a, b) for a in sequences for b in sequences]
         pair_set = PairSet(sequences, pairs, DtwOptions(band_radius=3))
         monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", len(pairs))
-        whole = [g for _, _, g in pair_set.alignments()]
+        whole = list(pair_set.alignments())
         monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", size)  # 36 pairs
-        chunked = [g for _, _, g in pair_set.alignments()]
-        assert [g.tobytes() for g in chunked] == [g.tobytes() for g in whole]
-        assert {g.base.shape[-1] for g in whole} == {36}
-        assert {g.base.shape[-1] for g in chunked} == chunk_sizes
+        chunked = list(pair_set.alignments())
+        assert [g.tobytes() for _, _, g, _ in chunked] == [g.tobytes() for _, _, g, _ in whole]
+        assert {g.base.shape[-1] for _, _, g, _ in whole} == {36}
+        assert {g.base.shape[-1] for _, _, g, _ in chunked} == chunk_sizes
+        # The unbanded totals come from an unbanded sweep of the same chunks.
+        assert [total for *_, total in chunked] == [total for *_, total in whole] == [
+            dtw_align(sequences[a], sequences[b]).total_cost for a, b in pairs]
 
     def test_first_error_in_pair_order(self):
         # The band fails on the first pair before the constant third sequence
@@ -417,10 +434,23 @@ class TestBatchedKernel:
         with pytest.raises(DegenerateDataError):
             PairSet(sequences, [(0, 2), (0, 1)], options)
 
+    @pytest.mark.parametrize("normalize", list(Normalization))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected_alike(self, bad, normalize):
+        # The first non-finite value is named before any z-score, so numpy
+        # warns of nothing (a RuntimeWarning fails this suite).
+        x, y = [1.0, 2.0, bad, bad], [1.0, 2.0, 3.0, 4.0]
+        options = DtwOptions(band_radius=1, normalize_input=normalize)
+        message = rf"^DTW needs finite values; got {bad} at index 2$"
+        with pytest.raises(DataIntegrityError, match=message):
+            dtw_align(x, y, options)
+        with pytest.raises(DataIntegrityError, match=message):
+            PairSet({0: y, 1: x}, [(0, 1)], options)  # before alignments or ranks
+
     def test_empty_pair_list_aligns_nothing(self):
         pair_set = PairSet({}, [])
         assert list(pair_set.alignments()) == []
-        assert pair_set.unbanded_ranks() == ()
+        assert pair_set.unbanded_ranks([]) == ()
 
 
 class TestRanking:

@@ -21,11 +21,14 @@ code.
 Three inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default), the same
 without its first data row, and the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``.  ``bench/``
-is only imported, never changed.  The DTW scenario on the long history is
-limited to the prices of 2000..2010, because all 44,850 pairs of 300 years
-would write tens of GB.  Two DTW scenarios on the fixture pin error paths:
-band 0 exits 2 on the first 52-vs-53-week pair, and band 1 with z-scores
-aligns every pair.  ``dtw-edge-gap``, ``seasonal-edge-gap`` and
+is only imported, never changed.  The DTW scenarios on the long history are
+limited to a decade, because all 44,850 pairs of 300 years would write tens
+of GB.  ``long-dtw-ties`` aligns both variables of 1965..1975 at band 4: four
+of its arrivals pairs tie on their unbanded total, so the reference ranking
+sweeps those pairs again for the path length that breaks the tie, and the
+banded ranks differ from the unbanded ones.  Two DTW scenarios on the fixture
+pin error paths: band 0 exits 2 on the first 52-vs-53-week pair, and band 1
+with z-scores aligns every pair.  ``dtw-edge-gap``, ``seasonal-edge-gap`` and
 ``report-all-edge-gap`` run on the fixture without its first data row, so the
 first ISO year is incomplete and skipped with a warning, once per variable.
 ``report-all-config`` gives ``report-all-winsorize``'s
@@ -72,6 +75,8 @@ SCENARIOS = (
     ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], "long"),
     ("long-dtw", ["dtw", "--variable", "price", "--years", "2000..2010", "--all-pairs",
                   "--band", "3", "--dump-matrices", "--normalize", "zscore"], "long"),
+    ("long-dtw-ties", ["dtw", "--years", "1965..1975", "--all-pairs", "--band", "4",
+                       "--format", "json"], "long"),
 )
 
 INPUT_CODE = {
