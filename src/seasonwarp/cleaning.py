@@ -19,7 +19,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .descriptive import quantile
+from .descriptive import _sorted_quantile
 from .errors import DataIntegrityError, InsufficientDataError, SchemaError
 from .series import (
     FLAGS,
@@ -370,8 +370,8 @@ def _iqr_fences(v: np.ndarray, k: float) -> tuple[float, float]:
     """(Q1 - k*IQR, Q3 + k*IQR) of the values."""
     if v.size < 4:
         raise InsufficientDataError(f"IQR fences need >= 4 values, got {v.size}")
-    q1 = quantile(v, 0.25)
-    q3 = quantile(v, 0.75)
+    s = np.sort(v)
+    q1, q3 = _sorted_quantile(s, 0.25), _sorted_quantile(s, 0.75)
     iqr = q3 - q1
     return q1 - k * iqr, q3 + k * iqr
 

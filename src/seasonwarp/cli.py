@@ -455,8 +455,11 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
     pairs = _year_pairs(args, cleaned)
     # The pairs hold every complete year, there being at least two.
     pair_set = PairSet({y: slice_year(cleaned.dense, y) for y in cleaned.years}, pairs, options)
-    results, totals = [], []
-    for (y1, y2), (result, d, g, total) in zip(pairs, pair_set.alignments()):
+    # Each pair's d and g are dropped before the next chunk is built; under
+    # zip, its reused result tuple would keep them alive.
+    results, totals, alignments = [], [], pair_set.alignments()
+    for y1, y2 in pairs:
+        result, d, g, total = next(alignments)
         results.append(((y1, y2), result))
         totals.append(total)
         stem = f"dtw_{var}_{pair_label((y1, y2))}"
@@ -481,6 +484,7 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
         if getattr(args, "dump_matrices", False):
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
+        del d, g
     ranking = rank_pairs(results)
     payload = {
         "variable": var,

@@ -9,11 +9,17 @@ anywhere.
 One kernel, ``_sweep``, builds every cumulative-cost matrix: it pads a list
 of local-distance matrices into one array and sweeps its anti-diagonals in
 numpy, one vectorised step per diagonal whatever the number of matrices.
-``cumulative_cost`` (and so ``dtw_align``) runs it on one matrix;
-``PairSet`` runs it on a list of pairs, such as the CLI's year pairs, up to
+``dtw_align`` and ``cumulative_cost`` run it on one matrix; ``PairSet``
+runs it on a list of pairs, such as the CLI's year pairs, up to
 ``BATCH_PAIRS`` at a time, each chunk's distances built once for the banded
 and unbanded sweeps.  A result stores the corner cost and the path; the
 rest, the warped pair included, is derived from them and the aligned inputs.
+
+Each public entry checks what it receives once, and the core (the distance
+build, ``_sweep``, the backtrack walk) trusts it.  A pair of sequences is
+checked for shape (both 1-d and non-empty), then x and y each for finite
+values and z-score, then the band; ``cumulative_cost`` checks a caller's
+matrix (2-d, non-empty, finite, non-negative) and ``backtrack`` its corner.
 """
 
 from __future__ import annotations
@@ -57,20 +63,10 @@ class DtwOptions:
 
 @dataclass(frozen=True)
 class WarpPath:
-    """Monotone, continuous 1-based index pairs from (1,1) to (n,m)."""
+    """Monotone, continuous 1-based index pairs from (1,1) to (n,m), as
+    ``backtrack`` walks them; a path is not checked again."""
 
     steps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("a warp path cannot be empty")
-        if self.steps[0] != (1, 1):
-            raise ValueError(f"path must start at (1, 1), got {self.steps[0]}")
-        for (i0, j0), (i1, j1) in zip(self.steps, self.steps[1:]):
-            if (i1 - i0, j1 - j0) not in ((1, 0), (0, 1), (1, 1)):
-                raise ValueError(
-                    f"illegal step from ({i0}, {j0}) to ({i1}, {j1})"
-                )
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -121,14 +117,29 @@ def zscore(values) -> np.ndarray:
     return d / std
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray, band_radius: int | None = None) -> None:
-    """Reject a pair no path can align: an empty or non-1-d sequence, or a
-    band narrower than the gap between the lengths."""
-    if x.size == 0 or y.size == 0:
+def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, unless one is not 1-d or is empty."""
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xa.ndim != 1 or ya.ndim != 1:
+        raise ValueError(f"DTW aligns 1-d sequences, got ndim {xa.ndim} and {ya.ndim}")
+    if xa.size == 0 or ya.size == 0:
         raise ValueError("cannot align an empty sequence")
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError(f"DTW aligns 1-d sequences, got ndim {x.ndim} and {y.ndim}")
-    _check_band(len(x), len(y), band_radius)
+    return xa, ya
+
+
+def _check_finite(v: np.ndarray) -> None:
+    """Name v's first non-finite value and its index (adf_test's rule)."""
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        at = ", ".join(map(str, np.unravel_index(bad[0], v.shape)))
+        raise DataIntegrityError(f"DTW needs finite values; got {v.flat[bad[0]]} at index {at}")
+
+
+def _aligned(v: np.ndarray, options: DtwOptions) -> np.ndarray:
+    """One sequence of a checked pair as it is aligned: finite, and z-scored
+    under z-score normalization."""
+    _check_finite(v)
+    return zscore(v) if options.normalize_input is Normalization.ZSCORE else v
 
 
 def _check_band(n: int, m: int, band_radius: int | None) -> None:
@@ -140,11 +151,13 @@ def _check_band(n: int, m: int, band_radius: int | None) -> None:
 
 
 def local_distance_matrix(x, y) -> np.ndarray:
-    """Pairwise local distances d(i, j) = |x_i - y_j| of two 1-d sequences."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    _check_pair(xa, ya)
-    return np.abs(xa[:, None] - ya[None, :])
+    """Pairwise local distances d(i, j) = |x_i - y_j| of two finite 1-d sequences."""
+    return _distance_matrix(*(_aligned(v, DtwOptions()) for v in _check_pair(x, y)))
+
+
+def _distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``local_distance_matrix`` of a checked pair, unchecked."""
+    return np.abs(x[:, None] - y[None, :])
 
 
 def cumulative_cost(d, band_radius: int | None = None) -> np.ndarray:
@@ -158,6 +171,7 @@ def cumulative_cost(d, band_radius: int | None = None) -> np.ndarray:
     da = np.asarray(d, dtype=float)
     if da.ndim != 2 or da.size == 0:
         raise ValueError(f"expected a non-empty 2-d cost matrix, got shape {da.shape}")
+    _check_finite(da)
     if not np.all(da >= 0):
         raise ValueError("local distances must be non-negative")
     _check_band(*da.shape, band_radius)
@@ -201,24 +215,15 @@ def backtrack(g) -> WarpPath:
     return WarpPath(tuple(steps))
 
 
-def _aligned(values, options: DtwOptions) -> np.ndarray:
-    """A sequence as it is aligned: finite, and z-scored under z-score normalization."""
-    v = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(v))  # adf_test's rule, before any z-score
-    if bad.size:
-        raise DataIntegrityError(
-            f"DTW needs finite values; got {v.flat[bad[0]]} at index {bad[0]}")
-    return zscore(v) if options.normalize_input is Normalization.ZSCORE else v
-
-
 def dtw_align(x, y, options: DtwOptions = DtwOptions()) -> DtwResult:
     """Full alignment of two 1-d sequences under the given options.
 
     With z-score normalization both inputs are standardized before the
     distance matrix is built.
     """
-    d = local_distance_matrix(_aligned(x, options), _aligned(y, options))
-    return _result(cumulative_cost(d, options.band_radius), options)
+    xa, ya = (_aligned(v, options) for v in _check_pair(x, y))
+    _check_band(xa.size, ya.size, options.band_radius)
+    return _result(_sweep([_distance_matrix(xa, ya)], options.band_radius)[0], options)
 
 
 def _result(g: np.ndarray, options: DtwOptions) -> DtwResult:
@@ -236,10 +241,10 @@ class PairSet:
     """A list of pairs (a, b) of 1-d ``sequences`` aligned under ``options``
     by one batched kernel, in place of ``dtw_align`` on each pair in turn.
 
-    Each sequence is normalized once, here, and every pair is checked here
-    in order, so the error raised is the one that loop would raise first:
-    x's then y's non-finite value or z-score, an empty or non-1-d sequence,
-    then the band.  ``aligned`` maps each key to its sequence as aligned.
+    Each sequence is checked and normalized once, here, and every pair is
+    checked here in order, so the error raised is the one that loop would
+    raise first: the pair's shapes, x's then y's non-finite value or
+    z-score, then the band.  ``aligned`` maps each key to its sequence as aligned.
     """
 
     def __init__(
@@ -252,22 +257,24 @@ class PairSet:
         self.options = options
         self.aligned: dict[Hashable, np.ndarray] = {}
         for a, b in self.pairs:
-            for key in (a, b):
+            for key, v in zip((a, b), _check_pair(sequences[a], sequences[b])):
                 if key not in self.aligned:
-                    self.aligned[key] = _aligned(sequences[key], options)
-            _check_pair(self.aligned[a], self.aligned[b], options.band_radius)
+                    self.aligned[key] = _aligned(v, options)
+            _check_band(self.aligned[a].size, self.aligned[b].size, options.band_radius)
 
     def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray, np.ndarray, float]]:
         """Each pair's result, local-distance matrix d, cumulative-cost matrix
         g and unbanded total cost, in pair order, as ``dtw_align`` would
         compute them, with one ``backtrack`` per pair.  Under a band, each
-        chunk is first swept unbanded and only its corner totals are kept."""
+        chunk is first swept unbanded and only its corner totals are kept.
+        A chunk is let go before the next is built, unless the caller holds it."""
         band = self.options.band_radius
         for ds in self._distances(self.pairs):
             totals = None if band is None else [float(g[-1, -1]) for g in _sweep(ds, None)]
             for p, (d, g) in enumerate(zip(ds, _sweep(ds, band))):
                 result = _result(g, self.options)
                 yield result, d, g, result.total_cost if totals is None else totals[p]
+            del ds, d, g
 
     def unbanded_ranks(self, totals: Sequence[float]) -> tuple[int, ...]:
         """The ranks ``rank_pairs`` gives the pairs' unbanded alignments,
@@ -289,12 +296,12 @@ class PairSet:
         chunks = -(-len(pairs) // BATCH_PAIRS)
         for c in range(chunks):
             chunk = pairs[len(pairs) * c // chunks : len(pairs) * (c + 1) // chunks]
-            yield [local_distance_matrix(self.aligned[a], self.aligned[b]) for a, b in chunk]
+            yield [_distance_matrix(self.aligned[a], self.aligned[b]) for a, b in chunk]
 
 
 def _sweep(ds: Sequence[np.ndarray], band_radius: int | None) -> list[np.ndarray]:
     """Cumulative-cost matrices of checked local-distance matrices (2-d,
-    non-negative, each reachable under the band), all at once.
+    finite, non-negative, each reachable under the band), all at once.
 
     The matrices are padded into one (N+1, M+1, P) array, the P matrices
     side by side in each cell: row and column 0 are the +inf border the

@@ -32,25 +32,12 @@ class WeekIndexEntry:
     index: float
     support: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.iso_week <= 53:
-            raise ValueError(f"iso_week must be in 1..53, got {self.iso_week}")
-        if self.support < 1:
-            raise ValueError(f"support must be >= 1, got {self.support}")
-
 
 @dataclass(frozen=True)
 class SeasonalIndexTable:
     variable: Variable
     method: str
     entries: tuple[WeekIndexEntry, ...]
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        weeks = [e.iso_week for e in self.entries]
-        if weeks != sorted(set(weeks)):
-            raise ValueError("entries must be strictly increasing in iso_week")
 
 
 def _weekly_mean_entries(weeks: list[int], values: list[float]) -> list[WeekIndexEntry]:

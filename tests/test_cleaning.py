@@ -535,14 +535,20 @@ class TestCleanSeries:
     def test_fences_computed_once(self, monkeypatch, winsorize):
         import seasonwarp.cleaning as cleaning
 
-        calls = []
-        real_quantile = cleaning.quantile
-        monkeypatch.setattr(
-            cleaning, "quantile", lambda v, q: calls.append(q) or real_quantile(v, q)
-        )
+        calls, sorted_samples = [], set()
+        real_quantile = cleaning._sorted_quantile
+
+        def counting_quantile(v, q):
+            calls.append(q)
+            sorted_samples.add(id(v))
+            return real_quantile(v, q)
+
+        monkeypatch.setattr(cleaning, "_sorted_quantile", counting_quantile)
         _, report = clean_series(self._gappy_series_with_spike(), winsorize=winsorize)
         assert report.outlier_weeks
+        # Both quartiles are read from one sort of the observed values.
         assert calls == [0.25, 0.75]
+        assert len(sorted_samples) == 1
 
     def test_fences_use_observed_values_only(self):
         # The interpolated week must not influence the fences: same fences as

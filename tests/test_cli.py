@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
@@ -561,13 +562,13 @@ class TestDtwCommand:
         self, tmp_path, fixture_csv, cleaned42, monkeypatch, band
     ):
         dtw = seasonwarp.dtw
-        local_distance_matrix, built = dtw.local_distance_matrix, []
+        distance_matrix, built = dtw._distance_matrix, []
 
-        def counting_local_distance_matrix(x, y):
+        def counting_distance_matrix(x, y):
             built.append((len(x), len(y)))
-            return local_distance_matrix(x, y)
+            return distance_matrix(x, y)
 
-        monkeypatch.setattr(dtw, "local_distance_matrix", counting_local_distance_matrix)
+        monkeypatch.setattr(dtw, "_distance_matrix", counting_distance_matrix)
         out = tmp_path / "o"
         code = _run("dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
                     "--dump-matrices", "--format", "json", "--out-dir", str(out), *band)
@@ -583,6 +584,28 @@ class TestDtwCommand:
         assert (out / "dtw_modal_price_2021-2023_local.csv").read_bytes() == matrix_csv(
             np.abs(np.subtract.outer(x, y))).encode()
 
+    @pytest.mark.parametrize("band", [[], ["--band", "4"]])
+    def test_each_chunk_freed_before_the_next_sweep(self, tmp_path, fixture_csv, monkeypatch,
+                                                    band):
+        dtw = seasonwarp.dtw
+        sweep, swept = dtw._sweep, []
+
+        def checking_sweep(ds, band_radius):
+            # No pair's d or g, each a view of its chunk, outlives the chunk.
+            assert [ref() for ref in swept] == [None] * len(swept)
+            gs = sweep(ds, band_radius)
+            swept.append(weakref.ref(gs[0].base))
+            return gs
+
+        monkeypatch.setattr(dtw, "_sweep", checking_sweep)
+        monkeypatch.setattr(dtw, "BATCH_PAIRS", 2)
+        code = _run("dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
+                    "--dump-matrices", "--format", "svg", "--out-dir", str(tmp_path / "o"), *band)
+        assert code == 0
+        # Per variable: 6 pairs in 3 chunks, each swept once, or under a
+        # band once more without it (no unbanded total ties).
+        assert len(swept) == (6 if not band else 12)
+
     def test_tied_unbanded_totals_rebuild_only_the_tied_pairs(self, tmp_path, monkeypatch):
         # 2023 repeats 2021, so (2021, 2022) and (2022, 2023) tie on their
         # unbanded total; their paths have 53 and 54 steps, and the longer
@@ -595,13 +618,13 @@ class TestDtwCommand:
             for k, price in enumerate(weeks[2021] + weeks[2022] + weeks[2023])]
         (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
         dtw = seasonwarp.dtw
-        local_distance_matrix, built = dtw.local_distance_matrix, []
+        distance_matrix, built = dtw._distance_matrix, []
 
-        def counting_local_distance_matrix(x, y):
+        def counting_distance_matrix(x, y):
             built.append((tuple(x), tuple(y)))
-            return local_distance_matrix(x, y)
+            return distance_matrix(x, y)
 
-        monkeypatch.setattr(dtw, "local_distance_matrix", counting_local_distance_matrix)
+        monkeypatch.setattr(dtw, "_distance_matrix", counting_distance_matrix)
         out = tmp_path / "o"
         assert _run("dtw", "--input", str(tmp_path / "in.csv"), "--variable", "price",
                     "--all-pairs", "--band", "4", "--format", "json", "--out-dir", str(out)) == 0

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import warnings
+import weakref
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from seasonwarp.dtw import (
     DtwResult,
     Normalization,
     PairSet,
-    WarpPath,
     backtrack,
     cumulative_cost,
     dtw_align,
@@ -86,9 +88,10 @@ class TestCumulativeCost:
             cumulative_cost(d, band_radius=4)
 
     def test_negative_distances_rejected(self):
-        with pytest.raises(ValueError):
-            cumulative_cost([[1.0, -0.5], [0.0, 2.0]])
         with pytest.raises(ValueError, match="non-negative"):
+            cumulative_cost([[1.0, -0.5], [0.0, 2.0]])
+        # A NaN is named as such, not as a negative distance.
+        with pytest.raises(DataIntegrityError, match=r"^DTW needs finite values; got nan at index 0, 1$"):
             cumulative_cost([[1.0, math.nan], [0.0, 2.0]])
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -165,22 +168,40 @@ class TestBacktrack:
             assert path.end == (n, m)
 
 
-class TestWarpPathValidation:
-    def test_must_start_at_origin(self):
-        with pytest.raises(ValueError):
-            WarpPath(((2, 1), (2, 2)))
+# Each public entry called on a bad first sequence x (or a one-row matrix
+# of it) beside a good one.
+_ENTRIES = {
+    "local_distance_matrix": lambda x, options: local_distance_matrix(x, [1.0, 2.0]),
+    "cumulative_cost": lambda x, options: cumulative_cost(np.reshape(x, (1, -1))),
+    "dtw_align": lambda x, options: dtw_align(x, [1.0, 2.0], options),
+    "PairSet": lambda x, options: PairSet({0: x, 1: [1.0, 2.0]}, [(0, 1)], options),
+}
 
-    def test_illegal_jump(self):
-        with pytest.raises(ValueError):
-            WarpPath(((1, 1), (3, 2)))
 
-    def test_no_backwards_step(self):
-        with pytest.raises(ValueError):
-            WarpPath(((1, 1), (2, 2), (1, 2)))
+class TestInputContract:
+    """What each entry receives is checked once, before any arithmetic on
+    it, so a NaN, an infinity or an empty input is named and no numpy
+    warning comes first."""
 
-    def test_empty_path(self):
-        with pytest.raises(ValueError):
-            WarpPath(())
+    @pytest.mark.parametrize("entry, normalize", [
+        ("local_distance_matrix", Normalization.NONE),
+        ("cumulative_cost", Normalization.NONE),
+        *((entry, normalize) for entry in ("dtw_align", "PairSet") for normalize in Normalization),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
+    def test_bad_input_named_without_warning(self, entry, normalize, bad):
+        matrix = entry == "cumulative_cost"
+        if bad is None:
+            x, error = [], ValueError
+            message = (r"^expected a non-empty 2-d cost matrix, got shape \(1, 0\)$" if matrix
+                       else r"^cannot align an empty sequence$")
+        else:
+            x, error = [1.0, bad, 3.0], DataIntegrityError
+            message = rf"^DTW needs finite values; got {bad} at index {'0, 1' if matrix else 1}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                _ENTRIES[entry](x, DtwOptions(normalize_input=normalize))
 
 
 class TestDtwAlign:
@@ -446,6 +467,26 @@ class TestBatchedKernel:
             dtw_align(x, y, options)
         with pytest.raises(DataIntegrityError, match=message):
             PairSet({0: y, 1: x}, [(0, 1)], options)  # before alignments or ranks
+
+    @pytest.mark.parametrize("band", [None, 4])
+    def test_each_chunk_freed_before_the_next_sweep(self, monkeypatch, band):
+        sweep, swept = seasonwarp.dtw._sweep, []
+
+        def checking_sweep(ds, band_radius):
+            assert [ref() for ref in swept] == [None] * len(swept)
+            gs = sweep(ds, band_radius)
+            swept.append(weakref.ref(gs[0].base))
+            return gs
+
+        monkeypatch.setattr(seasonwarp.dtw, "_sweep", checking_sweep)
+        monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", 2)
+        rng = np.random.default_rng(17)
+        sequences = {k: rng.normal(size=52 + k % 2) for k in range(4)}
+        pairs = [(a, b) for a in sequences for b in sequences if a < b]
+        # A consumer that keeps no pair's matrices, so only the generator
+        # could hold the previous chunk.
+        deque(PairSet(sequences, pairs, DtwOptions(band_radius=band)).alignments(), maxlen=0)
+        assert len(swept) == (3 if band is None else 6)
 
     def test_empty_pair_list_aligns_nothing(self):
         pair_set = PairSet({}, [])

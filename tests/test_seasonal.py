@@ -9,8 +9,6 @@ from _oracles import seasonal_oracle, weeks_of
 from seasonwarp.errors import DataIntegrityError, InsufficientDataError
 from seasonwarp.report import to_json
 from seasonwarp.seasonal import (
-    SeasonalIndexTable,
-    WeekIndexEntry,
     index_weighted_mean,
     seasonal_index,
 )
@@ -177,19 +175,6 @@ class TestMovingAverageMethod:
 
 
 class TestTableValidation:
-    def test_entries_must_be_sorted_unique(self):
-        entries = (WeekIndexEntry(2, 100.0, 1), WeekIndexEntry(1, 100.0, 1))
-        with pytest.raises(ValueError):
-            SeasonalIndexTable(Variable.ARRIVALS, "weekly-mean", entries)
-
-    def test_week_and_support_bounds(self):
-        with pytest.raises(ValueError):
-            WeekIndexEntry(0, 100.0, 1)
-        with pytest.raises(ValueError):
-            WeekIndexEntry(54, 100.0, 1)
-        with pytest.raises(ValueError):
-            WeekIndexEntry(1, 100.0, 0)
-
     def test_roundtrip(self, cleaned42):
         series, _ = cleaned42[Variable.MODAL_PRICE]
         table = seasonal_index(series, complete_years(series))
