@@ -33,12 +33,7 @@ import numpy as np
 
 from .cleaning import CleaningReport, ColumnSchema, clean_series, parse_market_csv
 from .descriptive import describe
-from .dtw import (
-    DtwOptions,
-    Normalization,
-    PairSet,
-    rank_pairs,
-)
+from .dtw import DtwOptions, Normalization, PairSet
 from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
 from .fixture import generate_fixture
 from .report import matrix_csv, pair_label, records_csv, series_csv, stats_csv, to_json
@@ -446,23 +441,19 @@ def _year_pairs(args: argparse.Namespace, cleaned: _Cleaned) -> list[tuple[int, 
 
 
 def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _OutputTree):
-    """One variable's year pairs: each slice aligned as-is or z-scored once,
-    the drawn matrices from the batched kernel, backtracked once per pair,
-    and the unbanded reference ranks from the corner costs of the same pass."""
+    """One variable's year pairs, each slice aligned as-is or z-scored once,
+    aligned and ranked by one ``PairSet.align``; each pair's outputs are
+    written as it is aligned."""
     var = cleaned.dense.variable.value
     normalize = Normalization(args.normalize or "none")
     options = DtwOptions(band_radius=args.band, normalize_input=normalize)
     pairs = _year_pairs(args, cleaned)
     # The pairs hold every complete year, there being at least two.
     pair_set = PairSet({y: slice_year(cleaned.dense, y) for y in cleaned.years}, pairs, options)
-    # Each pair's d and g are dropped before the next chunk is built; under
-    # zip, its reused result tuple would keep them alive.
-    results, totals, alignments = [], [], pair_set.alignments()
-    for y1, y2 in pairs:
-        result, d, g, total = next(alignments)
-        results.append(((y1, y2), result))
-        totals.append(total)
-        stem = f"dtw_{var}_{pair_label((y1, y2))}"
+
+    def write_pair(pair, result, d, g):
+        y1, y2 = pair
+        stem = f"dtw_{var}_{pair_label(pair)}"
         if "json" in args.formats:
             files[f"{stem}.json"] = to_json(
                 {"variable": var, "year_pair": [y1, y2], "result": result}
@@ -484,15 +475,14 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
         if getattr(args, "dump_matrices", False):
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
-        del d, g
-    ranking = rank_pairs(results)
+
+    ranking, unbanded_ranks = pair_set.align(write_pair)
     payload = {
         "variable": var,
         "band_radius": options.band_radius,
         "ranking": ranking,
     }
-    if options.band_radius is not None:
-        unbanded_ranks = pair_set.unbanded_ranks(totals)
+    if unbanded_ranks is not None:
         payload["rank_order_vs_unbanded"] = {
             "changed": ranking.ranks() != unbanded_ranks,
             "unbanded_ranks": list(unbanded_ranks),

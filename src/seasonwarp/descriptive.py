@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError
+from .errors import DegenerateDataError, InsufficientDataError, check_finite
 
 
 def quantile(values: np.ndarray | list[float], q: float) -> float:
@@ -20,10 +20,11 @@ def quantile(values: np.ndarray | list[float], q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
-    v = np.sort(np.asarray(values, dtype=float))
+    v = np.asarray(values, dtype=float)
+    check_finite(v, "quantile")
     if v.size == 0:
         raise InsufficientDataError("quantile of an empty sample")
-    return _sorted_quantile(v, q)
+    return _sorted_quantile(np.sort(v), q)
 
 
 def _sorted_quantile(v: np.ndarray, q: float) -> float:
@@ -64,6 +65,7 @@ def moments(values: np.ndarray | list[float]) -> tuple[float, float, float, floa
     of 0 but no higher moments.
     """
     v = np.asarray(values, dtype=float)
+    check_finite(v, "moments")
     if v.size < 4:
         needed = {0: "mean", 1: "std", 2: "skewness", 3: "kurtosis"}[min(v.size, 3)]
         raise InsufficientDataError(
@@ -89,6 +91,7 @@ def jarque_bera(values: np.ndarray | list[float]) -> tuple[float, float]:
     the p-value is the chi-squared(2) survival function exp(-JB/2).
     """
     v = np.asarray(values, dtype=float)
+    check_finite(v, "Jarque-Bera")
     if v.size < 8:
         raise InsufficientDataError(
             f"Jarque-Bera needs >= 8 observations, got {v.size}"
@@ -132,6 +135,7 @@ def describe(data) -> DescriptiveSummary:
     """
     values = data.values() if hasattr(data, "values") and callable(data.values) else data
     v = np.asarray(values, dtype=float)
+    check_finite(v, "describe")
     if v.size < 8:
         raise InsufficientDataError(f"describe needs >= 8 observations, got {v.size}")
     mean, ss, m2, m3, m4 = central_moments(v)

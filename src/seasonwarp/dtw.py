@@ -9,11 +9,12 @@ anywhere.
 One kernel, ``_sweep``, builds every cumulative-cost matrix: it pads a list
 of local-distance matrices into one array and sweeps its anti-diagonals in
 numpy, one vectorised step per diagonal whatever the number of matrices.
-``dtw_align`` and ``cumulative_cost`` run it on one matrix; ``PairSet``
-runs it on a list of pairs, such as the CLI's year pairs, up to
+``dtw_align`` and ``cumulative_cost`` run it on one matrix; ``PairSet.align``
+aligns and ranks a list of pairs, such as the CLI's year pairs, up to
 ``BATCH_PAIRS`` at a time, each chunk's distances built once for the banded
-and unbanded sweeps.  A result stores the corner cost and the path; the
-rest, the warped pair included, is derived from them and the aligned inputs.
+and unbanded sweeps and let go before the next chunk is built.  A result
+stores the corner cost and the path; the rest, the warped pair included, is
+derived from them and the aligned inputs.
 
 Each public entry checks what it receives once, and the core (the distance
 build, ``_sweep``, the backtrack walk) trusts it.  A pair of sequences is
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Hashable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DataIntegrityError, DegenerateDataError, NoValidPathError
+from .errors import DegenerateDataError, NoValidPathError, check_finite
 
 INF = math.inf
 
@@ -127,18 +128,10 @@ def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return xa, ya
 
 
-def _check_finite(v: np.ndarray) -> None:
-    """Name v's first non-finite value and its index (adf_test's rule)."""
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        at = ", ".join(map(str, np.unravel_index(bad[0], v.shape)))
-        raise DataIntegrityError(f"DTW needs finite values; got {v.flat[bad[0]]} at index {at}")
-
-
 def _aligned(v: np.ndarray, options: DtwOptions) -> np.ndarray:
     """One sequence of a checked pair as it is aligned: finite, and z-scored
     under z-score normalization."""
-    _check_finite(v)
+    check_finite(v, "DTW")
     return zscore(v) if options.normalize_input is Normalization.ZSCORE else v
 
 
@@ -171,7 +164,7 @@ def cumulative_cost(d, band_radius: int | None = None) -> np.ndarray:
     da = np.asarray(d, dtype=float)
     if da.ndim != 2 or da.size == 0:
         raise ValueError(f"expected a non-empty 2-d cost matrix, got shape {da.shape}")
-    _check_finite(da)
+    check_finite(da, "DTW")
     if not np.all(da >= 0):
         raise ValueError("local distances must be non-negative")
     _check_band(*da.shape, band_radius)
@@ -239,7 +232,7 @@ BATCH_PAIRS = 32
 
 class PairSet:
     """A list of pairs (a, b) of 1-d ``sequences`` aligned under ``options``
-    by one batched kernel, in place of ``dtw_align`` on each pair in turn.
+    and ranked by ``align``, in place of ``dtw_align`` on each pair in turn.
 
     Each sequence is checked and normalized once, here, and every pair is
     checked here in order, so the error raised is the one that loop would
@@ -262,41 +255,52 @@ class PairSet:
                     self.aligned[key] = _aligned(v, options)
             _check_band(self.aligned[a].size, self.aligned[b].size, options.band_radius)
 
-    def alignments(self) -> Iterator[tuple[DtwResult, np.ndarray, np.ndarray, float]]:
-        """Each pair's result, local-distance matrix d, cumulative-cost matrix
-        g and unbanded total cost, in pair order, as ``dtw_align`` would
-        compute them, with one ``backtrack`` per pair.  Under a band, each
-        chunk is first swept unbanded and only its corner totals are kept.
-        A chunk is let go before the next is built, unless the caller holds it."""
+    def align(self, emit: Callable[..., object]) -> tuple[PairRanking, tuple[int, ...] | None]:
+        """The pairs' ``rank_pairs`` ranking and, under a band, the ranks of
+        their unbanded alignments (else None).  ``emit(pair, result, d, g)``
+        is called for each pair in order with what ``dtw_align`` computes:
+        the result, one ``backtrack``, and views d and g of the chunk's
+        local-distance and cumulative-cost matrices.  Under a band, each
+        chunk is first swept unbanded for its corner totals."""
         band = self.options.band_radius
-        for ds in self._distances(self.pairs):
-            totals = None if band is None else [float(g[-1, -1]) for g in _sweep(ds, None)]
-            for p, (d, g) in enumerate(zip(ds, _sweep(ds, band))):
+        results, totals = [], []
+        for chunk in _chunks(self.pairs):
+            ds = self._distances(chunk)
+            if band is not None:
+                totals += [float(g[-1, -1]) for g in _sweep(ds, None)]
+            for pair, d, g in zip(chunk, ds, _sweep(ds, band)):
                 result = _result(g, self.options)
-                yield result, d, g, result.total_cost if totals is None else totals[p]
-            del ds, d, g
+                results.append((pair, result))
+                emit(pair, result, d, g)
+            del ds, d, g  # before the next chunk is built
+        return rank_pairs(results), None if band is None else self._unbanded_ranks(totals)
 
-    def unbanded_ranks(self, totals: Sequence[float]) -> tuple[int, ...]:
-        """The ranks ``rank_pairs`` gives the pairs' unbanded alignments,
-        from the unbanded ``totals`` that ``alignments`` yields.  Only the
-        pairs whose total ties another's are swept again, unbanded, and
-        backtracked for the mean cost that breaks the tie."""
+    def _unbanded_ranks(self, totals: list[float]) -> tuple[int, ...]:
+        """The ranks ``rank_pairs`` gives the pairs' unbanded alignments, from
+        the corner ``totals`` of their unbanded sweeps.  Only pairs whose total
+        ties another's are swept again, and backtracked for the mean cost
+        that breaks the tie; other totals are never compared on their mean."""
         count = Counter(totals)
         tied = [p for p, total in enumerate(totals) if count[total] > 1]
-        gs = (g for ds in self._distances([self.pairs[p] for p in tied]) for g in _sweep(ds, None))
-        means = {p: mean_cost(totals[p], len(backtrack(g))) for p, g in zip(tied, gs)}
-        # A total nothing ties is never compared on its mean.
+        means = {}
+        for chunk in _chunks(tied):
+            gs = _sweep(self._distances([self.pairs[p] for p in chunk]), None)
+            means.update({p: mean_cost(totals[p], len(backtrack(g))) for p, g in zip(chunk, gs)})
+            del gs  # before the next chunk is built
         return tuple(_ranks([(total, means.get(p, 0.0), pair)
                              for p, (total, pair) in enumerate(zip(totals, self.pairs))]))
 
-    def _distances(self, pairs: Sequence[tuple[Hashable, Hashable]]) -> Iterator[list[np.ndarray]]:
-        """The pairs' local-distance matrices, built in even chunks of at
-        most ``BATCH_PAIRS`` as they are read.  A sweep of a chunk returns
-        views into one array that is freed once none of them is held."""
-        chunks = -(-len(pairs) // BATCH_PAIRS)
-        for c in range(chunks):
-            chunk = pairs[len(pairs) * c // chunks : len(pairs) * (c + 1) // chunks]
-            yield [_distance_matrix(self.aligned[a], self.aligned[b]) for a, b in chunk]
+    def _distances(self, pairs: Sequence[tuple[Hashable, Hashable]]) -> list[np.ndarray]:
+        """The pairs' local-distance matrices; a sweep of them returns views
+        into one array, freed once none of them is held."""
+        return [_distance_matrix(self.aligned[a], self.aligned[b]) for a, b in pairs]
+
+
+def _chunks(items: Sequence) -> Iterator[Sequence]:
+    """items in even chunks of at most ``BATCH_PAIRS``."""
+    chunks = -(-len(items) // BATCH_PAIRS)
+    for c in range(chunks):
+        yield items[len(items) * c // chunks : len(items) * (c + 1) // chunks]
 
 
 def _sweep(ds: Sequence[np.ndarray], band_radius: int | None) -> list[np.ndarray]:

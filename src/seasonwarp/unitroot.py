@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
+from .errors import DegenerateDataError, InsufficientDataError, check_finite
 
 REGRESSIONS = ("n", "c", "ct")
 
@@ -112,26 +112,19 @@ def _ols_tstat0(x: np.ndarray, y: np.ndarray) -> float:
     return float(beta[0] / math.sqrt(var0))
 
 
-def _prefix_ssr(v: np.ndarray, dy: np.ndarray, maxlag: int, ntrend: int) -> np.ndarray:
+def _prefix_ssr(v: np.ndarray, dy: np.ndarray, maxlag: int, regression: str) -> np.ndarray:
     """SSR of every column prefix of the maxlag design on its common sample.
 
     Columns are [trend terms, y_{t-1}, Delta y_{t-1} .. Delta y_{t-maxlag}],
-    so lag L is the first ntrend + 1 + L of them.  Entry k of the result is
-    the k-column prefix's SSR: the tail sum sum_{i>=k} R[i, K]^2 of the last
-    column of R from one QR of [design | response].  Entry 0 is the
-    response's own sum of squares.
+    so lag L is the first ntrend + 1 + L of them: `_design`'s columns with
+    the trend terms moved first.  Entry k of the result is the k-column
+    prefix's SSR: the tail sum sum_{i>=k} R[i, K]^2 of the last column of R
+    from one QR of [design | response].  Entry 0 is the response's own sum
+    of squares.
     """
-    rows = dy.size - maxlag
-    ncols = ntrend + 1 + maxlag
-    aug = np.empty((rows, ncols + 1))
-    if ntrend >= 1:
-        aug[:, 0] = 1.0
-    if ntrend == 2:
-        aug[:, 1] = np.arange(1.0, rows + 1.0)
-    aug[:, ntrend] = v[maxlag : maxlag + rows]
-    for i in range(1, maxlag + 1):
-        aug[:, ntrend + i] = dy[maxlag - i : maxlag - i + rows]
-    aug[:, ncols] = dy[maxlag:]
+    cols, resp = _design(v, dy, maxlag, maxlag, regression)
+    rows, ncols = resp.size, len(cols)
+    aug = np.column_stack((*cols[1 + maxlag :], *cols[: 1 + maxlag], resp))
     try:
         r = np.linalg.qr(aug, mode="r")
         sv = np.linalg.svd(r[:ncols, :ncols], compute_uv=False)
@@ -148,10 +141,12 @@ def _prefix_ssr(v: np.ndarray, dy: np.ndarray, maxlag: int, ntrend: int) -> np.n
 
 
 def _design(y: np.ndarray, dy: np.ndarray, lag: int, trim: int, regression: str):
-    """Design matrix and response for the refit of the chosen lag.
+    """Design columns and response of the regression with `lag` lags on the
+    sample trimmed at `trim`, for the lag search and the refit.
 
     Columns: y_{t-1}, then the `lag` differenced lags, then the trend terms,
-    so the first coefficient is gamma.
+    so the first coefficient is gamma.  They are views where they can be,
+    so a caller stacks them into one matrix, in its own order, in one copy.
     """
     n = dy.size
     rows = n - trim
@@ -163,7 +158,7 @@ def _design(y: np.ndarray, dy: np.ndarray, lag: int, trim: int, regression: str)
         cols.append(np.ones(rows))
     if regression == "ct":
         cols.append(np.arange(1.0, rows + 1.0))
-    return np.column_stack(cols), resp
+    return cols, resp
 
 
 def adf_test(
@@ -190,11 +185,7 @@ def adf_test(
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
     # LAPACK reports non-finite input on stderr before failing: reject it here.
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise DataIntegrityError(
-            f"ADF test needs finite values; got {v[bad[0]]} at index {bad[0]}"
-        )
+    check_finite(v, "ADF test")
     n = v.size
     if n < 2:
         raise InsufficientDataError(f"ADF test needs >= 2 observations, got {n}")
@@ -216,7 +207,7 @@ def adf_test(
             "ADF test needs >= 20 observations after differencing and lag "
             f"trimming, got {rows}"
         )
-    ssr = _prefix_ssr(v, dy, maxlag, ntrend)
+    ssr = _prefix_ssr(v, dy, maxlag, regression)
     best_lag = 0
     best_aic = math.inf
     for lag in range(maxlag + 1):
@@ -226,8 +217,8 @@ def adf_test(
             best_aic = aic
             best_lag = lag
 
-    x, resp = _design(v, dy, best_lag, best_lag, regression)
-    stat = _ols_tstat0(x, resp)
+    cols, resp = _design(v, dy, best_lag, best_lag, regression)
+    stat = _ols_tstat0(np.column_stack(cols), resp)
     return AdfResult(
         statistic=stat,
         pvalue=mackinnon_pvalue(stat, regression),

@@ -50,6 +50,21 @@ def _tree(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+def _write_tied_csv(path: Path) -> dict[int, list[int]]:
+    """A price CSV of ISO years 2021-2023 whose weekly prices it returns.
+    2023 repeats 2021, so (2021, 2022) and (2022, 2023) tie on their
+    unbanded total; their paths have 53 and 54 steps, and the longer path's
+    lower mean ranks (2022, 2023) before (2021, 2022)."""
+    weeks = {2021: [2, 2, 3, 2] + [6] * 48, 2022: [3, 1, 2] + [6] * 49}
+    weeks[2023] = weeks[2021]
+    first = date.fromisocalendar(2021, 1, 7)
+    rows = ["date,arrivals,modal_price"] + [
+        f"{first + timedelta(weeks=k)},100,{price}"
+        for k, price in enumerate(weeks[2021] + weeks[2022] + weeks[2023])]
+    path.write_text("\n".join(rows) + "\n")
+    return weeks
+
+
 class TestFixtureCommand:
     def test_writes_deterministic_csv(self, tmp_path, fixture42):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -585,38 +600,38 @@ class TestDtwCommand:
             np.abs(np.subtract.outer(x, y))).encode()
 
     @pytest.mark.parametrize("band", [[], ["--band", "4"]])
+    @pytest.mark.parametrize("tied", [False, True])
     def test_each_chunk_freed_before_the_next_sweep(self, tmp_path, fixture_csv, monkeypatch,
-                                                    band):
+                                                    tied, band):
         dtw = seasonwarp.dtw
         sweep, swept = dtw._sweep, []
 
         def checking_sweep(ds, band_radius):
             # No pair's d or g, each a view of its chunk, outlives the chunk.
-            assert [ref() for ref in swept] == [None] * len(swept)
+            assert [ref() is None for ref in swept] == [True] * len(swept)
             gs = sweep(ds, band_radius)
             swept.append(weakref.ref(gs[0].base))
             return gs
 
         monkeypatch.setattr(dtw, "_sweep", checking_sweep)
-        monkeypatch.setattr(dtw, "BATCH_PAIRS", 2)
-        code = _run("dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
-                    "--dump-matrices", "--format", "svg", "--out-dir", str(tmp_path / "o"), *band)
+        if tied:
+            _write_tied_csv(tmp_path / "in.csv")
+            data = ["--input", str(tmp_path / "in.csv"), "--variable", "price"]
+        else:
+            data = ["--input", str(fixture_csv), "--years", "2020..2023"]
+        monkeypatch.setattr(dtw, "BATCH_PAIRS", 1 if tied else 2)
+        code = _run("dtw", *data, "--all-pairs", "--dump-matrices", "--format", "svg",
+                    "--out-dir", str(tmp_path / "o"), *band)
         assert code == 0
-        # Per variable: 6 pairs in 3 chunks, each swept once, or under a
-        # band once more without it (no unbanded total ties).
-        assert len(swept) == (6 if not band else 12)
+        # Fixture, per variable: 6 pairs in 3 chunks, each swept once, or
+        # under a band once more without it (no unbanded total ties).  Tied
+        # price: 3 pairs in 3 chunks, and under a band 3 unbanded sweeps and
+        # the 2 tied pairs' sweeps again.
+        assert len(swept) == {(False, False): 6, (False, True): 12,
+                              (True, False): 3, (True, True): 8}[tied, bool(band)]
 
     def test_tied_unbanded_totals_rebuild_only_the_tied_pairs(self, tmp_path, monkeypatch):
-        # 2023 repeats 2021, so (2021, 2022) and (2022, 2023) tie on their
-        # unbanded total; their paths have 53 and 54 steps, and the longer
-        # path's lower mean ranks (2022, 2023) before (2021, 2022).
-        weeks = {2021: [2, 2, 3, 2] + [6] * 48, 2022: [3, 1, 2] + [6] * 49}
-        weeks[2023] = weeks[2021]
-        first = date.fromisocalendar(2021, 1, 7)
-        rows = ["date,arrivals,modal_price"] + [
-            f"{first + timedelta(weeks=k)},100,{price}"
-            for k, price in enumerate(weeks[2021] + weeks[2022] + weeks[2023])]
-        (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+        weeks = _write_tied_csv(tmp_path / "in.csv")
         dtw = seasonwarp.dtw
         distance_matrix, built = dtw._distance_matrix, []
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from seasonwarp.descriptive import (
     moments,
     quantile,
 )
-from seasonwarp.errors import DegenerateDataError, InsufficientDataError
+from seasonwarp.errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 from seasonwarp.report import to_json
 from seasonwarp.series import Variable
 
@@ -235,3 +236,21 @@ class TestDescribe:
         assert (s.jarque_bera, s.jarque_bera_p) == jarque_bera(v)
         assert s.mean == moments(v)[0]
         assert s.std == moments(v)[1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("what, entry", [
+    ("describe", describe),
+    ("moments", moments),
+    ("Jarque-Bera", jarque_bera),
+    ("quantile", lambda v: quantile(v, 0.5)),
+], ids=["describe", "moments", "jarque_bera", "quantile"])
+def test_non_finite_value_named(what, entry, bad):
+    # Without the check, describe gave nan moments beside finite quartiles,
+    # and quantile read a nan as the largest value.
+    values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, bad, 9.0, 10.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataIntegrityError,
+                           match=rf"^{what} needs finite values; got {bad} at index 7$"):
+            entry(values)

@@ -3,7 +3,6 @@ import json
 import math
 import warnings
 import weakref
-from collections import deque
 
 import numpy as np
 import pytest
@@ -396,37 +395,43 @@ class TestBatchedKernel:
             assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
             return
         pair_set = PairSet(sequences, pairs, options)
-        batched = list(pair_set.alignments())
-        assert len(batched) == len(pairs)
-        # The CLI's reference: unbanded totals and ranks of the same pairs.
-        unbanded = dataclasses.replace(options, band_radius=None)
-        reference = [((a, b), _oracle_alignment(sequences[a], sequences[b], unbanded)[0])
-                     for a, b in pairs]
-        for (a, b), (batch_result, batch_d, batch_g, total), (_, free) in zip(
-                pairs, batched, reference):
+        emitted = []
+        ranking, unbanded_ranks = pair_set.align(lambda *pair_output: emitted.append(pair_output))
+        assert [pair for pair, *_ in emitted] == pairs
+        results = []
+        for (a, b), batch_result, batch_d, batch_g in emitted:
             result, g = _oracle_alignment(sequences[a], sequences[b], options)
             x, y = pair_set.aligned[a], pair_set.aligned[b]
             assert batch_d.tobytes() == np.abs(np.subtract.outer(x, y)).tobytes()
             assert batch_g.shape == g.shape
             assert batch_g.tobytes() == g.tobytes()
             assert batch_result == result
-            assert total == free.total_cost
-        totals = [total for *_, total in batched]
-        assert pair_set.unbanded_ranks(totals) == rank_pairs(reference).ranks()
+            results.append(((a, b), result))
+        assert ranking == rank_pairs(results)
+        if options.band_radius is None:
+            assert unbanded_ranks is None
+            return
+        # The CLI's reference: the ranks of the same pairs' unbanded alignments.
+        unbanded = dataclasses.replace(options, band_radius=None)
+        reference = [((a, b), _oracle_alignment(sequences[a], sequences[b], unbanded)[0])
+                     for a, b in pairs]
+        assert unbanded_ranks == rank_pairs(reference).ranks()
 
     def test_ties_break_on_backtracked_mean(self):
         # (0, 1) and (1, 0) tie on total cost 3, but backtracking prefers a
         # vertical step over a horizontal one, so their paths have 4 and 5
-        # steps, and the longer path's lower mean ranks (1, 0) first.
+        # steps, and the longer path's lower mean ranks (1, 0) first.  A
+        # band of 4 leaves every path free, so the unbanded ranks, taken
+        # from the totals and the tied pairs' sweeps again, are the same.
         sequences = {0: np.array([1.0, 1.0, 2.0, 1.0]), 1: np.array([2.0, 0.0, 1.0])}
         pairs = [(0, 1), (1, 0), (0, 0)]
         expected = rank_pairs([(pair, dtw_align(sequences[pair[0]], sequences[pair[1]]))
                                for pair in pairs])
         assert [(e.total_cost, e.path_length) for e in expected.entries] == [
             (3.0, 4), (3.0, 5), (0.0, 4)]
-        pair_set = PairSet(sequences, pairs)
-        totals = [total for *_, total in pair_set.alignments()]
-        assert pair_set.unbanded_ranks(totals) == expected.ranks() == (3, 2, 1)
+        ranking, unbanded_ranks = PairSet(sequences, pairs, DtwOptions(band_radius=4)).align(
+            lambda *_: None)
+        assert ranking.ranks() == unbanded_ranks == expected.ranks() == (3, 2, 1)
 
     @pytest.mark.parametrize("size, chunk_sizes", [(5, {4, 5}), (1, {1})])
     def test_chunks_match_one_sweep(self, monkeypatch, size, chunk_sizes):
@@ -434,16 +439,22 @@ class TestBatchedKernel:
         sequences = {k: rng.normal(size=52 + k % 2) for k in range(6)}
         pairs = [(a, b) for a in sequences for b in sequences]
         pair_set = PairSet(sequences, pairs, DtwOptions(band_radius=3))
+
+        def align():
+            gs = []
+            return (*pair_set.align(lambda pair, result, d, g: gs.append(g)), gs)
+
         monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", len(pairs))
-        whole = list(pair_set.alignments())
+        *whole, whole_gs = align()
         monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", size)  # 36 pairs
-        chunked = list(pair_set.alignments())
-        assert [g.tobytes() for _, _, g, _ in chunked] == [g.tobytes() for _, _, g, _ in whole]
-        assert {g.base.shape[-1] for _, _, g, _ in whole} == {36}
-        assert {g.base.shape[-1] for _, _, g, _ in chunked} == chunk_sizes
-        # The unbanded totals come from an unbanded sweep of the same chunks.
-        assert [total for *_, total in chunked] == [total for *_, total in whole] == [
-            dtw_align(sequences[a], sequences[b]).total_cost for a, b in pairs]
+        *chunked, chunked_gs = align()
+        assert [g.tobytes() for g in chunked_gs] == [g.tobytes() for g in whole_gs]
+        assert {g.base.shape[-1] for g in whole_gs} == {36}
+        assert {g.base.shape[-1] for g in chunked_gs} == chunk_sizes
+        # The unbanded ranks come from an unbanded sweep of the same chunks.
+        assert chunked == whole
+        assert whole[1] == rank_pairs(
+            [(pair, dtw_align(sequences[pair[0]], sequences[pair[1]])) for pair in pairs]).ranks()
 
     def test_first_error_in_pair_order(self):
         # The band fails on the first pair before the constant third sequence
@@ -466,14 +477,15 @@ class TestBatchedKernel:
         with pytest.raises(DataIntegrityError, match=message):
             dtw_align(x, y, options)
         with pytest.raises(DataIntegrityError, match=message):
-            PairSet({0: y, 1: x}, [(0, 1)], options)  # before alignments or ranks
+            PairSet({0: y, 1: x}, [(0, 1)], options)  # before align
 
+    @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("band", [None, 4])
-    def test_each_chunk_freed_before_the_next_sweep(self, monkeypatch, band):
+    def test_each_chunk_freed_before_the_next_sweep(self, monkeypatch, band, tied):
         sweep, swept = seasonwarp.dtw._sweep, []
 
         def checking_sweep(ds, band_radius):
-            assert [ref() for ref in swept] == [None] * len(swept)
+            assert [ref() is None for ref in swept] == [True] * len(swept)
             gs = sweep(ds, band_radius)
             swept.append(weakref.ref(gs[0].base))
             return gs
@@ -481,17 +493,21 @@ class TestBatchedKernel:
         monkeypatch.setattr(seasonwarp.dtw, "_sweep", checking_sweep)
         monkeypatch.setattr(seasonwarp.dtw, "BATCH_PAIRS", 2)
         rng = np.random.default_rng(17)
-        sequences = {k: rng.normal(size=52 + k % 2) for k in range(4)}
+        # Tied: all six pairs tie on their unbanded total, 53 or 0, so under
+        # a band all six are swept again.
+        sequences = {k: np.full(52 + k % 2, float(k % 2)) if tied else rng.normal(size=52 + k % 2)
+                     for k in range(4)}
         pairs = [(a, b) for a in sequences for b in sequences if a < b]
-        # A consumer that keeps no pair's matrices, so only the generator
-        # could hold the previous chunk.
-        deque(PairSet(sequences, pairs, DtwOptions(band_radius=band)).alignments(), maxlen=0)
-        assert len(swept) == (3 if band is None else 6)
+        # An emit that keeps no pair's matrices, so only ``align`` could hold
+        # an earlier chunk.
+        PairSet(sequences, pairs, DtwOptions(band_radius=band)).align(lambda *_: None)
+        assert len(swept) == (3 if band is None else 9 if tied else 6)
 
-    def test_empty_pair_list_aligns_nothing(self):
-        pair_set = PairSet({}, [])
-        assert list(pair_set.alignments()) == []
-        assert pair_set.unbanded_ranks([]) == ()
+    def test_empty_pair_list_ranks_nothing(self):
+        emitted = []
+        with pytest.raises(ValueError, match="^nothing to rank$"):
+            PairSet({}, []).align(emitted.append)
+        assert emitted == []
 
 
 class TestRanking:

@@ -26,9 +26,12 @@ limited to a decade, because all 44,850 pairs of 300 years would write tens
 of GB.  ``long-dtw-ties`` aligns both variables of 1965..1975 at band 4: four
 of its arrivals pairs tie on their unbanded total, so the reference ranking
 sweeps those pairs again for the path length that breaks the tie, and the
-banded ranks differ from the unbanded ones.  Two DTW scenarios on the fixture
-pin error paths: band 0 exits 2 on the first 52-vs-53-week pair, and band 1
-with z-scores aligns every pair.  ``dtw-edge-gap``, ``seasonal-edge-gap`` and
+banded ranks differ from the unbanded ones.  ``long-dtw-ties-svg`` aligns
+the same arrivals pairs and writes every per-pair output (JSON, SVG and the
+dumped matrices) and the CSV ranking: no other scenario writes them on a run
+that sweeps tied pairs again (``long-dtw`` z-scores, so nothing ties).  Two
+DTW scenarios on the fixture pin error paths: band 0 exits 2 on the first
+52-vs-53-week pair, and band 1 with z-scores aligns every pair.  ``dtw-edge-gap``, ``seasonal-edge-gap`` and
 ``report-all-edge-gap`` run on the fixture without its first data row, so the
 first ISO year is incomplete and skipped with a warning, once per variable.
 ``report-all-config`` gives ``report-all-winsorize``'s
@@ -77,6 +80,9 @@ SCENARIOS = (
                   "--band", "3", "--dump-matrices", "--normalize", "zscore"], "long"),
     ("long-dtw-ties", ["dtw", "--years", "1965..1975", "--all-pairs", "--band", "4",
                        "--format", "json"], "long"),
+    ("long-dtw-ties-svg", ["dtw", "--variable", "arrivals", "--years", "1965..1975",
+                           "--all-pairs", "--band", "4", "--dump-matrices",
+                           "--format", "json,csv,svg"], "long"),
 )
 
 INPUT_CODE = {
