@@ -21,6 +21,8 @@ def quantile(values: np.ndarray | list[float], q: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
     v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
     check_finite(v, "quantile")
     if v.size == 0:
         raise InsufficientDataError("quantile of an empty sample")
@@ -135,6 +137,8 @@ def describe(data) -> DescriptiveSummary:
     """
     values = data.values() if hasattr(data, "values") and callable(data.values) else data
     v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
     check_finite(v, "describe")
     if v.size < 8:
         raise InsufficientDataError(f"describe needs >= 8 observations, got {v.size}")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from _oracles import adf_oracle
 from seasonwarp.errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 from seasonwarp.report import to_json
 from seasonwarp.series import Variable, log_diff
-from seasonwarp.unitroot import AdfResult, adf_test, mackinnon_pvalue
+from seasonwarp.unitroot import BLOCK_ROWS, AdfResult, _prefix_ssr, adf_test, mackinnon_pvalue
 
 
 class TestMackinnonPvalue:
@@ -143,6 +144,9 @@ class TestAdfTest:
             (np.arange(60.0), "c", 0),
             (np.tile([1.0, -1.0], 30), "n", None),
             (np.tile([1.0, -1.0], 30), "c", None),
+            # Full-rank designs of several blocks that still fit exactly.
+            (np.arange(3000.0), "c", 0),
+            (np.tile([1.0, -1.0], 1600), "n", 0),
         ],
     )
     def test_exact_fit_is_degenerate(self, values, regression, maxlag):
@@ -276,3 +280,61 @@ class TestAdfMatchesOracle:
         y = _ar_series(seed, n, [c / len(phi) for c in phi], integrated)
         got = _outcome(adf_test, y, regression, maxlag)
         assert got == _outcome(adf_oracle, y, regression, maxlag)
+
+
+def _one_qr_ssr(y, dy, maxlag, regression):
+    """`_prefix_ssr` by one QR of the whole stacked [design | response]."""
+    rows = dy.size - maxlag
+    cols = [np.ones(rows)] if regression in ("c", "ct") else []
+    if regression == "ct":
+        cols.append(np.arange(1.0, rows + 1.0))
+    cols.append(y[maxlag : maxlag + rows])
+    cols += [dy[maxlag - i : maxlag - i + rows] for i in range(1, maxlag + 1)]
+    r = np.linalg.qr(np.column_stack((*cols, dy[maxlag:])), mode="r")
+    return np.cumsum(r[::-1, -1] ** 2)[::-1]
+
+
+class TestBlockedLagSearch:
+    """The lag search factors the maxlag design BLOCK_ROWS rows at a time."""
+
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize(
+        "rows",
+        [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 17],
+    )
+    def test_block_boundaries(self, rows, regression):
+        maxlag = 8
+        y = _ar_series(rows, rows + maxlag + 1, (0.5, -0.2), rows % 2 == 1)
+        dy = np.diff(y)
+        got = _prefix_ssr(y, dy, maxlag, regression)
+        np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag, regression), rtol=1e-12)
+        for lag in (None, maxlag):
+            assert adf_test(y, regression, lag) == adf_oracle(y, regression, lag)
+
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    def test_rank_deficient_over_several_blocks(self, regression):
+        # The collinear lags of `test_deficient_only_above_some_lag`, on
+        # 3,000 rows: the rank rule reads the final R of the block stream.
+        dy = np.cos(0.7 * np.arange(3000.0))
+        dy[-1] += 1.0
+        y = np.concatenate([[5.0], 5.0 + np.cumsum(dy)])
+        with pytest.raises(DegenerateDataError):
+            adf_oracle(y, regression)
+        with pytest.raises(DegenerateDataError, match="singular"):
+            adf_test(y, regression=regression)
+
+    @pytest.mark.parametrize("rows", [15_609, 62_000])
+    def test_memory_does_not_grow_with_rows(self, rows):
+        # The whole ct design with the response is 15,609 x 46 (5.7 MB) at
+        # 15,609 rows; the search holds one block with R (about 0.4 MB) and
+        # its QR copies, whatever the number of rows.
+        maxlag = int(12.0 * (rows / 100.0) ** 0.25)
+        y = _ar_series(rows, rows + maxlag + 1, (0.5,), False)
+        dy = np.diff(y)
+        tracemalloc.start()
+        try:
+            _prefix_ssr(y, dy, maxlag, "ct")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

@@ -34,6 +34,8 @@ DTW scenarios on the fixture pin error paths: band 0 exits 2 on the first
 52-vs-53-week pair, and band 1 with z-scores aligns every pair.  ``dtw-edge-gap``, ``seasonal-edge-gap`` and
 ``report-all-edge-gap`` run on the fixture without its first data row, so the
 first ISO year is incomplete and skipped with a warning, once per variable.
+``long-stats`` is the benchmark's ``stats`` command on the long history,
+whose ADF lag search factors its design in 16 row blocks.
 ``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
 directory.  ``report-all-arrivals`` is the one tree whose bundle holds a single
@@ -74,6 +76,7 @@ SCENARIOS = (
     ("seasonal-edge-gap", ["seasonal", "--variable", "price"], "edge-gap"),
     ("report-all-edge-gap", ["report-all"], "edge-gap"),
     ("long-clean", ["clean"], "long"),
+    ("long-stats", ["stats"], "long"),
     ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
     ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], "long"),
     ("long-dtw", ["dtw", "--variable", "price", "--years", "2000..2010", "--all-pairs",
