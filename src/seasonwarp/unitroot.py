@@ -5,12 +5,13 @@ The regression is Delta y_t = [trend terms] + gamma * y_{t-1}
 of gamma-hat.  P-values come from the MacKinnon (1994) response-surface
 approximation for the single-series case.
 
-The lag search prices every candidate from one triangular factor: with the
-trend terms first, each candidate lag's design is a column prefix of the
-maxlag design, so the R of a QR of that design with the response appended
-yields every candidate's SSR.  R is built in a stream of row blocks (a
-TSQR-style update), so the search never holds the whole maxlag design.  Only
-the chosen lag is refit, for its t-ratio.
+The test prices every candidate from one triangular factor: with the trend
+terms first, each candidate lag's design is a column prefix of the maxlag
+design, so the R of a QR of that design with the response appended yields
+every candidate's SSR.  R is built in a stream of row blocks (a TSQR-style
+update), so the search never holds the whole maxlag design.  The chosen lag's
+refit on its own full sample starts from the same R: its leading block stands
+for the common sample, and only the rows the search trimmed are added.
 """
 
 from __future__ import annotations
@@ -97,62 +98,52 @@ class AdfResult:
         return self.pvalue < 0.05
 
 
-def _ols_tstat0(x: np.ndarray, y: np.ndarray) -> float:
-    """t-stat of the first coefficient of an OLS fit of y on x."""
-    nobs, k = x.shape
-    if nobs <= k:
-        raise InsufficientDataError(
-            f"ADF regression needs more observations ({nobs}) than regressors ({k})"
-        )
-    xtx = x.T @ x
-    try:
-        xtx_inv = np.linalg.inv(xtx)
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError(
-            "singular ADF regression; series may be constant"
-        ) from None
-    beta = xtx_inv @ (x.T @ y)
-    resid = y - x @ beta
-    ssr = float(resid @ resid)
-    sigma2 = ssr / (nobs - k)
-    var0 = sigma2 * xtx_inv[0, 0]
-    if var0 <= 0:
-        raise DegenerateDataError("degenerate ADF regression; zero residual variance")
-    return float(beta[0] / math.sqrt(var0))
+def _fill_rows(
+    out: np.ndarray, v: np.ndarray, dy: np.ndarray, first: int, ntrend: int, origin: int
+) -> None:
+    """Fill `out` with the design rows of the responses Delta y_t, t = first ..
+
+    Columns are [1, (t - origin + 1), y_{t-1}, Delta y_{t-1} .. Delta y_{t-p},
+    Delta y_t], the trend terms first and the response last, with p lags to
+    fill the width of `out`.  Here y_{t-1} is v[t]: `dy` is np.diff(v).
+    """
+    rows, width = out.shape
+    p = width - ntrend - 2
+    if ntrend:
+        out[:, 0] = 1.0
+    if ntrend == 2:
+        out[:, 1] = np.arange(first - origin + 1.0, first - origin + rows + 1.0)
+    out[:, ntrend] = v[first : first + rows]
+    windows = np.lib.stride_tricks.sliding_window_view(dy, p + 1)
+    lags = windows[first - p : first - p + rows, ::-1]
+    out[:, ntrend + 1 : -1] = lags[:, 1:]
+    out[:, -1] = lags[:, 0]
 
 
-def _prefix_ssr(v: np.ndarray, dy: np.ndarray, maxlag: int, regression: str) -> np.ndarray:
-    """SSR of every column prefix of the maxlag design on its common sample.
+def _prefix_ssr(
+    v: np.ndarray, dy: np.ndarray, maxlag: int, regression: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """SSR of every column prefix of the maxlag design on its common sample,
+    and the R it is read from.
 
-    Columns are [trend terms, y_{t-1}, Delta y_{t-1} .. Delta y_{t-maxlag}],
-    so lag L is the first ntrend + 1 + L of them: `_design`'s columns with
-    the trend terms moved first.  Entry k of the result is the k-column
-    prefix's SSR: the tail sum sum_{i>=k} R[i, K]^2 of the last column of R
-    from a QR of [design | response].  Entry 0 is the response's own sum of
-    squares.  R is found block by block: each step factors the previous R
-    stacked on the next BLOCK_ROWS rows, built from slices of `v` and `dy`,
-    and keeps only the new R.  A design of at most BLOCK_ROWS rows is one QR
-    of the whole matrix.
+    The design is `_fill_rows`'s with maxlag lags on the responses t = maxlag
+    .., so lag L is its first ntrend + 1 + L columns.  Entry k of the SSRs is
+    the k-column prefix's: the tail sum sum_{i>=k} R[i, K]^2 of the last
+    column of R from a QR of [design | response].  Entry 0 is the response's
+    own sum of squares.  R is found block by block: each step factors the
+    previous R stacked on the next BLOCK_ROWS rows and keeps only the new R.
+    A design of at most BLOCK_ROWS rows is one QR of the whole matrix.
     """
     ntrend = _NTREND[regression]
     ncols = ntrend + 1 + maxlag
     rows = dy.size - maxlag
-    # Row j: Delta y_{j+maxlag} (the response), then its lags 1..maxlag.
-    lags = np.lib.stride_tricks.sliding_window_view(dy, maxlag + 1)[:, ::-1]
     r = np.empty((0, ncols + 1))
     try:
         for start in range(0, rows, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, rows)
             aug = np.empty((len(r) + stop - start, ncols + 1))
             aug[: len(r)] = r
-            block = aug[len(r) :]
-            if ntrend:
-                block[:, 0] = 1.0
-            if ntrend == 2:
-                block[:, 1] = np.arange(start + 1.0, stop + 1.0)
-            block[:, ntrend] = v[maxlag + start : maxlag + stop]
-            block[:, ntrend + 1 : ncols] = lags[start:stop, 1:]
-            block[:, ncols] = lags[start:stop, 0]
+            _fill_rows(aug[len(r) :], v, dy, maxlag + start, ntrend, maxlag)
             r = np.linalg.qr(aug, mode="r")
         sv = np.linalg.svd(r[:ncols, :ncols], compute_uv=False)
     except np.linalg.LinAlgError:
@@ -164,28 +155,34 @@ def _prefix_ssr(v: np.ndarray, dy: np.ndarray, maxlag: int, regression: str) -> 
     ssr = np.cumsum(r[::-1, ncols] ** 2)[::-1]
     if not ssr[ncols] > (rows * eps) ** 2 * ssr[0]:
         raise DegenerateDataError("degenerate ADF regression; the lags fit exactly")
-    return ssr
+    return ssr, r
 
 
-def _design(y: np.ndarray, dy: np.ndarray, lag: int, regression: str):
-    """Design columns and response of the regression with `lag` lags on its
-    own full sample, for the refit.
+def _gamma_tratio(
+    v: np.ndarray, dy: np.ndarray, r: np.ndarray, ssr: np.ndarray, lag: int, maxlag: int,
+    ntrend: int,
+) -> float:
+    """t-ratio of gamma-hat with `lag` lags on its own full sample.
 
-    Columns: y_{t-1}, then the `lag` differenced lags, then the trend terms,
-    so the first coefficient is gamma.  They are views where they can be,
-    so the caller stacks them into one matrix in one copy.
+    With k = ntrend + 1 + lag, [[R[:k, :k], R[:k, -1]], [0, sqrt(ssr[k])]]
+    from the search's R has the Gram matrix of the lag's [design | response]
+    on the common sample.  Stacked on the maxlag - lag rows the search
+    trimmed (t = lag .., on the search's trend origin, which the constant
+    absorbs) and factored once, it gives the full-sample fit's R'.  With
+    y_{t-1} moved last among the regressors, gamma-hat is R'[k-1, k] /
+    R'[k-1, k-1] and its standard error s / |R'[k-1, k-1]|, where s^2 =
+    R'[k, k]^2 / (nobs - k), so the ratio needs no solve.
     """
-    n = dy.size
-    rows = n - lag
-    resp = dy[lag:]
-    cols = [y[lag : lag + rows]]
-    for i in range(1, lag + 1):
-        cols.append(dy[lag - i : lag - i + rows])
-    if regression in ("c", "ct"):
-        cols.append(np.ones(rows))
-    if regression == "ct":
-        cols.append(np.arange(1.0, rows + 1.0))
-    return cols, resp
+    k = ntrend + 1 + lag
+    stack = np.zeros((k + 1 + maxlag - lag, k + 1))
+    stack[:k, :k] = r[:k, :k]
+    stack[:k, k] = r[:k, -1]
+    stack[k, k] = math.sqrt(ssr[k])
+    _fill_rows(stack[k + 1 :], v, dy, lag, ntrend, maxlag)
+    order = [*range(ntrend), *range(ntrend + 1, k), ntrend, k]
+    rr = np.linalg.qr(stack[:, order], mode="r")
+    s = math.sqrt(rr[k, k] ** 2 / (dy.size - lag - k))
+    return float(rr[k - 1, k] * np.sign(rr[k - 1, k - 1]) / s)
 
 
 def adf_test(
@@ -197,15 +194,18 @@ def adf_test(
 
     The default lag ceiling is floor(12 * (n/100)^0.25).  Candidate lags
     0..maxlag are compared on the common sample trimmed at maxlag using
-    AIC = n*log(SSR/n) + 2k (ties go to the smaller lag), then the winner is
-    refit on its own full sample.  All candidate SSRs come from the R of one
-    QR of the maxlag design, built in row blocks (see `_prefix_ssr`).
-    DegenerateDataError is raised when a candidate design is rank-deficient
-    by lstsq's rule (sigma_min <= sigma_max * max(M, N) * eps).  One check on
-    the maxlag design covers every candidate: each is a column subset of it,
-    so its sigma_min is no smaller and its tolerance no larger.  It is also
-    raised when the regressors fit the differences exactly (SSR at rounding
-    level, where log(SSR) is void).
+    AIC = n*log(SSR/n) + 2k (ties go to the smaller lag), then the winner's
+    t-ratio is taken on its own full sample.  All candidate SSRs come from
+    the R of one QR of the maxlag design, built in row blocks (see
+    `_prefix_ssr`), and the winner's fit from the same R with the trimmed
+    rows added (see `_gamma_tratio`).  DegenerateDataError is raised when a
+    candidate design is rank-deficient by lstsq's rule (sigma_min <=
+    sigma_max * max(M, N) * eps).  One check on the maxlag design covers
+    every candidate: each is a column subset of it, so its sigma_min is no
+    smaller and its tolerance no larger.  It is also raised when the
+    regressors fit the differences exactly (SSR at rounding level, where
+    log(SSR) is void).  The winner's full-sample fit needs no check of its
+    own: it has more rows, so its sigma_min and SSR are no smaller.
     """
     if regression not in REGRESSIONS:
         raise ValueError(f"regression must be one of {REGRESSIONS}, got {regression!r}")
@@ -228,14 +228,14 @@ def adf_test(
 
     dy = np.diff(v)
     # Select the lag on the maxlag-trimmed common sample so every candidate
-    # sees identical observations, then refit the winner on its full sample.
+    # sees identical observations, then fit the winner on its full sample.
     rows = dy.size - maxlag
     if rows < 20:
         raise InsufficientDataError(
             "ADF test needs >= 20 observations after differencing and lag "
             f"trimming, got {rows}"
         )
-    ssr = _prefix_ssr(v, dy, maxlag, regression)
+    ssr, r = _prefix_ssr(v, dy, maxlag, regression)
     best_lag = 0
     best_aic = math.inf
     for lag in range(maxlag + 1):
@@ -245,12 +245,11 @@ def adf_test(
             best_aic = aic
             best_lag = lag
 
-    cols, resp = _design(v, dy, best_lag, regression)
-    stat = _ols_tstat0(np.column_stack(cols), resp)
+    stat = _gamma_tratio(v, dy, r, ssr, best_lag, maxlag, ntrend)
     return AdfResult(
         statistic=stat,
         pvalue=mackinnon_pvalue(stat, regression),
         used_lag=best_lag,
-        nobs=resp.size,
+        nobs=dy.size - best_lag,
         regression=regression,
     )

@@ -299,8 +299,9 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
     leaves no residual (SSR <= (rows * eps)^2 * ||response||^2) raises
     DegenerateDataError.  AIC = rows*log(SSR/rows) + 2k picks the lag, strict
     ``<`` so ties keep the smaller one.  The winner is refit on its own full
-    sample through the normal equations, the t-ratio of y_{t-1} taken from
-    the inverse, so the result can be compared with ``==``.
+    sample by an SVD of its design, X = U S V^T, so beta = V S^-1 U^T y and
+    the variance factor of y_{t-1}'s coefficient is sum_j (V[0, j] / s_j)^2.
+    The statistic agrees with ``adf_test``'s to rounding, not bit for bit.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -345,13 +346,10 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
     nobs, k = x.shape
     if nobs <= k:
         raise InsufficientDataError("too few rows for the refit")
-    try:
-        xtx_inv = np.linalg.inv(x.T @ x)
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError("singular refit") from None
-    beta = xtx_inv @ (x.T @ resp)
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    beta = vt.T @ ((u.T @ resp) / sv)
     resid = resp - x @ beta
-    var0 = float(resid @ resid) / (nobs - k) * xtx_inv[0, 0]
+    var0 = float(resid @ resid) / (nobs - k) * float(np.sum((vt[:, 0] / sv) ** 2))
     if var0 <= 0:
         raise DegenerateDataError("zero residual variance")
     stat = float(beta[0] / math.sqrt(var0))

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import adf_oracle
+import seasonwarp
 from seasonwarp.errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 from seasonwarp.report import to_json
 from seasonwarp.series import Variable, log_diff
@@ -201,8 +206,41 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+# adf_test reads the refit off the lag search's R and the oracle refits by
+# SVD, so their statistics agree to rounding only.  The largest gap seen on
+# random series of 25 to 3,000 points was 4e-11 relative.
+STAT_RTOL = 1e-10
+
+
+def _assert_matches(got, want):
+    """`got` agrees with the oracle's `want`: the same error class, or the
+    same lag, sample and regression, a statistic within STAT_RTOL and the
+    p-value of that statistic."""
+    if not isinstance(want, AdfResult):
+        assert got == want
+        return
+    assert isinstance(got, AdfResult), got
+    assert (got.used_lag, got.nobs, got.regression) == (want.used_lag, want.nobs, want.regression)
+    assert abs(got.statistic - want.statistic) <= STAT_RTOL * abs(want.statistic)
+    assert got.pvalue == mackinnon_pvalue(got.statistic, got.regression)
+
+
+def _three_hundred_year_returns():
+    """Weekly log-price returns: a seasonal cycle plus AR(1) noise, 300 years."""
+    n = 300 * 52 + 74
+    rng = np.random.default_rng(300)
+    noise = np.empty(n)
+    noise[0] = 0.0
+    shocks = rng.normal(0.0, 0.15, n)
+    for t in range(1, n):
+        noise[t] = 0.6 * noise[t - 1] + shocks[t]
+    season = 0.3 * np.sin(2.0 * math.pi * np.arange(n) / 52.1775)
+    return np.diff(7.0 + season + noise)
+
+
 class TestAdfMatchesOracle:
-    """The one-QR lag search against the per-lag lstsq refits, with ==."""
+    """The one-QR lag search and refit against per-lag lstsq fits and an SVD
+    refit."""
 
     @pytest.mark.parametrize("regression", ["n", "c", "ct"])
     @pytest.mark.parametrize(
@@ -224,30 +262,21 @@ class TestAdfMatchesOracle:
         # A ceiling-clipped maxlag on a short series may leave too few rows;
         # both must then raise the same error.
         for maxlag in (None, 0, 4, 10**6 if n <= 80 else 9):
-            got = _outcome(adf_test, y, regression, maxlag)
-            assert got == _outcome(adf_oracle, y, regression, maxlag), maxlag
+            _assert_matches(_outcome(adf_test, y, regression, maxlag),
+                            _outcome(adf_oracle, y, regression, maxlag))
         assert isinstance(adf_test(y, regression=regression, maxlag=0), AdfResult)
 
     @pytest.mark.parametrize("regression", ["n", "c", "ct"])
     def test_fixture_returns(self, cleaned42, regression):
         series, _ = cleaned42[Variable.MODAL_PRICE]
         returns = log_diff(series.values())
-        assert adf_test(returns, regression=regression) == adf_oracle(returns, regression)
+        _assert_matches(adf_test(returns, regression=regression), adf_oracle(returns, regression))
 
     def test_three_hundred_year_returns(self):
-        # Weekly log prices: a seasonal cycle plus AR(1) noise, 300 years.
-        n = 300 * 52 + 74
-        rng = np.random.default_rng(300)
-        noise = np.empty(n)
-        noise[0] = 0.0
-        shocks = rng.normal(0.0, 0.15, n)
-        for t in range(1, n):
-            noise[t] = 0.6 * noise[t - 1] + shocks[t]
-        season = 0.3 * np.sin(2.0 * math.pi * np.arange(n) / 52.1775)
-        returns = np.diff(7.0 + season + noise)
+        returns = _three_hundred_year_returns()
         got = adf_test(returns, regression="c")
         assert got.used_lag > 0
-        assert got == adf_oracle(returns, "c")
+        _assert_matches(got, adf_oracle(returns, "c"))
 
     @pytest.mark.parametrize("regression, first_deficient", [("n", 3), ("c", 2), ("ct", 2)])
     def test_deficient_only_above_some_lag(self, regression, first_deficient):
@@ -259,7 +288,7 @@ class TestAdfMatchesOracle:
         dy[-1] += 1.0
         y = np.concatenate([[5.0], 5.0 + np.cumsum(dy)])
         below = adf_test(y, regression=regression, maxlag=first_deficient - 1)
-        assert below == adf_oracle(y, regression, first_deficient - 1)
+        _assert_matches(below, adf_oracle(y, regression, first_deficient - 1))
         for maxlag in (first_deficient, None):
             with pytest.raises(DegenerateDataError):
                 adf_oracle(y, regression, maxlag)
@@ -278,8 +307,8 @@ class TestAdfMatchesOracle:
     def test_property(self, seed, n, phi, integrated, regression, maxlag):
         # Dividing by the order keeps sum(|phi|) < 1, a stationary AR part.
         y = _ar_series(seed, n, [c / len(phi) for c in phi], integrated)
-        got = _outcome(adf_test, y, regression, maxlag)
-        assert got == _outcome(adf_oracle, y, regression, maxlag)
+        _assert_matches(_outcome(adf_test, y, regression, maxlag),
+                        _outcome(adf_oracle, y, regression, maxlag))
 
 
 def _one_qr_ssr(y, dy, maxlag, regression):
@@ -306,10 +335,20 @@ class TestBlockedLagSearch:
         maxlag = 8
         y = _ar_series(rows, rows + maxlag + 1, (0.5, -0.2), rows % 2 == 1)
         dy = np.diff(y)
-        got = _prefix_ssr(y, dy, maxlag, regression)
+        got, _ = _prefix_ssr(y, dy, maxlag, regression)
         np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag, regression), rtol=1e-12)
         for lag in (None, maxlag):
-            assert adf_test(y, regression, lag) == adf_oracle(y, regression, lag)
+            _assert_matches(adf_test(y, regression, lag), adf_oracle(y, regression, lag))
+
+    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    def test_refit_adds_the_trimmed_rows(self, regression):
+        # AR(2) differences take lag 2 of a ceiling of 40, so the refit
+        # stacks the 38 rows the search trimmed under an R built from three
+        # blocks; under ct those rows carry trend values at and below 0.
+        y = _ar_series(21, 3 * BLOCK_ROWS, (0.5, -0.2), True)
+        got = adf_test(y, regression, 40)
+        assert got.used_lag < 10
+        _assert_matches(got, adf_oracle(y, regression, 40))
 
     @pytest.mark.parametrize("regression", ["n", "c", "ct"])
     def test_rank_deficient_over_several_blocks(self, regression):
@@ -327,14 +366,54 @@ class TestBlockedLagSearch:
     def test_memory_does_not_grow_with_rows(self, rows):
         # The whole ct design with the response is 15,609 x 46 (5.7 MB) at
         # 15,609 rows; the search holds one block with R (about 0.4 MB) and
-        # its QR copies, whatever the number of rows.
+        # its QR copies, whatever the number of rows.  The refit adds only
+        # the rows the search trimmed, and adf_test the differences.
         maxlag = int(12.0 * (rows / 100.0) ** 0.25)
         y = _ar_series(rows, rows + maxlag + 1, (0.5,), False)
         dy = np.diff(y)
+        for run in (lambda: _prefix_ssr(y, dy, maxlag, "ct"), lambda: adf_test(y, "ct", maxlag)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
+
+    def test_memory_of_a_long_lag_refit(self):
+        # 300 years of returns choose 42 lags of 42 (AR(1) series above choose
+        # 0), so the refit's sample is the search's: a normal-equations refit
+        # would stack its 15,630 x 45 design (5.6 MB).
+        returns = _three_hundred_year_returns()
         tracemalloc.start()
         try:
-            _prefix_ssr(y, dy, maxlag, "ct")
+            got = adf_test(returns, "ct")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert got.used_lag == 42
         assert peak < 2_000_000
+
+
+_STATISTICS_CHILD = """
+from seasonwarp.unitroot import adf_test
+from test_unitroot import _three_hundred_year_returns
+returns = _three_hundred_year_returns()
+for regression in ("n", "c", "ct"):
+    print(adf_test(returns, regression).statistic.hex())
+"""
+
+
+def test_statistic_does_not_depend_on_blas_threads():
+    # The statistic of 15.6k returns, in two processes whose BLAS runs one
+    # and two threads: the digits must not depend on how LAPACK splits work.
+    src = str(Path(seasonwarp.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _STATISTICS_CHILD], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outs.append(proc.stdout.split())
+    assert len(outs[0]) == 3
+    assert outs[0] == outs[1]
