@@ -12,9 +12,9 @@ import csv
 import datetime as dt
 import io
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import compress
 from typing import BinaryIO
 
 import numpy as np
@@ -145,7 +145,7 @@ def _cell_value(raw: str) -> float:
     return value if value == value else -math.inf
 
 
-def _cells(column: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _cells(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(value of each cell, whether the value passes `_parse_cell`)."""
     values = np.fromiter(map(_cell_value, column), np.float64, len(column))
     return values, np.isnan(values) | ((values >= 0) & (values <= MAX_CELL))
@@ -154,29 +154,51 @@ def _cells(column: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
 _FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01", "D"), np.datetime64("9999-12-31", "D")
 
 
-def _dates(column: tuple[str, ...], date_format: str) -> tuple[np.ndarray, np.ndarray]:
+# Each date format's ten characters ("d" is an ASCII digit), and the places
+# that spell the day as yyyy-mm-dd.
+_DATE_SHAPES = {
+    "iso": (b"dddd-dd-dd", list(range(10))),
+    "dmy": (b"dd/dd/dddd", [6, 7, 8, 9, 2, 3, 4, 5, 0, 1]),
+}
+
+
+def _dates(column: list[str], date_format: str) -> tuple[np.ndarray, np.ndarray]:
     """(week number of each date cell, whether the cell is the date's own text
-    in `date_format`: a day of years 1..9999 with zero-padded fields)."""
+    in `date_format`: a day of years 1..9999 with zero-padded fields).
+
+    A stripped cell is its day's own text when it has exactly the shape
+    `dddd-dd-dd` (iso) or `dd/dd/dddd` (dmy) with ASCII digits, checked one
+    byte per character, and numpy reads it as a day in that range (numpy
+    writes such a day as that same text).  The week number of any other
+    cell is meaningless.
+    """
     texts = [t.strip() for t in column]
-    iso = texts if date_format == "iso" else [f"{t[6:]}-{t[3:5]}-{t[:2]}" for t in texts]
-    # numpy warns about some texts it reads (time zones); the round trip
-    # below rejects every one of them.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            days = np.array(iso, dtype="datetime64[D]")
-        except ValueError:  # some text is no date at all: find which, one by one
-            days = np.array([_day_or_nat(t) for t in iso], dtype="datetime64[D]")
-    written = days.astype(str)
-    if date_format == "dmy":
-        written = np.array([f"{s[8:]}/{s[5:7]}/{s[:4]}" for s in written.tolist()])
-    ok = (written == np.array(texts)) & (days >= _FIRST_DAY) & (days <= _LAST_DAY)
-    return _week_numbers(days), ok
-
-
-def _day_or_nat(text: str) -> np.datetime64:
+    ten = np.fromiter(map(len, texts), np.intp, len(texts)) == 10
+    # The texts of ten characters, one byte each: a non-ASCII character becomes "?".
+    chars = "".join(compress(texts, ten.tolist())).encode("ascii", "replace")
+    pattern, order = _DATE_SHAPES[date_format]
+    places = np.frombuffer(pattern, np.uint8)
+    cells = np.frombuffer(chars, np.uint8).reshape(-1, 10)
+    # Unsigned bytes: one below "0" wraps round above "9".
+    shaped = np.where(places == ord("d"), cells - ord("0") <= 9, cells == places).all(axis=1)
+    iso = np.take(cells[shaped], order, axis=1)
+    iso[:, [4, 7]] = ord("-")
+    iso = iso.view("S10").ravel()
     try:
-        return np.datetime64(text, "D")
+        parsed = iso.astype("datetime64[D]")
+    except ValueError:  # some shaped text is no day (month 13, say): find which, one by one
+        parsed = np.array([_day_or_nat(t) for t in iso.tolist()], dtype="datetime64[D]")
+    at = np.flatnonzero(ten)[shaped]
+    weeks = np.zeros(len(texts), np.int64)
+    ok = np.zeros(len(texts), dtype=bool)
+    weeks[at] = _week_numbers(parsed)
+    ok[at] = (parsed >= _FIRST_DAY) & (parsed <= _LAST_DAY)
+    return weeks, ok
+
+
+def _day_or_nat(text: bytes) -> np.datetime64:
+    try:
+        return np.datetime64(text.decode(), "D")
     except ValueError:
         return np.datetime64("NaT", "D")
 
@@ -192,10 +214,13 @@ def parse_market_csv(
     1-based number of the physical line it ends on (`csv.reader.line_num`:
     header = line 1, blank lines and line breaks inside quoted fields count).
 
-    Every cell is read in one vectorised pass.  Only the rows that pass
-    rejects go through the per-row rule (`_parse_row`), in file order; it
-    accepts a row the pass is too strict for (say, a date that is not
-    zero-padded) or raises that row's error.
+    One pass of the reader puts each row's date, arrivals and price cells in
+    three columns, and every column is checked in one vectorised pass: a date
+    must have exactly the zero-padded shape of `date_format` (see `_dates`).
+    Only the rows that pass rejects go through the per-row rule
+    (`_parse_row`), in file order, on a second read of the text; it accepts a
+    row the pass is too strict for (say, a date that is not zero-padded) or
+    raises that row's error.
     """
     raw = data if isinstance(data, bytes) else data.read()
     try:
@@ -206,31 +231,38 @@ def parse_market_csv(
             f"input is not UTF-8: byte 0x{raw[offset]:02x} at offset {offset}"
         ) from None
     reader = csv.reader(io.StringIO(text))
+    dates: list[str] = []
+    arrivals_text: list[str] = []
+    prices_text: list[str] = []
     try:
         header = next(reader, None)
-        cols = None if header is None else _column_indices(header, schema)
-        rows = [row for row in reader if row]
+        if header is None:
+            return MarketTable(np.empty(0, np.int64), np.empty(0), np.empty(0))
+        cols = _column_indices(header, schema)
+        width = len(header)
+        for row in reader:
+            if len(row) == width:
+                dates.append(row[cols[0]])
+                arrivals_text.append(row[cols[1]])
+                prices_text.append(row[cols[2]])
+            elif row:  # a blank date: the row goes to _parse_row, which rejects its width
+                dates.append("")
+                arrivals_text.append("")
+                prices_text.append("")
     except csv.Error as exc:
         raise DataIntegrityError(f"CSV line {reader.line_num}: {exc}") from None
-    if not rows:
-        return MarketTable(np.empty(0, np.int64), np.empty(0), np.empty(0))
-    width = len(header)
-    shaped = np.fromiter(map(len, rows), np.int64, len(rows)) == width
-    # Rows of another width are blanked for the column pass; _parse_row rejects them.
-    fitted = rows if shaped.all() else [
-        row if ok else [""] * width for row, ok in zip(rows, shaped.tolist())
-    ]
-    columns = list(zip(*fitted))
-    weeks, ok = _dates(columns[cols[0]], schema.date_format)
-    arrivals, arrivals_ok = _cells(columns[cols[1]])
-    prices, prices_ok = _cells(columns[cols[2]])
-    rejected = np.flatnonzero(~(shaped & ok & arrivals_ok & prices_ok)).tolist()
+    weeks, ok = _dates(dates, schema.date_format)
+    arrivals, arrivals_ok = _cells(arrivals_text)
+    prices, prices_ok = _cells(prices_text)
+    rejected = set(np.flatnonzero(~(ok & arrivals_ok & prices_ok)).tolist())
     if rejected:  # read again for physical line numbers, only when a row needs one
         reader = csv.reader(io.StringIO(text))
         next(reader)
-        lines = [reader.line_num for row in reader if row]
-    for i in rejected:
-        weeks[i], arrivals[i], prices[i] = _parse_row(rows[i], lines[i], width, cols, schema)
+        for i, row in enumerate(row for row in reader if row):
+            if i in rejected:
+                weeks[i], arrivals[i], prices[i] = _parse_row(
+                    row, reader.line_num, width, cols, schema
+                )
     return MarketTable(weeks, arrivals, prices)
 
 

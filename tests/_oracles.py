@@ -12,7 +12,9 @@ import datetime as dt
 import io
 import json
 import math
+import operator
 from dataclasses import fields, is_dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,12 +81,13 @@ def parse_market_csv_oracle(
     data: bytes, date_col="date", arrivals_col="arrivals", price_col="modal_price",
     date_format="iso",
 ) -> tuple[list[int], list[float], list[float]]:
-    """(week numbers, arrivals, prices) of a market CSV, read one `csv.DictReader`
-    row at a time with `strptime`; a blank cell is NaN.
+    """(week numbers, arrivals, prices) of a market CSV, read one `csv.reader`
+    row at a time as a dict keyed by the header, with `strptime`; a blank
+    cell is NaN.
 
     This is the row-by-row reader the columnar parser replaced, so its errors
-    are the reference messages.  It predates the row-shape rule: a short row
-    reads as blank cells and an extra field is ignored.
+    are the reference messages, with the row-shape rule added: a row with
+    another number of fields than the header is an error.
     """
     fmt = {"iso": "%Y-%m-%d", "dmy": "%d/%m/%Y"}[date_format]
 
@@ -106,26 +109,34 @@ def parse_market_csv_oracle(
             raise DataIntegrityError(f"line {line_no}: {column} value {raw!r} exceeds 1e+75")
         return value
 
-    reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig")))
+    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))
     weeks: list[int] = []
     arrivals: list[float] = []
     prices: list[float] = []
-    if reader.fieldnames is None:
+    header = next(reader, None)
+    if header is None:
         return weeks, arrivals, prices
     for col in (date_col, arrivals_col, price_col):
-        if col not in reader.fieldnames:
-            raise SchemaError(f"column {col!r} not found in CSV header {reader.fieldnames}")
-    for row in reader:
+        if col not in header:
+            raise SchemaError(f"column {col!r} not found in CSV header {header}")
+    for fields in reader:
+        if not fields:
+            continue
         line_no = reader.line_num  # the physical line the row ends on
-        raw_date = (row[date_col] or "").strip()
+        if len(fields) != len(header):
+            raise DataIntegrityError(
+                f"line {line_no}: {len(fields)} fields where the header has {len(header)}"
+            )
+        row = dict(zip(header, fields))
+        raw_date = row[date_col].strip()
         try:
             day = dt.datetime.strptime(raw_date, fmt).date()
         except ValueError:
             raise DataIntegrityError(
                 f"line {line_no}: cannot parse date {raw_date!r} with format {date_format!r}"
             ) from None
-        arrivals.append(cell(row[arrivals_col] or "", arrivals_col, line_no))
-        prices.append(cell(row[price_col] or "", price_col, line_no))
+        arrivals.append(cell(row[arrivals_col], arrivals_col, line_no))
+        prices.append(cell(row[price_col], price_col, line_no))
         weeks.append(iso_week_of(day).number)
     return weeks, arrivals, prices
 
@@ -299,9 +310,11 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
     leaves no residual (SSR <= (rows * eps)^2 * ||response||^2) raises
     DegenerateDataError.  AIC = rows*log(SSR/rows) + 2k picks the lag, strict
     ``<`` so ties keep the smaller one.  The winner is refit on its own full
-    sample by an SVD of its design, X = U S V^T, so beta = V S^-1 U^T y and
-    the variance factor of y_{t-1}'s coefficient is sum_j (V[0, j] / s_j)^2.
-    The statistic agrees with ``adf_test``'s to rounding, not bit for bit.
+    sample by an SVD of its design with each column scaled to unit norm,
+    X = U S V^T, so beta = V S^-1 U^T y and the variance factor of y_{t-1}'s
+    coefficient is sum_j (V[0, j] / s_j)^2; the t-ratio does not change when
+    a column is scaled.  The statistic agrees with ``adf_test``'s to
+    rounding, not bit for bit.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -346,6 +359,10 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
     nobs, k = x.shape
     if nobs <= k:
         raise InsufficientDataError("too few rows for the refit")
+    # Columns of levels, differences, ones and a trend differ in size by
+    # orders of magnitude; unscaled, the SVD lost digits of a near-zero
+    # statistic (1.8e-10 relative on a seasonal random walk).
+    x = x / np.linalg.norm(x, axis=0)
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     beta = vt.T @ ((u.T @ resp) / sv)
     resid = resp - x @ beta
@@ -360,6 +377,50 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
         nobs=resp.size,
         regression=regression,
     )
+
+
+def _integers(x) -> list[int]:
+    """The float64 values of `x` as integers, all scaled by one power of two."""
+    ratios = [float(t).as_integer_ratio() for t in x]
+    scale = max(d for _, d in ratios)
+    return [n * (scale // d) for n, d in ratios]
+
+
+def adf_tratio_exact(values, regression: str, lag: int) -> float:
+    """The ADF t-ratio of y_{t-1} at `lag` on its full sample, in exact
+    arithmetic, rounded once at the end.
+
+    The design's float64 entries are taken as exact: each column is scaled
+    to integers by a power of two, which leaves the t-ratio unchanged.  The
+    Gram matrix of [trend terms, lags, y_{t-1}, response] is formed in
+    Python integers and reduced by fraction-free (Bareiss) elimination,
+    whose pivots are its leading principal minors D_1 .. D_{k+1}.  With k
+    regressors, nobs rows and a the minor of the first k - 1 rows plus the
+    response row over the first k columns, beta = a / D_k, SSR = D_{k+1} / D_k
+    and t^2 = (nobs - k) a^2 / (D_{k-1} D_{k+1}), with the sign of a.
+    """
+    v = np.asarray(values, dtype=float)
+    dy = np.diff(v)
+    rows = dy.size - lag
+    vi, dyi = _integers(v), _integers(dy)
+    cols = []
+    if regression in ("c", "ct"):
+        cols.append([1] * rows)
+    if regression == "ct":
+        cols.append(list(range(1, rows + 1)))
+    cols += [dyi[lag - i : lag - i + rows] for i in range(1, lag + 1)]
+    cols += [vi[lag : lag + rows], dyi[lag:]]
+    m = [[sum(map(operator.mul, a, b)) for b in cols] for a in cols]
+    k = len(cols) - 1
+    minors = [1]
+    for p in range(k + 1):
+        for i in range(p + 1, k + 1):
+            for j in range(p + 1, k + 1):
+                m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]) // minors[-1]
+        minors.append(m[p][p])
+    a = m[k][k - 1]  # left as it was after the trend and lag pivots
+    t = math.sqrt(Fraction((rows - k) * a * a, minors[k - 1] * minors[k + 1]))
+    return t if a > 0 else -t
 
 
 def dtw_heatmap_cells_oracle(g) -> list[str]:

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,22 @@ class TestParseMarketCsv:
             ((day + dt.timedelta(weeks=k)).toordinal() - 1) // 7 for k in range(15_000)
         ]
 
+    @pytest.mark.parametrize("rows, bound", [(15_593, 7_000_000), (62_553, 28_000_000)])
+    def test_memory_of_a_long_history(self, rows, bound):
+        # The cells go straight into one list per column: a list per row,
+        # transposed afterwards, made the parse of 15,593 rows peak at 8.7 MB.
+        day = dt.date(1725, 1, 7)
+        data = _csv(*(f"{day + dt.timedelta(weeks=k)},{1000 + 37 * k % 9000},{50 + 11 * k % 2000}"
+                      for k in range(rows)))
+        tracemalloc.start()
+        try:
+            table = parse_market_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == rows
+        assert peak < bound
+
 
 def _iso(day):
     return f"{day.year:04d}-{day.month:02d}-{day.day:02d}"
@@ -165,6 +182,13 @@ _BROKEN_DATES = [
     "", "oops", "2020-13-01", "2020-02-30", "0000-01-01", "10000-01-01", "2020-01-05T00",
     "NaT", "today", "05/01/20", "2020/01/05", "06-03-2022",
 ]
+# Ten characters that are not the date's own text, so the shape check sends
+# them to strptime: a full-width digit, a sign, the other separators, digits
+# in the wrong places, and a space-padded day (which strptime reads).
+_TEN_CHARACTER_DATES = {
+    "iso": ["2020-01-0\uff15", "+020-01-05", "2020/01/05", "20200-1-05", "2020-01- 5"],
+    "dmy": ["05/01/202\uff15", "+5/01/2020", "05-01-2020", "05/1/02020", "2020/01/05"],
+}
 _ODD_CELLS = [
     "", " ", "12.5", "1e3", "+3", "1_000", "-0", "0.0", ".5", "5.", "１２", "\xa07\xa0", "1e75",
 ]
@@ -176,11 +200,14 @@ _BROKEN_CELLS = [
 
 def _date_text(draw, date_format):
     """Mostly the day in `date_format`; sometimes not zero-padded (which
-    strptime reads), in the other format, or no date at all."""
+    strptime reads), in the other format, ten characters of another shape,
+    or no date at all."""
     day = draw(_DAYS)
     kind = draw(st.integers(0, 19))
     if kind == 0:
         return draw(st.sampled_from(_BROKEN_DATES))
+    if kind in (4, 5):
+        return draw(st.sampled_from(_TEN_CHARACTER_DATES[date_format]))
     if kind == 1:
         return f"{day.year}-{day.month}-{day.day}" if date_format == "iso" else (
             f"{day.day}/{day.month}/{day.year}")
@@ -207,7 +234,8 @@ def _cell_text(draw):
 @st.composite
 def _market_csv(draw):
     """A CSV and its date format: valid and broken cells of every kind,
-    padded or quoted fields, blank lines, CRLF and a BOM."""
+    padded or quoted fields (some spanning two lines), rows of another
+    width, blank lines (some trailing), CRLF and a BOM."""
     date_format = draw(st.sampled_from(["iso", "dmy"]))
     names = draw(st.permutations(["date", "arrivals", "modal_price"]))
     lines = [",".join(names)]
@@ -216,14 +244,20 @@ def _market_csv(draw):
                  "modal_price": _cell_text(draw)}
         fields = []
         for name in names:
-            text = draw(st.sampled_from(["", "", " ", "  "])) + cells[name] + draw(
-                st.sampled_from(["", "", " "]))
-            if "," in text or draw(st.integers(0, 3)) == 0:
+            text = draw(st.sampled_from(["", "", " ", "  ", "\n"])) + cells[name] + draw(
+                st.sampled_from(["", "", " ", "\n"]))
+            if "," in text or "\n" in text or draw(st.integers(0, 3)) == 0:
                 text = '"' + text + '"'
             fields.append(text)
+        odd = draw(st.integers(0, 14))
+        if odd == 0:
+            fields = fields[:2]  # one field short
+        elif odd == 1:
+            fields.append("7")  # one field too many
         lines.append(",".join(fields))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
+    lines += [""] * draw(st.integers(0, 2))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     data = (newline.join(lines) + newline).encode()
     if draw(st.booleans()):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import adf_oracle
+from _oracles import adf_oracle, adf_tratio_exact
 import seasonwarp
 from seasonwarp.errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 from seasonwarp.report import to_json
@@ -238,6 +238,15 @@ def _three_hundred_year_returns():
     return np.diff(7.0 + season + noise)
 
 
+def _seasonal_walk(seed):
+    """A random walk of 9.7k to 18.6k weeks plus a yearly sine."""
+    rng = np.random.default_rng(seed)
+    n = int(math.exp(rng.uniform(math.log(9_700), math.log(18_600))))
+    amplitude = rng.uniform(0.5, 20.0)
+    season = amplitude * np.sin(2.0 * math.pi * np.arange(n) / 52.1775)
+    return np.cumsum(rng.normal(size=n)) + season
+
+
 class TestAdfMatchesOracle:
     """The one-QR lag search and refit against per-lag lstsq fits and an SVD
     refit."""
@@ -277,6 +286,17 @@ class TestAdfMatchesOracle:
         got = adf_test(returns, regression="c")
         assert got.used_lag > 0
         _assert_matches(got, adf_oracle(returns, "c"))
+
+    def test_near_zero_statistic_of_a_seasonal_walk(self):
+        # 11,309 points, lag 36 of 39, statistic 0.025: a refit by SVD of
+        # the raw columns was 1.8e-10 off the exact t-ratio here (unit-norm
+        # columns: 2e-13), so this pins both sides to the exact value.
+        y = _seasonal_walk(30)
+        got, want = adf_test(y, "n"), adf_oracle(y, "n")
+        _assert_matches(got, want)
+        exact = adf_tratio_exact(y, "n", got.used_lag)
+        for statistic in (got.statistic, want.statistic):
+            assert abs(statistic - exact) <= STAT_RTOL * abs(exact)
 
     @pytest.mark.parametrize("regression, first_deficient", [("n", 3), ("c", 2), ("ct", 2)])
     def test_deficient_only_above_some_lag(self, regression, first_deficient):

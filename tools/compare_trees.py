@@ -18,9 +18,10 @@ one pixel per cell).  A scenario whose only differences are such files prints
 ``PICTURE`` in place of ``DIFF``; it still counts as a difference for the exit
 code.
 
-Three inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
+Four inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default), the same
-without its first data row, and the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``.  ``bench/``
+without its first data row, the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``
+and that history in another CSV dialect.  ``bench/``
 is only imported, never changed.  The DTW scenarios on the long history are
 limited to a decade, because all 44,850 pairs of 300 years would write tens
 of GB.  ``long-dtw-ties`` aligns both variables of 1965..1975 at band 4: four
@@ -36,6 +37,10 @@ DTW scenarios on the fixture pin error paths: band 0 exits 2 on the first
 first ISO year is incomplete and skipped with a warning, once per variable.
 ``long-stats`` is the benchmark's ``stats`` command on the long history,
 whose ADF lag search factors its design in 16 row blocks.
+``long-stats-dialect`` runs it on the long history rewritten with a BOM, a
+quoted header, CRLF line ends and blank lines (one after the header, two in
+the middle, one at the end), so the reader's quoting and line handling are
+checked on 15.6k rows.
 ``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
 directory.  ``report-all-arrivals`` is the one tree whose bundle holds a single
@@ -78,6 +83,7 @@ SCENARIOS = (
     ("long-clean", ["clean"], "long"),
     ("long-stats", ["stats"], "long"),
     ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
+    ("long-stats-dialect", ["stats"], "long-dialect"),
     ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], "long"),
     ("long-dtw", ["dtw", "--variable", "price", "--years", "2000..2010", "--all-pairs",
                   "--band", "3", "--dump-matrices", "--normalize", "zscore"], "long"),
@@ -96,6 +102,12 @@ INPUT_CODE = {
                 "sys.stdout.buffer.write(b''.join([lines[0], *lines[2:]]))",
     "long": "from inputs import long_history; "
             f"sys.stdout.buffer.write(long_history{LONG_HISTORY}.csv_text.encode())",
+    "long-dialect": "from inputs import long_history; "
+                    f"lines = long_history{LONG_HISTORY}.csv_text.splitlines(); "
+                    "lines[0] = ','.join(f'\"{name}\"' for name in lines[0].split(',')); "
+                    "lines[1:1] = ['']; lines[7000:7000] = ['', '']; lines += ['']; "
+                    "sys.stdout.buffer.write(b'\\xef\\xbb\\xbf' "
+                    "+ '\\r\\n'.join(lines).encode() + b'\\r\\n')",
 }
 
 
