@@ -20,6 +20,9 @@ import seasonwarp.series
 from seasonwarp.cleaning import (
     ColumnSchema,
     Fence,
+    _cell_value,
+    _cells,
+    _parse_cell,
     clean_series,
     find_missing_weeks,
     iqr_outliers,
@@ -167,6 +170,72 @@ class TestParseMarketCsv:
             tracemalloc.stop()
         assert len(table) == rows
         assert peak < bound
+
+    @pytest.mark.parametrize("rows", [15_593, 62_553])
+    def test_memory_after_the_first_read(self, rows):
+        # The first reader and its StringIO (four bytes per character of the
+        # text) are let go before the columns are checked: with them held,
+        # the parse peaked at 17.9 and 17.5 bytes per input byte.
+        day = dt.date(1725, 1, 7)
+        data = _csv(*(f"{day + dt.timedelta(weeks=k)},{1000 + 37 * k % 9000},{50 + 11 * k % 2000}"
+                      for k in range(rows)))
+        tracemalloc.start()
+        try:
+            parse_market_csv(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * len(data)
+
+
+# Cells the builtin float reads as numbers, so a column of only these (and
+# plain numbers) is read in one pass, and cells it refuses or reads as NaN,
+# so their column is read again cell by cell.
+_NUMBER_CELLS = [
+    " 42 ", "\t7\n", "\xa07\xa0", "1_000", "-0", "-0.0", "+3", "5.", ".5", "1e75", "1e76",
+    "1e-320", "inf", "-inf", "-3", "١٢٣", "１２",
+]
+_REREAD_CELLS = ["", " ", "nan", "NaN", "-nan", "abc", "0x10", "1,5", "١٢x"]
+
+
+def _cell_column(seed):
+    """A column of plain numbers mixed with odd cells; every other seed also
+    mixes in cells that send the column to the cell-by-cell read."""
+    rng = np.random.default_rng(seed)
+    odd = _NUMBER_CELLS + (_REREAD_CELLS if seed % 2 else [])
+    column = []
+    for _ in range(int(rng.integers(1, 200))):
+        kind = rng.random()
+        if kind < 0.3:
+            column.append(str(rng.choice(odd)))
+        elif kind < 0.6:
+            column.append(repr(float(rng.uniform(0.0, 1e6))))
+        else:
+            column.append(str(int(rng.integers(0, 10**6))))
+    return column
+
+
+class TestCells:
+    def test_same_as_cell_by_cell(self):
+        rereads = 0
+        for seed in range(400):
+            column = _cell_column(seed)
+            values, ok = _cells(column)
+            want = np.array([_cell_value(cell) for cell in column])
+            assert np.array_equal(values, want, equal_nan=True), seed
+            assert np.array_equal(np.signbit(values), np.signbit(want)), seed
+            passes = []
+            for i, cell in enumerate(column):
+                try:
+                    value = _parse_cell(cell, "x", 1)
+                except DataIntegrityError:
+                    passes.append(False)
+                else:
+                    passes.append(True)
+                    assert value == values[i] or np.isnan(value) and np.isnan(values[i]), seed
+            assert ok.tolist() == passes, seed
+            rereads += any(cell.strip() in _REREAD_CELLS for cell in column)
+        assert 100 < rereads < 300  # both reads ran
 
 
 def _iso(day):
@@ -332,6 +401,39 @@ class TestFindMissingWeeks:
         assert find_missing_weeks(_series([(WeekKey(2021, 1), 1.0)])) == []
 
 
+def _runs_and_gaps(run_lengths, gaps):
+    """Spacings: runs of 1-week steps, each followed by one step of its gap."""
+    return np.concatenate([np.r_[np.ones(run), gap] for run, gap in zip(run_lengths, gaps)])
+
+
+def _long_history_spacings():
+    # The knots of a 300-year weekly history with 60 one-week gaps on a
+    # coarse grid, like the long-history benchmark input.
+    rng = np.random.default_rng(501)
+    gaps = np.sort(rng.choice(np.arange(1, 15_652 // 13 - 1), size=60, replace=False)) * 13
+    return np.diff(np.delete(np.arange(15_653), gaps))
+
+
+_SETTLING_SPACINGS = {
+    "spacing-1 runs broken by 2- to 9-week gaps": lambda: _runs_and_gaps(
+        np.random.default_rng(11).integers(33, 300, size=40),
+        np.random.default_rng(12).integers(2, 10, size=40),
+    ),
+    # Runs up to about 16 rows end before they settle; runs of 31 to 33 rows
+    # sit on either side of the shortest run solved until it settles.
+    "runs too short to settle": lambda: _runs_and_gaps(
+        [*range(1, 41), 15, 16, 17, 31, 32, 33], [2, 3, 9] * 15 + [2]
+    ),
+    "gaps beside the first and last interior rows": lambda: np.r_[
+        5.0, np.ones(100), 7.0, 1.0, 1.0, 3.0, np.ones(60), 2.0, 1.0
+    ],
+    "alternating spacing 1, 2": lambda: np.tile([1.0, 2.0], 2_000),
+    "4 knots, equal spacing": lambda: np.ones(3),
+    "4 knots, unequal spacing": lambda: np.array([2.0, 1.0, 3.0]),
+    "long history": _long_history_spacings,
+}
+
+
 class TestNaturalSpline:
     def test_frozen_cubic_example(self):
         # Knots on y = x^3 at x = 0,1,3,4; the classic worked example.
@@ -383,6 +485,16 @@ class TestNaturalSpline:
         y = rng.uniform(0.0, 1e4, size=n)
         got = natural_spline_second_derivatives(x, y)
         assert got.dtype == np.float64
+        assert np.array_equal(got, spline_second_derivatives_oracle(x, y))
+
+    @pytest.mark.parametrize("case", sorted(_SETTLING_SPACINGS))
+    def test_settled_factors_equal_scalar_solve(self, case):
+        # Runs of equal rows whose factors settle (or do not), beside rows
+        # that break them; each case must match the scalar loop bit for bit.
+        spacings = _SETTLING_SPACINGS[case]()
+        x = 3.0 + np.concatenate(([0.0], np.cumsum(spacings, dtype=float)))
+        y = np.random.default_rng(len(x)).uniform(0.0, 1e4, size=x.size)
+        got = natural_spline_second_derivatives(x, y)
         assert np.array_equal(got, spline_second_derivatives_oracle(x, y))
 
     def test_too_few_knots(self):

@@ -329,6 +329,20 @@ class TestNonFiniteInput:
         assert f"line {line_no}: {name} value '{cell}'" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_nan_price_names_its_physical_line(self, tmp_path, capsys, fixture42):
+        # No other price cell is blank, so the whole column reads as numbers
+        # and the NaN must be caught there; the blank lines after the header
+        # make the physical line differ from the data row.
+        lines = fixture42.csv_bytes().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(_with_cell(b"".join([lines[0], b"\n\n", *lines[1:]]), 100, 2, "nan"))
+        out = tmp_path / "o"
+        assert _run("stats", "--input", str(bad), "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "seasonwarp: data error: line 100: modal_price value 'nan' is not a finite number\n"
+        )
+        assert not out.exists()
+
 
 _BAD_CELLS = ["", "abc", "nan", "inf", "-1", "1e76", "1e300"]
 _NON_FINITE_TEXT = re.compile(rb"\b(NaN|Infinity|nan|inf)\b")

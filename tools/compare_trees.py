@@ -18,10 +18,11 @@ one pixel per cell).  A scenario whose only differences are such files prints
 ``PICTURE`` in place of ``DIFF``; it still counts as a difference for the exit
 code.
 
-Four inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
+Five inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default), the same
-without its first data row, the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``
-and that history in another CSV dialect.  ``bench/``
+without its first data row, the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``,
+that history in another CSV dialect and that history with runs of rows
+and some cells blanked.  ``bench/``
 is only imported, never changed.  The DTW scenarios on the long history are
 limited to a decade, because all 44,850 pairs of 300 years would write tens
 of GB.  ``long-dtw-ties`` aligns both variables of 1965..1975 at band 4: four
@@ -41,6 +42,13 @@ whose ADF lag search factors its design in 16 row blocks.
 quoted header, CRLF line ends and blank lines (one after the header, two in
 the middle, one at the end), so the reader's quoting and line handling are
 checked on 15.6k rows.
+``long-clean-ragged`` runs ``clean`` on the long history without runs of 2
+to 9 consecutive rows (one run every 397 rows) and with a blank arrivals cell
+in every 251st row of the middle.  The two variables then have different knot
+sets, the spline's factors settle on runs of unequal length, the arrivals
+column is read cell by cell, and every filled value is written.  Some of
+these longer gaps fill below zero, so the clamp is written too (``stats`` on
+this input exits 2: the price series is not positive).
 ``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
 directory.  ``report-all-arrivals`` is the one tree whose bundle holds a single
@@ -81,6 +89,7 @@ SCENARIOS = (
     ("seasonal-edge-gap", ["seasonal", "--variable", "price"], "edge-gap"),
     ("report-all-edge-gap", ["report-all"], "edge-gap"),
     ("long-clean", ["clean"], "long"),
+    ("long-clean-ragged", ["clean"], "long-ragged"),
     ("long-stats", ["stats"], "long"),
     ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
     ("long-stats-dialect", ["stats"], "long-dialect"),
@@ -108,6 +117,14 @@ INPUT_CODE = {
                     "lines[1:1] = ['']; lines[7000:7000] = ['', '']; lines += ['']; "
                     "sys.stdout.buffer.write(b'\\xef\\xbb\\xbf' "
                     "+ '\\r\\n'.join(lines).encode() + b'\\r\\n')",
+    "long-ragged": "from inputs import long_history; "
+                   f"lines = long_history{LONG_HISTORY}.csv_text.splitlines(); "
+                   "gone = {i + j for i in range(500, len(lines) - 500, 397) "
+                   "for j in range(2 + i % 8)}; "
+                   "rows = [line for i, line in enumerate(lines) if i not in gone]; "
+                   "rows[300:-300:251] = [f'{day},,{price}' for day, _, price "
+                   "in (row.split(',') for row in rows[300:-300:251])]; "
+                   "sys.stdout.buffer.write(('\\n'.join(rows) + '\\n').encode())",
 }
 
 
