@@ -454,9 +454,10 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
     def write_pair(pair, result, d, g):
         y1, y2 = pair
         stem = f"dtw_{var}_{pair_label(pair)}"
+        record = result.to_dict()
         if "json" in args.formats:
             files[f"{stem}.json"] = to_json(
-                {"variable": var, "year_pair": [y1, y2], "result": result}
+                {"variable": var, "year_pair": [y1, y2], "result": record}
             )
         if "svg" in args.formats:
             files[f"{stem}.svg"] = dtw_figure(
@@ -466,7 +467,7 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
                 (str(y1), str(y2)),
                 title=f"DTW alignment, {var} {y1} vs {y2}",
                 metadata={
-                    **{k: v for k, v in result.to_dict().items() if k != "path"},
+                    **{k: v for k, v in record.items() if k != "path"},
                     "chart": "dtw_alignment",
                     "variable": var,
                     "year_pair": [y1, y2],

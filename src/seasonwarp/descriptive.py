@@ -47,15 +47,21 @@ def central_moments(
 ) -> tuple[float, float, float, float, float]:
     """(mean, ss, m2, m3, m4): the sum of squared deviations ss and the
     central moments with 1/n denominators, m2 being ss / n.  The sample std
-    sqrt(ss / (n - 1)) is bit-equal to ``np.std(values, ddof=1)``."""
+    sqrt(ss / (n - 1)) is bit-equal to ``np.std(values, ddof=1)``.
+
+    The powers of the deviations d are IEEE products, not ``pow``: sq = d*d,
+    then d*sq for m3 and sq*sq for m4, so the moments depend on no libm
+    build.  The products overwrite d and sq, so besides the input no more
+    than two sample-sized arrays are alive at once."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise InsufficientDataError("moments of an empty sample")
     mean = float(np.mean(v))
     d = v - mean
-    ss = float(np.sum(d**2))
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
+    sq = d * d
+    ss = float(np.sum(sq))
+    m3 = float(np.mean(np.multiply(d, sq, out=d)))
+    m4 = float(np.mean(np.multiply(sq, sq, out=sq)))
     return mean, ss, ss / v.size, m3, m4
 
 
@@ -82,8 +88,9 @@ def moments(values: np.ndarray | list[float]) -> tuple[float, float, float, floa
 
 
 def _shape(m2: float, m3: float, m4: float) -> tuple[float, float]:
-    """(skewness, excess kurtosis) from the central moments of a non-constant sample."""
-    return m3 / m2**1.5, m4 / m2**2 - 3.0
+    """(skewness, excess kurtosis) from the central moments of a non-constant
+    sample, by products, division and sqrt only (m2**1.5 is m2 * sqrt(m2))."""
+    return m3 / (m2 * math.sqrt(m2)), m4 / (m2 * m2) - 3.0
 
 
 def jarque_bera(values: np.ndarray | list[float]) -> tuple[float, float]:
@@ -105,7 +112,7 @@ def jarque_bera(values: np.ndarray | list[float]) -> tuple[float, float]:
 
 
 def _jarque_bera(n: int, s: float, k: float) -> tuple[float, float]:
-    jb = n / 6.0 * (s**2 + k**2 / 4.0)
+    jb = n / 6.0 * (s * s + k * k / 4.0)
     return jb, math.exp(-jb / 2.0)
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from _oracles import moments_oracle, quantile_oracle
+from seasonwarp.cleaning import MAX_CELL
 from seasonwarp.descriptive import (
+    central_moments,
     describe,
     jarque_bera,
     moments,
@@ -16,6 +18,19 @@ from seasonwarp.descriptive import (
 from seasonwarp.errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 from seasonwarp.report import to_json
 from seasonwarp.series import Variable
+
+
+def products_moments(values) -> tuple[float, float, float, float, float]:
+    """`central_moments` written out value by value: each power of a
+    deviation d is a product of Python floats, d*d, (d*d)*d and
+    (d*d)*(d*d), and numpy sums them as `central_moments` does."""
+    v = np.asarray(values, dtype=float)
+    mean = float(np.mean(v))
+    ds = (v - mean).tolist()
+    ss = float(np.sum([d * d for d in ds]))
+    m3 = float(np.mean([d * d * d for d in ds]))
+    m4 = float(np.mean([(d * d) * (d * d) for d in ds]))
+    return mean, ss, ss / v.size, m3, m4
 
 
 def skewness(values) -> float:
@@ -70,14 +85,34 @@ class TestQuantile:
 class TestMoments:
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(1000):
-            n = int(rng.integers(4, 500))
+        for k in range(1001):
+            # The last sample is as long as a stats-long column.
+            n = int(rng.integers(4, 500)) if k < 1000 else 15_600
             scale = 10.0 ** rng.integers(-2, 5)
             v = rng.normal(loc=rng.uniform(-5, 5) * scale, scale=scale, size=n)
             got = moments(v)
             want = moments_oracle(v)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-10, abs=1e-12)
+
+    def test_central_moments_are_products(self):
+        rng = np.random.default_rng(23)
+        for scale in (1e-3, 1.0, 1e6, 1e20, 1e45, 1e70):
+            for n in (8, 9, 57, 600, 4097, 16_000):
+                v = rng.lognormal(rng.uniform(-2, 2), rng.uniform(0.1, 1.5), size=n) * scale
+                assert central_moments(v) == products_moments(v)
+
+    @pytest.mark.parametrize("n", [8, 16_000])
+    def test_fourth_powers_finite_up_to_max_cell(self, n):
+        # One cell at MAX_CELL among zeros puts a deviation near MAX_CELL;
+        # alternating cells put every deviation at MAX_CELL / 2.
+        for v in ([0.0] * (n - 1) + [MAX_CELL], [0.0, MAX_CELL] * (n // 2)):
+            got = central_moments(v)
+            assert all(map(math.isfinite, got))
+            assert got == products_moments(v)
+            s = describe(v)
+            assert math.isfinite(s.skewness) and math.isfinite(s.excess_kurtosis)
+        assert s.excess_kurtosis == pytest.approx(-2.0, abs=1e-12)
 
     def test_std_equals_numpy_ddof1(self):
         # The std comes from the moment pass's sum of squared deviations,

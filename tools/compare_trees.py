@@ -18,6 +18,13 @@ one pixel per cell).  A scenario whose only differences are such files prints
 ``PICTURE`` in place of ``DIFF``; it still counts as a difference for the exit
 code.
 
+A file that differs in any other way is printed with where it differs: for
+JSON the key paths of the values that differ, such as
+``summaries.modal_price.skewness`` or ``ranking.entries[3].total_cost``; for
+CSV the first-column label of each differing row, or its line number when
+that label is not unique; for other text the line numbers.  At most ten
+places are printed per file.
+
 Five inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default), the same
 without its first data row, the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``,
@@ -59,6 +66,8 @@ from __future__ import annotations
 
 import base64
 import binascii
+import csv
+import json
 import os
 import re
 import struct
@@ -66,6 +75,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -208,6 +218,60 @@ def same_picture(a: bytes, b: bytes) -> bool:
     return others_a == others_b and images_a is not None and images_a == images_b
 
 
+PLACES_SHOWN = 10
+
+
+def json_paths(a, b, path: str = "") -> list[str]:
+    """Key paths at which two parsed JSON documents differ.  Leaves are
+    compared by type and repr, so NaN equals NaN and 1 differs from 1.0."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        found = []
+        for key in sorted(a.keys() | b.keys()):
+            inner = f"{path}.{key}" if path else key
+            found += json_paths(a[key], b[key], inner) if key in a and key in b else [inner]
+        return found
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in json_paths(x, y, f"{path}[{i}]")]
+    same = type(a) is type(b) and repr(a) == repr(b)
+    return [] if same else [path or "(top level)"]
+
+
+def line_places(name: str, old: list[str], new: list[str]) -> list[str]:
+    """Line numbers of the lines that differ; for CSV, each row's label in
+    the first column instead, where that label is the same in both files
+    and unique in the parent's."""
+    labels_a, labels_b = (
+        [row[0] if row else "" for row in csv.reader(lines)] if name.endswith(".csv") else []
+        for lines in (old, new)
+    )
+    counts = Counter(labels_a)
+    found = []
+    for i in range(max(len(old), len(new))):
+        if old[i:i + 1] == new[i:i + 1]:
+            continue
+        label = labels_a[i] if i < len(labels_a) else None
+        named = label is not None and labels_b[i:i + 1] == [label] and counts[label] == 1
+        found.append(label if named else f"line {i + 1}")
+    return found
+
+
+def places(name: str, old: bytes, new: bytes) -> list[str]:
+    """Where two differing files differ, as `json_paths` or `line_places`
+    name it; an empty list for a file that is not UTF-8 text."""
+    try:
+        text_a, text_b = old.decode(), new.decode()
+    except UnicodeDecodeError:
+        return []
+    if name.endswith(".json"):
+        try:
+            found = json_paths(json.loads(text_a), json.loads(text_b))
+        except ValueError:
+            found = []
+        if found:
+            return found
+    return line_places(name, text_a.splitlines(), text_b.splitlines())
+
+
 def differences(a: dict, b: dict) -> list[str]:
     found = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     names_a, names_b = set(a["tree"]), set(b["tree"])
@@ -216,8 +280,13 @@ def differences(a: dict, b: dict) -> list[str]:
     for n in sorted(names_a & names_b):
         old, new = a["tree"][n], b["tree"][n]
         if old != new:
-            picture = n.startswith("dtw_") and n.endswith(".svg") and same_picture(old, new)
-            found.append(f"{n} {'PICTURE' if picture else 'differs'}")
+            if n.startswith("dtw_") and n.endswith(".svg") and same_picture(old, new):
+                found.append(f"{n} PICTURE")
+                continue
+            where = places(n, old, new)
+            more = len(where) - PLACES_SHOWN
+            shown = ", ".join(where[:PLACES_SHOWN]) + (f" and {more} more" if more > 0 else "")
+            found.append(f"{n} differs" + (f" at {shown}" if where else ""))
     return found
 
 
