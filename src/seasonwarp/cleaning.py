@@ -491,17 +491,21 @@ def _outside(v: np.ndarray, lo: float, hi: float) -> list[tuple[int, Fence]]:
     return [(int(i), Fence.LOW if low[i] else Fence.HIGH) for i in flagged]
 
 
-def clean_series(
-    series: WeeklySeries, k: float = 3.0, winsorize: bool = False
+def flag_outliers(
+    series: WeeklySeries,
+    dense: WeeklySeries,
+    report: CleaningReport,
+    k: float = 3.0,
+    winsorize: bool = False,
 ) -> tuple[WeeklySeries, CleaningReport]:
-    """Full cleaning pass: spline-fill gaps, then flag IQR outliers.
+    """The outlier pass over `spline_fill(series)`'s (dense, report).
 
     Fences come from the observed (pre-interpolation) values only.  Flagged
     points keep their value and get the OUTLIER_RETAINED flag; with
     ``winsorize=True`` the value is clamped to the violated fence instead
-    (the report still records the original value).
+    (the report still records the original value).  Without a flagged point
+    the fill is returned as it is.
     """
-    dense, report = spline_fill(series)
     observed_values = series.values()
     lo, hi = _iqr_fences(observed_values, k)
     flags = _outside(observed_values, lo, hi)
@@ -520,3 +524,10 @@ def clean_series(
             codes[number - first] = _OUTLIER_RETAINED
     report = replace(report, outlier_weeks=tuple(outliers), winsorized=winsorize)
     return WeeklySeries(dense.variable, dense.numbers, values, codes), report
+
+
+def clean_series(
+    series: WeeklySeries, k: float = 3.0, winsorize: bool = False
+) -> tuple[WeeklySeries, CleaningReport]:
+    """Full cleaning pass: `spline_fill` the gaps, then `flag_outliers`."""
+    return flag_outliers(series, *spline_fill(series), k, winsorize)

@@ -1,11 +1,15 @@
 """Command-line front end: seasonwarp clean|stats|seasonal|dtw|fixture|report-all.
 
-Each data command is one driver (`_run_stage`: read, clean, stage) around
-one stage function.  A stage takes ``(args, cleaned, files)``, stores each
-output ``args.formats`` asks for as ``files[filename] = text`` and returns
-its value.  ``cleaned`` maps each variable to its `_Cleaned` record, whose
-complete years are found and warned about once, by the first stage that
-needs them; ``report-all``'s stage is the union of the clean, stats,
+Each data command is one driver (`_run_stage`: read, spline-fill, stage)
+around one stage function.  A stage takes ``(args, cleaned, files)``, stores
+each output ``args.formats`` asks for as ``files[filename] = text`` and
+returns its value.  ``cleaned`` maps each variable to its `_Cleaned` record,
+whose outlier pass runs once, on first use: when a stage writes the point
+flags or the cleaning report (``clean``, and so ``report-all``), or when
+``--winsorize`` changes the values.  Without ``--winsorize`` the value-only
+stages (stats, seasonal, dtw and the series charts) read the fill itself.
+Complete years are likewise found and warned about once, by the first stage
+that needs them; ``report-all``'s stage is the union of the clean, stats,
 seasonal and dtw stages plus the series charts and the bundle it builds
 from their values.
 
@@ -31,7 +35,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .cleaning import CleaningReport, ColumnSchema, clean_series, parse_market_csv
+from .cleaning import CleaningReport, ColumnSchema, flag_outliers, parse_market_csv, spline_fill
 from .descriptive import describe
 from .dtw import DtwOptions, Normalization, PairSet
 from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
@@ -249,12 +253,31 @@ def _year_span(first: int, last: int) -> str:
 
 @dataclass
 class _Cleaned:
-    """One variable's cleaned series and cleaning report, in the window of
-    ISO years the run reads: ``--years`` if given, else the data's own."""
+    """One variable's series as read and its spline fill, in the window of
+    ISO years the run reads: ``--years`` if given, else the data's own.
 
-    dense: WeeklySeries
-    report: CleaningReport
+    The outlier pass (`flagged`) runs on first use, at most once: for the
+    point flags and the cleaning report, or for the values when
+    ``--winsorize`` clamps them.  Value-only stages read `dense`, which is
+    the fill itself unless ``--winsorize`` is given.
+    """
+
+    observed: WeeklySeries
+    filled: WeeklySeries
+    fill_report: CleaningReport
+    winsorize: bool
     window: tuple[int, int] | None
+
+    @cached_property
+    def flagged(self) -> tuple[WeeklySeries, CleaningReport]:
+        """The cleaned series, with its outlier flags, and the cleaning report."""
+        return flag_outliers(self.observed, self.filled, self.fill_report,
+                             winsorize=self.winsorize)
+
+    @property
+    def dense(self) -> WeeklySeries:
+        """The cleaned values: the fill's, or the outlier pass's with ``--winsorize``."""
+        return self.flagged[0] if self.winsorize else self.filled
 
     @cached_property
     def years(self) -> list[int]:
@@ -282,11 +305,11 @@ def _cleaned(args: argparse.Namespace, data: bytes) -> dict[Variable, _Cleaned]:
     table = parse_market_csv(data, schema)
     if args.years is not None:
         table = table.in_years(*args.years)
-    return {
-        var: _Cleaned(*clean_series(build_weekly_series(table, var), winsorize=args.winsorize),
-                      args.years)
-        for var in _variables(args)
-    }
+    cleaned = {}
+    for var in _variables(args):
+        series = build_weekly_series(table, var)
+        cleaned[var] = _Cleaned(series, *spline_fill(series), args.winsorize, args.years)
+    return cleaned
 
 
 class _OutputTree:
@@ -367,12 +390,14 @@ def cmd_fixture(args: argparse.Namespace) -> int:
 
 
 def _clean_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
+    reports = {}
     for var, c in cleaned.items():
+        series, reports[var.value] = c.flagged
         if "csv" in args.formats:
-            files[f"cleaned_{var.value}.csv"] = series_csv(c.dense)
+            files[f"cleaned_{var.value}.csv"] = series_csv(series)
         if "json" in args.formats:
-            files[f"cleaning_{var.value}.json"] = to_json(c.report)
-    return {var.value: c.report for var, c in cleaned.items()}
+            files[f"cleaning_{var.value}.json"] = to_json(reports[var.value])
+    return reports
 
 
 def _adf_on_log_price(dense_price: WeeklySeries):

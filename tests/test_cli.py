@@ -21,10 +21,13 @@ from hypothesis import strategies as st
 from _oracles import cumulative_cost_oracle
 import seasonwarp.cli
 import seasonwarp.dtw
+from seasonwarp.cleaning import clean_series, parse_market_csv
 from seasonwarp.cli import main
+from seasonwarp.descriptive import describe
 from seasonwarp.dtw import dtw_align, rank_pairs
+from seasonwarp.fixture import generate_fixture
 from seasonwarp.report import matrix_csv, to_json
-from seasonwarp.series import Variable, slice_year
+from seasonwarp.series import Variable, build_weekly_series, slice_year
 
 
 @pytest.fixture(scope="session")
@@ -849,7 +852,8 @@ class TestReportAll:
 
     @pytest.mark.parametrize(
         "data_opts, dtw_opts",
-        [((), ()), (("--winsorize",), ("--all-pairs", "--band", "4", "--normalize", "zscore"))],
+        [((), ()), (("--winsorize",), ()),
+         (("--winsorize",), ("--all-pairs", "--band", "4", "--normalize", "zscore"))],
     )
     def test_tree_is_union_of_subcommand_trees(self, tmp_path, fixture_csv, data_opts, dtw_opts):
         common = ("--input", str(fixture_csv), "--format", "json,csv,svg", *data_opts)
@@ -879,8 +883,8 @@ class TestReportAll:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("parse_market_csv", "clean_series", "describe", "seasonal_index",
-                     "adf_test", "slice_year"):
+        for name in ("parse_market_csv", "spline_fill", "flag_outliers", "describe",
+                     "seasonal_index", "adf_test", "slice_year"):
             counting(seasonwarp.cli, name)
         counting(seasonwarp.dtw, "cumulative_cost")
         counting(seasonwarp.dtw, "backtrack")
@@ -897,7 +901,8 @@ class TestReportAll:
         assert n_pairs > 2
         assert calls == Counter({
             "parse_market_csv": 1,
-            "clean_series": 2,
+            "spline_fill": 2,
+            "flag_outliers": 2,
             "describe": 2,
             "seasonal_index": 2,
             "adf_test": 1,
@@ -927,6 +932,51 @@ class TestReportAll:
         assert len(texts) > 200 and "bundle.json" in texts
         for name, text in texts.items():
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
+class TestCleaningPasses:
+    @pytest.mark.parametrize("winsorize", [False, True])
+    @pytest.mark.parametrize("command, writes_flags", [
+        ("clean", True), ("stats", False), ("seasonal", False), ("dtw", False),
+        ("report-all", True),
+    ])
+    def test_each_cleaning_pass_runs_once_and_only_when_needed(
+        self, tmp_path, fixture_csv, monkeypatch, command, writes_flags, winsorize
+    ):
+        # The outlier pass runs for the flags and the cleaning report, or for
+        # the values --winsorize clamps; the spline fill always runs, once.
+        calls = Counter()
+        for name in ("spline_fill", "flag_outliers"):
+            inner = getattr(seasonwarp.cli, name)
+
+            def wrapper(*args, _name=name, _inner=inner, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(seasonwarp.cli, name, wrapper)
+        argv = [command, "--input", str(fixture_csv), "--out-dir", str(tmp_path / "o")]
+        assert _run(*argv, *(["--winsorize"] if winsorize else [])) == 0
+        outlier_passes = 2 if writes_flags or winsorize else 0
+        assert (calls["spline_fill"], calls["flag_outliers"]) == (2, outlier_passes)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_summaries_describe_the_cleaned_values(self, tmp_path, seed):
+        # stats reads the values clean_series gives, with and without
+        # --winsorize, which moves them on every one of these seeds.
+        data = generate_fixture(seed).csv_bytes()
+        (tmp_path / "in.csv").write_bytes(data)
+        table = parse_market_csv(data)
+        found = {}
+        for winsorize in (False, True):
+            out = tmp_path / f"w{winsorize}"
+            argv = ["stats", "--input", str(tmp_path / "in.csv"), "--out-dir", str(out)]
+            assert _run(*argv, *(["--winsorize"] if winsorize else [])) == 0
+            found[winsorize] = _read_json(out / "stats.json")["summaries"]
+            for var in Variable:
+                dense, _ = clean_series(build_weekly_series(table, var), winsorize=winsorize)
+                want = json.loads(to_json(describe(dense.values())))
+                assert found[winsorize][var.value] == want
+        assert found[False] != found[True]
 
 
 class TestConfigAndUsage:

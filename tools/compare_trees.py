@@ -58,7 +58,9 @@ these longer gaps fill below zero, so the clamp is written too (``stats`` on
 this input exits 2: the price series is not positive).
 ``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
-directory.  ``report-all-arrivals`` is the one tree whose bundle holds a single
+directory.  ``long-stats-winsorize``, ``long-seasonal-winsorize`` and
+``dtw-winsorize`` check that each value-only command reads the winsorized
+values, which only the outlier pass makes, under ``--winsorize``.  ``report-all-arrivals`` is the one tree whose bundle holds a single
 variable and whose ``adf_log_price_diff`` is null.
 """
 
@@ -95,6 +97,7 @@ SCENARIOS = (
     ("dtw-band0", ["dtw", "--all-pairs", "--band", "0"], "fixture"),
     ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
      "fixture"),
+    ("dtw-winsorize", ["dtw", "--all-pairs", "--band", "4", "--winsorize"], "fixture"),
     ("dtw-edge-gap", ["dtw", "--variable", "price"], "edge-gap"),
     ("seasonal-edge-gap", ["seasonal", "--variable", "price"], "edge-gap"),
     ("report-all-edge-gap", ["report-all"], "edge-gap"),
@@ -104,6 +107,7 @@ SCENARIOS = (
     ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
     ("long-stats-dialect", ["stats"], "long-dialect"),
     ("long-seasonal-ma", ["seasonal", "--detrend", "moving-average"], "long"),
+    ("long-seasonal-winsorize", ["seasonal", "--winsorize"], "long"),
     ("long-dtw", ["dtw", "--variable", "price", "--years", "2000..2010", "--all-pairs",
                   "--band", "3", "--dump-matrices", "--normalize", "zscore"], "long"),
     ("long-dtw-ties", ["dtw", "--years", "1965..1975", "--all-pairs", "--band", "4",
