@@ -170,8 +170,9 @@ def _gamma_tratio(
     trimmed (t = lag .., on the search's trend origin, which the constant
     absorbs) and factored once, it gives the full-sample fit's R'.  With
     y_{t-1} moved last among the regressors, gamma-hat is R'[k-1, k] /
-    R'[k-1, k-1] and its standard error s / |R'[k-1, k-1]|, where s^2 =
-    R'[k, k]^2 / (nobs - k), so the ratio needs no solve.
+    R'[k-1, k-1] and its standard error s / |R'[k-1, k-1]|, where s =
+    |R'[k, k]| / sqrt(nobs - k), so the ratio needs no solve (and s no
+    power, which would call the libm's `pow`).
     """
     k = ntrend + 1 + lag
     stack = np.zeros((k + 1 + maxlag - lag, k + 1))
@@ -181,7 +182,7 @@ def _gamma_tratio(
     _fill_rows(stack[k + 1 :], v, dy, lag, ntrend, maxlag)
     order = [*range(ntrend), *range(ntrend + 1, k), ntrend, k]
     rr = np.linalg.qr(stack[:, order], mode="r")
-    s = math.sqrt(rr[k, k] ** 2 / (dy.size - lag - k))
+    s = abs(rr[k, k]) / math.sqrt(dy.size - lag - k)
     return float(rr[k - 1, k] * np.sign(rr[k - 1, k - 1]) / s)
 
 
