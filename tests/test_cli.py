@@ -852,8 +852,8 @@ class TestReportAll:
 
     @pytest.mark.parametrize(
         "data_opts, dtw_opts",
-        [((), ()), (("--winsorize",), ()),
-         (("--winsorize",), ("--all-pairs", "--band", "4", "--normalize", "zscore"))],
+        [((), ()), (("--winsorize",), ("--all-pairs", "--band", "4", "--normalize", "zscore")),
+         (("--winsorize",), ())],
     )
     def test_tree_is_union_of_subcommand_trees(self, tmp_path, fixture_csv, data_opts, dtw_opts):
         common = ("--input", str(fixture_csv), "--format", "json,csv,svg", *data_opts)
