@@ -1,8 +1,9 @@
 """Raw CSV ingestion, spline gap-filling, and IQR outlier flagging.
 
 Cleaning never deletes data: gaps are filled with a natural cubic spline on
-the integer week grid, and fence violations are flagged (and by default
-retained).  An optional winsorize mode clamps flagged values to the fences.
+the integer week grid, and values outside the 3×IQR fences (`FENCE_K`) are
+flagged (and by default retained).  An optional winsorize mode clamps
+flagged values to the fences.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ DATE_FORMATS = {"iso": "%Y-%m-%d", "dmy": "%d/%m/%Y"}
 # moments, squared DTW distances and regression cross-products of any series
 # this size stay finite in float64 (max about 1.8e308).
 MAX_CELL = 1e75
+# Tukey's far-out fences: a value is flagged strictly outside
+# [Q1 - FENCE_K * IQR, Q3 + FENCE_K * IQR].
+FENCE_K = 3.0
 
 _OBSERVED, _INTERPOLATED, _OUTLIER_RETAINED = (
     FLAGS.index(f)
@@ -288,14 +292,6 @@ def _column_indices(header: list[str], schema: ColumnSchema) -> tuple[int, int, 
     return index[schema.date], index[schema.arrivals], index[schema.price]
 
 
-def find_missing_weeks(series: WeeklySeries) -> list[WeekKey]:
-    """Weeks strictly inside the series span with no observation, in order."""
-    if len(series) < 2:
-        return []
-    first, _, missing = _gap_offsets(series)
-    return [WeekKey.from_number(first + k) for k in missing.tolist()]
-
-
 def _gap_offsets(series: WeeklySeries) -> tuple[int, np.ndarray, np.ndarray]:
     """(first week number, each point's offset from it, the offsets strictly
     inside the span that have no point, in order)."""
@@ -432,7 +428,8 @@ def spline_fill(series: WeeklySeries) -> tuple[WeeklySeries, CleaningReport]:
     """
     if len(series) < 4:
         raise InsufficientDataError(
-            f"spline fill needs >= 4 observed points, got {len(series)}"
+            f"spline fill needs >= 4 observed points for {series.variable.value}, "
+            f"got {len(series)}"
         )
     first, offsets, missing = _gap_offsets(series)
     if not missing.size:
@@ -462,60 +459,44 @@ def spline_fill(series: WeeklySeries) -> tuple[WeeklySeries, CleaningReport]:
     return WeeklySeries(series.variable, first + np.arange(span), values, flags), report
 
 
-def iqr_outliers(
-    values: np.ndarray | list[float], k: float = 3.0
-) -> list[tuple[int, Fence]]:
-    """Indices of values strictly outside [Q1 - k*IQR, Q3 + k*IQR].
-
-    Flag only; nothing is mutated.  Quantiles use the same linear-interpolation
-    rule as the descriptive summaries.
-    """
-    v = np.asarray(values, dtype=float)
-    return _outside(v, *_iqr_fences(v, k))
-
-
-def _iqr_fences(v: np.ndarray, k: float) -> tuple[float, float]:
-    """(Q1 - k*IQR, Q3 + k*IQR) of the values."""
+def _iqr_fences(v: np.ndarray) -> tuple[float, float]:
+    """(Q1 - FENCE_K * IQR, Q3 + FENCE_K * IQR) of the values, the quartiles
+    by the same linear-interpolation rule as the descriptive summaries."""
     if v.size < 4:
         raise InsufficientDataError(f"IQR fences need >= 4 values, got {v.size}")
     s = np.sort(v)
     q1, q3 = _sorted_quantile(s, 0.25), _sorted_quantile(s, 0.75)
     iqr = q3 - q1
-    return q1 - k * iqr, q3 + k * iqr
-
-
-def _outside(v: np.ndarray, lo: float, hi: float) -> list[tuple[int, Fence]]:
-    """Indices of values strictly outside [lo, hi], each with the fence it crosses."""
-    low = v < lo
-    flagged = np.flatnonzero(low | (v > hi))
-    return [(int(i), Fence.LOW if low[i] else Fence.HIGH) for i in flagged]
+    return q1 - FENCE_K * iqr, q3 + FENCE_K * iqr
 
 
 def flag_outliers(
     series: WeeklySeries,
     dense: WeeklySeries,
     report: CleaningReport,
-    k: float = 3.0,
     winsorize: bool = False,
 ) -> tuple[WeeklySeries, CleaningReport]:
     """The outlier pass over `spline_fill(series)`'s (dense, report).
 
-    Fences come from the observed (pre-interpolation) values only.  Flagged
-    points keep their value and get the OUTLIER_RETAINED flag; with
-    ``winsorize=True`` the value is clamped to the violated fence instead
-    (the report still records the original value).  Without a flagged point
-    the fill is returned as it is.
+    The fences are `FENCE_K` IQRs beyond the quartiles of the observed
+    (pre-interpolation) values only, and a value strictly outside them is
+    flagged.  Flagged points keep their value and get the OUTLIER_RETAINED
+    flag; with ``winsorize=True`` the value is clamped to the violated fence
+    instead (the report still records the original value).  Without a
+    flagged point the fill is returned as it is.
     """
     observed_values = series.values()
-    lo, hi = _iqr_fences(observed_values, k)
-    flags = _outside(observed_values, lo, hi)
-    if not flags:
+    lo, hi = _iqr_fences(observed_values)
+    low = observed_values < lo
+    flagged = np.flatnonzero(low | (observed_values > hi))
+    if not flagged.size:
         return dense, report
     first = int(dense.numbers[0])
     values = dense.values().copy()
     codes = dense.flags.copy()
     outliers = []
-    for i, fence in flags:
+    for i in flagged.tolist():
+        fence = Fence.LOW if low[i] else Fence.HIGH
         number = int(series.numbers[i])
         outliers.append(OutlierWeek(WeekKey.from_number(number), float(observed_values[i]), fence))
         if series.flags[i] == _OBSERVED:
@@ -527,7 +508,7 @@ def flag_outliers(
 
 
 def clean_series(
-    series: WeeklySeries, k: float = 3.0, winsorize: bool = False
+    series: WeeklySeries, winsorize: bool = False
 ) -> tuple[WeeklySeries, CleaningReport]:
     """Full cleaning pass: `spline_fill` the gaps, then `flag_outliers`."""
-    return flag_outliers(series, *spline_fill(series), k, winsorize)
+    return flag_outliers(series, *spline_fill(series), winsorize)

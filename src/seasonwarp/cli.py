@@ -111,6 +111,7 @@ def _add_data_opts(sp: argparse.ArgumentParser, formats: str) -> None:
     sp.add_argument("--date-format", choices=("iso", "dmy"), default="iso")
     sp.add_argument("--format", dest="formats", type=_formats, default=formats,
                     help=f"comma-separated subset of json,csv,svg (default: {formats})")
+    sp.set_defaults(writes=formats)  # the default names every format the command writes
 
 
 def _add_dtw_opts(sp: argparse.ArgumentParser) -> None:
@@ -234,6 +235,9 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError(f"--band must be >= 0, got {args.band}")
     if getattr(args, "seed", 0) < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if "writes" in args and not args.formats & _formats(args.writes):
+        raise UsageError(f"--format names none of the formats {args.command} writes: "
+                         f"{args.writes}")
 
 
 def _variables(args: argparse.Namespace) -> list[Variable]:

@@ -9,18 +9,17 @@ anywhere.
 One kernel, ``_sweep``, builds every cumulative-cost matrix: it pads a list
 of local-distance matrices into one array and sweeps its anti-diagonals in
 numpy, one vectorised step per diagonal whatever the number of matrices.
-``dtw_align`` and ``cumulative_cost`` run it on one matrix; ``PairSet.align``
-aligns and ranks a list of pairs, such as the CLI's year pairs, up to
-``BATCH_PAIRS`` at a time, each chunk's distances built once for the banded
-and unbanded sweeps and let go before the next chunk is built.  A result
-stores the corner cost and the path; the rest, the warped pair included, is
-derived from them and the aligned inputs.
+``dtw_align`` runs it on one matrix; ``PairSet.align`` aligns and ranks a
+list of pairs, such as the CLI's year pairs, up to ``BATCH_PAIRS`` at a
+time, each chunk's distances built once for the banded and unbanded sweeps
+and let go before the next chunk is built.  A result stores the corner cost
+and the path; the rest, the warped pair included, is derived from them and
+the aligned inputs.
 
 Each public entry checks what it receives once, and the core (the distance
 build, ``_sweep``, the backtrack walk) trusts it.  A pair of sequences is
 checked for shape (both 1-d and non-empty), then x and y each for finite
-values and z-score, then the band; ``cumulative_cost`` checks a caller's
-matrix (2-d, non-empty, finite, non-negative) and ``backtrack`` its corner.
+values and z-score, then the band; ``backtrack`` checks its corner.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ class WarpPath:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    @property
-    def end(self) -> tuple[int, int]:
-        return self.steps[-1]
 
 
 @dataclass(frozen=True)
@@ -151,24 +146,6 @@ def local_distance_matrix(x, y) -> np.ndarray:
 def _distance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``local_distance_matrix`` of a checked pair, unchecked."""
     return np.abs(x[:, None] - y[None, :])
-
-
-def cumulative_cost(d, band_radius: int | None = None) -> np.ndarray:
-    """Cumulative cost matrix for the plain symmetric step set.
-
-    gamma(1,1) = d(1,1); first row and column accumulate as running sums;
-    interior gamma(i,j) = d(i,j) + min(diagonal, vertical, horizontal).
-    Cells with |i - j| > band_radius hold +inf: a real unreachable marker,
-    never a large finite stand-in.  A -0.0 distance counts as +0.0.
-    """
-    da = np.asarray(d, dtype=float)
-    if da.ndim != 2 or da.size == 0:
-        raise ValueError(f"expected a non-empty 2-d cost matrix, got shape {da.shape}")
-    check_finite(da, "DTW")
-    if not np.all(da >= 0):
-        raise ValueError("local distances must be non-negative")
-    _check_band(*da.shape, band_radius)
-    return _sweep([da], band_radius)[0]
 
 
 def backtrack(g) -> WarpPath:

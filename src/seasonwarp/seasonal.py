@@ -101,7 +101,8 @@ def seasonal_index(
     years = set(years)
     if len(years) < 2:
         raise InsufficientDataError(
-            f"seasonal index needs >= 2 complete ISO years, got {len(years)}"
+            f"seasonal index needs >= 2 complete ISO years for {series.variable.value}, "
+            f"got {len(years)}"
         )
     iso_years, iso_weeks = series.iso_calendar()
     keep = np.isin(iso_years, list(years))

@@ -54,26 +54,12 @@ class WeekKey:
         iso = dt.date.fromordinal(7 * number + 1).isocalendar()
         return cls(iso[0], iso[1])
 
-    def next(self) -> "WeekKey":
-        return WeekKey.from_number(self.number + 1)
-
-    def prev(self) -> "WeekKey":
-        return WeekKey.from_number(self.number - 1)
-
     def end_date(self) -> dt.date:
         """The week-ending date (Sunday) of this ISO week."""
         return dt.date.fromisocalendar(self.iso_year, self.iso_week, 7)
 
     def __str__(self) -> str:
         return f"{self.iso_year}-W{self.iso_week:02d}"
-
-
-def iso_week_of(day: dt.date) -> WeekKey:
-    """ISO-8601 week-numbering year and week containing `day`."""
-    if not isinstance(day, dt.date):
-        raise TypeError(f"expected datetime.date, got {type(day).__name__}")
-    iso = day.isocalendar()
-    return WeekKey(iso[0], iso[1])
 
 
 def week_range(first: WeekKey, last: WeekKey) -> Iterator[WeekKey]:

@@ -93,10 +93,6 @@ class AdfResult:
     def reject_at_1pct(self) -> bool:
         return self.pvalue < 0.01
 
-    @property
-    def reject_at_5pct(self) -> bool:
-        return self.pvalue < 0.05
-
 
 def _fill_rows(
     out: np.ndarray, v: np.ndarray, dy: np.ndarray, first: int, ntrend: int, origin: int

@@ -25,7 +25,7 @@ from seasonwarp.errors import (
     InsufficientDataError,
     SchemaError,
 )
-from seasonwarp.series import WeekKey, WeeklySeries, iso_week_of, weeks_in_iso_year
+from seasonwarp.series import WeekKey, WeeklySeries, weeks_in_iso_year
 from seasonwarp.unitroot import AdfResult, mackinnon_pvalue
 
 
@@ -137,7 +137,8 @@ def parse_market_csv_oracle(
             ) from None
         arrivals.append(cell(row[arrivals_col], arrivals_col, line_no))
         prices.append(cell(row[price_col], price_col, line_no))
-        weeks.append(iso_week_of(day).number)
+        # Week n runs from the Monday of ordinal 7n + 1 to the Sunday after it.
+        weeks.append((day - dt.timedelta(days=day.weekday())).toordinal() // 7)
     return weeks, arrivals, prices
 
 

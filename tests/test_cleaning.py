@@ -18,14 +18,14 @@ from _oracles import (
 )
 import seasonwarp.series
 from seasonwarp.cleaning import (
+    CleaningReport,
     ColumnSchema,
     Fence,
     _cell_value,
     _cells,
     _parse_cell,
     clean_series,
-    find_missing_weeks,
-    iqr_outliers,
+    flag_outliers,
     natural_spline_eval,
     natural_spline_second_derivatives,
     parse_market_csv,
@@ -373,16 +373,20 @@ def _flags(series):
     return dict(zip(weeks_of(series), (FLAGS[code] for code in series.flags)))
 
 
-class TestFindMissingWeeks:
+def _interpolated(series):
+    return list(spline_fill(series)[1].interpolated_weeks)
+
+
+class TestInterpolatedWeeks:
     def test_no_gaps(self):
         weeks = list(week_range(WeekKey(2021, 1), WeekKey(2021, 10)))
         s = _series((w, 1.0) for w in weeks)
-        assert find_missing_weeks(s) == []
+        assert _interpolated(s) == []
 
     def test_interior_gaps_in_order(self):
         keep = {1, 2, 5, 6, 9}
         s = _series((WeekKey(2021, w), 1.0) for w in sorted(keep))
-        assert find_missing_weeks(s) == [
+        assert _interpolated(s) == [
             WeekKey(2021, 3),
             WeekKey(2021, 4),
             WeekKey(2021, 7),
@@ -390,15 +394,14 @@ class TestFindMissingWeeks:
         ]
 
     def test_gap_across_year_boundary(self):
-        s = _series([(WeekKey(2022, 52), 1.0), (WeekKey(2023, 2), 2.0)])
-        assert find_missing_weeks(s) == [WeekKey(2023, 1)]
+        s = _series([(WeekKey(2022, 50), 1.0), (WeekKey(2022, 51), 2.0),
+                     (WeekKey(2022, 52), 1.0), (WeekKey(2023, 2), 2.0)])
+        assert _interpolated(s) == [WeekKey(2023, 1)]
 
     def test_gap_across_long_year_boundary(self):
-        s = _series([(WeekKey(2020, 52), 1.0), (WeekKey(2021, 1), 2.0)])
-        assert find_missing_weeks(s) == [WeekKey(2020, 53)]
-
-    def test_short_series(self):
-        assert find_missing_weeks(_series([(WeekKey(2021, 1), 1.0)])) == []
+        s = _series([(WeekKey(2020, 50), 1.0), (WeekKey(2020, 51), 2.0),
+                     (WeekKey(2020, 52), 1.0), (WeekKey(2021, 1), 2.0)])
+        assert _interpolated(s) == [WeekKey(2020, 53)]
 
 
 def _runs_and_gaps(run_lengths, gaps):
@@ -526,7 +529,7 @@ class TestSplineFill:
         dense, report = spline_fill(series)
 
         assert weeks_of(dense) == tuple(week_range(span[0], span[-1]))
-        assert list(report.interpolated_weeks) == find_missing_weeks(series)
+        assert list(report.interpolated_weeks) == [span[i] for i in sorted(gaps)]
         for _, w, v in observed:
             assert value_at(dense, w) == v
         x_obs = np.array([i for i, _, _ in observed], dtype=float)
@@ -594,53 +597,52 @@ class TestSplineFill:
             spline_fill(s)
 
 
-class TestIqrOutliers:
+def _outliers(values):
+    """(index, fence) of each value `flag_outliers` flags, on a series of
+    consecutive weeks holding `values`."""
+    first = WeekKey(2001, 1).number
+    s = WeeklySeries(Variable.ARRIVALS, first + np.arange(len(values)), values)
+    _, report = flag_outliers(s, s, CleaningReport(s.variable, (), (), 0.0))
+    return [(o.week.number - first, o.fence_violated) for o in report.outlier_weeks]
+
+
+class TestOutlierFences:
     def test_single_high_outlier(self):
-        assert iqr_outliers([1.0, 2.0, 3.0, 4.0, 100.0]) == [(4, Fence.HIGH)]
+        assert _outliers([1.0, 2.0, 3.0, 4.0, 100.0]) == [(4, Fence.HIGH)]
 
     def test_constant_data_has_no_outliers(self):
-        assert iqr_outliers([7.0] * 6) == []
+        assert _outliers([7.0] * 6) == []
 
     def test_low_and_high(self):
         v = [10.0] * 10 + [-500.0, 900.0]
-        flags = dict(iqr_outliers(v))
+        flags = dict(_outliers(v))
         assert flags[10] is Fence.LOW
         assert flags[11] is Fence.HIGH
 
     def test_fences_are_strict(self):
-        # v = 0..7 plus 100: Q1 = 2, Q3 = 6, IQR = 4.  k = 23.5 puts the high
-        # fence exactly at 100, which must not be flagged; k = 23.4 must.
-        v = [0.0, 1, 2, 3, 4, 5, 6, 7, 100.0]
-        assert iqr_outliers(v, k=23.5) == []
-        assert iqr_outliers(v, k=23.4) == [(8, Fence.HIGH)]
-
-    def test_flag_count_monotone_in_k(self):
-        rng = np.random.default_rng(8)
-        v = rng.standard_t(df=3, size=300) * 50 + 100
-        counts = [len(iqr_outliers(v, k=k)) for k in (0.5, 1.0, 1.5, 3.0, 6.0)]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_huge_k_flags_nothing(self):
-        rng = np.random.default_rng(9)
-        v = rng.normal(size=50)
-        assert iqr_outliers(v, k=1e9) == []
+        # v = -10, 1..7, 18: Q1 = 2, Q3 = 6, IQR = 4, so the 3 x IQR fences
+        # lie exactly at -10 and 18, which must not be flagged; the next
+        # doubles beyond them must.
+        v = [-10.0, 1, 2, 3, 4, 5, 6, 7, 18.0]
+        assert _outliers(v) == []
+        v[0], v[-1] = np.nextafter(-10.0, -np.inf), np.nextafter(18.0, np.inf)
+        assert _outliers(v) == [(0, Fence.LOW), (8, Fence.HIGH)]
 
     def test_too_few_values(self):
         with pytest.raises(InsufficientDataError):
-            iqr_outliers([1.0, 2.0, 3.0])
+            _outliers([1.0, 2.0, 3.0])
 
     def test_matches_per_value_rule(self):
         rng = np.random.default_rng(10)
-        for k in (0.5, 1.5, 3.0):
+        for _ in range(3):
             v = np.round(rng.standard_t(df=2, size=400) * 20.0)
             q1, q3 = quantile_oracle(v, 0.25), quantile_oracle(v, 0.75)
-            lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
+            lo, hi = q1 - 3.0 * (q3 - q1), q3 + 3.0 * (q3 - q1)
             want = [(i, Fence.LOW) for i, x in enumerate(v) if x < lo]
             want += [(i, Fence.HIGH) for i, x in enumerate(v) if x > hi]
-            got = iqr_outliers(v, k=k)
+            got = _outliers(v)
             assert got == sorted(want)
             assert {f for _, f in got} == {Fence.LOW, Fence.HIGH}
-            assert all(type(i) is int for i, _ in got)
 
 
 class TestCleanSeries:
@@ -737,11 +739,13 @@ class TestFixtureCleaning:
             WeekKey(2019, 26),
         )
         series = build_weekly_series(table42, Variable.ARRIVALS)
-        assert find_missing_weeks(series) == list(report.interpolated_weeks)
+        observed = set(weeks_of(series))
+        span = week_range(series.first_week(), series.last_week())
+        assert [w for w in span if w not in observed] == list(report.interpolated_weeks)
 
     def test_seed42_dense_span(self, cleaned42):
         for var in Variable:
             series, report = cleaned42[var]
             assert len(series) == 782
-            assert find_missing_weeks(series) == []
+            assert _interpolated(series) == []
             assert report.missing_fraction == pytest.approx(6 / 782)

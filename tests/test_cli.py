@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import filecmp
+import hashlib
 import io
 import json
 import os
@@ -51,6 +52,47 @@ def _ranking_entries(out: Path, var: str) -> list[dict]:
 
 def _tree(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _recording_sweeps(monkeypatch) -> list[tuple]:
+    """Record (band, number of matrices, sha256 of the matrices, corner
+    totals) of each `dtw._sweep` call."""
+    sweep, sweeps = seasonwarp.dtw._sweep, []
+
+    def recording_sweep(ds, band_radius):
+        gs = sweep(ds, band_radius)
+        digest = hashlib.sha256(repr([d.shape for d in ds]).encode())
+        for d in ds:
+            digest.update(d.tobytes())
+        sweeps.append((band_radius, len(ds), digest.digest(), [float(g[-1, -1]) for g in gs]))
+        return gs
+
+    monkeypatch.setattr(seasonwarp.dtw, "_sweep", recording_sweep)
+    return sweeps
+
+
+def _sweep_plan(sweeps: list[tuple], pair_counts: list[int], band: int) -> list[tuple]:
+    """The (band, number of matrices) of each sweep `PairSet.align` makes for
+    variables of `pair_counts` pairs in turn, read against the `sweeps` it
+    made: per chunk one unbanded and one banded sweep, then one unbanded
+    sweep per chunk of the pairs whose unbanded totals tie."""
+    plan: list[tuple] = []
+    for n in pair_counts:
+        totals = []
+        for chunk in seasonwarp.dtw._chunks(range(n)):
+            if len(plan) < len(sweeps):  # the chunk's unbanded sweep, if it was made
+                totals += sweeps[len(plan)][3]
+            plan += [(None, len(chunk)), (band, len(chunk))]
+        count = Counter(totals)
+        tied = range(sum(count[t] > 1 for t in totals))
+        plan += [(None, len(chunk)) for chunk in seasonwarp.dtw._chunks(tied)]
+    return plan
+
+
+def _assert_swept_once(sweeps: list[tuple], pair_counts: list[int], band: int) -> None:
+    assert [(b, n) for b, n, _, _ in sweeps] == _sweep_plan(sweeps, pair_counts, band)
+    # No chunk is swept twice with the same band.
+    assert len({(b, digest) for b, _, digest, _ in sweeps}) == len(sweeps)
 
 
 def _write_tied_csv(path: Path) -> dict[int, list[int]]:
@@ -412,6 +454,10 @@ class TestIngestBoundary:
             ("latin-1 config", 1, "usage error: {cfg}: not UTF-8: byte 0xe9 at offset 14"),
             ("fixture seed", 1, "usage error: --seed must be >= 0, got -1"),
             ("report-all seed", 1, "usage error: --seed must be >= 0, got -1"),
+            ("blank price column", 2,
+             "data error: spline fill needs >= 4 observed points for modal_price, got 0"),
+            ("one seasonal year", 2,
+             "data error: seasonal index needs >= 2 complete ISO years for arrivals, got 1"),
         ],
     )
     def test_one_line_and_out_dir_unchanged(self, tmp_path, capsys, fixture42, case, code, message):
@@ -433,6 +479,11 @@ class TestIngestBoundary:
             data.write_bytes(b"".join(lines[:2]) + lines[2].replace(b",", b" 00:00Z,", 1))
         elif case == "latin-1 config":
             argv += ["--config", str(cfg)]
+        elif case == "blank price column":
+            data.write_bytes(lines[0] + b"".join(row.rsplit(b",", 1)[0] + b",\n"
+                                                 for row in lines[1:]))
+        elif case == "one seasonal year":
+            argv = ["seasonal", "--input", str(data), "--years", "2010..2010"]
         elif case == "fixture seed":
             argv = ["fixture", "--seed", "-1"]
         else:
@@ -451,7 +502,8 @@ class TestIngestBoundary:
         assert _run("stats", "--input", str(fixture_csv), "--years", "0..3",
                     "--out-dir", str(none)) == 2
         err = capsys.readouterr().err
-        assert err == "seasonwarp: data error: spline fill needs >= 4 observed points, got 0\n"
+        assert err == ("seasonwarp: data error: spline fill needs >= 4 observed points for "
+                       "arrivals, got 0\n")
         assert not none.exists()
 
     def test_dtw_years_beyond_iso_range(self, tmp_path, capsys, fixture_csv):
@@ -657,12 +709,15 @@ class TestDtwCommand:
             return distance_matrix(x, y)
 
         monkeypatch.setattr(dtw, "_distance_matrix", counting_distance_matrix)
+        sweeps = _recording_sweeps(monkeypatch)
         out = tmp_path / "o"
         assert _run("dtw", "--input", str(tmp_path / "in.csv"), "--variable", "price",
                     "--all-pairs", "--band", "4", "--format", "json", "--out-dir", str(out)) == 0
         # Each pair is built once, and the two tied pairs once more.
         a, b, c = (tuple(weeks[year]) for year in sorted(weeks))
         assert built == [(a, b), (a, c), (b, c), (a, b), (b, c)]
+        _assert_swept_once(sweeps, [3], 4)
+        assert [(band, n) for band, n, _, _ in sweeps] == [(None, 3), (4, 3), (None, 2)]
         monkeypatch.undo()
         pairs = [(2021, 2022), (2021, 2023), (2022, 2023)]
         expected = rank_pairs([(pair, dtw_align(weeks[pair[0]], weeks[pair[1]])) for pair in pairs])
@@ -674,14 +729,10 @@ class TestDtwCommand:
 
     def test_each_slice_and_cost_matrix_built_once(self, tmp_path, fixture_csv, monkeypatch):
         dtw = seasonwarp.dtw
-        cumulative_cost, slice_year = dtw.cumulative_cost, seasonwarp.cli.slice_year
-        backtrack = dtw.backtrack
-        bands, slice_calls, slices, figures = Counter(), Counter(), {}, []
+        slice_year, backtrack = seasonwarp.cli.slice_year, dtw.backtrack
+        slice_calls, slices, figures = Counter(), {}, []
         backtracks = []
-
-        def counting_cumulative_cost(d, band_radius=None):
-            bands[band_radius] += 1
-            return cumulative_cost(d, band_radius)
+        sweeps = _recording_sweeps(monkeypatch)
 
         def counting_backtrack(g):
             backtracks.append(np.asarray(g).shape)
@@ -697,7 +748,6 @@ class TestDtwCommand:
             figures.append((metadata["variable"], metadata["year_pair"], g))
             return "<svg/>\n"
 
-        monkeypatch.setattr(dtw, "cumulative_cost", counting_cumulative_cost)
         monkeypatch.setattr(dtw, "backtrack", counting_backtrack)
         monkeypatch.setattr(seasonwarp.cli, "slice_year", counting_slice_year)
         monkeypatch.setattr(seasonwarp.cli, "dtw_figure", recording_dtw_figure)
@@ -708,12 +758,12 @@ class TestDtwCommand:
         )
         assert code == 0
         # Per variable: 4 years, 6 pairs.  The banded matrices and the
-        # unbanded reference costs each come from one batched call, so no
-        # pair is scanned by the scalar kernel, and only the 12 drawn paths
-        # are backtracked.
+        # unbanded reference costs each come from one sweep of the chunk,
+        # and only the 12 drawn paths are backtracked.
         assert slice_calls == {(v, y): 1 for v in ("arrivals", "modal_price")
                                for y in range(2020, 2024)}
-        assert bands == {}
+        _assert_swept_once(sweeps, [6, 6], 4)
+        assert len(sweeps) == 4
         assert len(backtracks) == 12
         assert len(figures) == 12
         for var, (y1, y2), g in figures:
@@ -886,8 +936,8 @@ class TestReportAll:
         for name in ("parse_market_csv", "spline_fill", "flag_outliers", "describe",
                      "seasonal_index", "adf_test", "slice_year"):
             counting(seasonwarp.cli, name)
-        counting(seasonwarp.dtw, "cumulative_cost")
         counting(seasonwarp.dtw, "backtrack")
+        sweeps = _recording_sweeps(monkeypatch)
         out = tmp_path / "o"
         code = _run("report-all", "--input", str(fixture_csv), "--all-pairs", "--band", "4",
                     "--format", "json", "--out-dir", str(out))
@@ -907,11 +957,11 @@ class TestReportAll:
             "seasonal_index": 2,
             "adf_test": 1,
             "slice_year": n_years,
-            # Banded and unbanded matrices come from batched calls; only
-            # the drawn paths are backtracked.
-            "cumulative_cost": 0,
+            # Only the drawn paths are backtracked.
             "backtrack": n_pairs,
         })
+        # Banded and unbanded matrices come from one sweep of each chunk.
+        _assert_swept_once(sweeps, [len(p) for p in pairs], 4)
 
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1204,6 +1254,41 @@ def _outcome(argv: list[str], out: Path) -> tuple[int, str, dict]:
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = _run(*argv, "--out-dir", str(out))
     return code, err.getvalue(), _tree(out)
+
+
+class TestFormatsWritten:
+    """A run whose --format names none of the formats its command writes is
+    a usage error, given as a flag or as a config line, and creates no
+    directory; one format the command writes is enough."""
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["clean", "stats", "seasonal", "dtw", "report-all"])
+    def test_svg_only(self, tmp_path, capsys, fixture_csv, command, form):
+        out, cfg = tmp_path / "o", tmp_path / "run.cfg"
+        argv = [command, "--input", str(fixture_csv), "--out-dir", str(out)]
+        if form == "flag":
+            argv += ["--format", "svg"]
+        else:
+            cfg.write_text("format = svg\n")
+            argv += ["--config", str(cfg)]
+        code, err = _run(*argv), capsys.readouterr().err
+        if command in ("clean", "stats"):
+            assert (code, err) == (1, "seasonwarp: usage error: --format names none of the "
+                                      f"formats {command} writes: json,csv\n")
+            assert not out.exists()
+        else:
+            assert (code, err) == (0, "")
+            assert {p.suffix for p in out.iterdir()} == {".svg"}
+
+    @pytest.mark.parametrize("command, written", [
+        ("clean", ["cleaning_arrivals.json", "cleaning_modal_price.json"]),
+        ("stats", ["stats.json"]),
+    ])
+    def test_one_written_format_is_enough(self, tmp_path, fixture_csv, command, written):
+        out = tmp_path / "o"
+        assert _run(command, "--input", str(fixture_csv), "--format", "svg,json",
+                    "--out-dir", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == written
 
 
 class TestConfigLineContract:

@@ -17,7 +17,6 @@ from seasonwarp.dtw import (
     Normalization,
     PairSet,
     backtrack,
-    cumulative_cost,
     dtw_align,
     local_distance_matrix,
     mean_cost,
@@ -57,47 +56,40 @@ class TestLocalDistanceMatrix:
         )
 
 
-class TestCumulativeCost:
+def sweep_one(d, band_radius=None):
+    """The kernel's cumulative-cost matrix of one local-distance matrix."""
+    return seasonwarp.dtw._sweep([np.asarray(d, dtype=float)], band_radius)[0]
+
+
+class TestSweep:
     def test_two_by_two_by_hand(self):
         # d = [[0, 2], [1, 1]]: gamma = [[0, 2], [1, 1]].
-        g = cumulative_cost([[0.0, 2.0], [1.0, 1.0]])
+        g = sweep_one([[0.0, 2.0], [1.0, 1.0]])
         assert g.tolist() == [[0.0, 2.0], [1.0, 1.0]]
 
     def test_first_row_and_column_are_running_sums(self):
         rng = np.random.default_rng(1)
         d = rng.uniform(0, 5, size=(6, 7))
-        g = cumulative_cost(d)
+        g = sweep_one(d)
         assert np.allclose(g[0, :], np.cumsum(d[0, :]), atol=1e-12)
         assert np.allclose(g[:, 0], np.cumsum(d[:, 0]), atol=1e-12)
 
     def test_single_row_is_prefix_sum(self):
         d = [[1.0, 2.0, 3.0]]
-        assert cumulative_cost(d).tolist() == [[1.0, 3.0, 6.0]]
+        assert sweep_one(d).tolist() == [[1.0, 3.0, 6.0]]
 
     def test_band_cells_outside_are_infinite(self):
         d = np.ones((5, 5))
-        g = cumulative_cost(d, band_radius=1)
+        g = sweep_one(d, band_radius=1)
         assert math.isinf(g[0, 2])
         assert math.isinf(g[4, 0])
         assert math.isfinite(g[4, 4])
-
-    def test_band_narrower_than_length_gap_rejected(self):
-        d = np.ones((3, 8))
-        with pytest.raises(NoValidPathError):
-            cumulative_cost(d, band_radius=4)
-
-    def test_negative_distances_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            cumulative_cost([[1.0, -0.5], [0.0, 2.0]])
-        # A NaN is named as such, not as a negative distance.
-        with pytest.raises(DataIntegrityError, match=r"^DTW needs finite values; got nan at index 0, 1$"):
-            cumulative_cost([[1.0, math.nan], [0.0, 2.0]])
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(data=st.data())
     def test_matches_row_scan_oracle(self, data):
         # Integer-valued distances tie often, so the min of equal
-        # predecessors is exercised; the band runs from 0 to n + m.
+        # predecessors is exercised; the band runs from |n - m| to n + m.
         n, m = data.draw(st.one_of(
             st.tuples(st.just(1), st.integers(1, 60)),
             st.tuples(st.integers(1, 60), st.just(1)),
@@ -110,12 +102,8 @@ class TestCumulativeCost:
             lambda: rng.uniform(0.0, 1e6, size=(n, m)),
             lambda: rng.exponential(size=(n, m)) * 10.0 ** rng.integers(-300, 300),
         )))()
-        band = data.draw(st.none() | st.integers(0, n + m))
-        if band is not None and band < abs(n - m):
-            with pytest.raises(NoValidPathError):
-                cumulative_cost(d, band)
-            return
-        g = cumulative_cost(d, band)
+        band = data.draw(st.none() | st.integers(abs(n - m), n + m))
+        g = sweep_one(d, band)
         assert g.shape == (n, m)
         assert g.tobytes() == cumulative_cost_oracle(d, band).tobytes()
 
@@ -125,7 +113,7 @@ class TestCumulativeCost:
         # every cell is +0.0 there, as if the distance were +0.0.
         d = np.array([[-0.0, -0.0], [1.0, 0.0]])
         assert np.signbit(cumulative_cost_oracle(d)[0]).all()
-        g = cumulative_cost(d)
+        g = sweep_one(d)
         assert not np.signbit(g).any()
         assert g.tobytes() == cumulative_cost_oracle(d + 0.0).tobytes()
 
@@ -133,21 +121,21 @@ class TestCumulativeCost:
 class TestBacktrack:
     def test_identical_sequences_take_diagonal(self):
         x = [3.0, 1.0, 4.0, 1.0, 5.0]
-        g = cumulative_cost(local_distance_matrix(x, x))
+        g = sweep_one(local_distance_matrix(x, x))
         path = backtrack(g)
         assert path.steps == tuple((k, k) for k in range(1, 6))
 
     def test_repeated_element_example(self):
         # x = [1,2,3], y = [1,2,2,3]: the middle 2 aligns to both copies.
         d = local_distance_matrix([1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0])
-        g = cumulative_cost(d)
+        g = sweep_one(d)
         path = backtrack(g)
         assert path.steps == ((1, 1), (2, 2), (2, 3), (3, 4))
         assert g[-1, -1] == 0.0
 
     def test_constant_vs_constant_shorter(self):
         d = local_distance_matrix([0.0, 0.0, 0.0], [1.0, 1.0])
-        g = cumulative_cost(d)
+        g = sweep_one(d)
         path = backtrack(g)
         assert g[-1, -1] == 3.0
         assert len(path) == 3
@@ -162,16 +150,14 @@ class TestBacktrack:
         for _ in range(50):
             n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
             d = rng.uniform(0, 3, size=(n, m))
-            path = backtrack(cumulative_cost(d))
+            path = backtrack(sweep_one(d))
             assert max(n, m) <= len(path) <= n + m - 1
-            assert path.end == (n, m)
+            assert path.steps[-1] == (n, m)
 
 
-# Each public entry called on a bad first sequence x (or a one-row matrix
-# of it) beside a good one.
+# Each public entry called on a bad first sequence x beside a good one.
 _ENTRIES = {
     "local_distance_matrix": lambda x, options: local_distance_matrix(x, [1.0, 2.0]),
-    "cumulative_cost": lambda x, options: cumulative_cost(np.reshape(x, (1, -1))),
     "dtw_align": lambda x, options: dtw_align(x, [1.0, 2.0], options),
     "PairSet": lambda x, options: PairSet({0: x, 1: [1.0, 2.0]}, [(0, 1)], options),
 }
@@ -184,19 +170,15 @@ class TestInputContract:
 
     @pytest.mark.parametrize("entry, normalize", [
         ("local_distance_matrix", Normalization.NONE),
-        ("cumulative_cost", Normalization.NONE),
         *((entry, normalize) for entry in ("dtw_align", "PairSet") for normalize in Normalization),
     ])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None])
     def test_bad_input_named_without_warning(self, entry, normalize, bad):
-        matrix = entry == "cumulative_cost"
         if bad is None:
-            x, error = [], ValueError
-            message = (r"^expected a non-empty 2-d cost matrix, got shape \(1, 0\)$" if matrix
-                       else r"^cannot align an empty sequence$")
+            x, error, message = [], ValueError, r"^cannot align an empty sequence$"
         else:
             x, error = [1.0, bad, 3.0], DataIntegrityError
-            message = rf"^DTW needs finite values; got {bad} at index {'0, 1' if matrix else 1}$"
+            message = rf"^DTW needs finite values; got {bad} at index 1$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=message):
@@ -568,7 +550,7 @@ class TestFixtureAlignment:
         x = slice_year(series, 2016)
         y = slice_year(series, 2017)
         res = dtw_align(x, y, opts)
-        assert res.path.end == (52, 52)
+        assert res.path.steps[-1] == (52, 52)
         assert 52 <= res.path_length <= 103
         assert res.total_cost > 0.0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seasonwarp.cleaning import ColumnSchema, find_missing_weeks, parse_market_csv
+from seasonwarp.cleaning import ColumnSchema, parse_market_csv, spline_fill
 from seasonwarp.descriptive import describe
 from seasonwarp.fixture import FIRST_YEAR, GAP_COUNT, N_YEARS, generate_fixture
 from seasonwarp.series import (
@@ -9,7 +9,6 @@ from seasonwarp.series import (
     WeekKey,
     build_weekly_series,
     complete_years,
-    iso_week_of,
     week_range,
     weeks_in_iso_year,
 )
@@ -45,7 +44,7 @@ class TestStructure:
 
     def test_gaps_are_interior_and_recoverable(self, fixture42, table42):
         series = build_weekly_series(table42, Variable.ARRIVALS)
-        assert find_missing_weeks(series) == sorted(fixture42.gap_weeks)
+        assert list(spline_fill(series)[1].interpolated_weeks) == sorted(fixture42.gap_weeks)
 
     def test_dates_are_week_ending_sundays(self, fixture42):
         import datetime as dt

@@ -1,9 +1,11 @@
+import ast
 import re
 from pathlib import Path
 
 import seasonwarp
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_imports_are_exported():
@@ -28,3 +30,83 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys, fixture42):
     *_, costs = capsys.readouterr().out.splitlines()
     total, mean, length = costs.split()
     assert float(total) / int(length) == float(mean)
+
+
+def _caller_sources() -> list[tuple[str, ast.Module]]:
+    """(name, syntax tree) of each place a caller of the library may be: its
+    own modules, the README's python blocks, the acceptance suite and the
+    benchmark.  The benchmark's tracer finds functions by reflection, so its
+    references name nothing."""
+    paths = [*sorted((ROOT / "src" / "seasonwarp").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py",
+             *(p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "tracer.py")]
+    sources = [(p.relative_to(ROOT).as_posix(), ast.parse(p.read_text())) for p in paths]
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    return sources + [(f"README.md python block {k}", ast.parse(code))
+                      for k, code in enumerate(blocks)]
+
+
+def _public_definitions(sources) -> list[tuple[str, str, bool, str, range]]:
+    """(qualified name, name, whether it is a method, source, lines) of each
+    public top-level function and class of a library module (``__init__``
+    aside), and of each public method or property of such a class."""
+    found = []
+    for source, tree in sources:
+        if not source.startswith("src/") or source.endswith("__init__.py"):
+            continue
+        module = Path(source).stem
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            found.append((f"{module}.{node.name}", node.name, False, source,
+                          range(node.lineno, node.end_lineno + 1)))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{module}.{node.name}.{f.name}", f.name, True, source,
+                           range(f.lineno, f.end_lineno + 1))
+                          for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name[0] != "_"]
+    return found
+
+
+def _unused(sources) -> list[str]:
+    """The qualified names of the public definitions in `sources` that
+    nothing there uses.  A function or class counts as used when its name is
+    read, imported or taken as an attribute outside its own definition; a
+    method or property only when it is taken as an attribute."""
+    references = []
+    for source, tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                references.append((node.attr, True, source, node.lineno))
+            elif isinstance(node, ast.Name):
+                references.append((node.id, False, source, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                references += [(a.name, False, source, node.lineno) for a in node.names]
+    return [
+        qualified
+        for qualified, name, method, home, lines in _public_definitions(sources)
+        if not any(ref == name and (attribute or not method)
+                   and not (source == home and line in lines)
+                   for ref, attribute, source, line in references)
+    ]
+
+
+def test_every_public_name_has_a_caller():
+    unused = _unused(_caller_sources())
+    assert unused == [], "public, with no caller: " + ", ".join(unused)
+
+
+def test_a_name_used_only_by_itself_or_as_a_bare_name_has_no_caller():
+    module = """
+def called(): ...
+def recursive(): return recursive()
+class Key:
+    def read(self): return self.read()
+    def named(self): ...
+    def taken(self): ...
+def _caller(key: Key): return called(), key.taken, named
+"""
+    other = "from seasonwarp.m import imported\n"
+    sources = [("src/seasonwarp/m.py", ast.parse(module + "def imported(): ...\n")),
+               ("bench/b.py", ast.parse(other))]
+    assert _unused(sources) == ["m.recursive", "m.Key.read", "m.Key.named"]

@@ -21,10 +21,9 @@ from seasonwarp.dtw import (
     DtwOptions,
     DtwResult,
     Normalization,
+    PairSet,
     WarpPath,
-    cumulative_cost,
     dtw_align,
-    local_distance_matrix,
     rank_pairs,
     rank_summaries,
 )
@@ -86,6 +85,15 @@ def _warp_path(moves: list[tuple[int, int]]) -> WarpPath:
     for di, dj in moves:
         steps.append((steps[-1][0] + di, steps[-1][1] + dj))
     return WarpPath(tuple(steps))
+
+
+def _aligned_with_matrix(x, y, band):
+    """(result, cumulative-cost matrix) of the pair (x, y), as `PairSet.align`
+    hands them to its emit for the CLI's figures."""
+    emitted = []
+    PairSet({0: x, 1: y}, [(0, 1)], DtwOptions(band_radius=band)).align(
+        lambda pair, result, d, g: emitted.append((result, g)))
+    return emitted[0]
 
 
 _json_floats = st.floats() | st.sampled_from(
@@ -278,8 +286,7 @@ class TestSvg:
     def test_dtw_figure_renders_path_and_band(self):
         rng = np.random.default_rng(20)
         x, y = rng.normal(size=12), rng.normal(size=15)
-        res = dtw_align(x, y, DtwOptions(band_radius=6))
-        g = cumulative_cost(local_distance_matrix(x, y), band_radius=6)
+        res, g = _aligned_with_matrix(x, y, 6)
         text = dtw_figure(
             g, res.path.steps, (x, y), ("2020", "2021"), title="demo", metadata={}
         )
@@ -390,8 +397,7 @@ class TestSvg:
         rng = np.random.default_rng(52)
         x, y = rng.normal(size=52).cumsum(), rng.normal(size=53).cumsum()
         band = 4 if case == "banded" else None
-        res = dtw_align(x, y, DtwOptions(band_radius=band))
-        g = cumulative_cost(local_distance_matrix(x, y), band)
+        res, g = _aligned_with_matrix(x, y, band)
         if case == "all-zero":
             g = np.zeros((6, 7))
         elif case == "half-way ties":
@@ -446,9 +452,9 @@ class TestSvg:
     def _banded_figure():
         rng = np.random.default_rng(52)
         x, y = rng.normal(size=52).cumsum(), rng.normal(size=53).cumsum()
-        g = cumulative_cost(local_distance_matrix(x, y), 4)
+        res, g = _aligned_with_matrix(x, y, 4)
         assert np.isinf(g).any()
-        return dtw_figure(g, dtw_align(x, y, DtwOptions(band_radius=4)).path.steps, (x, y),
+        return dtw_figure(g, res.path.steps, (x, y),
                           ("2020", "2021"), title="DTW alignment, price 2020 vs 2021",
                           metadata={"chart": "dtw_alignment", "band": 4})
 

@@ -23,11 +23,8 @@ from seasonwarp.series import (
 
 
 def _dense(first_year, last_year, value_of, variable=Variable.ARRIVALS, pad=0):
-    first = WeekKey(first_year, 1)
-    last = WeekKey(last_year, weeks_in_iso_year(last_year))
-    for _ in range(pad):
-        first = first.prev()
-        last = last.next()
+    first = WeekKey.from_number(WeekKey(first_year, 1).number - pad)
+    last = WeekKey.from_number(WeekKey(last_year, weeks_in_iso_year(last_year)).number + pad)
     weeks = list(week_range(first, last))
     return WeeklySeries(variable, [w.number for w in weeks], [value_of(w) for w in weeks])
 
@@ -110,7 +107,8 @@ class TestWeeklyMeanMethod:
         for years in (complete_years(s), [2021, 2021]):
             with pytest.raises(InsufficientDataError) as err:
                 seasonal_index(s, years)
-            assert str(err.value) == "seasonal index needs >= 2 complete ISO years, got 1"
+            assert str(err.value) == (
+                "seasonal index needs >= 2 complete ISO years for arrivals, got 1")
 
     @pytest.mark.parametrize("method", ["weekly-mean", "moving-average"])
     @pytest.mark.parametrize("years, message", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     iso_week_oracle,
+    next_week_oracle,
     slice_year_message_oracle,
     week_range_oracle,
     weeks_of,
@@ -23,7 +24,6 @@ from seasonwarp.series import (
     WeeklySeries,
     build_weekly_series,
     complete_years,
-    iso_week_of,
     log_diff,
     slice_year,
     week_range,
@@ -71,19 +71,22 @@ class TestWeekKey:
         with pytest.raises(ValueError):
             WeekKey(2021, 53)
 
-    def test_next_prev_roundtrip(self):
-        w = WeekKey(2014, 50)
-        seen = [w]
-        for _ in range(160):
-            w = w.next()
-            seen.append(w)
-        for k in range(len(seen) - 1, 0, -1):
-            assert seen[k].prev() == seen[k - 1]
+    def test_consecutive_numbers_roundtrip(self):
+        # Consecutive numbers are consecutive ISO weeks, and each number
+        # names the ISO week of its Monday.
+        start = WeekKey(2014, 50).number
+        seen = [WeekKey.from_number(n) for n in range(start, start + 161)]
+        for k, w in enumerate(seen):
+            assert w.number == start + k
+            monday = dt.date.fromordinal(7 * w.number + 1)
+            assert monday.isocalendar()[:3] == (w.iso_year, w.iso_week, 1)
+        for a, b in zip(seen, seen[1:]):
+            assert b == next_week_oracle(a)
 
     def test_next_crosses_year_boundary(self):
-        assert WeekKey(2015, 53).next() == WeekKey(2016, 1)
-        assert WeekKey(2016, 52).next() == WeekKey(2017, 1)
-        assert WeekKey(2021, 1).prev() == WeekKey(2020, 53)
+        assert WeekKey.from_number(WeekKey(2015, 53).number + 1) == WeekKey(2016, 1)
+        assert WeekKey.from_number(WeekKey(2016, 52).number + 1) == WeekKey(2017, 1)
+        assert WeekKey.from_number(WeekKey(2021, 1).number - 1) == WeekKey(2020, 53)
 
     def test_numbers_consecutive_across_every_year_end(self):
         for year in range(1, 9999):
@@ -98,11 +101,11 @@ class TestWeekKey:
         lo, hi = dt.date(1, 1, 1).toordinal(), dt.date(9999, 12, 26).toordinal()
         for ordinal in [lo, hi] + [rng.randint(lo, hi) for _ in range(20000)]:
             day = dt.date.fromordinal(ordinal)
-            assert iso_week_of(day).number == (ordinal - 1) // 7, day
+            assert WeekKey(*day.isocalendar()[:2]).number == (ordinal - 1) // 7, day
 
     def test_next_past_last_representable_week_raises(self):
         with pytest.raises(ValueError):
-            WeekKey(9999, 52).next()
+            WeekKey.from_number(WeekKey(9999, 52).number + 1)
 
     def test_end_date_is_sunday(self):
         for y, w in [(2010, 1), (2015, 53), (2020, 30), (2024, 52)]:
@@ -115,7 +118,10 @@ class TestWeekKey:
         assert str(WeekKey(2020, 53)) == "2020-W53"
 
 
-class TestIsoWeekOf:
+class TestWeekOfDay:
+    """`WeekKey.from_number` of a day's week number, (ordinal - 1) // 7, is
+    the ISO week holding the day."""
+
     def test_year_boundary_examples(self):
         cases = {
             dt.date(2015, 12, 31): (2015, 53),
@@ -126,19 +132,16 @@ class TestIsoWeekOf:
             dt.date(2010, 1, 3): (2009, 53),
         }
         for day, (y, w) in cases.items():
-            assert iso_week_of(day) == WeekKey(y, w)
+            assert WeekKey.from_number((day.toordinal() - 1) // 7) == WeekKey(y, w)
+            assert WeekKey(y, w).number == (day.toordinal() - 1) // 7
 
     def test_matches_first_thursday_oracle_exhaustively(self):
         day = dt.date(2000, 1, 1)
         last = dt.date(2030, 12, 31)
         while day <= last:
-            got = iso_week_of(day)
+            got = WeekKey.from_number((day.toordinal() - 1) // 7)
             assert (got.iso_year, got.iso_week) == iso_week_oracle(day), day
             day += dt.timedelta(days=1)
-
-    def test_rejects_non_date(self):
-        with pytest.raises(TypeError):
-            iso_week_of("2021-01-01")
 
 
 class TestWeekRange:
