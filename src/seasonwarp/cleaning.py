@@ -3,7 +3,9 @@
 Cleaning never deletes data: gaps are filled with a natural cubic spline on
 the integer week grid, and values outside the 3×IQR fences (`FENCE_K`) are
 flagged (and by default retained).  An optional winsorize mode clamps
-flagged values to the fences.
+flagged values to the fences.  The spline's tridiagonal system is solved by
+one Thomas sweep, which copies each run of equal rows once its factors
+settle (see `natural_spline_second_derivatives`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import compress, islice
-from typing import BinaryIO
 
 import numpy as np
 
@@ -218,10 +219,9 @@ def _day_or_nat(text: bytes) -> np.datetime64:
         return np.datetime64("NaT", "D")
 
 
-def parse_market_csv(
-    data: bytes | BinaryIO, schema: ColumnSchema = ColumnSchema()
-) -> MarketTable:
-    """The data rows of a UTF-8 CSV with a header, as week and value columns.
+def parse_market_csv(data: bytes, schema: ColumnSchema = ColumnSchema()) -> MarketTable:
+    """The data rows of a UTF-8 CSV's bytes, header first, as week and value
+    columns.
 
     Blank value cells read as NaN, which become gaps when a per-variable
     series is built; fully blank lines are skipped.  Each row must have as
@@ -237,13 +237,12 @@ def parse_market_csv(
     row the pass is too strict for (say, a date that is not zero-padded) or
     raises that row's error.
     """
-    raw = data if isinstance(data, bytes) else data.read()
     try:
-        text = raw.decode("utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        offset = exc.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+        offset = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
         raise DataIntegrityError(
-            f"input is not UTF-8: byte 0x{raw[offset]:02x} at offset {offset}"
+            f"input is not UTF-8: byte 0x{data[offset]:02x} at offset {offset}"
         ) from None
     reader = csv.reader(io.StringIO(text))
     dates: list[str] = []
@@ -302,12 +301,6 @@ def _gap_offsets(series: WeeklySeries) -> tuple[int, np.ndarray, np.ndarray]:
     return first, offsets, np.flatnonzero(gap)
 
 
-# A run of at least this many equal rows is solved until its factors settle,
-# a shorter one row by row.  Factors settle within about 17 rows of any even
-# spacing, so a shorter run would save too few rows to pay for its bookkeeping.
-_SETTLING_RUN = 32
-
-
 def natural_spline_second_derivatives(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Second derivatives of the natural cubic spline through (x, y).
 
@@ -349,29 +342,23 @@ def _forward_sweep(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: list[float]
 ) -> tuple[list[float], list[float]]:
     """(factor, eliminated right-hand side dp) of each row of the Thomas
-    forward sweep, dp[i] = (rhs[i] - lower[i] * dp[i-1]) / pivot[i]; a run
-    of at least `_SETTLING_RUN` equal rows is solved until its factors settle.
+    forward sweep, dp[i] = (rhs[i] - lower[i] * dp[i-1]) / pivot[i]; each
+    run of equal rows after row 0 is solved until its factors settle.
 
     The recurrences run on Python floats: the same IEEE operations as on
     numpy scalars, without their per-operation cost.
     """
-    k = diag.size
     edges = np.flatnonzero(
         (lower[1:] != lower[:-1]) | (diag[1:] != diag[:-1]) | (upper[1:] != upper[:-1])
     ) + 1
-    edges = np.concatenate(([0], edges, [k]))
-    settling = np.diff(edges) >= _SETTLING_RUN
+    # Runs start at row 1 and at each row unlike the one before it; the
+    # first is empty when row 1 is such a row.
+    bounds = [1, *edges.tolist(), diag.size]
     lows = lower.tolist()
     pivots = [float(diag[0])]
     factors = [float(upper[0]) / pivots[0]]
     factor = factors[0]
-    done = 1
-    for start, stop in zip(edges[:-1][settling].tolist(), edges[1:][settling].tolist()):
-        start = max(start, done)
-        factor = _eliminate(
-            zip(lows[done:start], diag[done:start].tolist(), upper[done:start].tolist()),
-            factor, pivots, factors,
-        )
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         lo, di, up = lows[start], float(diag[start]), float(upper[start])
         for left in range(stop - start - 1, -1, -1):
             previous = factor
@@ -383,24 +370,10 @@ def _forward_sweep(
                 pivots += [pivot] * left
                 factors += [factor] * left
                 break
-        done = stop
-    _eliminate(zip(lows[done:], diag[done:].tolist(), upper[done:].tolist()),
-               factor, pivots, factors)
     d = rhs[0] / pivots[0]
     rows = zip(islice(lows, 1, None), islice(pivots, 1, None), islice(rhs, 1, None))
     dp = [d] + [(d := (r - lo * d) / p) for lo, p, r in rows]
     return factors, dp
-
-
-def _eliminate(rows, factor: float, pivots: list[float], factors: list[float]) -> float:
-    """Append the pivot and factor of each (lower, diag, upper) row, the
-    first eliminated against `factor`; return the last factor."""
-    for lo, di, up in rows:
-        pivot = di - lo * factor
-        factor = up / pivot
-        pivots.append(pivot)
-        factors.append(factor)
-    return factor
 
 
 def natural_spline_eval(

@@ -222,6 +222,8 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config is None:
         return args
+    if not args.config:
+        raise UsageError("--config is an empty path")
     at = argv.index(args.command) + 1
     flags = _config_flags(parser, args.command, Path(args.config))
     return parser.parse_args([*argv[:at], *flags, *argv[at:]])
@@ -231,6 +233,9 @@ def _check(args: argparse.Namespace) -> None:
     """The rules the option declarations do not state."""
     if args.out_dir is None:
         raise UsageError("--out-dir is required")
+    for option in ("out_dir", "input"):  # Path("") would be the working directory
+        if getattr(args, option, None) == "":
+            raise UsageError(f"--{option.replace('_', '-')} is an empty path")
     if getattr(args, "band", None) is not None and args.band < 0:
         raise UsageError(f"--band must be >= 0, got {args.band}")
     if getattr(args, "seed", 0) < 0:

@@ -26,7 +26,7 @@ from seasonwarp.errors import (
     SchemaError,
 )
 from seasonwarp.series import WeekKey, WeeklySeries, weeks_in_iso_year
-from seasonwarp.unitroot import AdfResult, mackinnon_pvalue
+from seasonwarp.unitroot import AdfResult
 
 
 def iso_week_oracle(day: dt.date) -> tuple[int, int]:
@@ -302,8 +302,31 @@ def seasonal_oracle(week_values: dict[tuple[int, int], float]) -> dict[int, floa
     return {w: 100.0 * (sum(vs) / len(vs)) / grand for w, vs in by_week.items()}
 
 
-def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
-    """ADF test by refitting every candidate lag with its own lstsq solve.
+# MacKinnon's (1994) response surface for the single-series constant-only
+# case, transcribed apart from `unitroot`'s copy: the p-value is 0 below
+# -18.83 and 1 above 2.74; the small-p polynomial applies up to -1.61, the
+# large-p one above.
+_MACKINNON_C = (-18.83, 2.74, -1.61, (2.1659, 1.4412, 0.038269),
+                (1.7339, 0.93202, -0.12745, -0.010368))
+
+
+def mackinnon_pvalue_oracle(statistic: float) -> float:
+    """The constant-only MacKinnon p-value: Phi of the polynomial in the
+    statistic, summed in ascending powers as `unitroot` sums it."""
+    lo, hi, star, small, large = _MACKINNON_C
+    if statistic > hi:
+        return 1.0
+    if statistic < lo:
+        return 0.0
+    z = 0.0  # not sum(), which compensates its rounding from Python 3.12 on
+    for p, c in enumerate(small if statistic <= star else large):
+        z += c * statistic**p
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def adf_oracle(values, maxlag: int | None = None):
+    """ADF test of the constant-only regression by refitting every candidate
+    lag with its own lstsq solve.
 
     Each lag 0..maxlag gets a freshly built design on the sample trimmed at
     maxlag and a separate ``np.linalg.lstsq`` fit; a design that lstsq ranks
@@ -315,7 +338,7 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
     X = U S V^T, so beta = V S^-1 U^T y and the variance factor of y_{t-1}'s
     coefficient is sum_j (V[0, j] / s_j)^2; the t-ratio does not change when
     a column is scaled.  The statistic agrees with ``adf_test``'s to
-    rounding, not bit for bit.
+    rounding, not bit for bit.  The p-value is `mackinnon_pvalue_oracle`'s.
     """
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -323,20 +346,16 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
         raise InsufficientDataError("too short")
     if np.ptp(v) == 0.0:
         raise DegenerateDataError("constant")
-    ntrend = {"n": 0, "c": 1, "ct": 2}[regression]
     if maxlag is None:
         maxlag = int(12.0 * (n / 100.0) ** 0.25)
-    maxlag = max(0, min(maxlag, (n - 1) // 2 - ntrend - 1))
+    maxlag = max(0, min(maxlag, (n - 1) // 2 - 2))
     dy = np.diff(v)
 
     def design(lag: int, trim: int):
         rows = dy.size - trim
         cols = [v[trim : trim + rows]]
         cols += [dy[trim - i : trim - i + rows] for i in range(1, lag + 1)]
-        if ntrend >= 1:
-            cols.append(np.ones(rows))
-        if ntrend == 2:
-            cols.append(np.arange(1.0, rows + 1.0))
+        cols.append(np.ones(rows))
         return np.column_stack(cols), dy[trim:]
 
     rows = dy.size - maxlag
@@ -360,9 +379,9 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
     nobs, k = x.shape
     if nobs <= k:
         raise InsufficientDataError("too few rows for the refit")
-    # Columns of levels, differences, ones and a trend differ in size by
-    # orders of magnitude; unscaled, the SVD lost digits of a near-zero
-    # statistic (1.8e-10 relative on a seasonal random walk).
+    # Columns of levels, differences and ones differ in size by orders of
+    # magnitude; unscaled, the SVD lost digits of a near-zero statistic
+    # (1.8e-10 relative on a seasonal random walk).
     x = x / np.linalg.norm(x, axis=0)
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     beta = vt.T @ ((u.T @ resp) / sv)
@@ -373,10 +392,10 @@ def adf_oracle(values, regression: str = "c", maxlag: int | None = None):
     stat = float(beta[0] / math.sqrt(var0))
     return AdfResult(
         statistic=stat,
-        pvalue=mackinnon_pvalue(stat, regression),
+        pvalue=mackinnon_pvalue_oracle(stat),
         used_lag=best_lag,
         nobs=resp.size,
-        regression=regression,
+        regression="c",
     )
 
 
@@ -387,28 +406,24 @@ def _integers(x) -> list[int]:
     return [n * (scale // d) for n, d in ratios]
 
 
-def adf_tratio_exact(values, regression: str, lag: int) -> float:
-    """The ADF t-ratio of y_{t-1} at `lag` on its full sample, in exact
-    arithmetic, rounded once at the end.
+def adf_tratio_exact(values, lag: int) -> float:
+    """The constant-only ADF t-ratio of y_{t-1} at `lag` on its full sample,
+    in exact arithmetic, rounded once at the end.
 
     The design's float64 entries are taken as exact: each column is scaled
     to integers by a power of two, which leaves the t-ratio unchanged.  The
-    Gram matrix of [trend terms, lags, y_{t-1}, response] is formed in
-    Python integers and reduced by fraction-free (Bareiss) elimination,
-    whose pivots are its leading principal minors D_1 .. D_{k+1}.  With k
-    regressors, nobs rows and a the minor of the first k - 1 rows plus the
-    response row over the first k columns, beta = a / D_k, SSR = D_{k+1} / D_k
-    and t^2 = (nobs - k) a^2 / (D_{k-1} D_{k+1}), with the sign of a.
+    Gram matrix of [1, lags, y_{t-1}, response] is formed in Python integers
+    and reduced by fraction-free (Bareiss) elimination, whose pivots are its
+    leading principal minors D_1 .. D_{k+1}.  With k regressors, nobs rows
+    and a the minor of the first k - 1 rows plus the response row over the
+    first k columns, beta = a / D_k, SSR = D_{k+1} / D_k and
+    t^2 = (nobs - k) a^2 / (D_{k-1} D_{k+1}), with the sign of a.
     """
     v = np.asarray(values, dtype=float)
     dy = np.diff(v)
     rows = dy.size - lag
     vi, dyi = _integers(v), _integers(dy)
-    cols = []
-    if regression in ("c", "ct"):
-        cols.append([1] * rows)
-    if regression == "ct":
-        cols.append(list(range(1, rows + 1)))
+    cols = [[1] * rows]
     cols += [dyi[lag - i : lag - i + rows] for i in range(1, lag + 1)]
     cols += [vi[lag : lag + rows], dyi[lag:]]
     m = [[sum(map(operator.mul, a, b)) for b in cols] for a in cols]
@@ -419,7 +434,7 @@ def adf_tratio_exact(values, regression: str, lag: int) -> float:
             for j in range(p + 1, k + 1):
                 m[i][j] = (m[i][j] * m[p][p] - m[i][p] * m[p][j]) // minors[-1]
         minors.append(m[p][p])
-    a = m[k][k - 1]  # left as it was after the trend and lag pivots
+    a = m[k][k - 1]  # left as it was after the constant and lag pivots
     t = math.sqrt(Fraction((rows - k) * a * a, minors[k - 1] * minors[k + 1]))
     return t if a > 0 else -t
 

@@ -422,8 +422,8 @@ _SETTLING_SPACINGS = {
         np.random.default_rng(11).integers(33, 300, size=40),
         np.random.default_rng(12).integers(2, 10, size=40),
     ),
-    # Runs up to about 16 rows end before they settle; runs of 31 to 33 rows
-    # sit on either side of the shortest run solved until it settles.
+    # Runs up to about 16 rows end before their factors settle; from about
+    # 17 rows on they settle, and the rest of the run is copied.
     "runs too short to settle": lambda: _runs_and_gaps(
         [*range(1, 41), 15, 16, 17, 31, 32, 33], [2, 3, 9] * 15 + [2]
     ),

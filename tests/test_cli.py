@@ -458,9 +458,18 @@ class TestIngestBoundary:
              "data error: spline fill needs >= 4 observed points for modal_price, got 0"),
             ("one seasonal year", 2,
              "data error: seasonal index needs >= 2 complete ISO years for arrivals, got 1"),
+            # An empty path would name the working directory.
+            ("empty --out-dir", 1, "usage error: --out-dir is an empty path"),
+            ("fixture empty --out-dir", 1, "usage error: --out-dir is an empty path"),
+            ("empty out_dir line", 1, "usage error: --out-dir is an empty path"),
+            ("empty --input", 1, "usage error: --input is an empty path"),
+            ("empty input line", 1, "usage error: --input is an empty path"),
+            ("empty --config", 1, "usage error: --config is an empty path"),
         ],
     )
-    def test_one_line_and_out_dir_unchanged(self, tmp_path, capsys, fixture42, case, code, message):
+    def test_one_line_and_out_dir_unchanged(self, tmp_path, capsys, monkeypatch, fixture42, case,
+                                            code, message):
+        monkeypatch.chdir(tmp_path)
         lines = fixture42.csv_bytes().splitlines(keepends=True)
         data, cfg = tmp_path / "in.csv", tmp_path / "run.cfg"
         data.write_bytes(fixture42.csv_bytes())
@@ -469,6 +478,7 @@ class TestIngestBoundary:
         out.mkdir()
         (out / "keep.txt").write_bytes(b"kept")
         argv = ["stats", "--input", str(data)]
+        out_flags = ["--out-dir", str(out)]
         if case == "latin-1 input":
             data.write_bytes(b"".join(lines[:2]) + lines[2].replace(b",", b",\xe9", 1))
         elif case == "short row":
@@ -486,11 +496,26 @@ class TestIngestBoundary:
             argv = ["seasonal", "--input", str(data), "--years", "2010..2010"]
         elif case == "fixture seed":
             argv = ["fixture", "--seed", "-1"]
-        else:
+        elif case == "report-all seed":
             argv = ["report-all", "--seed", "-1"]
-        assert _run(*argv, "--out-dir", str(out)) == code
+        elif case == "empty --out-dir":
+            out_flags.append("--out-dir=")
+        elif case == "fixture empty --out-dir":
+            argv, out_flags = ["fixture"], ["--out-dir="]
+        elif case.endswith(" line"):  # a config line and no flag for it
+            cfg.write_text(f"{case.split()[1]} =\n")
+            argv = ["stats", "--config", str(cfg)]
+            if case == "empty out_dir line":
+                argv += ["--input", str(data)]
+                out_flags = []
+        elif case == "empty --input":
+            argv = ["stats", "--input="]
+        else:
+            argv += ["--config="]
+        assert _run(*argv, *out_flags) == code
         assert capsys.readouterr().err == f"seasonwarp: {message.format(cfg=cfg)}\n"
         assert _tree(out) == {"keep.txt": b"kept"}
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "o", "run.cfg"]
 
     def test_years_window_clamps_to_dated_years(self, tmp_path, capsys, fixture_csv):
         plain, wide, none = tmp_path / "plain", tmp_path / "wide", tmp_path / "none"

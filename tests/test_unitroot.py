@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import adf_oracle, adf_tratio_exact
+from _oracles import adf_oracle, adf_tratio_exact, mackinnon_pvalue_oracle
 import seasonwarp
 from seasonwarp.errors import DataIntegrityError, DegenerateDataError, InsufficientDataError
 from seasonwarp.report import to_json
@@ -23,32 +24,26 @@ class TestMackinnonPvalue:
     def test_canonical_critical_values(self):
         # The textbook 1%/5%/10% critical values are rounded to 2 decimals,
         # so the recovered p-values are good to about a part in a thousand.
-        assert mackinnon_pvalue(-3.43, "c") == pytest.approx(0.01, abs=1e-3)
-        assert mackinnon_pvalue(-2.86, "c") == pytest.approx(0.05, abs=1e-3)
-        assert mackinnon_pvalue(-2.57, "c") == pytest.approx(0.10, abs=1e-3)
-
-    def test_trend_case_critical_values(self):
-        assert mackinnon_pvalue(-3.96, "ct") == pytest.approx(0.01, abs=1e-3)
-        assert mackinnon_pvalue(-3.41, "ct") == pytest.approx(0.05, abs=1e-3)
-
-    def test_no_constant_case_critical_values(self):
-        assert mackinnon_pvalue(-2.56, "n") == pytest.approx(0.01, abs=1e-3)
-        assert mackinnon_pvalue(-1.94, "n") == pytest.approx(0.05, abs=1e-3)
+        assert mackinnon_pvalue(-3.43) == pytest.approx(0.01, abs=1e-3)
+        assert mackinnon_pvalue(-2.86) == pytest.approx(0.05, abs=1e-3)
+        assert mackinnon_pvalue(-2.57) == pytest.approx(0.10, abs=1e-3)
 
     def test_monotone_decreasing_in_statistic(self):
-        for reg in ("n", "c", "ct"):
-            grid = np.linspace(-6.0, 1.0, 80)
-            ps = [mackinnon_pvalue(float(t), reg) for t in grid]
-            assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:])), reg
+        grid = np.linspace(-6.0, 1.0, 80)
+        ps = [mackinnon_pvalue(float(t)) for t in grid]
+        assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
 
     def test_saturation_tails(self):
-        assert mackinnon_pvalue(-25.0, "c") == 0.0
-        assert mackinnon_pvalue(5.0, "c") == 1.0
-        assert 0.0 <= mackinnon_pvalue(-1.0, "n") <= 1.0
+        assert mackinnon_pvalue(-25.0) == 0.0
+        assert mackinnon_pvalue(5.0) == 1.0
+        assert 0.0 <= mackinnon_pvalue(-1.0) <= 1.0
 
-    def test_bad_regression(self):
-        with pytest.raises(ValueError):
-            mackinnon_pvalue(-3.0, "ctt")
+    def test_matches_oracle_across_the_range(self):
+        # Both polynomials and the three switch points, each bracketed
+        # closer than a change in its last digit would move it.
+        grid = [*np.linspace(-25.0, 5.0, 601).tolist(),
+                *(t + d for t in (-18.83, -1.61, 2.74) for d in (-0.005, 0.0, 0.005))]
+        assert [mackinnon_pvalue(t) for t in grid] == [mackinnon_pvalue_oracle(t) for t in grid]
 
 
 def _ar1(n, phi, seed, scale=1.0):
@@ -83,13 +78,6 @@ class TestAdfTest:
         b = adf_test(y + 1e4, regression="c")
         assert b.statistic == pytest.approx(a.statistic, rel=1e-6)
         assert b.used_lag == a.used_lag
-
-    def test_linear_trend_invariance_with_trend_term(self):
-        y = _ar1(300, 0.5, seed=3)
-        t = np.arange(300, dtype=float)
-        a = adf_test(y, regression="ct")
-        b = adf_test(y + 0.5 * t + 100.0, regression="ct")
-        assert b.statistic == pytest.approx(a.statistic, abs=1e-7)
 
     def test_scale_invariance(self):
         y = _ar1(250, 0.4, seed=4)
@@ -131,26 +119,23 @@ class TestAdfTest:
         assert capfd.readouterr().err == ""
 
     def test_result_roundtrip(self):
-        res = adf_test(_ar1(120, 0.5, seed=8), regression="ct")
+        res = adf_test(_ar1(120, 0.5, seed=8), regression="c")
         assert json.loads(to_json(res)) == {
             "statistic": res.statistic,
             "pvalue": res.pvalue,
             "used_lag": res.used_lag,
             "nobs": res.nobs,
-            "regression": "ct",
+            "regression": "c",
         }
 
     @pytest.mark.parametrize(
         "values, regression, maxlag",
         [
             (np.arange(60.0), "c", None),
-            (np.arange(60.0), "n", None),
             (np.arange(60.0), "c", 0),
-            (np.tile([1.0, -1.0], 30), "n", None),
             (np.tile([1.0, -1.0], 30), "c", None),
-            # Full-rank designs of several blocks that still fit exactly.
+            # A full-rank design of several blocks that still fits exactly.
             (np.arange(3000.0), "c", 0),
-            (np.tile([1.0, -1.0], 1600), "n", 0),
         ],
     )
     def test_exact_fit_is_degenerate(self, values, regression, maxlag):
@@ -214,14 +199,14 @@ STAT_RTOL = 1e-10
 def _assert_matches(got, want):
     """`got` agrees with the oracle's `want`: the same error class, or the
     same lag, sample and regression, a statistic within STAT_RTOL and the
-    p-value of that statistic."""
+    oracle's p-value of that statistic."""
     if not isinstance(want, AdfResult):
         assert got == want
         return
     assert isinstance(got, AdfResult), got
     assert (got.used_lag, got.nobs, got.regression) == (want.used_lag, want.nobs, want.regression)
     assert abs(got.statistic - want.statistic) <= STAT_RTOL * abs(want.statistic)
-    assert got.pvalue == mackinnon_pvalue(got.statistic, got.regression)
+    assert got.pvalue == mackinnon_pvalue_oracle(got.statistic)
 
 
 def _three_hundred_year_returns():
@@ -250,7 +235,7 @@ class TestAdfMatchesOracle:
     """The one-QR lag search and refit against per-lag lstsq fits and an SVD
     refit."""
 
-    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize("regression", ["c"])
     @pytest.mark.parametrize(
         "seed, n, phi, integrated",
         [
@@ -271,33 +256,34 @@ class TestAdfMatchesOracle:
         # both must then raise the same error.
         for maxlag in (None, 0, 4, 10**6 if n <= 80 else 9):
             _assert_matches(_outcome(adf_test, y, regression, maxlag),
-                            _outcome(adf_oracle, y, regression, maxlag))
+                            _outcome(adf_oracle, y, maxlag))
         assert isinstance(adf_test(y, regression=regression, maxlag=0), AdfResult)
 
-    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize("regression", ["c"])
     def test_fixture_returns(self, cleaned42, regression):
         series, _ = cleaned42[Variable.MODAL_PRICE]
         returns = log_diff(series.values())
-        _assert_matches(adf_test(returns, regression=regression), adf_oracle(returns, regression))
+        _assert_matches(adf_test(returns, regression=regression), adf_oracle(returns))
 
     def test_three_hundred_year_returns(self):
         returns = _three_hundred_year_returns()
         got = adf_test(returns, regression="c")
         assert got.used_lag > 0
-        _assert_matches(got, adf_oracle(returns, "c"))
+        _assert_matches(got, adf_oracle(returns))
 
     def test_near_zero_statistic_of_a_seasonal_walk(self):
-        # 11,309 points, lag 36 of 39, statistic 0.025: a refit by SVD of
-        # the raw columns was 1.8e-10 off the exact t-ratio here (unit-norm
-        # columns: 2e-13), so this pins both sides to the exact value.
-        y = _seasonal_walk(30)
-        got, want = adf_test(y, "n"), adf_oracle(y, "n")
+        # 14,684 points, lag 34 of 41, statistic 0.054: near zero a fixed
+        # absolute rounding error is a large relative one (a refit by SVD of
+        # the raw columns was 8e-13 off the exact t-ratio here, unit-norm
+        # columns 2e-13), so this pins both sides to the exact value.
+        y = _seasonal_walk(0)
+        got, want = adf_test(y, "c"), adf_oracle(y)
         _assert_matches(got, want)
-        exact = adf_tratio_exact(y, "n", got.used_lag)
+        exact = adf_tratio_exact(y, got.used_lag)
         for statistic in (got.statistic, want.statistic):
             assert abs(statistic - exact) <= STAT_RTOL * abs(exact)
 
-    @pytest.mark.parametrize("regression, first_deficient", [("n", 3), ("c", 2), ("ct", 2)])
+    @pytest.mark.parametrize("regression, first_deficient", [("c", 2)])
     def test_deficient_only_above_some_lag(self, regression, first_deficient):
         # Differences that follow a second-order recurrence up to the last
         # one: the lags become collinear with each other (and with the
@@ -307,10 +293,10 @@ class TestAdfMatchesOracle:
         dy[-1] += 1.0
         y = np.concatenate([[5.0], 5.0 + np.cumsum(dy)])
         below = adf_test(y, regression=regression, maxlag=first_deficient - 1)
-        _assert_matches(below, adf_oracle(y, regression, first_deficient - 1))
+        _assert_matches(below, adf_oracle(y, first_deficient - 1))
         for maxlag in (first_deficient, None):
             with pytest.raises(DegenerateDataError):
-                adf_oracle(y, regression, maxlag)
+                adf_oracle(y, maxlag)
             with pytest.raises(DegenerateDataError):
                 adf_test(y, regression=regression, maxlag=maxlag)
 
@@ -320,23 +306,20 @@ class TestAdfMatchesOracle:
         n=st.integers(25, 300),
         phi=st.lists(st.floats(-0.9, 0.9), max_size=3),
         integrated=st.booleans(),
-        regression=st.sampled_from(["n", "c", "ct"]),
+        regression=st.just("c"),
         maxlag=st.one_of(st.none(), st.integers(0, 60)),
     )
     def test_property(self, seed, n, phi, integrated, regression, maxlag):
         # Dividing by the order keeps sum(|phi|) < 1, a stationary AR part.
         y = _ar_series(seed, n, [c / len(phi) for c in phi], integrated)
         _assert_matches(_outcome(adf_test, y, regression, maxlag),
-                        _outcome(adf_oracle, y, regression, maxlag))
+                        _outcome(adf_oracle, y, maxlag))
 
 
-def _one_qr_ssr(y, dy, maxlag, regression):
+def _one_qr_ssr(y, dy, maxlag):
     """`_prefix_ssr` by one QR of the whole stacked [design | response]."""
     rows = dy.size - maxlag
-    cols = [np.ones(rows)] if regression in ("c", "ct") else []
-    if regression == "ct":
-        cols.append(np.arange(1.0, rows + 1.0))
-    cols.append(y[maxlag : maxlag + rows])
+    cols = [np.ones(rows), y[maxlag : maxlag + rows]]
     cols += [dy[maxlag - i : maxlag - i + rows] for i in range(1, maxlag + 1)]
     r = np.linalg.qr(np.column_stack((*cols, dy[maxlag:])), mode="r")
     return np.cumsum(r[::-1, -1] ** 2)[::-1]
@@ -345,7 +328,7 @@ def _one_qr_ssr(y, dy, maxlag, regression):
 class TestBlockedLagSearch:
     """The lag search factors the maxlag design BLOCK_ROWS rows at a time."""
 
-    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize("regression", ["c"])
     @pytest.mark.parametrize(
         "rows",
         [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 17],
@@ -354,22 +337,22 @@ class TestBlockedLagSearch:
         maxlag = 8
         y = _ar_series(rows, rows + maxlag + 1, (0.5, -0.2), rows % 2 == 1)
         dy = np.diff(y)
-        got, _ = _prefix_ssr(y, dy, maxlag, regression)
-        np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag, regression), rtol=1e-12)
+        got, _ = _prefix_ssr(y, dy, maxlag)
+        np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag), rtol=1e-12)
         for lag in (None, maxlag):
-            _assert_matches(adf_test(y, regression, lag), adf_oracle(y, regression, lag))
+            _assert_matches(adf_test(y, regression, lag), adf_oracle(y, lag))
 
-    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize("regression", ["c"])
     def test_refit_adds_the_trimmed_rows(self, regression):
         # AR(2) differences take lag 2 of a ceiling of 40, so the refit
         # stacks the 38 rows the search trimmed under an R built from three
-        # blocks; under ct those rows carry trend values at and below 0.
+        # blocks.
         y = _ar_series(21, 3 * BLOCK_ROWS, (0.5, -0.2), True)
         got = adf_test(y, regression, 40)
         assert got.used_lag < 10
-        _assert_matches(got, adf_oracle(y, regression, 40))
+        _assert_matches(got, adf_oracle(y, 40))
 
-    @pytest.mark.parametrize("regression", ["n", "c", "ct"])
+    @pytest.mark.parametrize("regression", ["c"])
     def test_rank_deficient_over_several_blocks(self, regression):
         # The collinear lags of `test_deficient_only_above_some_lag`, on
         # 3,000 rows: the rank rule reads the final R of the block stream.
@@ -377,20 +360,20 @@ class TestBlockedLagSearch:
         dy[-1] += 1.0
         y = np.concatenate([[5.0], 5.0 + np.cumsum(dy)])
         with pytest.raises(DegenerateDataError):
-            adf_oracle(y, regression)
+            adf_oracle(y)
         with pytest.raises(DegenerateDataError, match="singular"):
             adf_test(y, regression=regression)
 
     @pytest.mark.parametrize("rows", [15_609, 62_000])
     def test_memory_does_not_grow_with_rows(self, rows):
-        # The whole ct design with the response is 15,609 x 46 (5.7 MB) at
+        # The whole design with the response is 15,609 x 45 (5.6 MB) at
         # 15,609 rows; the search holds one block with R (about 0.4 MB) and
         # its QR copies, whatever the number of rows.  The refit adds only
         # the rows the search trimmed, and adf_test the differences.
         maxlag = int(12.0 * (rows / 100.0) ** 0.25)
         y = _ar_series(rows, rows + maxlag + 1, (0.5,), False)
         dy = np.diff(y)
-        for run in (lambda: _prefix_ssr(y, dy, maxlag, "ct"), lambda: adf_test(y, "ct", maxlag)):
+        for run in (lambda: _prefix_ssr(y, dy, maxlag), lambda: adf_test(y, "c", maxlag)):
             tracemalloc.start()
             try:
                 run()
@@ -402,11 +385,11 @@ class TestBlockedLagSearch:
     def test_memory_of_a_long_lag_refit(self):
         # 300 years of returns choose 42 lags of 42 (AR(1) series above choose
         # 0), so the refit's sample is the search's: a normal-equations refit
-        # would stack its 15,630 x 45 design (5.6 MB).
+        # would stack its 15,630 x 44 design (5.5 MB).
         returns = _three_hundred_year_returns()
         tracemalloc.start()
         try:
-            got = adf_test(returns, "ct")
+            got = adf_test(returns, "c")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,25 +397,31 @@ class TestBlockedLagSearch:
         assert peak < 2_000_000
 
 
-_STATISTICS_CHILD = """
-from seasonwarp.unitroot import adf_test
-from test_unitroot import _three_hundred_year_returns
-returns = _three_hundred_year_returns()
-for regression in ("n", "c", "ct"):
-    print(adf_test(returns, regression).statistic.hex())
-"""
+def _write_long_csv(path):
+    """300 years of weekly rows from ISO week 1725-W01, every 97th week
+    missing: prices whose log returns are `_three_hundred_year_returns()`
+    (to rounding) and arrivals on a yearly saw."""
+    log_prices = 7.0 + np.concatenate([[0.0], np.cumsum(_three_hundred_year_returns())])
+    first = date.fromisocalendar(1725, 1, 7)
+    rows = ["date,arrivals,modal_price"] + [
+        f"{first + timedelta(weeks=k)},{1000 + 37 * (k % 52)},{math.exp(p):.2f}"
+        for k, p in enumerate(log_prices.tolist()) if k % 97 != 50]
+    path.write_text("\n".join(rows) + "\n")
 
 
-def test_statistic_does_not_depend_on_blas_threads():
-    # The statistic of 15.6k returns, in two processes whose BLAS runs one
-    # and two threads: the digits must not depend on how LAPACK splits work.
+def test_statistic_does_not_depend_on_blas_threads(tmp_path):
+    # `stats` on 15.6k weekly rows (a spline fill, and an ADF lag search of
+    # 16 QR blocks), in two processes whose BLAS runs one and two threads:
+    # no byte of its output may depend on how LAPACK splits work.
+    _write_long_csv(tmp_path / "long.csv")
     src = str(Path(seasonwarp.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
-    outs = []
+    trees = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _STATISTICS_CHILD], env=env,
-                              capture_output=True, text=True, check=True, timeout=120)
-        outs.append(proc.stdout.split())
-    assert len(outs[0]) == 3
-    assert outs[0] == outs[1]
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "seasonwarp.cli", "stats", "--input", "long.csv",
+                        "--out-dir", threads], cwd=tmp_path, env=env, capture_output=True,
+                       check=True, timeout=120)
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / threads).iterdir()})
+    assert sorted(trees[0]) == ["stats.csv", "stats.json"]
+    assert json.loads(trees[0]["stats.json"])["adf_log_price_diff"]["used_lag"] > 0
+    assert trees[0] == trees[1]

@@ -25,11 +25,11 @@ CSV the first-column label of each differing row, or its line number when
 that label is not unique; for other text the line numbers.  At most ten
 places are printed per file.
 
-Five inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
+Six inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default), the same
 without its first data row, the long-history CSV ``bench/inputs.long_history(501, 300, 60, 80)``,
-that history in another CSV dialect and that history with runs of rows
-and some cells blanked.  ``bench/``
+that history in another CSV dialect, that history with runs of rows
+and some cells blanked, and that history with clusters of short gaps.  ``bench/``
 is only imported, never changed.  The DTW scenarios on the long history are
 limited to a decade, because all 44,850 pairs of 300 years would write tens
 of GB.  ``long-dtw-ties`` aligns both variables of 1965..1975 at band 4: four
@@ -56,6 +56,11 @@ sets, the spline's factors settle on runs of unequal length, the arrivals
 column is read cell by cell, and every filled value is written.  Some of
 these longer gaps fill below zero, so the clamp is written too (``stats`` on
 this input exits 2: the price series is not positive).
+``long-clean-clustered`` runs ``clean`` on the long history with 600 more
+gaps of 1 to 3 rows, in 15 clusters: in each, the rows between gaps are
+runs of every length from 1 to 40.  Most of the spline's runs of equal
+rows are then short, of lengths up to about 40, where the sweep's factors
+may or may not settle before the run ends.
 ``report-all-config`` gives ``report-all-winsorize``'s
 options as the lines of a config file, written into each run's working
 directory.  ``long-stats-winsorize``, ``long-seasonal-winsorize`` and
@@ -103,6 +108,7 @@ SCENARIOS = (
     ("report-all-edge-gap", ["report-all"], "edge-gap"),
     ("long-clean", ["clean"], "long"),
     ("long-clean-ragged", ["clean"], "long-ragged"),
+    ("long-clean-clustered", ["clean"], "long-clustered"),
     ("long-stats", ["stats"], "long"),
     ("long-stats-winsorize", ["stats", "--winsorize"], "long"),
     ("long-stats-dialect", ["stats"], "long-dialect"),
@@ -139,6 +145,13 @@ INPUT_CODE = {
                    "rows[300:-300:251] = [f'{day},,{price}' for day, _, price "
                    "in (row.split(',') for row in rows[300:-300:251])]; "
                    "sys.stdout.buffer.write(('\\n'.join(rows) + '\\n').encode())",
+    "long-clustered": "from inputs import long_history; "
+                      f"lines = long_history{LONG_HISTORY}.csv_text.splitlines(); "
+                      "cluster = ''.join('k' * (1 + 7 * j % 40) + 'g' * (1 + j % 3) "
+                      "for j in range(40)); "
+                      "rows = [line for i, line in enumerate(lines) if not "
+                      "(300 <= i < len(lines) - 300 and cluster[(i - 300) % 1000:][:1] == 'g')]; "
+                      "sys.stdout.buffer.write(('\\n'.join(rows) + '\\n').encode())",
 }
 
 
