@@ -103,6 +103,13 @@ class TestAdfTest:
         with pytest.raises(ValueError):
             adf_test(_ar1(100, 0.5, seed=7), regression="bogus")
 
+    @pytest.mark.parametrize("regression", ["n", "ct", "ctt", "C"])
+    def test_only_the_constant_case_is_accepted(self, regression):
+        # The no-constant and trend regressions are not fitted; asking for
+        # one is an error, not a silent constant-only fit.
+        with pytest.raises(ValueError, match="regression"):
+            adf_test(_ar1(100, 0.5, seed=7), regression=regression)
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             adf_test(np.arange(15, dtype=float), regression="c")
@@ -136,6 +143,12 @@ class TestAdfTest:
             (np.tile([1.0, -1.0], 30), "c", None),
             # A full-rank design of several blocks that still fits exactly.
             (np.arange(3000.0), "c", 0),
+            # The level alone fits: dy = -0.1 * y.
+            (0.9 ** np.arange(60.0), "c", 0),
+            # The constant and the level fit: dy = 1.5 - 0.5 * y.
+            (3.0 + 4.0 * 0.5 ** np.arange(60.0), "c", 0),
+            # The constant and one lag fit: dy_t = dy_{t-1} + 2.
+            (np.arange(60.0) ** 2, "c", 1),
         ],
     )
     def test_exact_fit_is_degenerate(self, values, regression, maxlag):
@@ -248,6 +261,24 @@ class TestAdfMatchesOracle:
             (17, 40, (), True),
             (18, 400, (), True),
             (19, 1500, (0.3,), True),
+            (20, 26, (), False),
+            (21, 30, (0.95,), False),
+            (22, 50, (-0.6,), False),
+            (23, 120, (0.2, 0.2, 0.2), False),
+            (24, 200, (0.8, -0.5), False),
+            (25, 333, (-0.4, 0.3), False),
+            (26, 512, (0.6,), False),
+            (27, 1025, (0.1, -0.1, 0.1), False),
+            (28, 2000, (0.7,), False),
+            (29, 27, (0.5,), True),
+            (30, 64, (-0.5,), True),
+            (31, 100, (0.4, 0.2), True),
+            (32, 180, (0.6, -0.3, 0.1), True),
+            (33, 300, (-0.2,), True),
+            (34, 600, (0.8,), True),
+            (35, 900, (), True),
+            (36, 1100, (0.3, 0.3), True),
+            (37, 2500, (-0.3, 0.1), True),
         ],
     )
     def test_seeded_series(self, regression, seed, n, phi, integrated):
@@ -331,7 +362,8 @@ class TestBlockedLagSearch:
     @pytest.mark.parametrize("regression", ["c"])
     @pytest.mark.parametrize(
         "rows",
-        [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 17],
+        [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 17,
+         BLOCK_ROWS // 2, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1],
     )
     def test_block_boundaries(self, rows, regression):
         maxlag = 8
@@ -341,6 +373,17 @@ class TestBlockedLagSearch:
         np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag), rtol=1e-12)
         for lag in (None, maxlag):
             _assert_matches(adf_test(y, regression, lag), adf_oracle(y, lag))
+
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("maxlag", [0, 1, 30])
+    def test_block_boundaries_across_widths(self, rows, maxlag):
+        # The design is maxlag + 3 columns wide: the narrowest the lag search
+        # sees, one lag, and a width that takes a visible share of a block.
+        y = _ar_series(rows + maxlag, rows + maxlag + 1, (0.4,), rows % 2 == 0)
+        dy = np.diff(y)
+        got, _ = _prefix_ssr(y, dy, maxlag)
+        np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag), rtol=1e-12)
+        _assert_matches(adf_test(y, "c", maxlag), adf_oracle(y, maxlag))
 
     @pytest.mark.parametrize("regression", ["c"])
     def test_refit_adds_the_trimmed_rows(self, regression):
