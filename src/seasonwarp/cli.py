@@ -13,12 +13,13 @@ that needs them; ``report-all``'s stage is the union of the clean, stats,
 seasonal and dtw stages plus the series charts and the bundle it builds
 from their values.
 
-Exit codes: 0 success, 1 usage error, 2 data or I/O error.  Each output is
-written into a staging directory as soon as it is made, and the files are
-moved into place only once the whole run has succeeded, so a failing run
-leaves no partial output tree and the run never holds the whole tree in
-memory.  Every emitter is deterministic, which makes output trees
-byte-stable.
+Exit codes: 0 success, 1 usage error, 2 data or I/O error.  The outputs are
+written into a staging directory in groups of about 256 KiB as they are
+made, so the run holds at most one group and one file in memory, and are
+put in place only once the whole run has succeeded: a new --out-dir by one
+rename of the staging directory, an existing one file by file.  A failing
+run leaves no partial output tree.  Every emitter is deterministic, which
+makes output trees byte-stable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import argparse
 import os
 import shutil
 import sys
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
@@ -321,27 +321,76 @@ def _cleaned(args: argparse.Namespace, data: bytes) -> dict[Variable, _Cleaned]:
     return cleaned
 
 
+# Bytes of made files held before they are written as one group: file
+# creation then no longer interleaves with the stages' work, and groups of 1
+# or 4 MiB ran band-4 report-all no faster.
+_HELD_BYTES = 256 << 10
+
+
+def _hidden_dir(parent: Path) -> Path:
+    """A new directory ``parent/.seasonwarp-<random>`` with the mode
+    `Path.mkdir` gives (``0o777 & ~umask``), where ``mkdtemp`` would give
+    ``0o700``."""
+    while True:
+        path = parent / f".seasonwarp-{os.urandom(6).hex()}"
+        try:
+            path.mkdir()
+        except FileExistsError:
+            continue
+        return path
+
+
 class _OutputTree:
-    """The files of one run, written into a staging directory inside
-    --out-dir as each is made and moved into place together once the run
-    has succeeded.  Only the file being written is held in memory, and a
-    failed run moves nothing, so --out-dir keeps what it held."""
+    """The files of one run, held until they reach `_HELD_BYTES` and then
+    written together into a staging directory, and put in place together
+    once the run has succeeded.  At most `_HELD_BYTES` plus one file are
+    held in memory, and a failed run leaves --out-dir as it was.
+
+    A --out-dir that does not exist at the first write is staged beside it,
+    in its parent, and made by one ``os.rename`` of the staging directory.
+    If a non-empty directory appears at --out-dir meanwhile, the rename
+    fails and leaves it untouched; an empty one is replaced (Linux
+    ``rename`` semantics).  An existing --out-dir, which may be a mount
+    point or hold other files, is staged inside and each file moved into
+    it by ``os.replace`` after the clash checks."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.out_dir = Path(args.out_dir)
         self.force = args.force
         self.names: set[str] = set()
+        self.held: dict[str, bytes] = {}
+        self.held_bytes = 0
         self.staging: Path | None = None
+        self.renames = False  # the commit renames staging to out_dir
 
     def __setitem__(self, name: str, text: str) -> None:
-        if self.staging is None:
-            # Staging inside out_dir keeps each move a rename on one file
-            # system even when out_dir is a mount point or its parent is
-            # read-only.
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            self.staging = Path(tempfile.mkdtemp(prefix=".seasonwarp-", dir=self.out_dir))
-        (self.staging / name).write_bytes(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        self.held[name] = data
+        self.held_bytes += len(data)
         self.names.add(name)
+        if self.held_bytes >= _HELD_BYTES:
+            self._write_held()
+
+    def _write_held(self) -> None:
+        if self.staging is None:
+            self.renames = not os.path.lexists(self.out_dir)
+            if self.renames:
+                try:
+                    if not os.path.lexists(self.out_dir.parent):
+                        self.out_dir.parent.mkdir(parents=True)
+                    self.staging = _hidden_dir(self.out_dir.parent)
+                except OSError as exc:  # name --out-dir, not the staging directory
+                    raise OSError(exc.errno, exc.strerror, str(self.out_dir)) from None
+            else:
+                # Staging inside out_dir keeps each move a rename on one file
+                # system even when out_dir is a mount point or its parent is
+                # read-only.
+                self.out_dir.mkdir(exist_ok=True)
+                self.staging = _hidden_dir(self.out_dir)
+        for name, data in self.held.items():
+            (self.staging / name).write_bytes(data)
+        self.held.clear()
+        self.held_bytes = 0
 
     def __enter__(self) -> _OutputTree:
         return self
@@ -355,7 +404,11 @@ class _OutputTree:
                 shutil.rmtree(self.staging)
 
     def _commit(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._write_held()
+        if self.renames:
+            os.rename(self.staging, self.out_dir)
+            self.staging = None
+            return
         names = sorted(self.names)
         clashes = [name for name in names if (self.out_dir / name).exists()]
         # A file cannot replace a directory, even with --force; found after

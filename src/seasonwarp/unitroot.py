@@ -152,13 +152,9 @@ def _gamma_tratio(
     return float(rr[k - 1, k] * np.sign(rr[k - 1, k - 1]) / s)
 
 
-def adf_test(
-    values: np.ndarray | list[float],
-    regression: str = REGRESSION,
-    maxlag: int | None = None,
-) -> AdfResult:
+def adf_test(values: np.ndarray | list[float], maxlag: int | None = None) -> AdfResult:
     """ADF test of the constant-only regression with the lag order chosen
-    by AIC.  `regression` accepts only that case's name, "c".
+    by AIC.
 
     The default lag ceiling is floor(12 * (n/100)^0.25).  Candidate lags
     0..maxlag are compared on the common sample trimmed at maxlag using
@@ -175,8 +171,6 @@ def adf_test(
     log(SSR) is void).  The winner's full-sample fit needs no check of its
     own: it has more rows, so its sigma_min and SSR are no smaller.
     """
-    if regression != REGRESSION:
-        raise ValueError(f"regression must be {REGRESSION!r}, got {regression!r}")
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
@@ -218,5 +212,5 @@ def adf_test(
         pvalue=mackinnon_pvalue(stat),
         used_lag=best_lag,
         nobs=dy.size - best_lag,
-        regression=regression,
+        regression=REGRESSION,
     )

@@ -251,13 +251,13 @@ def test_c08_adf_power_and_size(capsys):
         y[0] = e[0]
         for t in range(1, 500):
             y[t] = 0.5 * y[t - 1] + e[t]
-        if adf_test(y, regression="c").pvalue < 0.01:
+        if adf_test(y).pvalue < 0.01:
             power_hits += 1
     size_hits = 0
     for i in range(200):
         rng = np.random.default_rng(30_000 + i)
         y = np.cumsum(rng.normal(size=500))
-        if adf_test(y, regression="c").pvalue < 0.05:
+        if adf_test(y).pvalue < 0.05:
             size_hits += 1
     elapsed = time.perf_counter() - t0
     ok = power_hits >= 180 and size_hits <= 20 and elapsed < 60.0
@@ -341,7 +341,7 @@ def test_c11_fixture_calibration(capsys, cleaned42):
     arrivals, a_report = cleaned42[Variable.ARRIVALS]
     prices, p_report = cleaned42[Variable.MODAL_PRICE]
     a, p = describe(arrivals), describe(prices)
-    adf = adf_test(log_diff(prices.values()), regression="c")
+    adf = adf_test(log_diff(prices.values()))
     checks = {
         "cv_arrivals": 90.0 <= a.cv_percent <= 112.0,
         "cv_price": 67.0 <= p.cv_percent <= 87.0,

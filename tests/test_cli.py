@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1181,30 +1182,32 @@ class TestConfigAndUsage:
         assert {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
                 for p in out.rglob("*")} == before
 
-    def test_each_file_staged_as_it_is_made(self, tmp_path, fixture_csv, monkeypatch):
-        # No run holds its whole output tree: each DTW figure reaches the
-        # staging directory before the next one is drawn.
-        write_bytes, dtw_figure, events = Path.write_bytes, seasonwarp.cli.dtw_figure, []
+    def test_at_most_one_group_and_one_file_held(self, tmp_path, fixture_csv, monkeypatch):
+        # Made files are written in groups while the run goes on: before
+        # each file is stored, less than one group's bytes are unwritten,
+        # so at most _HELD_BYTES plus one file is ever held.
+        store, write_bytes = seasonwarp.cli._OutputTree.__setitem__, Path.write_bytes
+        made, written, unwritten = [0], [0], []
+
+        def recording_store(tree, name, text):
+            unwritten.append(made[0] - written[0])
+            made[0] += len(text.encode("utf-8"))
+            return store(tree, name, text)
 
         def recording_write_bytes(path, data):
-            events.append((path.parent.name, path.name))
+            written[0] += len(data)
             return write_bytes(path, data)
 
-        def recording_dtw_figure(*args, **kwargs):
-            events.append(("figure", None))
-            return dtw_figure(*args, **kwargs)
-
+        monkeypatch.setattr(seasonwarp.cli._OutputTree, "__setitem__", recording_store)
         monkeypatch.setattr(Path, "write_bytes", recording_write_bytes)
-        monkeypatch.setattr(seasonwarp.cli, "dtw_figure", recording_dtw_figure)
         out = tmp_path / "o"
-        assert _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out)) == 0
-        figures = [k for k, event in enumerate(events) if event == ("figure", None)]
-        assert len(figures) == len(list(out.glob("dtw_*-*.svg"))) > 1
-        for k in figures:
-            parent, name = events[k + 1]
-            assert parent.startswith(".seasonwarp-")
-            assert name.startswith("dtw_") and name.endswith(".svg")
-        assert not list(out.glob(".seasonwarp-*"))
+        assert _run("report-all", "--input", str(fixture_csv), "--all-pairs", "--band", "4",
+                    "--out-dir", str(out)) == 0
+        assert len(unwritten) == len(list(out.iterdir())) > 400
+        assert max(unwritten) < seasonwarp.cli._HELD_BYTES
+        assert made[0] == written[0] == sum(p.stat().st_size for p in out.iterdir())
+        assert made[0] > 10 * seasonwarp.cli._HELD_BYTES
+        assert not list(tmp_path.rglob(".seasonwarp-*"))
 
     def test_partial_outputs_never_written_on_failure(self, tmp_path, fixture_csv):
         # Overwrite refusal happens before any file is touched: the existing
@@ -1216,6 +1219,67 @@ class TestConfigAndUsage:
         assert _run("stats", "--input", str(fixture_csv), "--out-dir", str(out)) == 2
         assert (out / "stats.json").read_bytes() == before["stats.json"]
         assert not (out / "stats.csv").exists()
+
+
+class TestNewOutDir:
+    """A --out-dir that does not exist yet is staged beside it and made by
+    one rename once the run has succeeded."""
+
+    def test_failed_write_leaves_no_out_dir(self, tmp_path, fixture_csv, monkeypatch, capsys):
+        out = tmp_path / "o"
+        write_bytes, written = Path.write_bytes, []
+
+        def failing_write_bytes(path, data):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError(28, "No space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write_bytes)
+        assert _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert len(written) == 3
+        assert {p.parent.parent for p in written} == {tmp_path}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_modes_are_those_mkdir_gives(self, tmp_path, fixture_csv, umask):
+        out, made = tmp_path / "o", tmp_path / "made"
+        old = os.umask(umask)
+        try:
+            code = _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out))
+            made.mkdir()
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(made.stat().st_mode)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o777 & ~umask
+        assert {stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {0o666 & ~umask}
+
+    @pytest.mark.parametrize("theirs, code", [({"theirs.txt": b"theirs"}, 2), ({}, 0)],
+                             ids=["non-empty", "empty"])
+    def test_directory_made_at_out_dir_during_the_run(self, tmp_path, fixture_csv,
+                                                      monkeypatch, theirs, code):
+        # A non-empty directory made at --out-dir after staging began is
+        # left as it is and the run fails; an empty one is replaced.
+        out, series_svg, staged = tmp_path / "o", seasonwarp.cli._series_svg, []
+
+        def making_out_dir(dense):
+            if not out.exists():
+                staged.extend(p.name for p in tmp_path.glob(".seasonwarp-*"))
+                out.mkdir()
+                for name, data in theirs.items():
+                    (out / name).write_bytes(data)
+            return series_svg(dense)
+
+        monkeypatch.setattr(seasonwarp.cli, "_series_svg", making_out_dir)
+        assert _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out)) == code
+        assert len(staged) == 1
+        assert not list(tmp_path.rglob(".seasonwarp-*"))
+        if theirs:
+            assert _tree(out) == theirs
+        else:
+            assert "bundle.json" in _tree(out)
 
 
 # Keys a config line may name: every flag of some data command, abbreviations,

@@ -69,7 +69,7 @@ def bundle42(cleaned42):
             results.append(((y0, y1), dtw_align(a, b, opts)))
         dtw[var.value] = rank_pairs(results)
     prices, _ = cleaned42[Variable.MODAL_PRICE]
-    adf = adf_test(log_diff(prices.values()), regression="c")
+    adf = adf_test(log_diff(prices.values()))
     return {"cleaning": cleaning, "summaries": summaries, "seasonal": seasonal, "dtw": dtw,
             "adf_log_price_diff": adf}
 

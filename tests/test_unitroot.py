@@ -59,7 +59,7 @@ def _ar1(n, phi, seed, scale=1.0):
 class TestAdfTest:
     def test_stationary_series_rejects(self):
         y = _ar1(400, 0.3, seed=0)
-        res = adf_test(y, regression="c")
+        res = adf_test(y)
         assert res.statistic < -5.0
         assert res.pvalue < 0.001
         assert res.reject_at_1pct
@@ -67,52 +67,41 @@ class TestAdfTest:
     def test_random_walk_not_rejected(self):
         rng = np.random.default_rng(1)
         y = np.cumsum(rng.normal(size=400))
-        res = adf_test(y, regression="c")
+        res = adf_test(y)
         assert res.pvalue > 0.01
 
     def test_constant_shift_invariance_with_constant_term(self):
         # Large offsets worsen the conditioning of the normal equations, so
         # the match is to solver precision rather than exact.
         y = _ar1(300, 0.5, seed=2)
-        a = adf_test(y, regression="c")
-        b = adf_test(y + 1e4, regression="c")
+        a = adf_test(y)
+        b = adf_test(y + 1e4)
         assert b.statistic == pytest.approx(a.statistic, rel=1e-6)
         assert b.used_lag == a.used_lag
 
     def test_scale_invariance(self):
         y = _ar1(250, 0.4, seed=4)
-        a = adf_test(y, regression="c")
-        b = adf_test(1000.0 * y, regression="c")
+        a = adf_test(y)
+        b = adf_test(1000.0 * y)
         assert b.statistic == pytest.approx(a.statistic, abs=1e-8)
 
     def test_used_lag_within_bounds_and_nobs_consistent(self):
         y = _ar1(200, 0.5, seed=5)
         maxlag = int(12 * (200 / 100) ** 0.25)
-        res = adf_test(y, regression="c")
+        res = adf_test(y)
         assert 0 <= res.used_lag <= maxlag
         # Effective sample: n-1 differences minus used_lag trimmed rows.
         assert res.nobs == 200 - 1 - res.used_lag
 
     def test_explicit_maxlag_zero(self):
         y = _ar1(150, 0.5, seed=6)
-        res = adf_test(y, regression="c", maxlag=0)
+        res = adf_test(y, maxlag=0)
         assert res.used_lag == 0
         assert res.nobs == 149
 
-    def test_regression_validation(self):
-        with pytest.raises(ValueError):
-            adf_test(_ar1(100, 0.5, seed=7), regression="bogus")
-
-    @pytest.mark.parametrize("regression", ["n", "ct", "ctt", "C"])
-    def test_only_the_constant_case_is_accepted(self, regression):
-        # The no-constant and trend regressions are not fitted; asking for
-        # one is an error, not a silent constant-only fit.
-        with pytest.raises(ValueError, match="regression"):
-            adf_test(_ar1(100, 0.5, seed=7), regression=regression)
-
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            adf_test(np.arange(15, dtype=float), regression="c")
+            adf_test(np.arange(15, dtype=float))
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateDataError):
@@ -126,7 +115,7 @@ class TestAdfTest:
         assert capfd.readouterr().err == ""
 
     def test_result_roundtrip(self):
-        res = adf_test(_ar1(120, 0.5, seed=8), regression="c")
+        res = adf_test(_ar1(120, 0.5, seed=8))
         assert json.loads(to_json(res)) == {
             "statistic": res.statistic,
             "pvalue": res.pvalue,
@@ -136,31 +125,31 @@ class TestAdfTest:
         }
 
     @pytest.mark.parametrize(
-        "values, regression, maxlag",
+        "values, maxlag",
         [
-            (np.arange(60.0), "c", None),
-            (np.arange(60.0), "c", 0),
-            (np.tile([1.0, -1.0], 30), "c", None),
+            (np.arange(60.0), None),
+            (np.arange(60.0), 0),
+            (np.tile([1.0, -1.0], 30), None),
             # A full-rank design of several blocks that still fits exactly.
-            (np.arange(3000.0), "c", 0),
+            (np.arange(3000.0), 0),
             # The level alone fits: dy = -0.1 * y.
-            (0.9 ** np.arange(60.0), "c", 0),
+            (0.9 ** np.arange(60.0), 0),
             # The constant and the level fit: dy = 1.5 - 0.5 * y.
-            (3.0 + 4.0 * 0.5 ** np.arange(60.0), "c", 0),
+            (3.0 + 4.0 * 0.5 ** np.arange(60.0), 0),
             # The constant and one lag fit: dy_t = dy_{t-1} + 2.
-            (np.arange(60.0) ** 2, "c", 1),
+            (np.arange(60.0) ** 2, 1),
         ],
     )
-    def test_exact_fit_is_degenerate(self, values, regression, maxlag):
+    def test_exact_fit_is_degenerate(self, values, maxlag):
         # Each has a candidate that fits the differences exactly, where the
         # AIC's log(SSR) is undefined: a data error, not a math ValueError.
         with pytest.raises(DegenerateDataError):
-            adf_test(values, regression=regression, maxlag=maxlag)
+            adf_test(values, maxlag=maxlag)
 
     def test_fixture_log_price_diff_rejects(self, cleaned42):
         series, _ = cleaned42[Variable.MODAL_PRICE]
         returns = log_diff(series.values())
-        res = adf_test(returns, regression="c")
+        res = adf_test(returns)
         assert res.statistic == pytest.approx(-11.8099, abs=5e-4)
         assert res.pvalue < 1e-10
         assert res.reject_at_1pct
@@ -171,7 +160,7 @@ class TestSizeAndPower:
     # sample counts lives in the acceptance suite.
     def test_power_on_stationary_ar1(self):
         rejections = sum(
-            adf_test(_ar1(300, 0.5, seed=100 + i), regression="c").pvalue < 0.01
+            adf_test(_ar1(300, 0.5, seed=100 + i)).pvalue < 0.01
             for i in range(40)
         )
         assert rejections >= 36
@@ -181,7 +170,7 @@ class TestSizeAndPower:
         for i in range(40):
             rng = np.random.default_rng(200 + i)
             y = np.cumsum(rng.normal(size=300))
-            if adf_test(y, regression="c").pvalue < 0.05:
+            if adf_test(y).pvalue < 0.05:
                 false_alarms += 1
         assert false_alarms <= 6
 
@@ -248,7 +237,6 @@ class TestAdfMatchesOracle:
     """The one-QR lag search and refit against per-lag lstsq fits and an SVD
     refit."""
 
-    @pytest.mark.parametrize("regression", ["c"])
     @pytest.mark.parametrize(
         "seed, n, phi, integrated",
         [
@@ -281,24 +269,23 @@ class TestAdfMatchesOracle:
             (37, 2500, (-0.3, 0.1), True),
         ],
     )
-    def test_seeded_series(self, regression, seed, n, phi, integrated):
+    def test_seeded_series(self, seed, n, phi, integrated):
         y = _ar_series(seed, n, phi, integrated)
         # A ceiling-clipped maxlag on a short series may leave too few rows;
         # both must then raise the same error.
         for maxlag in (None, 0, 4, 10**6 if n <= 80 else 9):
-            _assert_matches(_outcome(adf_test, y, regression, maxlag),
+            _assert_matches(_outcome(adf_test, y, maxlag),
                             _outcome(adf_oracle, y, maxlag))
-        assert isinstance(adf_test(y, regression=regression, maxlag=0), AdfResult)
+        assert isinstance(adf_test(y, maxlag=0), AdfResult)
 
-    @pytest.mark.parametrize("regression", ["c"])
-    def test_fixture_returns(self, cleaned42, regression):
+    def test_fixture_returns(self, cleaned42):
         series, _ = cleaned42[Variable.MODAL_PRICE]
         returns = log_diff(series.values())
-        _assert_matches(adf_test(returns, regression=regression), adf_oracle(returns))
+        _assert_matches(adf_test(returns), adf_oracle(returns))
 
     def test_three_hundred_year_returns(self):
         returns = _three_hundred_year_returns()
-        got = adf_test(returns, regression="c")
+        got = adf_test(returns)
         assert got.used_lag > 0
         _assert_matches(got, adf_oracle(returns))
 
@@ -308,28 +295,28 @@ class TestAdfMatchesOracle:
         # the raw columns was 8e-13 off the exact t-ratio here, unit-norm
         # columns 2e-13), so this pins both sides to the exact value.
         y = _seasonal_walk(0)
-        got, want = adf_test(y, "c"), adf_oracle(y)
+        got, want = adf_test(y), adf_oracle(y)
         _assert_matches(got, want)
         exact = adf_tratio_exact(y, got.used_lag)
         for statistic in (got.statistic, want.statistic):
             assert abs(statistic - exact) <= STAT_RTOL * abs(exact)
 
-    @pytest.mark.parametrize("regression, first_deficient", [("c", 2)])
-    def test_deficient_only_above_some_lag(self, regression, first_deficient):
+    def test_deficient_only_above_some_lag(self):
         # Differences that follow a second-order recurrence up to the last
         # one: the lags become collinear with each other (and with the
         # level) only from `first_deficient` lags on, and the lower lags
         # still fit with a nonzero residual.
+        first_deficient = 2
         dy = np.cos(0.7 * np.arange(200.0))
         dy[-1] += 1.0
         y = np.concatenate([[5.0], 5.0 + np.cumsum(dy)])
-        below = adf_test(y, regression=regression, maxlag=first_deficient - 1)
+        below = adf_test(y, maxlag=first_deficient - 1)
         _assert_matches(below, adf_oracle(y, first_deficient - 1))
         for maxlag in (first_deficient, None):
             with pytest.raises(DegenerateDataError):
                 adf_oracle(y, maxlag)
             with pytest.raises(DegenerateDataError):
-                adf_test(y, regression=regression, maxlag=maxlag)
+                adf_test(y, maxlag=maxlag)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -337,13 +324,12 @@ class TestAdfMatchesOracle:
         n=st.integers(25, 300),
         phi=st.lists(st.floats(-0.9, 0.9), max_size=3),
         integrated=st.booleans(),
-        regression=st.just("c"),
         maxlag=st.one_of(st.none(), st.integers(0, 60)),
     )
-    def test_property(self, seed, n, phi, integrated, regression, maxlag):
+    def test_property(self, seed, n, phi, integrated, maxlag):
         # Dividing by the order keeps sum(|phi|) < 1, a stationary AR part.
         y = _ar_series(seed, n, [c / len(phi) for c in phi], integrated)
-        _assert_matches(_outcome(adf_test, y, regression, maxlag),
+        _assert_matches(_outcome(adf_test, y, maxlag),
                         _outcome(adf_oracle, y, maxlag))
 
 
@@ -359,20 +345,19 @@ def _one_qr_ssr(y, dy, maxlag):
 class TestBlockedLagSearch:
     """The lag search factors the maxlag design BLOCK_ROWS rows at a time."""
 
-    @pytest.mark.parametrize("regression", ["c"])
     @pytest.mark.parametrize(
         "rows",
         [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 17,
          BLOCK_ROWS // 2, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1],
     )
-    def test_block_boundaries(self, rows, regression):
+    def test_block_boundaries(self, rows):
         maxlag = 8
         y = _ar_series(rows, rows + maxlag + 1, (0.5, -0.2), rows % 2 == 1)
         dy = np.diff(y)
         got, _ = _prefix_ssr(y, dy, maxlag)
         np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag), rtol=1e-12)
         for lag in (None, maxlag):
-            _assert_matches(adf_test(y, regression, lag), adf_oracle(y, lag))
+            _assert_matches(adf_test(y, maxlag=lag), adf_oracle(y, lag))
 
     @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("maxlag", [0, 1, 30])
@@ -383,20 +368,18 @@ class TestBlockedLagSearch:
         dy = np.diff(y)
         got, _ = _prefix_ssr(y, dy, maxlag)
         np.testing.assert_allclose(got, _one_qr_ssr(y, dy, maxlag), rtol=1e-12)
-        _assert_matches(adf_test(y, "c", maxlag), adf_oracle(y, maxlag))
+        _assert_matches(adf_test(y, maxlag=maxlag), adf_oracle(y, maxlag))
 
-    @pytest.mark.parametrize("regression", ["c"])
-    def test_refit_adds_the_trimmed_rows(self, regression):
+    def test_refit_adds_the_trimmed_rows(self):
         # AR(2) differences take lag 2 of a ceiling of 40, so the refit
         # stacks the 38 rows the search trimmed under an R built from three
         # blocks.
         y = _ar_series(21, 3 * BLOCK_ROWS, (0.5, -0.2), True)
-        got = adf_test(y, regression, 40)
+        got = adf_test(y, maxlag=40)
         assert got.used_lag < 10
         _assert_matches(got, adf_oracle(y, 40))
 
-    @pytest.mark.parametrize("regression", ["c"])
-    def test_rank_deficient_over_several_blocks(self, regression):
+    def test_rank_deficient_over_several_blocks(self):
         # The collinear lags of `test_deficient_only_above_some_lag`, on
         # 3,000 rows: the rank rule reads the final R of the block stream.
         dy = np.cos(0.7 * np.arange(3000.0))
@@ -405,7 +388,7 @@ class TestBlockedLagSearch:
         with pytest.raises(DegenerateDataError):
             adf_oracle(y)
         with pytest.raises(DegenerateDataError, match="singular"):
-            adf_test(y, regression=regression)
+            adf_test(y)
 
     @pytest.mark.parametrize("rows", [15_609, 62_000])
     def test_memory_does_not_grow_with_rows(self, rows):
@@ -416,7 +399,7 @@ class TestBlockedLagSearch:
         maxlag = int(12.0 * (rows / 100.0) ** 0.25)
         y = _ar_series(rows, rows + maxlag + 1, (0.5,), False)
         dy = np.diff(y)
-        for run in (lambda: _prefix_ssr(y, dy, maxlag), lambda: adf_test(y, "c", maxlag)):
+        for run in (lambda: _prefix_ssr(y, dy, maxlag), lambda: adf_test(y, maxlag=maxlag)):
             tracemalloc.start()
             try:
                 run()
@@ -432,7 +415,7 @@ class TestBlockedLagSearch:
         returns = _three_hundred_year_returns()
         tracemalloc.start()
         try:
-            got = adf_test(returns, "c")
+            got = adf_test(returns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -66,7 +66,12 @@ options as the lines of a config file, written into each run's working
 directory.  ``long-stats-winsorize``, ``long-seasonal-winsorize`` and
 ``dtw-winsorize`` check that each value-only command reads the winsorized
 values, which only the outlier pass makes, under ``--winsorize``.  ``report-all-arrivals`` is the one tree whose bundle holds a single
-variable and whose ``adf_log_price_diff`` is null.
+variable and whose ``adf_log_price_diff`` is null.  ``report-all-force``
+runs into an existing --out-dir holding ``STALE_FILES``: one output that
+``--force`` replaces and one file left alone, so the commit that moves each
+file into an existing directory is checked as well as the one that renames
+a new directory into place.  The permission bits of --out-dir and of every
+file present in both trees are compared too.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ import csv
 import json
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -90,6 +96,9 @@ LONG_HISTORY = (501, 300, 60, 80)
 
 # Config file of a scenario whose argv passes --config run.cfg.
 WINSORIZE_CONFIG = "winsorize = yes\nnormalize = zscore\nyears = 2012..2020\n"
+# What --out-dir holds before a scenario whose argv passes --force: one
+# output the run replaces and one file it leaves alone.
+STALE_FILES = {"bundle.json": b"{}\n", "notes.txt": b"kept\n"}
 
 # (name, argv before --out-dir, input: None or a key of INPUT_CODE)
 SCENARIOS = (
@@ -99,6 +108,7 @@ SCENARIOS = (
      ["report-all", "--winsorize", "--normalize", "zscore", "--years", "2012..2020"], None),
     ("report-all-config", ["report-all", "--config", "run.cfg"], None),
     ("report-all-arrivals", ["report-all", "--variable", "arrivals"], None),
+    ("report-all-force", ["report-all", "--force"], None),
     ("dtw-band0", ["dtw", "--all-pairs", "--band", "0"], "fixture"),
     ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
      "fixture"),
@@ -162,20 +172,28 @@ def input_csv(src: Path, name: str) -> bytes:
 
 
 def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
-    """Exit code, stdout, stderr and output tree of one CLI run."""
+    """Exit code, stdout, stderr, output tree and permission bits (of
+    --out-dir, keyed ".", and of each file) of one CLI run."""
     workdir.mkdir(parents=True)
+    out = workdir / "out"
     if "--config" in argv:
         (workdir / "run.cfg").write_text(WINSORIZE_CONFIG)
+    if "--force" in argv:
+        out.mkdir()
+        for name, stale in STALE_FILES.items():
+            (out / name).write_bytes(stale)
     if data is not None:
         (workdir / "input.csv").write_bytes(data)
         argv = [argv[0], "--input", "input.csv", *argv[1:]]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "seasonwarp.cli", *argv, "--out-dir", "out"],
                           cwd=workdir, env=env, capture_output=True)
-    out = workdir / "out"
-    tree = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    paths = sorted(out.iterdir()) if out.is_dir() else []
+    modes = {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in paths}
+    if out.is_dir():
+        modes["."] = oct(stat.S_IMODE(out.stat().st_mode))
     return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
-            "tree": tree}
+            "tree": {p.name: p.read_bytes() for p in paths}, "modes": modes}
 
 
 IMAGE = re.compile(r'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="([^"]+)" y="([^"]+)" '
@@ -291,6 +309,9 @@ def places(name: str, old: bytes, new: bytes) -> list[str]:
 
 def differences(a: dict, b: dict) -> list[str]:
     found = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
+    found += [f"mode of {n}: {a['modes'][n]} -> {b['modes'][n]}"
+              for n in sorted(a["modes"].keys() & b["modes"].keys())
+              if a["modes"][n] != b["modes"][n]]
     names_a, names_b = set(a["tree"]), set(b["tree"])
     found += [f"only in parent: {n}" for n in sorted(names_a - names_b)]
     found += [f"only in change: {n}" for n in sorted(names_b - names_a)]
