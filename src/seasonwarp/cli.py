@@ -38,7 +38,7 @@ import numpy as np
 from .cleaning import CleaningReport, ColumnSchema, flag_outliers, parse_market_csv, spline_fill
 from .descriptive import describe
 from .dtw import DtwOptions, Normalization, PairSet
-from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
+from .errors import InsufficientDataError, MarketDataError
 from .fixture import generate_fixture
 from .report import matrix_csv, pair_label, records_csv, series_csv, stats_csv, to_json
 from .seasonal import seasonal_index
@@ -55,6 +55,12 @@ from .svg import bar_chart, dtw_figure, line_chart
 from .unitroot import adf_test
 
 FORMATS = ("json", "csv", "svg")
+# The variables each --variable choice names.
+VARIABLES = {
+    "arrivals": [Variable.ARRIVALS],
+    "price": [Variable.MODAL_PRICE],
+    "both": [Variable.ARRIVALS, Variable.MODAL_PRICE],
+}
 
 
 class UsageError(Exception):
@@ -100,7 +106,7 @@ def _add_common(sp: argparse.ArgumentParser, *, with_input: bool) -> None:
 
 
 def _add_data_opts(sp: argparse.ArgumentParser, formats: str) -> None:
-    sp.add_argument("--variable", choices=("arrivals", "price", "both"), default="both")
+    sp.add_argument("--variable", choices=tuple(VARIABLES), default="both")
     sp.add_argument("--years", type=_years, metavar="A..B",
                     help="restrict to ISO years A through B")
     sp.add_argument("--winsorize", action="store_true",
@@ -130,6 +136,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="seasonwarp",
                      description="Weekly market series cleaning, statistics, "
                                  "seasonal indices, and DTW alignment.")
+    # What a stage reads but not every command defines; a command's own
+    # default wins.
+    parser.set_defaults(input=None, seed=None, band=None, detrend=None, writes=None,
+                        dump_matrices=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixture", help="write the synthetic dataset")
@@ -233,24 +243,16 @@ def _check(args: argparse.Namespace) -> None:
     """The rules the option declarations do not state."""
     if args.out_dir is None:
         raise UsageError("--out-dir is required")
-    for option in ("out_dir", "input"):  # Path("") would be the working directory
-        if getattr(args, option, None) == "":
-            raise UsageError(f"--{option.replace('_', '-')} is an empty path")
-    if getattr(args, "band", None) is not None and args.band < 0:
+    for option, path in (("out-dir", args.out_dir), ("input", args.input)):
+        if path == "":  # Path("") would be the working directory
+            raise UsageError(f"--{option} is an empty path")
+    if args.band is not None and args.band < 0:
         raise UsageError(f"--band must be >= 0, got {args.band}")
-    if getattr(args, "seed", 0) < 0:
+    if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    if "writes" in args and not args.formats & _formats(args.writes):
+    if args.writes is not None and not args.formats & _formats(args.writes):
         raise UsageError(f"--format names none of the formats {args.command} writes: "
                          f"{args.writes}")
-
-
-def _variables(args: argparse.Namespace) -> list[Variable]:
-    return {
-        "arrivals": [Variable.ARRIVALS],
-        "price": [Variable.MODAL_PRICE],
-        "both": [Variable.ARRIVALS, Variable.MODAL_PRICE],
-    }[args.variable]
 
 
 def _year_span(first: int, last: int) -> str:
@@ -315,7 +317,7 @@ def _cleaned(args: argparse.Namespace, data: bytes) -> dict[Variable, _Cleaned]:
     if args.years is not None:
         table = table.in_years(*args.years)
     cleaned = {}
-    for var in _variables(args):
+    for var in VARIABLES[args.variable]:
         series = build_weekly_series(table, var)
         cleaned[var] = _Cleaned(series, *spline_fill(series), args.winsorize, args.years)
     return cleaned
@@ -346,11 +348,14 @@ class _OutputTree:
     once the run has succeeded.  At most `_HELD_BYTES` plus one file are
     held in memory, and a failed run leaves --out-dir as it was.
 
-    A --out-dir that does not exist at the first write is staged beside it,
-    in its parent, and made by one ``os.rename`` of the staging directory.
-    If a non-empty directory appears at --out-dir meanwhile, the rename
-    fails and leaves it untouched; an empty one is replaced (Linux
-    ``rename`` semantics).  An existing --out-dir, which may be a mount
+    A --out-dir that does not exist at the first write is staged beside the
+    highest of its directories that does not exist, ``top``: the run's
+    files go under ``<staging>/<--out-dir relative to top>``, and one
+    ``os.rename`` of the staging directory to ``top`` makes --out-dir and
+    every missing parent at once, so a failed run makes none of them.  If a
+    non-empty directory appears at ``top`` meanwhile, the rename fails and
+    leaves it untouched; an empty one is replaced (Linux ``rename``
+    semantics).  An existing --out-dir, which may be a mount
     point or hold other files, is staged inside and each file moved into
     it by ``os.replace`` after the clash checks."""
 
@@ -360,8 +365,9 @@ class _OutputTree:
         self.names: set[str] = set()
         self.held: dict[str, bytes] = {}
         self.held_bytes = 0
-        self.staging: Path | None = None
-        self.renames = False  # the commit renames staging to out_dir
+        self.root: Path | None = None  # the staging directory
+        self.staging: Path | None = None  # where the files go: root or under it
+        self.top: Path | None = None  # what the commit renames root to, if anything
 
     def __setitem__(self, name: str, text: str) -> None:
         data = text.encode("utf-8")
@@ -372,21 +378,26 @@ class _OutputTree:
             self._write_held()
 
     def _write_held(self) -> None:
-        if self.staging is None:
-            self.renames = not os.path.lexists(self.out_dir)
-            if self.renames:
+        if self.root is None:
+            if not os.path.lexists(self.out_dir):
+                top = self.out_dir
+                while top.parent != top and not os.path.lexists(top.parent):
+                    top = top.parent
                 try:
-                    if not os.path.lexists(self.out_dir.parent):
-                        self.out_dir.parent.mkdir(parents=True)
-                    self.staging = _hidden_dir(self.out_dir.parent)
+                    self.root = self.staging = _hidden_dir(top.parent)
+                    # Part by part: a ".." part fails here, not outside root.
+                    for part in self.out_dir.relative_to(top).parts:
+                        self.staging /= part
+                        self.staging.mkdir()
                 except OSError as exc:  # name --out-dir, not the staging directory
                     raise OSError(exc.errno, exc.strerror, str(self.out_dir)) from None
+                self.top = top
             else:
                 # Staging inside out_dir keeps each move a rename on one file
                 # system even when out_dir is a mount point or its parent is
                 # read-only.
                 self.out_dir.mkdir(exist_ok=True)
-                self.staging = _hidden_dir(self.out_dir)
+                self.root = self.staging = _hidden_dir(self.out_dir)
         for name, data in self.held.items():
             (self.staging / name).write_bytes(data)
         self.held.clear()
@@ -400,14 +411,14 @@ class _OutputTree:
             if exc_type is None:
                 self._commit()
         finally:
-            if self.staging is not None:
-                shutil.rmtree(self.staging)
+            if self.root is not None:
+                shutil.rmtree(self.root)
 
     def _commit(self) -> None:
         self._write_held()
-        if self.renames:
-            os.rename(self.staging, self.out_dir)
-            self.staging = None
+        if self.top is not None:
+            os.rename(self.root, self.top)
+            self.root = None
             return
         names = sorted(self.names)
         clashes = [name for name in names if (self.out_dir / name).exists()]
@@ -432,7 +443,7 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
     """The one data-command driver: read the input, or generate the fixture
     when the command has a fixture seed; clean it; run the stage into the
     output tree."""
-    if args.input is None and not hasattr(args, "seed"):
+    if args.input is None and args.seed is None:
         raise UsageError("--input is required")
     with _OutputTree(args) as files:
         if args.input is not None:
@@ -462,21 +473,11 @@ def _clean_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
     return reports
 
 
-def _adf_on_log_price(dense_price: WeeklySeries):
-    values = dense_price.values()
-    if values.min() <= 0:
-        raise DataIntegrityError(
-            "cleaned price series contains non-positive values; "
-            "log differences are undefined"
-        )
-    return adf_test(log_diff(values))
-
-
 def _stats_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
     summaries = {var.value: describe(c.dense.values()) for var, c in cleaned.items()}
     adf = None
     if Variable.MODAL_PRICE in cleaned:
-        adf = _adf_on_log_price(cleaned[Variable.MODAL_PRICE].dense)
+        adf = adf_test(log_diff(cleaned[Variable.MODAL_PRICE].dense.values()))
     if "json" in args.formats:
         files["stats.json"] = to_json({"summaries": summaries, "adf_log_price_diff": adf})
     if "csv" in args.formats:
@@ -503,7 +504,7 @@ def _seasonal_svg(tables: dict) -> str:
 
 
 def _seasonal_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
-    method = getattr(args, "detrend", None) or "weekly-mean"
+    method = args.detrend or "weekly-mean"
     tables = {var.value: seasonal_index(c.dense, c.years, method) for var, c in cleaned.items()}
     if "json" in args.formats:
         files["seasonal.json"] = to_json({"tables": tables})
@@ -560,7 +561,7 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
                     "year_pair": [y1, y2],
                 },
             )
-        if getattr(args, "dump_matrices", False):
+        if args.dump_matrices:
             files[f"{stem}_local.csv"] = matrix_csv(d)
             files[f"{stem}_cumulative.csv"] = matrix_csv(g)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError, check_finite
+from .errors import DegenerateDataError, InsufficientDataError, finite_sample
 
 
 def quantile(values: np.ndarray | list[float], q: float) -> float:
@@ -20,10 +20,7 @@ def quantile(values: np.ndarray | list[float], q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile level must be in [0, 1], got {q}")
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
-    check_finite(v, "quantile")
+    v = finite_sample(values, "quantile")
     if v.size == 0:
         raise InsufficientDataError("quantile of an empty sample")
     return _sorted_quantile(np.sort(v), q)
@@ -72,8 +69,7 @@ def moments(values: np.ndarray | list[float]) -> tuple[float, float, float, floa
     the full tuple requires n >= 4.  Constant input has a well-defined std
     of 0 but no higher moments.
     """
-    v = np.asarray(values, dtype=float)
-    check_finite(v, "moments")
+    v = finite_sample(values, "moments")
     if v.size < 4:
         needed = {0: "mean", 1: "std", 2: "skewness", 3: "kurtosis"}[min(v.size, 3)]
         raise InsufficientDataError(
@@ -99,8 +95,7 @@ def jarque_bera(values: np.ndarray | list[float]) -> tuple[float, float]:
     JB = n/6 * (S^2 + K^2/4) with moment skewness S and excess kurtosis K;
     the p-value is the chi-squared(2) survival function exp(-JB/2).
     """
-    v = np.asarray(values, dtype=float)
-    check_finite(v, "Jarque-Bera")
+    v = finite_sample(values, "Jarque-Bera")
     if v.size < 8:
         raise InsufficientDataError(
             f"Jarque-Bera needs >= 8 observations, got {v.size}"
@@ -143,10 +138,7 @@ def describe(data) -> DescriptiveSummary:
     percent of the mean.
     """
     values = data.values() if hasattr(data, "values") and callable(data.values) else data
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
-    check_finite(v, "describe")
+    v = finite_sample(values, "describe")
     if v.size < 8:
         raise InsufficientDataError(f"describe needs >= 8 observations, got {v.size}")
     mean, ss, m2, m3, m4 = central_moments(v)

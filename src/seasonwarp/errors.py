@@ -25,6 +25,16 @@ def check_finite(v: np.ndarray, what: str) -> None:
         raise DataIntegrityError(f"{what} needs finite values; got {v.flat[bad[0]]} at index {at}")
 
 
+def finite_sample(values, what: str) -> np.ndarray:
+    """values as a 1-d float64 array whose values `check_finite` has checked;
+    any other shape is a ``ValueError``, raised first."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
+    check_finite(v, what)
+    return v
+
+
 class SchemaError(DataIntegrityError):
     """CSV header does not contain a configured column."""
 

@@ -248,5 +248,7 @@ def log_diff(values: Sequence[float] | np.ndarray) -> np.ndarray:
         raise InsufficientDataError("log_diff needs at least 2 values")
     if np.any(v <= 0):
         bad = int(np.argmax(v <= 0))
-        raise ValueError(f"log_diff requires positive values; value {v[bad]} at index {bad}")
+        raise DataIntegrityError(
+            f"log_diff requires positive values; value {v[bad]} at index {bad}"
+        )
     return np.diff(np.log(v))

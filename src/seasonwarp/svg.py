@@ -52,10 +52,9 @@ def _tick_label(x: float) -> str:
     return format(x, ".6g")
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About six round ticks over a `_Frame` range, which is never empty."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError, check_finite
+from .errors import DegenerateDataError, InsufficientDataError, finite_sample
 
 # The one regression: a constant, no trend (MacKinnon's "c" case).
 REGRESSION = "c"
@@ -171,11 +171,8 @@ def adf_test(values: np.ndarray | list[float], maxlag: int | None = None) -> Adf
     log(SSR) is void).  The winner's full-sample fit needs no check of its
     own: it has more rows, so its sigma_min and SSR are no smaller.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d sample, got shape {v.shape}")
     # LAPACK reports non-finite input on stderr before failing: reject it here.
-    check_finite(v, "ADF test")
+    v = finite_sample(values, "ADF test")
     n = v.size
     if n < 2:
         raise InsufficientDataError(f"ADF test needs >= 2 observations, got {n}")

@@ -518,6 +518,20 @@ class TestIngestBoundary:
         assert _tree(out) == {"keep.txt": b"kept"}
         assert sorted(os.listdir(tmp_path)) == ["in.csv", "o", "run.cfg"]
 
+    @pytest.mark.parametrize("command", ["report-all", "stats"])
+    def test_nonpositive_price_is_a_data_error(self, tmp_path, capsys, command):
+        # Fixture seed 11's spline fill clamps price week 2024-W45 to 0.0,
+        # where the log differences the ADF test takes are undefined.
+        out, data = tmp_path / "o", tmp_path / "in.csv"
+        argv = ["report-all", "--seed", "11"]
+        if command == "stats":
+            data.write_bytes(generate_fixture(11).csv_bytes())
+            argv = ["stats", "--input", str(data)]
+        assert _run(*argv, "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == ("seasonwarp: data error: log_diff requires positive "
+                                           "values; value 0.0 at index 774\n")
+        assert not out.exists()
+
     def test_years_window_clamps_to_dated_years(self, tmp_path, capsys, fixture_csv):
         plain, wide, none = tmp_path / "plain", tmp_path / "wide", tmp_path / "none"
         assert _run("stats", "--input", str(fixture_csv), "--out-dir", str(plain)) == 0
@@ -1080,20 +1094,19 @@ class TestConfigAndUsage:
         assert (out_flag / "cleaned_arrivals.csv").exists()
         assert not out_cfg.exists()
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path, fixture_csv, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus-key = 1\n")
-        code = _run(
-            "clean",
-            "--config",
-            str(cfg),
-            "--input",
-            str(fixture_csv),
-            "--out-dir",
-            str(tmp_path / "o"),
-        )
+    @pytest.mark.parametrize("line, message", [
+        ("bogus-key = 1", "unrecognized arguments: --bogus-key=1"),
+        ("variable price", "expected key=value, got 'variable price'"),
+    ], ids=["unknown key", "no equals sign"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, fixture_csv, capsys, line,
+                                               message):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_text(f"# analysis defaults\n{line}\n")
+        code = _run("clean", "--config", str(cfg), "--input", str(fixture_csv),
+                    "--out-dir", str(out))
         assert code == 1
-        assert "bogus-key" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"seasonwarp: usage error: {cfg}:2: {message}\n"
+        assert not out.exists()
 
     def test_missing_out_dir_is_usage_error(self, fixture_csv):
         assert _run("clean", "--input", str(fixture_csv)) == 1
@@ -1107,29 +1120,29 @@ class TestConfigAndUsage:
     def test_no_subcommand_exits_1(self, capsys):
         assert _run() == 1
 
-    def test_bad_years_range_is_usage_error(self, tmp_path, fixture_csv):
-        code = _run(
-            "clean",
-            "--input",
-            str(fixture_csv),
-            "--years",
-            "2020-2021",
-            "--out-dir",
-            str(tmp_path / "o"),
-        )
+    @pytest.mark.parametrize("years, message", [
+        ("2020-2021", "--years expects A..B, got '2020-2021'"),
+        ("20x0..2021", "--years expects integer years, got '20x0..2021'"),
+        ("2021..2020", "--years range is reversed: '2021..2020'"),
+    ])
+    def test_bad_years_range_is_usage_error(self, tmp_path, fixture_csv, capsys, years, message):
+        out = tmp_path / "o"
+        code = _run("clean", "--input", str(fixture_csv), "--years", years, "--out-dir", str(out))
         assert code == 1
+        assert capsys.readouterr().err == f"seasonwarp: usage error: argument --years: {message}\n"
+        assert not out.exists()
 
-    def test_bad_format_is_usage_error(self, tmp_path, fixture_csv):
-        code = _run(
-            "stats",
-            "--input",
-            str(fixture_csv),
-            "--format",
-            "json,pdf",
-            "--out-dir",
-            str(tmp_path / "o"),
-        )
+    @pytest.mark.parametrize("formats, message", [
+        ("json,pdf", "unknown output format(s): pdf"),
+        (",", "--format needs at least one of json,csv,svg"),
+    ])
+    def test_bad_format_is_usage_error(self, tmp_path, fixture_csv, capsys, formats, message):
+        out = tmp_path / "o"
+        code = _run("stats", "--input", str(fixture_csv), "--format", formats, "--out-dir",
+                    str(out))
         assert code == 1
+        assert capsys.readouterr().err == f"seasonwarp: usage error: argument --format: {message}\n"
+        assert not out.exists()
 
     def test_negative_band_is_usage_error(self, tmp_path, fixture_csv):
         code = _run(
@@ -1222,11 +1235,16 @@ class TestConfigAndUsage:
 
 
 class TestNewOutDir:
-    """A --out-dir that does not exist yet is staged beside it and made by
-    one rename once the run has succeeded."""
+    """A --out-dir that does not exist yet is staged beside the highest of
+    its missing directories and made, with them, by one rename once the run
+    has succeeded."""
 
-    def test_failed_write_leaves_no_out_dir(self, tmp_path, fixture_csv, monkeypatch, capsys):
-        out = tmp_path / "o"
+    @pytest.mark.parametrize("rel", ["o", "a/b/o"], ids=["flat", "nested"])
+    def test_failed_write_leaves_no_out_dir(self, tmp_path, fixture_csv, monkeypatch, capsys,
+                                            rel):
+        # A nested --out-dir is staged as <staging>/b/o beside the missing
+        # `a`, so a failure makes none of a, a/b and a/b/o.
+        out = tmp_path / rel
         write_bytes, written = Path.write_bytes, []
 
         def failing_write_bytes(path, data):
@@ -1239,12 +1257,15 @@ class TestNewOutDir:
         assert _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out)) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert len(written) == 3
-        assert {p.parent.parent for p in written} == {tmp_path}
+        (staged,) = {p.parent.relative_to(tmp_path) for p in written}
+        assert staged.parts[0].startswith(".seasonwarp-")
+        assert staged.parts[1:] == Path(rel).parts[1:]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("rel", ["o", "a/b/o"], ids=["flat", "nested"])
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
-    def test_modes_are_those_mkdir_gives(self, tmp_path, fixture_csv, umask):
-        out, made = tmp_path / "o", tmp_path / "made"
+    def test_modes_are_those_mkdir_gives(self, tmp_path, fixture_csv, umask, rel):
+        out, made = tmp_path / rel, tmp_path / "made"
         old = os.umask(umask)
         try:
             code = _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out))
@@ -1252,9 +1273,20 @@ class TestNewOutDir:
         finally:
             os.umask(old)
         assert code == 0
-        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(made.stat().st_mode)
-        assert stat.S_IMODE(out.stat().st_mode) == 0o777 & ~umask
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([Path(rel).parts[0], "made"])
+        for d in (out, *(tmp_path / p for p in Path(rel).parents[:-1])):
+            assert stat.S_IMODE(d.stat().st_mode) == stat.S_IMODE(made.stat().st_mode)
+            assert stat.S_IMODE(d.stat().st_mode) == 0o777 & ~umask
         assert {stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {0o666 & ~umask}
+
+    @pytest.mark.parametrize("rel", ["file/o", "file/x/o"], ids=["parent", "grandparent"])
+    def test_out_dir_under_a_file_names_out_dir(self, tmp_path, capsys, monkeypatch, rel):
+        monkeypatch.chdir(tmp_path)
+        Path("file").write_bytes(b"kept")
+        assert _run("fixture", "--out-dir", rel) == 2
+        err = capsys.readouterr().err
+        assert err == f"seasonwarp: i/o error: [Errno 20] Not a directory: {rel!r}\n"
+        assert _tree(tmp_path) == {"file": b"kept"}
 
     @pytest.mark.parametrize("theirs, code", [({"theirs.txt": b"theirs"}, 2), ({}, 0)],
                              ids=["non-empty", "empty"])

@@ -292,12 +292,14 @@ def test_non_finite_value_named(what, entry, bad):
             entry(values)
 
 
-@pytest.mark.parametrize("values", [[[3.0, 1.0], [2.0, 4.0]], np.arange(20.0).reshape(4, 5), 5.0])
-@pytest.mark.parametrize("entry", [describe, lambda v: quantile(v, 0.5)],
-                         ids=["describe", "quantile"])
+@pytest.mark.parametrize("values", [[[3.0, 1.0], [2.0, 4.0]], np.arange(20.0).reshape(4, 5), 5.0,
+                                    np.arange(16.0).reshape(4, 4) ** 1.5])
+@pytest.mark.parametrize("entry", [describe, lambda v: quantile(v, 0.5), moments, jarque_bera],
+                         ids=["describe", "quantile", "moments", "jarque_bera"])
 def test_sample_must_be_1d(entry, values):
     # np.sort sorts each row of a matrix, so its order statistics were read
-    # by a flat rank into the rows: an IndexError, or a wrong value.
+    # by a flat rank into the rows: an IndexError, or a wrong value.  The
+    # moments and Jarque-Bera flattened a matrix and returned numbers.
     shape = np.shape(values)
     with pytest.raises(ValueError, match=rf"^expected a 1-d sample, got shape {re.escape(str(shape))}$"):
         entry(values)

@@ -1,8 +1,14 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import seasonwarp
+import seasonwarp.descriptive
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -19,6 +25,28 @@ def test_every_exported_name_resolves():
     assert len(set(seasonwarp.__all__)) == len(seasonwarp.__all__)
     missing = [name for name in seasonwarp.__all__ if not hasattr(seasonwarp, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import seasonwarp", ["seasonwarp"]),
+    ("from seasonwarp import describe",
+     ["numpy", "seasonwarp", "seasonwarp.descriptive", "seasonwarp.errors"]),
+], ids=["import", "one name"])
+def test_package_root_imports_a_module_when_a_name_is_read(code, loaded):
+    probe = (f"{code}; import sys; "
+             "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('seasonwarp')))")
+    src = str(Path(seasonwarp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert ast.literal_eval(out) == loaded
+
+
+def test_package_root_keeps_no_name(monkeypatch):
+    # A name rebound in its module, as a tracer does, is what the root gives.
+    marker = object()
+    monkeypatch.setattr(seasonwarp.descriptive, "describe", marker)
+    assert seasonwarp.describe is marker
+    assert "describe" not in vars(seasonwarp)
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys, fixture42):

@@ -328,9 +328,10 @@ class TestLogDiff:
         assert np.allclose(log_diff(v), expected, rtol=0, atol=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataIntegrityError,
+                           match=r"^log_diff requires positive values; value 0\.0 at index 1$"):
             log_diff([1.0, 0.0, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataIntegrityError, match=r"value -3\.0 at index 1$"):
             log_diff([1.0, -3.0])
 
     def test_rejects_short_input(self):

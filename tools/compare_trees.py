@@ -70,8 +70,11 @@ variable and whose ``adf_log_price_diff`` is null.  ``report-all-force``
 runs into an existing --out-dir holding ``STALE_FILES``: one output that
 ``--force`` replaces and one file left alone, so the commit that moves each
 file into an existing directory is checked as well as the one that renames
-a new directory into place.  The permission bits of --out-dir and of every
-file present in both trees are compared too.
+a new directory into place.  ``report-all-seed11`` exits 2: the spline fill
+of fixture seed 11 clamps one price week to 0.0, so the log price
+differences of the ADF test are undefined; it compares that error's exit
+code and stderr line, and that no --out-dir is made.  The permission bits
+of --out-dir and of every file present in both trees are compared too.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ SCENARIOS = (
     ("report-all-config", ["report-all", "--config", "run.cfg"], None),
     ("report-all-arrivals", ["report-all", "--variable", "arrivals"], None),
     ("report-all-force", ["report-all", "--force"], None),
+    ("report-all-seed11", ["report-all", "--seed", "11"], None),
     ("dtw-band0", ["dtw", "--all-pairs", "--band", "0"], "fixture"),
     ("dtw-band1-zscore", ["dtw", "--all-pairs", "--band", "1", "--normalize", "zscore"],
      "fixture"),
