@@ -195,20 +195,25 @@ def line_chart(
     return _document(width, height, title, metadata, body)
 
 
-# Light-to-dark blue ramp: value 0 maps to the light end, 1 to the dark end.
-_RAMP_LIGHT = np.array([247.0, 251.0, 255.0])
-_RAMP_DARK = np.array([8.0, 48.0, 107.0])
-
-
 def _png_chunk(kind: bytes, data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
 
 
+# Light-to-dark blue ramp, value 0 at the light end and 1 at the dark end, as
+# the heatmap's PNG palette: entry k < 255 is k / 254 of the way, rounded half
+# to even (as Python's round), and entry 255 is the grey of non-finite cells.
+_RAMP_LIGHT = np.array([247.0, 251.0, 255.0])
+_RAMP_DARK = np.array([8.0, 48.0, 107.0])
+_PLTE = _png_chunk(b"PLTE", np.vstack([np.rint(
+    _RAMP_LIGHT - np.arange(255.0)[:, None] / 254 * (_RAMP_LIGHT - _RAMP_DARK)),
+    [0xDD] * 3]).astype(np.uint8).tobytes())
+
+
 def _heatmap_image(matrix: np.ndarray, x: float, y: float, w: float, h: float) -> str:
-    """The cost heatmap as one <image> covering the w x h panel at (x, y): a
-    PNG with one pixel per cell, scaled nearest-neighbour.  A cell's colour is
-    the ramp colour of its cost over the largest finite cost, grey if the cost
-    is not finite."""
+    """The cost heatmap as one <image> covering the w x h panel at (x, y): an
+    indexed-colour PNG, one byte per cell, scaled nearest-neighbour.  A cell
+    shows the ramp level nearest its cost over the largest finite cost, within
+    one unit per channel of the exact ramp colour; grey if it is not finite."""
     n, m = matrix.shape
     cells = np.flatnonzero(np.isfinite(matrix))
     costs = matrix.ravel()[cells]
@@ -216,15 +221,10 @@ def _heatmap_image(matrix: np.ndarray, x: float, y: float, w: float, h: float) -
         raise ValueError("dtw_figure needs a non-negative cost matrix")
     peak = costs.max(initial=0.0)
     vmax = peak if peak > 0 else 1.0
-    # Scanlines of filter byte 0 (none) and m grey pixels each.  Channel c of
-    # cell k = i * m + j is byte i * (1 + 3 * m) + 1 + 3 * j + c, that is
-    # 3 * k + i + 1 + c.  Channels round half to even (np.rint, as Python's
-    # round does).
-    scanlines = np.full((n, 1 + 3 * m), 0xDD, dtype=np.uint8)
+    # Scanlines of filter byte 0 and m indices each: cell k = i * m + j is byte k + i + 1.
+    scanlines = np.full((n, 1 + m), 255, dtype=np.uint8)
     scanlines[:, 0] = 0
-    channel = np.arange(3)[:, None]
-    scanlines.ravel()[3 * cells + cells // m + 1 + channel] = np.rint(
-        _RAMP_LIGHT[:, None] - (costs / vmax) * (_RAMP_LIGHT - _RAMP_DARK)[:, None])
+    scanlines.ravel()[cells + cells // m + 1] = np.rint(costs / vmax * 254)
     raw = scanlines.tobytes()
     # A zlib stream of stored deflate blocks, so the bytes depend on no
     # compressor build: header 78 01, blocks of at most 65,535 bytes, each
@@ -237,7 +237,7 @@ def _heatmap_image(matrix: np.ndarray, x: float, y: float, w: float, h: float) -
         stream += [struct.pack("<BHH", final, len(block), len(block) ^ 0xFFFF), block]
     stream.append(struct.pack(">I", zlib.adler32(raw)))
     png = (b"\x89PNG\r\n\x1a\n"
-           + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", m, n, 8, 2, 0, 0, 0))
+           + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", m, n, 8, 3, 0, 0, 0)) + _PLTE
            + _png_chunk(b"IDAT", b"".join(stream))
            + _png_chunk(b"IEND", b""))
     data = binascii.b2a_base64(png, newline=False).decode("ascii")

@@ -439,25 +439,35 @@ def adf_tratio_exact(values, lag: int) -> float:
     return t if a > 0 else -t
 
 
-def dtw_heatmap_cells_oracle(g) -> list[str]:
-    """The fill of each dtw_figure heatmap cell, straight from the ramp formula.
-
-    Channels run linearly from (247, 251, 255) at 0 to (8, 48, 107) at the
-    largest finite cost and round half to even; non-finite cells are grey.
-    Cells are listed row by row.
-    """
+def _heatmap_fills(g, ramp) -> list[str]:
+    """The fill of each heatmap cell, row by row: ramp(u) for a finite cost
+    at u = cost / the largest finite cost (1.0 if that is 0), grey if not
+    finite."""
     finite = [v for row in g for v in row if math.isfinite(v)]
     vmax = max(finite) if finite and max(finite) > 0 else 1.0
     fills = []
     for row in g:
         for v in map(float, row):
-            if math.isfinite(v):
-                u = v / vmax
-                rgb = (round(247 - u * 239), round(251 - u * 203), round(255 - u * 148))
-                fills.append("#%02x%02x%02x" % rgb)
-            else:
-                fills.append("#dddddd")
+            fills.append("#%02x%02x%02x" % ramp(v / vmax) if math.isfinite(v) else "#dddddd")
     return fills
+
+
+def dtw_heatmap_exact_oracle(g) -> list[str]:
+    """The fill of each dtw_figure heatmap cell on the exact ramp: channels
+    run linearly from (247, 251, 255) at 0 to (8, 48, 107) at the largest
+    finite cost and round half to even; non-finite cells are grey."""
+    return _heatmap_fills(g, lambda u: (round(247 - u * 239), round(251 - u * 203),
+                                        round(255 - u * 148)))
+
+
+def dtw_heatmap_cells_oracle(g) -> list[str]:
+    """The fill dtw_figure gives each heatmap cell: the exact ramp taken at
+    the nearest of 255 levels, level k = round(u * 254) being k / 254 of the
+    way to the dark end; every rounding is half to even."""
+    def level(u):
+        t = round(u * 254) / 254
+        return round(247 - t * 239), round(251 - t * 203), round(255 - t * 148)
+    return _heatmap_fills(g, level)
 
 
 def polyline_points_oracle(frame, xs, ys) -> str:

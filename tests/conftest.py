@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# tools/compare_trees.py is a script, not a package module; tests import it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from seasonwarp.cleaning import ColumnSchema, clean_series, parse_market_csv
 from seasonwarp.fixture import generate_fixture

@@ -8,7 +8,7 @@ another numpy or platform is a portability finding, not a code change.
 
 A change that sets out to change output bytes regenerates the goldens with
 
-    PYTHONPATH=src python3 tests/test_output_trees.py
+    PYTHONPATH=src:tools python3 tests/test_output_trees.py
 
 and the diff of ``tests/golden_trees.json`` shows which files it changed.
 """
@@ -16,22 +16,18 @@ and the diff of ``tests/golden_trees.json`` shows which files it changed.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import platform
 import tempfile
 from pathlib import Path
 
+import compare_trees
 import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_trees.json"
 PINNED = ("report-all", "report-all-band4")
-
-_spec = importlib.util.spec_from_file_location("compare_trees", ROOT / "tools" / "compare_trees.py")
-compare_trees = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_trees)
 
 
 def environment() -> dict:

@@ -42,6 +42,7 @@ from seasonwarp.unitroot import adf_test
 
 from _oracles import (
     dtw_heatmap_cells_oracle,
+    dtw_heatmap_exact_oracle,
     polyline_points_oracle,
     ranking_csv_oracle,
     seasonal_csv_oracle,
@@ -346,13 +347,14 @@ class TestSvg:
             assert _points(vals[0], vals[1]) == " ".join(map("{:.2f},{:.2f}".format, xs, ys))
 
     @staticmethod
-    def _check_heatmap(g, steps, pair):
-        """Draw g and decode its heatmap, the one <image> of the figure.
+    def _heatmap_fills(g, steps, pair):
+        """Draw g, decode its heatmap, the one <image> of the figure, and
+        return each cell's fill, row by row.
 
         The image covers exactly the 400 x 374 panel at (56, 40) and is an
-        8-bit RGB PNG of n x m pixels: every chunk CRC holds, IDAT is a zlib
-        stream of stored deflate blocks, and every scanline has filter byte 0.
-        Each pixel has the fill of the per-cell oracle.
+        indexed-colour PNG of n x m pixels: chunks IHDR, PLTE, IDAT and IEND
+        with every CRC holding, a 256-entry palette, IDAT a zlib stream of
+        stored deflate blocks, and every scanline filter byte 0 and m indices.
         """
         text = dtw_figure(g, steps, pair, ("2020", "2021"), title="demo", metadata={})
         n, m = g.shape
@@ -377,23 +379,36 @@ class TestSvg:
             chunks.append((kind, data))
             pos += 12 + length
         assert pos == len(png)
-        assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
-        assert struct.unpack(">IIBBBBB", chunks[0][1]) == (m, n, 8, 2, 0, 0, 0)
-        stream = chunks[1][1]
+        assert [kind for kind, _ in chunks] == [b"IHDR", b"PLTE", b"IDAT", b"IEND"]
+        assert struct.unpack(">IIBBBBB", chunks[0][1]) == (m, n, 8, 3, 0, 0, 0)
+        palette = chunks[1][1]
+        assert len(palette) == 768
+        stream = chunks[2][1]
         raw = zlib.decompress(stream)
-        assert len(raw) == n * (1 + 3 * m)
+        assert len(raw) == n * (1 + m)
         # Header 78 01, five header bytes per stored block of at most 65,535
         # bytes, and the Adler-32.
         assert stream[:2] == b"\x78\x01"
         assert len(stream) == 2 + 5 * -(-len(raw) // 65535) + len(raw) + 4
-        rows = [raw[i * (1 + 3 * m):(i + 1) * (1 + 3 * m)] for i in range(n)]
+        rows = [raw[i * (1 + m):(i + 1) * (1 + m)] for i in range(n)]
         assert [row[0] for row in rows] == [0] * n
-        fills = ["#" + row[1 + 3 * j:4 + 3 * j].hex() for row in rows for j in range(m)]
-        assert fills == dtw_heatmap_cells_oracle(g.tolist())
+        return ["#" + palette[3 * k:3 * k + 3].hex() for row in rows for k in row[1:]]
 
-    @pytest.mark.parametrize("case", ["banded", "unbanded", "all-zero", "half-way ties",
-                                      "1x1", "all-inf", "160x160"])
-    def test_dtw_figure_cells_match_ramp_bytes(self, case):
+    @staticmethod
+    def _assert_within_one_unit(fills, g):
+        """Every fill is within 1 per channel of the exact ramp colour."""
+        exact = dtw_heatmap_exact_oracle(g.tolist())
+        assert len(fills) == len(exact)
+        off = [(k, a, b) for k, (a, b) in enumerate(zip(fills, exact))
+               if max(abs(int(a[c:c + 2], 16) - int(b[c:c + 2], 16)) for c in (1, 3, 5)) > 1]
+        assert not off, f"{len(off)} cells off the exact ramp, first {off[:3]}"
+
+    HEATMAP_CASES = ["banded", "unbanded", "all-zero", "half-way ties", "level ties", "1x1",
+                     "all-inf", "160x160", "256x256"]
+
+    @staticmethod
+    def _heatmap_case(case):
+        """(g, path steps, aligned pair) of one named heatmap case."""
         rng = np.random.default_rng(52)
         x, y = rng.normal(size=52).cumsum(), rng.normal(size=53).cumsum()
         band = 4 if case == "banded" else None
@@ -401,17 +416,34 @@ class TestSvg:
         if case == "all-zero":
             g = np.zeros((6, 7))
         elif case == "half-way ties":
-            # v = k / 478 puts the red channel exactly on .5 for 236 cells.
+            # v = k / 478 puts the exact ramp's red channel on .5 for 236 cells.
             g = np.minimum(np.arange(480.0), 478.0).reshape(20, 24)
+        elif case == "level ties":
+            # v / 508 * 254 lands exactly on j + .5 for the 254 odd v: half
+            # to even and half up pick different levels for 127 of them.
+            g = np.minimum(np.arange(510.0), 508.0).reshape(17, 30)
         elif case == "1x1":
             g = np.array([[3.5]])
         elif case == "all-inf":
             g = np.full((5, 4), np.inf)
         elif case == "160x160":
-            # 160 scanlines of 481 bytes: 76,960 raw bytes, two stored blocks.
+            # 160 scanlines of 161 bytes: 25,760 raw bytes in one stored block.
             g = rng.uniform(0.0, 100.0, size=(160, 160))
+        elif case == "256x256":
+            # 256 scanlines of 257 bytes: 65,792 raw bytes, two stored blocks.
+            g = rng.uniform(0.0, 100.0, size=(256, 256))
         assert (case in ("banded", "all-inf")) == bool(np.isinf(g).any())
-        self._check_heatmap(g, res.path.steps, (x, y))
+        return g, res.path.steps, (x, y)
+
+    @pytest.mark.parametrize("case", HEATMAP_CASES)
+    def test_dtw_figure_cells_match_ramp_bytes(self, case):
+        g, steps, pair = self._heatmap_case(case)
+        assert self._heatmap_fills(g, steps, pair) == dtw_heatmap_cells_oracle(g.tolist())
+
+    @pytest.mark.parametrize("case", HEATMAP_CASES)
+    def test_dtw_figure_cells_within_one_unit_of_exact_ramp(self, case):
+        g, steps, pair = self._heatmap_case(case)
+        self._assert_within_one_unit(self._heatmap_fills(g, steps, pair), g)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -435,7 +467,9 @@ class TestSvg:
         # A monotone staircase from (1, 1) to (n, m); the heatmap ignores it.
         steps = [(1 + k * (n - 1) // (n + m), 1 + k * (m - 1) // (n + m))
                  for k in range(n + m + 1)]
-        self._check_heatmap(g, steps, (rng.normal(size=n), rng.normal(size=m)))
+        fills = self._heatmap_fills(g, steps, (rng.normal(size=n), rng.normal(size=m)))
+        assert fills == dtw_heatmap_cells_oracle(g.tolist())
+        self._assert_within_one_unit(fills, g)
 
     def test_dtw_figure_rejects_negative_costs(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -471,12 +505,12 @@ class TestSvg:
         ),
         "dtw_figure banded 52x53": (
             lambda: TestSvg._banded_figure(),
-            "0bade620ba8b473144087bbeb41488dd5ef98b853aca234e570a9076d8e70540",
+            "6c8807443f6f07c04d6ae89fdd1e347e30b81058dfa7aa95eb8e63c8d089be45",
         ),
         "dtw_figure 1x1": (
             lambda: dtw_figure(np.array([[3.5]]), [(1, 1)], ([2.0], [4.0]), ("2019", "2020"),
                                title="one cell", metadata={}),
-            "42e00ff7a7fd7e8a58bca4fb13b6fbb482141595090f1163188f955c41bd3cd8",
+            "22283799d3ad1ed753142eb78ef616102f4d72bc658177c5341998fba365f8d3",
         ),
         "bar_chart": (
             lambda: bar_chart([("2010-2011", 12.5), ("2011-2012", 0.0), ("2012-2013", 3.25)],

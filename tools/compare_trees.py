@@ -11,12 +11,15 @@ tree, each in a fresh working directory with the same relative ``--input`` and
 compared file by file, together with stdout, stderr and the exit code.  One
 line per scenario is printed; the exit code is 1 if any scenario differs.
 
-A ``dtw_*.svg`` that differs is reported as ``PICTURE`` when it draws the same
-picture: every line but the heatmap ``<image>`` is identical, and both images
-sit at the same place and decode to the same pixel rows (an 8-bit RGB PNG with
-one pixel per cell).  A scenario whose only differences are such files prints
-``PICTURE`` in place of ``DIFF``; it still counts as a difference for the exit
-code.
+A ``dtw_*.svg`` whose lines other than the heatmap ``<image>`` are identical,
+and whose images sit at the same place and decode, is compared by its pixels
+instead of its bytes.  A PNG decodes when it is 8-bit, non-interlaced RGB
+(colour type 2) or indexed colour (type 3, each index read through ``PLTE``),
+and every scanline has filter byte 0.  If no pixel differs, the file draws
+the same picture.  A scenario whose only differences are such files prints
+``PICTURE`` in place of ``DIFF`` when every picture is the same, and
+``HEATMAP`` with the number of differing pixels and the largest difference in
+any channel otherwise; either still counts as a difference for the exit code.
 
 A file that differs in any other way is printed with where it differs: for
 JSON the key paths of the values that differ, such as
@@ -206,9 +209,10 @@ IMAGE = re.compile(r'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="([^"]+
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 
-def png_fills(png: bytes) -> list[list[str]] | None:
-    """Pixel rows, as RGB bytes, of an 8-bit RGB, non-interlaced PNG whose
-    scanlines all have filter byte 0; None for any other or broken PNG."""
+def png_fills(png: bytes) -> list[bytes] | None:
+    """Pixel rows, as RGB bytes, of an 8-bit, non-interlaced RGB or
+    indexed-colour PNG whose scanlines all have filter byte 0; None for any
+    other or broken PNG."""
     if not png.startswith(PNG_SIGNATURE):
         return None
     chunks, pos = {}, len(PNG_SIGNATURE)
@@ -220,14 +224,20 @@ def png_fills(png: bytes) -> list[list[str]] | None:
             return None
         chunks[kind] = chunks.get(kind, b"") + data
         pos += 12 + length
-    width, height, *form = struct.unpack(">IIBBBBB", chunks[b"IHDR"])
-    if form != [8, 2, 0, 0, 0] or not width or not height:
+    width, height, depth, colour, *form = struct.unpack(">IIBBBBB", chunks[b"IHDR"])
+    if depth != 8 or colour not in (2, 3) or form != [0, 0, 0] or not width or not height:
         return None
     raw = zlib.decompress(chunks[b"IDAT"])
-    stride = 1 + 3 * width
+    stride = 1 + (3 if colour == 2 else 1) * width
     if len(raw) != height * stride or any(raw[i * stride] for i in range(height)):
         return None
-    return [raw[i * stride + 1:(i + 1) * stride] for i in range(height)]
+    rows = [raw[i * stride + 1:(i + 1) * stride] for i in range(height)]
+    if colour == 2:
+        return rows
+    palette = chunks.get(b"PLTE", b"")
+    if len(palette) % 3 or max(map(max, rows)) >= len(palette) // 3:
+        return None
+    return [b"".join([palette[3 * k:3 * k + 3] for k in row]) for row in rows]
 
 
 def heatmap(svg: bytes) -> tuple[list[str], list | None]:
@@ -250,11 +260,27 @@ def heatmap(svg: bytes) -> tuple[list[str], list | None]:
     return others, images
 
 
-def same_picture(a: bytes, b: bytes) -> bool:
-    """Whether two DTW figures differ only in how their heatmap is encoded."""
+def heatmap_change(a: bytes, b: bytes) -> tuple[int, int] | None:
+    """For two DTW figures that differ at most in their heatmaps' pixels, the
+    number of pixels that differ and the largest difference in any channel;
+    None if anything else differs or an image does not decode."""
     others_a, images_a = heatmap(a)
     others_b, images_b = heatmap(b)
-    return others_a == others_b and images_a is not None and images_a == images_b
+    if others_a != others_b or images_a is None or images_b is None:
+        return None
+    shape = [(place, [len(row) for row in rows]) for place, rows in images_a]
+    if shape != [(place, [len(row) for row in rows]) for place, rows in images_b]:
+        return None
+    pixels = largest = 0
+    for (_, rows_a), (_, rows_b) in zip(images_a, images_b):
+        for row_a, row_b in zip(rows_a, rows_b):
+            if row_a == row_b:
+                continue
+            for k in range(0, len(row_a), 3):
+                d = max(abs(u - v) for u, v in zip(row_a[k:k + 3], row_b[k:k + 3]))
+                pixels += d > 0
+                largest = max(largest, d)
+    return pixels, largest
 
 
 PLACES_SHOWN = 10
@@ -311,7 +337,10 @@ def places(name: str, old: bytes, new: bytes) -> list[str]:
     return line_places(name, text_a.splitlines(), text_b.splitlines())
 
 
-def differences(a: dict, b: dict) -> list[str]:
+def differences(a: dict, b: dict) -> tuple[list[str], dict]:
+    """What differs between two runs, and apart from that, each DTW figure
+    that differs at most in its heatmap's pixels, as `heatmap_change` gives
+    it, by name."""
     found = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     found += [f"mode of {n}: {a['modes'][n]} -> {b['modes'][n]}"
               for n in sorted(a["modes"].keys() & b["modes"].keys())
@@ -319,17 +348,20 @@ def differences(a: dict, b: dict) -> list[str]:
     names_a, names_b = set(a["tree"]), set(b["tree"])
     found += [f"only in parent: {n}" for n in sorted(names_a - names_b)]
     found += [f"only in change: {n}" for n in sorted(names_b - names_a)]
+    heatmaps = {}
     for n in sorted(names_a & names_b):
         old, new = a["tree"][n], b["tree"][n]
         if old != new:
-            if n.startswith("dtw_") and n.endswith(".svg") and same_picture(old, new):
-                found.append(f"{n} PICTURE")
+            change = heatmap_change(old, new) if n.startswith("dtw_") and n.endswith(".svg") \
+                else None
+            if change is not None:
+                heatmaps[n] = change
                 continue
             where = places(n, old, new)
             more = len(where) - PLACES_SHOWN
             shown = ", ".join(where[:PLACES_SHOWN]) + (f" and {more} more" if more > 0 else "")
             found.append(f"{n} differs" + (f" at {shown}" if where else ""))
-    return found
+    return found, heatmaps
 
 
 def main(argv: list[str]) -> int:
@@ -344,19 +376,23 @@ def main(argv: list[str]) -> int:
             data = None if input_name is None else inputs[input_name]
             a = run(parent, scenario, data, Path(tmp) / "parent" / name)
             b = run(change, scenario, data, Path(tmp) / "change" / name)
-            found = differences(a, b)
-            failed += bool(found)
-            pictures = [f for f in found if f.endswith(" PICTURE")]
-            if not found:
+            found, heatmaps = differences(a, b)
+            failed += bool(found or heatmaps)
+            pixels = sum(p for p, _ in heatmaps.values())
+            largest = max((d for _, d in heatmaps.values()), default=0)
+            only = f"{len(heatmaps)} of {len(a['tree'])} files differ only in the heatmap"
+            if not found and not heatmaps:
                 status, detail = "same", f"{len(a['tree'])} files"
-            elif len(pictures) == len(found):
-                status, detail = "PICTURE", (f"{len(pictures)} of {len(a['tree'])} files "
-                                             "differ in bytes, each the same picture")
+            elif not found and not pixels:
+                status, detail = "PICTURE", f"{only}, each the same picture"
+            elif not found:
+                status = "HEATMAP"
+                detail = f"{only}: {pixels} pixels, by at most {largest} per channel"
             else:
                 status = "DIFF"
-                detail = "; ".join([f for f in found if f not in pictures][:5])
-                if pictures:
-                    detail += f"; {len(pictures)} more the same picture"
+                detail = "; ".join(found[:5])
+                if heatmaps:
+                    detail += f"; {len(heatmaps)} more differ only in the heatmap"
             print(f"{status:7}  {name} (exit {a['exit code']}): {detail}")
     return 1 if failed else 0
 
