@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataIntegrityError, InsufficientDataError
+from .errors import DataIntegrityError, InsufficientDataError, finite_sample
 
 
 def weeks_in_iso_year(iso_year: int) -> int:
@@ -241,9 +241,7 @@ def complete_years(series: WeeklySeries) -> list[int]:
 
 def log_diff(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """First differences of natural logs: out[t] = ln(v[t+1]) - ln(v[t])."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("log_diff expects a 1-D sequence")
+    v = finite_sample(values, "log_diff")
     if v.size < 2:
         raise InsufficientDataError("log_diff needs at least 2 values")
     if np.any(v <= 0):

@@ -338,6 +338,15 @@ class TestLogDiff:
         with pytest.raises(InsufficientDataError):
             log_diff([5.0])
 
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, math.nan, 2.0], "got nan at index 1"),
+        ([1.0, math.inf], "got inf at index 1"),
+        ([-math.inf, 1.0], "got -inf at index 0"),
+    ])
+    def test_rejects_non_finite(self, values, message):
+        with pytest.raises(DataIntegrityError, match=rf"^log_diff needs finite values; {message}$"):
+            log_diff(values)
+
     def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected a 1-d sample, got shape \(3, 3\)$"):
             log_diff(np.ones((3, 3)))
