@@ -2,9 +2,18 @@
 
 Each pinned scenario is taken by name from ``tools/compare_trees.py``'s
 ``SCENARIOS`` and run through its ``run()``, so this test and the by-hand
-comparison of two trees cannot drift apart.  The golden file records the
-numpy version and the platform its digests were taken on: a mismatch under
-another numpy or platform is a portability finding, not a code change.
+comparison of two trees cannot drift apart.  Every scenario whose input the
+CLI makes, or that is made from the fixture, is pinned, and so is
+``long-stats``.  Beside each file's digest the golden file records the exit
+code and the sha256 of stderr, so a warning or an error message that changes
+fails too.  The golden file records the numpy version and the platform its
+digests were taken on: a mismatch under another numpy or platform is a
+portability finding, not a code change.
+
+``long-stats`` runs its child with ``OPENBLAS_NUM_THREADS=1``.  Its ADF lag
+search factors 16 row blocks through LAPACK, and a threaded QR may split its
+work, and so round, by thread count; one thread pins the order of the sums
+until the factorisation no longer depends on the BLAS.
 
 A change that sets out to change output bytes regenerates the goldens with
 
@@ -19,6 +28,7 @@ import hashlib
 import json
 import platform
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import compare_trees
@@ -27,7 +37,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_trees.json"
-PINNED = ("report-all", "report-all-band4")
+SCENARIOS = {name: (argv, input_name) for name, argv, input_name in compare_trees.SCENARIOS}
+PINNED = tuple(name for name, (_, input_name) in SCENARIOS.items()
+               if input_name in (None, "fixture", "edge-gap")) + ("long-stats",)
+# The child environment of the scenarios on the long history.
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 
 
 def environment() -> dict:
@@ -35,33 +49,48 @@ def environment() -> dict:
             "python": platform.python_version()}
 
 
-def tree_digests(name: str, workdir: Path) -> dict:
-    """Exit code and the sha256 of each output file of one pinned scenario."""
-    (argv, input_name), = [(argv, input_name) for scenario, argv, input_name
-                           in compare_trees.SCENARIOS if scenario == name]
-    assert input_name is None, "pinned scenarios generate their own input"
-    result = compare_trees.run(ROOT / "src", argv, None, workdir)
-    return {"exit code": result["exit code"],
-            "files": {n: hashlib.sha256(data).hexdigest() for n, data in result["tree"].items()}}
+def tree_digests(workdir: Path) -> dict:
+    """Exit code, the sha256 of stderr and the sha256 of each output file of
+    every pinned scenario, by name, two children at a time."""
+    inputs = {input_name: compare_trees.input_csv(ROOT / "src", input_name)
+              for input_name in {SCENARIOS[name][1] for name in PINNED} - {None}}
+
+    def digests(name: str) -> dict:
+        argv, input_name = SCENARIOS[name]
+        env = ONE_BLAS_THREAD if input_name == "long" else None
+        result = compare_trees.run(ROOT / "src", argv, inputs.get(input_name), workdir / name, env)
+        return {"exit code": result["exit code"],
+                "stderr": hashlib.sha256(result["stderr"]).hexdigest(),
+                "files": {n: hashlib.sha256(data).hexdigest()
+                          for n, data in result["tree"].items()}}
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(PINNED, pool.map(digests, PINNED)))
+
+
+@pytest.fixture(scope="module")
+def trees(tmp_path_factory):
+    return tree_digests(tmp_path_factory.mktemp("trees"))
 
 
 @pytest.mark.parametrize("name", PINNED)
-def test_output_tree_matches_golden(name, tmp_path):
+def test_output_tree_matches_golden(name, trees):
     golden = json.loads(GOLDEN.read_text())
-    got = tree_digests(name, tmp_path / name)
+    got = trees[name]
     want = golden["scenarios"][name]
     changed = sorted(n for n in want["files"].keys() & got["files"].keys()
                      if want["files"][n] != got["files"][n])
     where = (f"goldens taken on {golden['environment']}, "
              f"this run on {environment()}")
     assert got["exit code"] == want["exit code"], where
+    assert got["stderr"] == want["stderr"], where
     assert sorted(got["files"]) == sorted(want["files"]), where
     assert not changed, f"{len(changed)} files differ, first {changed[:5]}; {where}"
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="golden-trees-") as tmp:
-        scenarios = {name: tree_digests(name, Path(tmp) / name) for name in PINNED}
+        scenarios = tree_digests(Path(tmp))
     GOLDEN.write_text(json.dumps({"environment": environment(), "scenarios": scenarios},
                                  indent=1, sort_keys=True) + "\n")
 

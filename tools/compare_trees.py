@@ -76,7 +76,8 @@ file into an existing directory is checked as well as the one that renames
 a new directory into place.  ``report-all-seed11`` exits 2: the spline fill
 of fixture seed 11 clamps one price week to 0.0, so the log price
 differences of the ADF test are undefined; it compares that error's exit
-code and stderr line, and that no --out-dir is made.  The permission bits
+code and stderr line, and that no --out-dir is made.  ``fixture`` is the
+one scenario that runs the ``fixture`` command, at seed 3.  The permission bits
 of --out-dir and of every file present in both trees are compared too.
 """
 
@@ -108,6 +109,7 @@ STALE_FILES = {"bundle.json": b"{}\n", "notes.txt": b"kept\n"}
 
 # (name, argv before --out-dir, input: None or a key of INPUT_CODE)
 SCENARIOS = (
+    ("fixture", ["fixture", "--seed", "3"], None),
     ("report-all", ["report-all"], None),
     ("report-all-band4", ["report-all", "--seed", "201", "--all-pairs", "--band", "4"], None),
     ("report-all-winsorize",
@@ -178,9 +180,11 @@ def input_csv(src: Path, name: str) -> bytes:
                           env=env, check=True, capture_output=True).stdout
 
 
-def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
+def run(src: Path, argv: list[str], data: bytes | None, workdir: Path,
+        env: dict[str, str] | None = None) -> dict:
     """Exit code, stdout, stderr, output tree and permission bits (of
-    --out-dir, keyed ".", and of each file) of one CLI run."""
+    --out-dir, keyed ".", and of each file) of one CLI run, with ``env``
+    added to the child's environment."""
     workdir.mkdir(parents=True)
     out = workdir / "out"
     if "--config" in argv:
@@ -192,9 +196,9 @@ def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
     if data is not None:
         (workdir / "input.csv").write_bytes(data)
         argv = [argv[0], "--input", "input.csv", *argv[1:]]
-    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "seasonwarp.cli", *argv, "--out-dir", "out"],
-                          cwd=workdir, env=env, capture_output=True)
+                          cwd=workdir, env=dict(os.environ, PYTHONPATH=str(src), **(env or {})),
+                          capture_output=True)
     paths = sorted(out.iterdir()) if out.is_dir() else []
     modes = {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in paths}
     if out.is_dir():
