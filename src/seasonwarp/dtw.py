@@ -71,6 +71,13 @@ class WarpPath:
     def __len__(self) -> int:
         return len(self.steps)
 
+    @property
+    def moves(self) -> str:
+        """The path as K - 1 letters, one per step after (1, 1): ``D`` to
+        (i + 1, j + 1), ``V`` to (i + 1, j) and ``H`` to (i, j + 1)."""
+        return "".join(["VHD"[a - i + 2 * (b - j) - 1]
+                        for (i, j), (a, b) in zip(self.steps, self.steps[1:])])
+
 
 @dataclass(frozen=True)
 class DtwResult:
@@ -90,7 +97,7 @@ class DtwResult:
         return {
             "total_cost": self.total_cost,
             "mean_cost": self.mean_cost,
-            "path": self.path,
+            "path": self.path.moves,
             "path_length": self.path_length,
             "options": self.options.to_dict(),
         }

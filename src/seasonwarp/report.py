@@ -13,11 +13,9 @@ import csv
 import io
 import math
 from dataclasses import fields, is_dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .descriptive import DescriptiveSummary
-from .dtw import WarpPath
 from .series import FLAGS, WeekKey, WeeklySeries
 from .unitroot import AdfResult
 
@@ -25,9 +23,8 @@ from .unitroot import AdfResult
 def to_json(payload) -> str:
     """``payload`` as ``json.dumps`` writes it with two-space indentation
     and sorted keys, plus a newline, once every record is in its JSON form:
-    a `WeekKey` is ``[iso_year, iso_week]``, a `WarpPath` is its ``[i, j]``
-    rows, a record with a ``to_dict`` is that dict, and any other dataclass
-    is its fields.  Sorted keys keep field order out of the bytes; a key
+    a `WeekKey` is ``[iso_year, iso_week]``, a record with a ``to_dict`` is
+    that dict, and any other dataclass is its fields.  Sorted keys keep field order out of the bytes; a key
     that is not a str raises TypeError.  NaN and the infinities are written
     as ``NaN`` and ``Infinity``, as json writes them."""
     return _json(payload, "\n") + "\n"
@@ -62,11 +59,6 @@ def _json(value, nl: str) -> str:
         if not value:
             return "[]"
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + nl + "]"
-    if isinstance(value, WarpPath):
-        # One % over the flattened steps; a path is never empty.
-        cell = inner + "  "
-        rows = ("," + inner).join(["[" + cell + "%d," + cell + "%d" + inner + "]"] * len(value))
-        return "[" + inner + rows % tuple(chain.from_iterable(value.steps)) + nl + "]"
     if isinstance(value, WeekKey):
         return _json([value.iso_year, value.iso_week], nl)
     if hasattr(value, "to_dict"):

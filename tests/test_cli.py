@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import cumulative_cost_oracle
+from _oracles import cumulative_cost_oracle, warp_steps_oracle
 import seasonwarp.cli
 import seasonwarp.dtw
 from seasonwarp.cleaning import clean_series, parse_market_csv
@@ -613,9 +613,10 @@ class TestDtwCommand:
         assert set(payload["result"]) == {
             "total_cost", "mean_cost", "path", "path_length", "options"}
         result = payload["result"]
-        assert result["path"][0] == [1, 1]
-        assert result["path"][-1] == [53, 52]
-        assert result["path_length"] == len(result["path"])
+        # The path is one letter per step after (1, 1).
+        steps = warp_steps_oracle(result["path"])
+        assert steps[-1] == (53, 52)
+        assert result["path_length"] == len(result["path"]) + 1 == len(steps)
         assert result["mean_cost"] == result["total_cost"] / result["path_length"]
 
     def test_all_pairs(self, tmp_path, fixture_csv):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seasonwarp.dtw
-from _oracles import cumulative_cost_oracle, enum_dtw_min_cost
+from _oracles import cumulative_cost_oracle, enum_dtw_min_cost, warp_steps_oracle
 from seasonwarp.dtw import (
     DtwOptions,
     DtwResult,
@@ -264,13 +264,15 @@ class TestDtwAlign:
         rng = np.random.default_rng(10)
         res = dtw_align(rng.normal(size=8), rng.normal(size=10), DtwOptions(band_radius=3))
         k = len(res.path.steps)
-        assert json.loads(to_json(res)) == {
+        written = json.loads(to_json(res))
+        assert written == {
             "total_cost": res.total_cost,
             "mean_cost": res.total_cost / k,
-            "path": [[i, j] for i, j in res.path.steps],
+            "path": res.path.moves,
             "path_length": k,
             "options": {"band_radius": 3, "local_metric": "absolute", "normalize_input": "none"},
         }
+        assert warp_steps_oracle(written["path"]) == list(res.path.steps)
         # path_length and mean_cost are derived from path and total_cost.
         stored = {f.name for f in dataclasses.fields(DtwResult)}
         assert stored.isdisjoint({"path_length", "mean_cost"})
@@ -281,10 +283,26 @@ class TestDtwAlign:
         res = dtw_align([0.0, 2.0, 1.0], [0.0, 1.0])
         assert [f.name for f in dataclasses.fields(DtwResult)] == ["total_cost", "path", "options"]
         assert list(res.to_dict()) == ["total_cost", "mean_cost", "path", "path_length", "options"]
-        assert res.to_dict()["path"] is res.path  # to_json writes a WarpPath as its rows
+        # The path is written as its move string, one letter per step after (1, 1).
+        assert res.path.steps == ((1, 1), (2, 2), (3, 2))
+        assert res.to_dict()["path"] == "DV"
         assert [f.name for f in dataclasses.fields(DtwOptions)] == ["band_radius", "normalize_input"]
         assert res.to_dict()["options"] == {
             "band_radius": None, "local_metric": "absolute", "normalize_input": "none"}
+
+    def test_written_path_decodes_to_its_steps(self):
+        # Seeded banded and unbanded alignments, ties included (the integer
+        # draws), each written path read back by an independent decoder.
+        rng = np.random.default_rng(14)
+        for trial in range(200):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            draw = rng.integers(0, 3, size=n + m) if trial % 3 == 0 else rng.normal(size=n + m)
+            band = None if trial % 2 else abs(n - m) + int(rng.integers(0, 4))
+            res = dtw_align(draw[:n], draw[n:], DtwOptions(band_radius=band))
+            written = res.to_dict()
+            assert set(written["path"]) <= set("DVH")
+            assert len(written["path"]) + 1 == written["path_length"]
+            assert warp_steps_oracle(written["path"]) == list(res.path.steps)
 
 
 class TestBandedAlignment:

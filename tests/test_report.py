@@ -154,6 +154,9 @@ class TestJson:
     @example(payload={"a": [], "b": {}, "c": (), "d": [[{}]]})
     @example(payload=[-0.0, 5e-324, 1e16, 1e308, math.nan, math.inf, -math.inf])
     @example(payload={'"\\\x00\x1f\x7f\u2028\ud800\U0001f600': "é\udfff"})
+    # A result's path is its move string; a bare WarpPath is a plain dataclass.
+    @example(payload=[DtwResult(1.5, _warp_path([(1, 1), (1, 0), (0, 1)]), DtwOptions()),
+                      _warp_path([])])
     def test_same_bytes_as_json_dumps(self, payload):
         assert to_json(payload) == to_json_oracle(payload)
 
