@@ -1,13 +1,17 @@
-"""tools/compare_trees.py reads both heatmap encodings to the same pixels."""
+"""tools/compare_trees.py reads both heatmap encodings to the same pixels, and
+both forms of a written warping path to the same steps."""
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 
 import numpy as np
-from compare_trees import heatmap_change, png_fills
+from compare_trees import differences, heatmap_change, path_reencoded, png_fills
 
+from seasonwarp.dtw import DtwOptions, dtw_align
+from seasonwarp.report import to_json
 from seasonwarp.svg import dtw_figure
 
 from _oracles import dtw_heatmap_cells_oracle
@@ -66,3 +70,40 @@ def test_heatmap_change_counts_pixels():
     assert heatmap_change(draw(g), draw(grey)) == (1, largest)
     # Any other line differing is not a heatmap change.
     assert heatmap_change(draw(g), draw(g, title="u")) is None
+
+
+def _pair_json(path, path_length=None) -> bytes:
+    """A per-pair DTW JSON file of one alignment, its path written as given."""
+    res = dtw_align([0.0, 2.0, 1.0, 1.0, 3.0], [0.0, 1.0, 3.0, 3.0], DtwOptions(band_radius=2))
+    record = json.loads(to_json({"variable": "arrivals", "year_pair": [2020, 2021],
+                                 "result": res}))
+    record["result"]["path"] = path
+    if path_length is not None:
+        record["result"]["path_length"] = path_length
+    return json.dumps(record, indent=2, sort_keys=True).encode() + b"\n"
+
+
+def test_path_written_both_ways_matches():
+    res = dtw_align([0.0, 2.0, 1.0, 1.0, 3.0], [0.0, 1.0, 3.0, 3.0], DtwOptions(band_radius=2))
+    rows, moves = [list(step) for step in res.path.steps], res.path.moves
+    assert moves == "DVVDH" and rows[-1] == [5, 4]
+    assert path_reencoded(_pair_json(rows), _pair_json(moves))
+    assert path_reencoded(_pair_json(moves), _pair_json(rows))
+    # Two runs, the second writing the move string: the file is set apart
+    # from the differences as a path written another way.
+    a, b = ({"exit code": 0, "stdout": b"", "stderr": b"", "modes": {},
+             "tree": {"dtw_arrivals_2020-2021.json": _pair_json(path)}} for path in (rows, moves))
+    assert differences(a, b) == ([], {}, ["dtw_arrivals_2020-2021.json"])
+
+
+def test_other_paths_do_not_match():
+    rows = [[1, 1], [2, 2], [3, 2], [4, 2], [5, 3], [5, 4]]
+    assert path_reencoded(_pair_json(rows), _pair_json("DVVDH"))
+    for moves in ("DVVHD",   # one move off by one
+                  "DVXVDH",  # a stray letter
+                  "DVVD",    # one move short
+                  "DVVDHH"):  # one move too many
+        assert not path_reencoded(_pair_json(rows), _pair_json(moves)), moves
+    # The same form on both sides, or another key differing too, is no re-encoding.
+    assert not path_reencoded(_pair_json("DVVDH"), _pair_json("DVDVH"))
+    assert not path_reencoded(_pair_json(rows), _pair_json("DVVDH", path_length=7))

@@ -21,6 +21,13 @@ the same picture.  A scenario whose only differences are such files prints
 ``HEATMAP`` with the number of differing pixels and the largest difference in
 any channel otherwise; either still counts as a difference for the exit code.
 
+A per-pair ``dtw_*.json`` whose only differing key is ``result.path``, written
+as ``[i, j]`` rows on one side and as a move string on the other (one letter
+per step after (1, 1): ``D`` to (i+1, j+1), ``V`` to (i+1, j), ``H`` to
+(i, j+1)), matches if the two walk the same steps.  A scenario whose only
+differences are such files prints ``PATHS`` with their count; it too counts
+as a difference for the exit code.
+
 A file that differs in any other way is printed with where it differs: for
 JSON the key paths of the values that differ, such as
 ``summaries.modal_price.skewness`` or ``ranking.entries[3].total_cost``; for
@@ -43,9 +50,10 @@ the same arrivals pairs and writes every per-pair output (JSON, SVG and the
 dumped matrices) and the CSV ranking: no other scenario writes them on a run
 that sweeps tied pairs again (``long-dtw`` z-scores, so nothing ties).  Two
 DTW scenarios on the fixture pin error paths: band 0 exits 2 on the first
-52-vs-53-week pair, and band 1 with z-scores aligns every pair.  ``dtw-edge-gap``, ``seasonal-edge-gap`` and
-``report-all-edge-gap`` run on the fixture without its first data row, so the
-first ISO year is incomplete and skipped with a warning, once per variable.
+52-vs-53-week pair, and band 1 with z-scores aligns every pair.
+``dtw-edge-gap``, ``seasonal-edge-gap`` and ``report-all-edge-gap`` run on
+the fixture without its first data row, so the first ISO year is incomplete
+and skipped with a warning, once per variable.
 ``long-stats`` is the benchmark's ``stats`` command on the long history,
 whose ADF lag search factors its design in 16 row blocks.
 ``long-stats-dialect`` runs it on the long history rewritten with a BOM, a
@@ -287,6 +295,38 @@ def heatmap_change(a: bytes, b: bytes) -> tuple[int, int] | None:
     return pixels, largest
 
 
+# Each letter of a move string and the step it takes.
+MOVES = {"D": (1, 1), "V": (1, 0), "H": (0, 1)}
+
+
+def path_steps(path) -> list | None:
+    """A written warping path as its ``[i, j]`` rows: rows as they are, a
+    move string walked from ``[1, 1]``; None for any other letter."""
+    if not isinstance(path, str):
+        return path
+    steps = [[1, 1]]
+    for letter in path:
+        if letter not in MOVES:
+            return None
+        di, dj = MOVES[letter]
+        steps.append([steps[-1][0] + di, steps[-1][1] + dj])
+    return steps
+
+
+def path_reencoded(a: bytes, b: bytes) -> bool:
+    """Whether two per-pair DTW JSON files differ only in ``result.path``,
+    written as rows on one side and as a move string on the other, and the
+    two walk the same steps."""
+    try:
+        old, new = json.loads(a), json.loads(b)
+    except ValueError:
+        return False
+    if json_paths(old, new) != ["result.path"]:
+        return False
+    paths = old["result"]["path"], new["result"]["path"]
+    return {type(p) for p in paths} == {list, str} and path_steps(paths[0]) == path_steps(paths[1])
+
+
 PLACES_SHOWN = 10
 
 
@@ -341,10 +381,11 @@ def places(name: str, old: bytes, new: bytes) -> list[str]:
     return line_places(name, text_a.splitlines(), text_b.splitlines())
 
 
-def differences(a: dict, b: dict) -> tuple[list[str], dict]:
+def differences(a: dict, b: dict) -> tuple[list[str], dict, list[str]]:
     """What differs between two runs, and apart from that, each DTW figure
     that differs at most in its heatmap's pixels, as `heatmap_change` gives
-    it, by name."""
+    it, by name, and the names of the per-pair DTW JSON files whose path is
+    only written another way (`path_reencoded`)."""
     found = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     found += [f"mode of {n}: {a['modes'][n]} -> {b['modes'][n]}"
               for n in sorted(a["modes"].keys() & b["modes"].keys())
@@ -352,7 +393,7 @@ def differences(a: dict, b: dict) -> tuple[list[str], dict]:
     names_a, names_b = set(a["tree"]), set(b["tree"])
     found += [f"only in parent: {n}" for n in sorted(names_a - names_b)]
     found += [f"only in change: {n}" for n in sorted(names_b - names_a)]
-    heatmaps = {}
+    heatmaps, paths = {}, []
     for n in sorted(names_a & names_b):
         old, new = a["tree"][n], b["tree"][n]
         if old != new:
@@ -361,11 +402,14 @@ def differences(a: dict, b: dict) -> tuple[list[str], dict]:
             if change is not None:
                 heatmaps[n] = change
                 continue
+            if n.startswith("dtw_") and n.endswith(".json") and path_reencoded(old, new):
+                paths.append(n)
+                continue
             where = places(n, old, new)
             more = len(where) - PLACES_SHOWN
             shown = ", ".join(where[:PLACES_SHOWN]) + (f" and {more} more" if more > 0 else "")
             found.append(f"{n} differs" + (f" at {shown}" if where else ""))
-    return found, heatmaps
+    return found, heatmaps, paths
 
 
 def main(argv: list[str]) -> int:
@@ -380,13 +424,17 @@ def main(argv: list[str]) -> int:
             data = None if input_name is None else inputs[input_name]
             a = run(parent, scenario, data, Path(tmp) / "parent" / name)
             b = run(change, scenario, data, Path(tmp) / "change" / name)
-            found, heatmaps = differences(a, b)
-            failed += bool(found or heatmaps)
+            found, heatmaps, paths = differences(a, b)
+            failed += bool(found or heatmaps or paths)
             pixels = sum(p for p, _ in heatmaps.values())
             largest = max((d for _, d in heatmaps.values()), default=0)
-            only = f"{len(heatmaps)} of {len(a['tree'])} files differ only in the heatmap"
-            if not found and not heatmaps:
-                status, detail = "same", f"{len(a['tree'])} files"
+            files = len(a["tree"])
+            only = f"{len(heatmaps)} of {files} files differ only in the heatmap"
+            if not found and not heatmaps and not paths:
+                status, detail = "same", f"{files} files"
+            elif not found and not heatmaps:
+                status = "PATHS"
+                detail = f"{len(paths)} of {files} files differ only in the path's form"
             elif not found and not pixels:
                 status, detail = "PICTURE", f"{only}, each the same picture"
             elif not found:
@@ -397,6 +445,8 @@ def main(argv: list[str]) -> int:
                 detail = "; ".join(found[:5])
                 if heatmaps:
                     detail += f"; {len(heatmaps)} more differ only in the heatmap"
+            if paths and status != "PATHS":
+                detail += f"; {len(paths)} more differ only in the path's form"
             print(f"{status:7}  {name} (exit {a['exit code']}): {detail}")
     return 1 if failed else 0
 
