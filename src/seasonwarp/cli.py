@@ -11,7 +11,8 @@ stages (stats, seasonal, dtw and the series charts) read the fill itself.
 Complete years are likewise found and warned about once, by the first stage
 that needs them; ``report-all``'s stage is the union of the clean, stats,
 seasonal and dtw stages plus the series charts and the bundle it builds
-from their values.
+from their values.  A stage imports the fixture, seasonal, DTW and SVG
+modules only when it calls them, so ``clean`` and ``stats`` load none of them.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error.  The outputs are
 written into a staging directory in groups of about 256 KiB as they are
@@ -37,11 +38,8 @@ import numpy as np
 
 from .cleaning import CleaningReport, ColumnSchema, flag_outliers, parse_market_csv, spline_fill
 from .descriptive import describe
-from .dtw import DtwOptions, Normalization, PairSet
 from .errors import InsufficientDataError, MarketDataError
-from .fixture import generate_fixture
 from .report import matrix_csv, pair_label, records_csv, series_csv, stats_csv, to_json
-from .seasonal import seasonal_index
 from .series import (
     Variable,
     WeeklySeries,
@@ -51,7 +49,6 @@ from .series import (
     slice_year,
     weeks_in_iso_year,
 )
-from .svg import bar_chart, dtw_figure, line_chart
 from .unitroot import adf_test
 
 FORMATS = ("json", "csv", "svg")
@@ -449,6 +446,7 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
         if args.input is not None:
             data = Path(args.input).read_bytes()
         else:
+            from .fixture import generate_fixture
             fx = generate_fixture(args.seed)
             data = fx.csv_bytes()
             files["fixture.csv"] = fx.csv_text
@@ -457,6 +455,7 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
 
 
 def cmd_fixture(args: argparse.Namespace) -> int:
+    from .fixture import generate_fixture
     with _OutputTree(args) as files:
         files["fixture.csv"] = generate_fixture(args.seed).csv_text
     return 0
@@ -486,6 +485,7 @@ def _stats_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
 
 
 def _seasonal_svg(tables: dict) -> str:
+    from .svg import line_chart
     curves = []
     for name in sorted(tables):
         t = tables[name]
@@ -504,6 +504,7 @@ def _seasonal_svg(tables: dict) -> str:
 
 
 def _seasonal_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
+    from .seasonal import seasonal_index
     method = args.detrend or "weekly-mean"
     tables = {var.value: seasonal_index(c.dense, c.years, method) for var, c in cleaned.items()}
     if "json" in args.formats:
@@ -532,6 +533,8 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
     """One variable's year pairs, each slice aligned as-is or z-scored once,
     aligned and ranked by one ``PairSet.align``; each pair's outputs are
     written as it is aligned."""
+    from .dtw import DtwOptions, Normalization, PairSet
+    from .svg import bar_chart, dtw_figure
     var = cleaned.dense.variable.value
     normalize = Normalization(args.normalize or "none")
     options = DtwOptions(band_radius=args.band, normalize_input=normalize)
@@ -596,6 +599,7 @@ def _dtw_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
 
 
 def _series_svg(dense: WeeklySeries) -> str:
+    from .svg import line_chart
     years, weeks = dense.iso_calendar()
     distinct, at = np.unique(years, return_inverse=True)
     year_lengths = np.array([weeks_in_iso_year(y) for y in distinct.tolist()])[at]

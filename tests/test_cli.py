@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from _oracles import cumulative_cost_oracle, warp_steps_oracle
 import seasonwarp.cli
 import seasonwarp.dtw
+import seasonwarp.seasonal
+import seasonwarp.svg
 from seasonwarp.cleaning import clean_series, parse_market_csv
 from seasonwarp.cli import main
 from seasonwarp.descriptive import describe
@@ -791,7 +793,7 @@ class TestDtwCommand:
 
         monkeypatch.setattr(dtw, "backtrack", counting_backtrack)
         monkeypatch.setattr(seasonwarp.cli, "slice_year", counting_slice_year)
-        monkeypatch.setattr(seasonwarp.cli, "dtw_figure", recording_dtw_figure)
+        monkeypatch.setattr(seasonwarp.svg, "dtw_figure", recording_dtw_figure)
         code = _run(
             "dtw", "--input", str(fixture_csv), "--years", "2020..2023", "--all-pairs",
             "--band", "4", "--normalize", "zscore", "--format", "svg",
@@ -975,8 +977,9 @@ class TestReportAll:
             monkeypatch.setattr(module, name, wrapper)
 
         for name in ("parse_market_csv", "spline_fill", "flag_outliers", "describe",
-                     "seasonal_index", "adf_test", "slice_year"):
+                     "adf_test", "slice_year"):
             counting(seasonwarp.cli, name)
+        counting(seasonwarp.seasonal, "seasonal_index")
         counting(seasonwarp.dtw, "backtrack")
         sweeps = _recording_sweeps(monkeypatch)
         out = tmp_path / "o"
@@ -1517,3 +1520,22 @@ def test_cli_import_leaves_out_network_and_mail_modules():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("command", ["stats", "clean"])
+def test_command_loads_only_the_modules_it_runs(command, fixture_csv, tmp_path):
+    # Each stage imports the modules it calls, so neither command pays
+    # start-up for the DTW kernel, the charts, the fixture or the indices.
+    src = str(Path(seasonwarp.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, seasonwarp.cli; "
+            f"code = seasonwarp.cli.main([{command!r}, '--input', sys.argv[1], '--out-dir', 'o']); "
+            "print(code, *sorted(m for m in ('seasonwarp.dtw', 'seasonwarp.svg', "
+            "'seasonwarp.fixture', 'seasonwarp.seasonal') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, str(fixture_csv)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.split() == ["0"]
+    assert sorted(os.listdir(tmp_path / "o")) == (
+        ["stats.csv", "stats.json"] if command == "stats"
+        else ["cleaned_arrivals.csv", "cleaned_modal_price.csv",
+              "cleaning_arrivals.json", "cleaning_modal_price.json"])
