@@ -10,7 +10,6 @@ settle (see `natural_spline_second_derivatives`).
 
 from __future__ import annotations
 
-import codecs
 import csv
 import datetime as dt
 import io
@@ -219,6 +218,18 @@ def _day_or_nat(text: bytes) -> np.datetime64:
         return np.datetime64("NaT", "D")
 
 
+def utf8_text(data: bytes, what: str) -> str:
+    """``data`` as UTF-8 text, a leading BOM dropped.  A byte that is not
+    UTF-8 raises DataIntegrityError: ``what``, then "not UTF-8", the byte
+    and its offset in ``data``."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        offset = exc.start + len(data) - len(exc.object)  # exc.object lacks the BOM
+        raise DataIntegrityError(
+            f"{what}not UTF-8: byte 0x{data[offset]:02x} at offset {offset}") from None
+
+
 def parse_market_csv(data: bytes, schema: ColumnSchema = ColumnSchema()) -> MarketTable:
     """The data rows of a UTF-8 CSV's bytes, header first, as week and value
     columns.
@@ -237,13 +248,7 @@ def parse_market_csv(data: bytes, schema: ColumnSchema = ColumnSchema()) -> Mark
     row the pass is too strict for (say, a date that is not zero-padded) or
     raises that row's error.
     """
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        offset = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
-        raise DataIntegrityError(
-            f"input is not UTF-8: byte 0x{data[offset]:02x} at offset {offset}"
-        ) from None
+    text = utf8_text(data, "input is ")
     reader = csv.reader(io.StringIO(text))
     dates: list[str] = []
     arrivals_text: list[str] = []

@@ -36,9 +36,10 @@ from typing import NoReturn
 
 import numpy as np
 
-from .cleaning import CleaningReport, ColumnSchema, flag_outliers, parse_market_csv, spline_fill
+from .cleaning import (CleaningReport, ColumnSchema, flag_outliers, parse_market_csv,
+                       spline_fill, utf8_text)
 from .descriptive import describe
-from .errors import InsufficientDataError, MarketDataError
+from .errors import DataIntegrityError, InsufficientDataError, MarketDataError
 from .report import matrix_csv, pair_label, records_csv, series_csv, stats_csv, to_json
 from .series import (
     Variable,
@@ -190,11 +191,9 @@ def _config_flags(parser: _Parser, command: str, path: Path) -> list[str]:
     A key names a switch as argparse reads ``--key``: the option it spells,
     or else the one option it is a prefix of."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise UsageError(
-            f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
-        ) from None
+        text = utf8_text(path.read_bytes(), f"{path}: ")
+    except DataIntegrityError as exc:
+        raise UsageError(str(exc)) from None
     switches = {dest for dest, value in vars(parser.parse_args([command])).items()
                 if value is False}
     subparser = next(a for a in parser._actions if a.dest == "command").choices[command]

@@ -455,6 +455,9 @@ class TestIngestBoundary:
             ("zoned date", 2,
              "data error: line 3: cannot parse date '2010-01-17 00:00Z' with format 'iso'"),
             ("latin-1 config", 1, "usage error: {cfg}: not UTF-8: byte 0xe9 at offset 14"),
+            # The offset counts the BOM's three bytes: it is the byte's place in the file.
+            ("latin-1 config after a BOM", 1,
+             "usage error: {cfg}: not UTF-8: byte 0xe9 at offset 17"),
             ("fixture seed", 1, "usage error: --seed must be >= 0, got -1"),
             ("report-all seed", 1, "usage error: --seed must be >= 0, got -1"),
             ("blank price column", 2,
@@ -490,7 +493,9 @@ class TestIngestBoundary:
             data.write_bytes(b"".join(lines[:2]) + lines[2].rstrip() + b",7\n")
         elif case == "zoned date":
             data.write_bytes(b"".join(lines[:2]) + lines[2].replace(b",", b" 00:00Z,", 1))
-        elif case == "latin-1 config":
+        elif case.startswith("latin-1 config"):
+            if case.endswith("BOM"):
+                cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
             argv += ["--config", str(cfg)]
         elif case == "blank price column":
             data.write_bytes(lines[0] + b"".join(row.rsplit(b",", 1)[0] + b",\n"
@@ -1086,6 +1091,19 @@ class TestConfigAndUsage:
         assert _run("clean", "--config", str(cfg)) == 0
         assert (out / "cleaned_modal_price.csv").exists()
         assert not (out / "cleaned_arrivals.csv").exists()
+
+    def test_config_with_a_bom_reads_as_its_flags(self, tmp_path, fixture_csv):
+        # Notepad starts a UTF-8 file with a BOM; it is not part of the first key.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfwinsorize = yes\r\nvariable = price\r\n")
+        by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+        assert _run("clean", "--input", str(fixture_csv), "--config", str(cfg),
+                    "--out-dir", str(by_config)) == 0
+        assert _run("clean", "--input", str(fixture_csv), "--winsorize", "--variable", "price",
+                    "--out-dir", str(by_flags)) == 0
+        assert _tree(by_config) == _tree(by_flags)
+        assert sorted(_tree(by_config)) == ["cleaned_modal_price.csv", "cleaning_modal_price.json"]
+        assert _read_json(by_config / "cleaning_modal_price.json")["winsorized"] is True
 
     def test_flags_override_config(self, tmp_path, fixture_csv):
         cfg = tmp_path / "run.cfg"
