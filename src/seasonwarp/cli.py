@@ -6,13 +6,14 @@ cleaned, files)``, stores each output ``args.formats`` asks for as
 ``files[filename] = text`` and returns its value.  ``cleaned`` maps each
 variable to its `_Cleaned` record, whose outlier pass runs once, on first
 use: when a stage writes the point flags or the cleaning report (``clean``,
-and so ``report-all``), or when ``--winsorize`` changes the values.  Without ``--winsorize`` the value-only
-stages (stats, seasonal, dtw and the series charts) read the fill itself.
-Complete years are likewise found and warned about once, by the first stage
-that needs them; ``report-all``'s stage is the union of the clean, stats,
-seasonal and dtw stages plus the series charts and the bundle it builds
-from their values.  A stage imports the fixture, seasonal, DTW and SVG
-modules only when it calls them, so ``clean`` and ``stats`` load none of them.
+and so ``report-all``), or when ``--winsorize`` changes the values.
+Without ``--winsorize`` the value-only stages (stats, seasonal, dtw and the
+series charts) read the fill itself.  Complete years are likewise found and
+warned about once, by the first stage that needs them; ``report-all``'s
+stage is the union of the clean, stats, seasonal and dtw stages plus the
+series charts and the bundle it builds from their values.  A stage imports
+the fixture, seasonal, DTW and SVG modules only when it calls them, so
+``clean`` and ``stats`` load none of them.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error.  The outputs are
 written into a staging directory in groups of about 256 KiB as they are

@@ -24,9 +24,10 @@ def to_json(payload) -> str:
     """``payload`` as ``json.dumps`` writes it with two-space indentation
     and sorted keys, plus a newline, once every record is in its JSON form:
     a `WeekKey` is ``[iso_year, iso_week]``, a record with a ``to_dict`` is
-    that dict, and any other dataclass is its fields.  Sorted keys keep field order out of the bytes; a key
-    that is not a str raises TypeError.  NaN and the infinities are written
-    as ``NaN`` and ``Infinity``, as json writes them."""
+    that dict, and any other dataclass is its fields.  Sorted keys keep
+    field order out of the bytes; a key that is not a str raises TypeError.
+    NaN and the infinities are written as ``NaN`` and ``Infinity``, as json
+    writes them."""
     return _json(payload, "\n") + "\n"
 
 

@@ -85,8 +85,8 @@ a new directory into place.  ``report-all-seed11`` exits 2: the spline fill
 of fixture seed 11 clamps one price week to 0.0, so the log price
 differences of the ADF test are undefined; it compares that error's exit
 code and stderr line, and that no --out-dir is made.  ``fixture`` is the
-one scenario that runs the ``fixture`` command, at seed 3.  The permission bits
-of --out-dir and of every file present in both trees are compared too.
+one scenario that runs the ``fixture`` command, at seed 3.  The permission
+bits of --out-dir and of every file present in both trees are compared too.
 """
 
 from __future__ import annotations
@@ -323,8 +323,8 @@ def path_reencoded(a: bytes, b: bytes) -> bool:
         return False
     if json_paths(old, new) != ["result.path"]:
         return False
-    paths = old["result"]["path"], new["result"]["path"]
-    return {type(p) for p in paths} == {list, str} and path_steps(paths[0]) == path_steps(paths[1])
+    path_a, path_b = old["result"]["path"], new["result"]["path"]
+    return {type(path_a), type(path_b)} == {list, str} and path_steps(path_a) == path_steps(path_b)
 
 
 PLACES_SHOWN = 10
