@@ -1,19 +1,18 @@
 """Command-line front end: seasonwarp clean|stats|seasonal|dtw|fixture|report-all.
 
-Each command is one driver (`_run_stage`: read, spline-fill, stage) around
-one stage function, which ``fixture`` does without.  A stage takes ``(args,
-cleaned, files)``, stores each output ``args.formats`` asks for as
-``files[filename] = text`` and returns its value.  ``cleaned`` maps each
-variable to its `_Cleaned` record, whose outlier pass runs once, on first
-use: when a stage writes the point flags or the cleaning report (``clean``,
-and so ``report-all``), or when ``--winsorize`` changes the values.
-Without ``--winsorize`` the value-only stages (stats, seasonal, dtw and the
-series charts) read the fill itself.  Complete years are likewise found and
-warned about once, by the first stage that needs them; ``report-all``'s
-stage is the union of the clean, stats, seasonal and dtw stages plus the
-series charts and the bundle it builds from their values.  A stage imports
-the fixture, seasonal, DTW and SVG modules only when it calls them, so
-``clean`` and ``stats`` load none of them.
+Each data command is one driver (`_run_stage`: read, spline-fill, stage)
+around one stage function.  A stage takes ``(args, cleaned, files)``, stores
+each output ``args.formats`` asks for as ``files[filename] = text`` and
+returns its value.  ``cleaned`` maps each variable to its `_Cleaned` record,
+whose outlier pass runs once, on first use: when a stage writes the point
+flags or the cleaning report (``clean``, and so ``report-all``), or when
+``--winsorize`` changes the values.  Without ``--winsorize`` the value-only
+stages (stats, seasonal, dtw and the series charts) read the fill itself.
+Complete years are likewise found and warned about once, by the first stage
+that needs them; ``report-all``'s stage is the union of the clean, stats,
+seasonal and dtw stages plus the series charts and the bundle it builds
+from their values.  A stage imports the fixture, seasonal, DTW and SVG
+modules only when it calls them, so ``clean`` and ``stats`` load none of them.
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error.  The outputs are
 written into a staging directory in groups of about 256 KiB as they are
@@ -144,7 +143,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fixture", help="write the synthetic dataset")
     _add_common(p, with_input=False)
     _add_seed(p, "fixture seed")
-    p.set_defaults(handler=partial(_run_stage, stage=None))
+    p.set_defaults(handler=cmd_fixture)
 
     p = sub.add_parser("clean", help="gap-fill and outlier-flag a CSV")
     _add_common(p, with_input=True)
@@ -437,9 +436,9 @@ class _OutputTree:
 
 
 def _run_stage(args: argparse.Namespace, stage) -> int:
-    """The one command driver: read the input, or generate the fixture when
-    the command has a fixture seed; clean it; run the stage into the output
-    tree.  ``fixture`` has no stage and writes only the fixture."""
+    """The one data-command driver: read the input, or generate the fixture
+    when the command has a fixture seed; clean it; run the stage into the
+    output tree."""
     if args.input is None and args.seed is None:
         raise UsageError("--input is required")
     with _OutputTree(args) as files:
@@ -450,8 +449,14 @@ def _run_stage(args: argparse.Namespace, stage) -> int:
             fx = generate_fixture(args.seed)
             data = fx.csv_bytes()
             files["fixture.csv"] = fx.csv_text
-        if stage is not None:
-            stage(args, _cleaned(args, data), files)
+        stage(args, _cleaned(args, data), files)
+    return 0
+
+
+def cmd_fixture(args: argparse.Namespace) -> int:
+    from .fixture import generate_fixture
+    with _OutputTree(args) as files:
+        files["fixture.csv"] = generate_fixture(args.seed).csv_text
     return 0
 
 
