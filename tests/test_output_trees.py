@@ -10,10 +10,9 @@ fails too.  The golden file records the numpy version and the platform its
 digests were taken on: a mismatch under another numpy or platform is a
 portability finding, not a code change.
 
-``long-stats`` runs its child with ``OPENBLAS_NUM_THREADS=1``.  Its ADF lag
-search factors 16 row blocks through LAPACK, and a threaded QR may split its
-work, and so round, by thread count; one thread pins the order of the sums
-until the factorisation no longer depends on the BLAS.
+``run()`` starts every child with ``OPENBLAS_NUM_THREADS=1``, the thread
+count that ``test_unitroot``'s BLAS-thread test holds two threads to, so no
+digest rests on the core count of the host the goldens are taken on.
 
 A change that sets out to change output bytes regenerates the goldens with
 
@@ -40,8 +39,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden_trees.json"
 SCENARIOS = {name: (argv, input_name) for name, argv, input_name in compare_trees.SCENARIOS}
 PINNED = tuple(name for name, (_, input_name) in SCENARIOS.items()
                if input_name in (None, "fixture", "edge-gap")) + ("long-stats",)
-# The child environment of the scenarios on the long history.
-ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 
 
 def environment() -> dict:
@@ -57,8 +54,7 @@ def tree_digests(workdir: Path) -> dict:
 
     def digests(name: str) -> dict:
         argv, input_name = SCENARIOS[name]
-        env = ONE_BLAS_THREAD if input_name == "long" else None
-        result = compare_trees.run(ROOT / "src", argv, inputs.get(input_name), workdir / name, env)
+        result = compare_trees.run(ROOT / "src", argv, inputs.get(input_name), workdir / name)
         return {"exit code": result["exit code"],
                 "stderr": hashlib.sha256(result["stderr"]).hexdigest(),
                 "files": {n: hashlib.sha256(data).hexdigest()

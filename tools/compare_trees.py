@@ -26,7 +26,9 @@ as ``[i, j]`` rows on one side and as a move string on the other (one letter
 per step after (1, 1): ``D`` to (i+1, j+1), ``V`` to (i+1, j), ``H`` to
 (i, j+1)), matches if the two walk the same steps.  A scenario whose only
 differences are such files prints ``PATHS`` with their count; it too counts
-as a difference for the exit code.
+as a difference for the exit code.  Only a tree written before the path
+became a move string, compared with one written after, can print ``PATHS``.
+`path_steps` is also the decoder the tests read written paths back with.
 
 A file that differs in any other way is printed with where it differs: for
 JSON the key paths of the values that differ, such as
@@ -188,11 +190,12 @@ def input_csv(src: Path, name: str) -> bytes:
                           env=env, check=True, capture_output=True).stdout
 
 
-def run(src: Path, argv: list[str], data: bytes | None, workdir: Path,
-        env: dict[str, str] | None = None) -> dict:
+def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
     """Exit code, stdout, stderr, output tree and permission bits (of
-    --out-dir, keyed ".", and of each file) of one CLI run, with ``env``
-    added to the child's environment."""
+    --out-dir, keyed ".", and of each file) of one CLI run.  The child's
+    BLAS runs one thread: `tests/test_unitroot.py` shows that ``stats``
+    writes the same bytes at one and two threads, and nothing shows it for
+    the thread count a host with more cores would pick."""
     workdir.mkdir(parents=True)
     out = workdir / "out"
     if "--config" in argv:
@@ -204,9 +207,9 @@ def run(src: Path, argv: list[str], data: bytes | None, workdir: Path,
     if data is not None:
         (workdir / "input.csv").write_bytes(data)
         argv = [argv[0], "--input", "input.csv", *argv[1:]]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "seasonwarp.cli", *argv, "--out-dir", "out"],
-                          cwd=workdir, env=dict(os.environ, PYTHONPATH=str(src), **(env or {})),
-                          capture_output=True)
+                          cwd=workdir, env=env, capture_output=True)
     paths = sorted(out.iterdir()) if out.is_dir() else []
     modes = {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in paths}
     if out.is_dir():
