@@ -475,16 +475,6 @@ def polyline_points_oracle(frame, xs, ys) -> str:
                     for x, y in zip(xs, ys))
 
 
-def warp_steps_oracle(moves: str) -> list[tuple[int, int]]:
-    """The 1-based cells a move string walks from (1, 1): ``D`` adds (1, 1),
-    ``V`` (1, 0) and ``H`` (0, 1); any other letter raises KeyError."""
-    steps = [(1, 1)]
-    for letter in moves:
-        di, dj = {"D": (1, 1), "V": (1, 0), "H": (0, 1)}[letter]
-        steps.append((steps[-1][0] + di, steps[-1][1] + dj))
-    return steps
-
-
 def to_json_oracle(payload) -> str:
     """report.to_json by its defining rule: a copy of the payload with every
     record in its JSON form, then json.dumps(indent=2, sort_keys=True) and a
