@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seasonwarp.dtw
-from _oracles import cumulative_cost_oracle, enum_dtw_min_cost
-from compare_trees import path_steps
+from _oracles import cumulative_cost_oracle, enum_dtw_min_cost, warp_steps_oracle
 from seasonwarp.dtw import (
     DtwOptions,
     DtwResult,
@@ -273,7 +272,7 @@ class TestDtwAlign:
             "path_length": k,
             "options": {"band_radius": 3, "local_metric": "absolute", "normalize_input": "none"},
         }
-        assert path_steps(written["path"]) == [list(s) for s in res.path.steps]
+        assert warp_steps_oracle(written["path"]) == list(res.path.steps)
         # path_length and mean_cost are derived from path and total_cost.
         stored = {f.name for f in dataclasses.fields(DtwResult)}
         assert stored.isdisjoint({"path_length", "mean_cost"})
@@ -293,8 +292,7 @@ class TestDtwAlign:
 
     def test_written_path_decodes_to_its_steps(self):
         # Seeded banded and unbanded alignments, ties included (the integer
-        # draws), each written path read back by compare_trees' decoder, which
-        # shares no code with the package.
+        # draws), each written path read back by an independent decoder.
         rng = np.random.default_rng(14)
         for trial in range(200):
             n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
@@ -304,7 +302,10 @@ class TestDtwAlign:
             written = res.to_dict()
             assert set(written["path"]) <= set("DVH")
             assert len(written["path"]) + 1 == written["path_length"]
-            assert path_steps(written["path"]) == [list(s) for s in res.path.steps]
+            assert warp_steps_oracle(written["path"]) == list(res.path.steps)
+        # The decoder knows only D, V and H: a stray letter raises.
+        with pytest.raises(KeyError):
+            warp_steps_oracle("DVXH")
 
 
 class TestBandedAlignment:

@@ -1,14 +1,12 @@
 """Byte identity of whole output trees, pinned by sha256.
 
-Each pinned scenario is taken by name from ``tools/compare_trees.py``'s
-``SCENARIOS`` and run through its ``run()``, so this test and the by-hand
-comparison of two trees cannot drift apart.  Every scenario whose input the
-CLI makes, or that is made from the fixture, is pinned, and so is
-``long-stats``.  Beside each file's digest the golden file records the exit
-code and the sha256 of stderr, so a warning or an error message that changes
-fails too.  The golden file records the numpy version and the platform its
-digests were taken on: a mismatch under another numpy or platform is a
-portability finding, not a code change.
+Every scenario of ``tools/compare_trees.py``'s ``SCENARIOS`` is pinned and
+run through its ``run()``, so this test and the by-hand comparison of two
+trees cannot drift apart.  Beside each file's digest the golden file records
+the exit code and the sha256 of stderr, so a warning or an error message that
+changes fails too.  The golden file records the numpy version and the
+platform its digests were taken on: a mismatch under another numpy or
+platform is a portability finding, not a code change.
 
 ``run()`` starts every child with ``OPENBLAS_NUM_THREADS=1``, the thread
 count that ``test_unitroot``'s BLAS-thread test holds two threads to, so no
@@ -18,7 +16,8 @@ A change that sets out to change output bytes regenerates the goldens with
 
     PYTHONPATH=src:tools python3 tests/test_output_trees.py
 
-and the diff of ``tests/golden_trees.json`` shows which files it changed.
+and the diff of ``tests/golden_trees.json`` shows which files it changed;
+``tools/compare_trees.py`` then says where in them.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_trees.json"
 SCENARIOS = {name: (argv, input_name) for name, argv, input_name in compare_trees.SCENARIOS}
-PINNED = tuple(name for name, (_, input_name) in SCENARIOS.items()
-               if input_name in (None, "fixture", "edge-gap")) + ("long-stats",)
 
 
 def environment() -> dict:
@@ -48,9 +45,9 @@ def environment() -> dict:
 
 def tree_digests(workdir: Path) -> dict:
     """Exit code, the sha256 of stderr and the sha256 of each output file of
-    every pinned scenario, by name, two children at a time."""
+    every scenario, by name, two children at a time."""
     inputs = {input_name: compare_trees.input_csv(ROOT / "src", input_name)
-              for input_name in {SCENARIOS[name][1] for name in PINNED} - {None}}
+              for input_name in compare_trees.INPUT_CODE}
 
     def digests(name: str) -> dict:
         argv, input_name = SCENARIOS[name]
@@ -61,7 +58,7 @@ def tree_digests(workdir: Path) -> dict:
                           for n, data in result["tree"].items()}}
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        return dict(zip(PINNED, pool.map(digests, PINNED)))
+        return dict(zip(SCENARIOS, pool.map(digests, SCENARIOS)))
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +66,7 @@ def trees(tmp_path_factory):
     return tree_digests(tmp_path_factory.mktemp("trees"))
 
 
-@pytest.mark.parametrize("name", PINNED)
+@pytest.mark.parametrize("name", tuple(SCENARIOS))
 def test_output_tree_matches_golden(name, trees):
     golden = json.loads(GOLDEN.read_text())
     got = trees[name]

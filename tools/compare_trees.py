@@ -1,4 +1,4 @@
-"""Run the byte-identity scenarios on two source trees and diff their results.
+"""Run the byte-identity scenarios on two source trees and say where they differ.
 
 Usage, from the root of a checkout:
 
@@ -9,33 +9,16 @@ checkout's ``src/``.  Every scenario runs ``python -m seasonwarp.cli`` once per
 tree, each in a fresh working directory with the same relative ``--input`` and
 ``--out-dir``, so messages that name them read the same.  The output trees are
 compared file by file, together with stdout, stderr and the exit code.  One
-line per scenario is printed; the exit code is 1 if any scenario differs.
+line per scenario is printed, ``same`` or ``DIFF``; the exit code is 1 if any
+scenario differs.  Whether any output byte moved is what
+``tests/test_output_trees.py`` checks, against sha256 goldens of every
+scenario; this tool is for finding where.
 
-A ``dtw_*.svg`` whose lines other than the heatmap ``<image>`` are identical,
-and whose images sit at the same place and decode, is compared by its pixels
-instead of its bytes.  A PNG decodes when it is 8-bit, non-interlaced RGB
-(colour type 2) or indexed colour (type 3, each index read through ``PLTE``),
-and every scanline has filter byte 0.  If no pixel differs, the file draws
-the same picture.  A scenario whose only differences are such files prints
-``PICTURE`` in place of ``DIFF`` when every picture is the same, and
-``HEATMAP`` with the number of differing pixels and the largest difference in
-any channel otherwise; either still counts as a difference for the exit code.
-
-A per-pair ``dtw_*.json`` whose only differing key is ``result.path``, written
-as ``[i, j]`` rows on one side and as a move string on the other (one letter
-per step after (1, 1): ``D`` to (i+1, j+1), ``V`` to (i+1, j), ``H`` to
-(i, j+1)), matches if the two walk the same steps.  A scenario whose only
-differences are such files prints ``PATHS`` with their count; it too counts
-as a difference for the exit code.  Only a tree written before the path
-became a move string, compared with one written after, can print ``PATHS``.
-`path_steps` is also the decoder the tests read written paths back with.
-
-A file that differs in any other way is printed with where it differs: for
-JSON the key paths of the values that differ, such as
-``summaries.modal_price.skewness`` or ``ranking.entries[3].total_cost``; for
-CSV the first-column label of each differing row, or its line number when
-that label is not unique; for other text the line numbers.  At most ten
-places are printed per file.
+A file that differs is printed with where it differs: for JSON the key
+paths of the values that differ, such as ``summaries.modal_price.skewness``
+or ``ranking.entries[3].total_cost``; for CSV the first-column label of each
+differing row, or its line number when that label is not unique; for other
+text the line numbers.  At most ten places are printed per file.
 
 Six inputs are made once with PARENT_SRC's ``seasonwarp`` on the path: the
 fixture CSV (seed 42, what ``report-all`` generates by default), the same
@@ -93,18 +76,13 @@ bits of --out-dir and of every file present in both trees are compared too.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import csv
 import json
 import os
-import re
 import stat
-import struct
 import subprocess
 import sys
 import tempfile
-import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -218,118 +196,6 @@ def run(src: Path, argv: list[str], data: bytes | None, workdir: Path) -> dict:
             "tree": {p.name: p.read_bytes() for p in paths}, "modes": modes}
 
 
-IMAGE = re.compile(r'<image xmlns:xlink="http://www.w3.org/1999/xlink" x="([^"]+)" y="([^"]+)" '
-                   r'width="([^"]+)" height="([^"]+)" [^>]*'
-                   r'xlink:href="data:image/png;base64,([A-Za-z0-9+/=]+)"/>')
-PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
-
-
-def png_fills(png: bytes) -> list[bytes] | None:
-    """Pixel rows, as RGB bytes, of an 8-bit, non-interlaced RGB or
-    indexed-colour PNG whose scanlines all have filter byte 0; None for any
-    other or broken PNG."""
-    if not png.startswith(PNG_SIGNATURE):
-        return None
-    chunks, pos = {}, len(PNG_SIGNATURE)
-    while pos < len(png):
-        length, kind = struct.unpack(">I4s", png[pos:pos + 8])
-        data = png[pos + 8:pos + 8 + length]
-        (crc,) = struct.unpack(">I", png[pos + 8 + length:pos + 12 + length])
-        if crc != zlib.crc32(kind + data):
-            return None
-        chunks[kind] = chunks.get(kind, b"") + data
-        pos += 12 + length
-    width, height, depth, colour, *form = struct.unpack(">IIBBBBB", chunks[b"IHDR"])
-    if depth != 8 or colour not in (2, 3) or form != [0, 0, 0] or not width or not height:
-        return None
-    raw = zlib.decompress(chunks[b"IDAT"])
-    stride = 1 + (3 if colour == 2 else 1) * width
-    if len(raw) != height * stride or any(raw[i * stride] for i in range(height)):
-        return None
-    rows = [raw[i * stride + 1:(i + 1) * stride] for i in range(height)]
-    if colour == 2:
-        return rows
-    palette = chunks.get(b"PLTE", b"")
-    if len(palette) % 3 or max(map(max, rows)) >= len(palette) // 3:
-        return None
-    return [b"".join([palette[3 * k:3 * k + 3] for k in row]) for row in rows]
-
-
-def heatmap(svg: bytes) -> tuple[list[str], list | None]:
-    """A DTW figure's lines other than the heatmap, and each heatmap <image>
-    as its x, y, width and height with its pixel rows (None if one does not
-    decode)."""
-    others, images = [], []
-    for line in svg.decode().splitlines():
-        image = IMAGE.fullmatch(line)
-        if image is None:
-            others.append(line)
-            continue
-        try:
-            rows = png_fills(base64.b64decode(image[5], validate=True))
-        except (binascii.Error, struct.error, KeyError, zlib.error):
-            rows = None
-        if rows is None:
-            return others, None
-        images.append((image.groups()[:4], rows))
-    return others, images
-
-
-def heatmap_change(a: bytes, b: bytes) -> tuple[int, int] | None:
-    """For two DTW figures that differ at most in their heatmaps' pixels, the
-    number of pixels that differ and the largest difference in any channel;
-    None if anything else differs or an image does not decode."""
-    others_a, images_a = heatmap(a)
-    others_b, images_b = heatmap(b)
-    if others_a != others_b or images_a is None or images_b is None:
-        return None
-    shape = [(place, [len(row) for row in rows]) for place, rows in images_a]
-    if shape != [(place, [len(row) for row in rows]) for place, rows in images_b]:
-        return None
-    pixels = largest = 0
-    for (_, rows_a), (_, rows_b) in zip(images_a, images_b):
-        for row_a, row_b in zip(rows_a, rows_b):
-            if row_a == row_b:
-                continue
-            for k in range(0, len(row_a), 3):
-                d = max(abs(u - v) for u, v in zip(row_a[k:k + 3], row_b[k:k + 3]))
-                pixels += d > 0
-                largest = max(largest, d)
-    return pixels, largest
-
-
-# Each letter of a move string and the step it takes.
-MOVES = {"D": (1, 1), "V": (1, 0), "H": (0, 1)}
-
-
-def path_steps(path) -> list | None:
-    """A written warping path as its ``[i, j]`` rows: rows as they are, a
-    move string walked from ``[1, 1]``; None for any other letter."""
-    if not isinstance(path, str):
-        return path
-    steps = [[1, 1]]
-    for letter in path:
-        if letter not in MOVES:
-            return None
-        di, dj = MOVES[letter]
-        steps.append([steps[-1][0] + di, steps[-1][1] + dj])
-    return steps
-
-
-def path_reencoded(a: bytes, b: bytes) -> bool:
-    """Whether two per-pair DTW JSON files differ only in ``result.path``,
-    written as rows on one side and as a move string on the other, and the
-    two walk the same steps."""
-    try:
-        old, new = json.loads(a), json.loads(b)
-    except ValueError:
-        return False
-    if json_paths(old, new) != ["result.path"]:
-        return False
-    path_a, path_b = old["result"]["path"], new["result"]["path"]
-    return {type(path_a), type(path_b)} == {list, str} and path_steps(path_a) == path_steps(path_b)
-
-
 PLACES_SHOWN = 10
 
 
@@ -384,11 +250,9 @@ def places(name: str, old: bytes, new: bytes) -> list[str]:
     return line_places(name, text_a.splitlines(), text_b.splitlines())
 
 
-def differences(a: dict, b: dict) -> tuple[list[str], dict, list[str]]:
-    """What differs between two runs, and apart from that, each DTW figure
-    that differs at most in its heatmap's pixels, as `heatmap_change` gives
-    it, by name, and the names of the per-pair DTW JSON files whose path is
-    only written another way (`path_reencoded`)."""
+def differences(a: dict, b: dict) -> list[str]:
+    """What differs between two runs: exit code, stdout, stderr, modes, the
+    files only one tree holds, and where each file in both differs."""
     found = [key for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     found += [f"mode of {n}: {a['modes'][n]} -> {b['modes'][n]}"
               for n in sorted(a["modes"].keys() & b["modes"].keys())
@@ -396,23 +260,14 @@ def differences(a: dict, b: dict) -> tuple[list[str], dict, list[str]]:
     names_a, names_b = set(a["tree"]), set(b["tree"])
     found += [f"only in parent: {n}" for n in sorted(names_a - names_b)]
     found += [f"only in change: {n}" for n in sorted(names_b - names_a)]
-    heatmaps, paths = {}, []
     for n in sorted(names_a & names_b):
         old, new = a["tree"][n], b["tree"][n]
         if old != new:
-            change = heatmap_change(old, new) if n.startswith("dtw_") and n.endswith(".svg") \
-                else None
-            if change is not None:
-                heatmaps[n] = change
-                continue
-            if n.startswith("dtw_") and n.endswith(".json") and path_reencoded(old, new):
-                paths.append(n)
-                continue
             where = places(n, old, new)
             more = len(where) - PLACES_SHOWN
             shown = ", ".join(where[:PLACES_SHOWN]) + (f" and {more} more" if more > 0 else "")
             found.append(f"{n} differs" + (f" at {shown}" if where else ""))
-    return found, heatmaps, paths
+    return found
 
 
 def main(argv: list[str]) -> int:
@@ -427,30 +282,11 @@ def main(argv: list[str]) -> int:
             data = None if input_name is None else inputs[input_name]
             a = run(parent, scenario, data, Path(tmp) / "parent" / name)
             b = run(change, scenario, data, Path(tmp) / "change" / name)
-            found, heatmaps, paths = differences(a, b)
-            failed += bool(found or heatmaps or paths)
-            pixels = sum(p for p, _ in heatmaps.values())
-            largest = max((d for _, d in heatmaps.values()), default=0)
-            files = len(a["tree"])
-            only = f"{len(heatmaps)} of {files} files differ only in the heatmap"
-            if not found and not heatmaps and not paths:
-                status, detail = "same", f"{files} files"
-            elif not found and not heatmaps:
-                status = "PATHS"
-                detail = f"{len(paths)} of {files} files differ only in the path's form"
-            elif not found and not pixels:
-                status, detail = "PICTURE", f"{only}, each the same picture"
-            elif not found:
-                status = "HEATMAP"
-                detail = f"{only}: {pixels} pixels, by at most {largest} per channel"
-            else:
-                status = "DIFF"
-                detail = "; ".join(found[:5])
-                if heatmaps:
-                    detail += f"; {len(heatmaps)} more differ only in the heatmap"
-            if paths and status != "PATHS":
-                detail += f"; {len(paths)} more differ only in the path's form"
-            print(f"{status:7}  {name} (exit {a['exit code']}): {detail}")
+            found = differences(a, b)
+            failed += bool(found)
+            status, detail = ("DIFF", "; ".join(found[:5])) if found \
+                else ("same", f"{len(a['tree'])} files")
+            print(f"{status}  {name} (exit {a['exit code']}): {detail}")
     return 1 if failed else 0
 
 
