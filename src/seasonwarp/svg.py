@@ -9,17 +9,20 @@ Each kind of element is written by one helper: ``_text``, ``_line`` and
 ``_outline`` (a panel's grey border); only ``_document`` writes its title
 itself.  ``_plot`` draws a whole line plot (frame, axes, 5%-padded y range,
 polylines, legend); ``line_chart`` is one ``_plot`` and so is the right panel
-of ``dtw_figure``.
+of ``dtw_figure``.  What DTW figures of one shape share is formatted once, in
+bounded caches: band 4 draws 210 figures of 4 shapes and 14 path lengths.
 """
 
 from __future__ import annotations
 
 import binascii
+import functools
 import json
 import math
 import struct
 import zlib
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -46,6 +49,11 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     one ``%`` formats every point."""
     coords = np.column_stack((xs, ys)).ravel()
     return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords.tolist())
+
+
+def _column(values: np.ndarray) -> list[str]:
+    """Each float64 of values as _f writes it."""
+    return ("%.2f " * len(values) % tuple(values.tolist())).split()
 
 
 def _tick_label(x: float) -> str:
@@ -135,12 +143,8 @@ class _Frame:
 
     def axes(self, x_label: str, y_label: str) -> list[str]:
         bottom = self.y0 + self.h
-        out = [_outline(self.x0, self.y0, self.w, self.h)]
-        for t in _nice_ticks(self.xlo, self.xhi):
-            if self.xlo <= t <= self.xhi:
-                x = self.px(t)
-                out += [_line(x, bottom, x, bottom + 4),
-                        _text(x, bottom + 17, _tick_label(t), _TICK)]
+        out = [_outline(self.x0, self.y0, self.w, self.h),
+               *_x_ticks(self.x0, self.w, self.xlo, self.xhi, bottom)]
         for t in _nice_ticks(self.ylo, self.yhi):
             if self.ylo <= t <= self.yhi:
                 y = self.py(t)
@@ -153,18 +157,44 @@ class _Frame:
     def polyline(self, xs, ys, color: str) -> str:
         # px and py applied to float64 arrays do the same IEEE operations,
         # in the same order, as on each Python float.
-        pts = _points(self.px(np.asarray(xs, dtype=float)), self.py(np.asarray(ys, dtype=float)))
+        if isinstance(ys, tuple):  # (values, index) at the steps xs = 1 .. K
+            at = _column(self.py(ys[0]))
+            xs = _grid(self.x0, self.xlo, self.xhi - self.xlo, self.w, len(xs))[1:]
+            pts = " ".join(map(",".join, zip(xs, map(at.__getitem__, ys[1].tolist()))))
+        else:
+            pts = _points(self.px(np.asarray(xs, dtype=float)),
+                          self.py(np.asarray(ys, dtype=float)))
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.50"/>'
+
+
+@functools.lru_cache(maxsize=64)
+def _grid(origin: float, lo: float, span: float, size: float, count: int) -> tuple[str, ...]:
+    """origin + (k - lo) / span * size for k = 0 .. count, as _f writes it:
+    the steps of a path as px maps them, or the centres of a row of cells."""
+    return tuple(_column(origin + (np.arange(count + 1) - lo) / span * size))
+
+
+@functools.lru_cache(maxsize=64)
+def _x_ticks(x0: float, w: float, xlo: float, xhi: float, bottom: float) -> tuple[str, ...]:
+    """The marks and labels of an x axis."""
+    frame, out = _Frame(x0, 0.0, w, 0.0, xlo, xhi, 0.0, 1.0), []
+    for t in _nice_ticks(xlo, xhi):
+        if xlo <= t <= xhi:
+            x = frame.px(t)
+            out += [_line(x, bottom, x, bottom + 4), _text(x, bottom + 17, _tick_label(t), _TICK)]
+    return tuple(out)
 
 
 def _plot(x0: float, y0: float, w: float, h: float, curves, x_label: str, y_label: str,
           legend_inset: float) -> list[str]:
     """A w x h plot at (x0, y0) of curves = [(label, xs, ys), ...]: axes over
     the data's x range and its y range padded by 5%, one polyline per curve,
-    and a legend legend_inset from the plot's right edge."""
+    and a legend legend_inset from the plot's right edge.  ys may be (values,
+    index), values read along a path of steps xs = 1 .. K, formatted once each."""
     xs = [np.asarray(c[1], dtype=float) for c in curves]
-    ys = [np.asarray(c[2], dtype=float) for c in curves]
-    all_x, all_y = np.concatenate(xs), np.concatenate(ys)
+    ys = [c[2] if isinstance(c[2], tuple) else np.asarray(c[2], dtype=float) for c in curves]
+    all_x = np.concatenate(xs)
+    all_y = np.concatenate([y[0][y[1]] if isinstance(y, tuple) else y for y in ys])
     ylo, yhi = float(all_y.min()), float(all_y.max())
     pad = 0.05 * (yhi - ylo if yhi > ylo else abs(ylo) + 1.0)
     frame = _Frame(x0, y0, w, h, float(all_x.min()), float(all_x.max()), ylo - pad, yhi + pad)
@@ -268,11 +298,13 @@ def dtw_figure(
     panel_h = height - _MARGIN_T - _MARGIN_B
     x0, y0 = 56.0, _MARGIN_T
 
-    cw = panel_w / m
-    ch = panel_h / n
     body = [_heatmap_image(matrix, x0, y0, panel_w, panel_h)]
-    steps_ij = np.asarray(path_steps, dtype=np.int64)
-    pts = _points(x0 + (steps_ij[:, 1] - 0.5) * cw, y0 + (steps_ij[:, 0] - 0.5) * ch)
+    k = len(path_steps)
+    steps_ij = np.fromiter(chain.from_iterable(path_steps), np.int64, 2 * k).reshape(k, 2)
+    # Each row's and column's centre string, up to the path's own extent.
+    rows, cols = steps_ij.max(axis=0).tolist()
+    xs, ys = _grid(x0, 0.5, 1.0, panel_w / m, cols), _grid(y0, 0.5, 1.0, panel_h / n, rows)
+    pts = " ".join([f"{xs[j]},{ys[i]}" for i, j in path_steps])
     body += [
         f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="2"/>',
         _outline(x0, y0, panel_w, panel_h),
@@ -282,8 +314,8 @@ def dtw_figure(
 
     wx0 = x0 + panel_w + 92.0
     cells = steps_ij - 1
-    steps = np.arange(1.0, len(cells) + 1.0)
-    curves = [(label, steps, np.asarray(seq, dtype=float)[cells[:, axis]])
+    steps = np.arange(1.0, k + 1.0)
+    curves = [(label, steps, (np.asarray(seq, dtype=float), cells[:, axis]))
               for axis, (label, seq) in enumerate(zip(pair_labels, aligned_pair))]
     body += _plot(wx0, y0, width - wx0 - _MARGIN_R, panel_h, curves,
                   "path step k", "aligned value", 150.0)
