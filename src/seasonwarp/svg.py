@@ -11,6 +11,7 @@ itself.  ``_plot`` draws a whole line plot (frame, axes, 5%-padded y range,
 polylines, legend); ``line_chart`` is one ``_plot`` and so is the right panel
 of ``dtw_figure``.  What DTW figures of one shape share is formatted once, in
 bounded caches: band 4 draws 210 figures of 4 shapes and 14 path lengths.
+The heatmap's zlib stream is written here, so no zlib build changes its bytes.
 """
 
 from __future__ import annotations
@@ -239,36 +240,81 @@ _PLTE = _png_chunk(b"PLTE", np.vstack([np.rint(
     [0xDD] * 3]).astype(np.uint8).tobytes())
 
 
+def _fixed_codes() -> tuple[np.ndarray, np.ndarray]:
+    """The fixed Huffman code (RFC 1951, 3.2.6) of each symbol, bit-reversed
+    as deflate packs it, and its length in bits.  Symbol k < 256 is the
+    literal k, and 256 + L a match of length L = 3 .. 258 at distance 1: its
+    length code, extra bits and the 5-bit distance code 0, 18 bits at most."""
+    extra = np.array([0] * 8 + [k // 4 for k in range(4, 24)] + [0])  # codes 257 .. 285
+    base = np.concatenate(([3], 3 + np.cumsum(2 ** extra[:-2]), [258]))
+    k = np.arange(256 + 259)
+    i = np.searchsorted(base, k - 256, "right") - 1  # a length's code, less 257
+    sym = np.where(k < 256, k, 257 + i)
+    ranges = [sym < 144, sym < 256, sym < 280]
+    nbits = np.select(ranges, [8, 9, 7], 8)
+    code = np.select(ranges, [sym + 48, sym + 256, sym - 256], sym - 88)
+    code = sum((code >> b & 1) << (8 - b) for b in range(9)) >> (9 - nbits)
+    return (np.where(k < 256, code, code | (k - 256 - base[i]) << nbits),
+            np.where(k < 256, nbits, nbits + extra[i] + 5))
+
+
+_CODE, _BITS = _fixed_codes()
+
+
+def _zlib_stream(raw: bytes) -> bytes:
+    """raw as a zlib stream that no compressor build changes: header 78 01,
+    one fixed-Huffman block in which each run of equal bytes is its first
+    byte, then matches of 3 to 258 bytes at distance 1, and the Adler-32.
+    Stored blocks of at most 65,535 bytes replace the block if no longer."""
+    a = np.frombuffer(raw, np.uint8)
+    edge = np.ones(len(a) + 1, bool)  # where a run starts, and the end
+    np.not_equal(a[1:], a[:-1], out=edge[1:-1])
+    edges = edge.nonzero()[0]
+    full, tail = np.divmod(edges[1:] - edges[:-1] - 1, 258)  # each run after its first byte
+    # Per run, three symbols and their counts: the byte, again for a tail of
+    # 1 or 2; `full` matches of 258; a match of a longer tail.
+    sym, count = np.empty((2, len(tail), 3), np.intp)
+    sym[:, 0], sym[:, 1], sym[:, 2] = a[edges[:-1]], 256 + 258, 256 + tail
+    count[:, 0], count[:, 1], count[:, 2] = 1 + tail * (tail < 3), full, tail >= 3
+    v = sym.ravel().repeat(count.ravel())
+    nbits = _BITS[v]
+    pos = nbits.cumsum() + 3  # after the header bits BFINAL 1 and BTYPE 01
+    size = (int(pos[-1]) + 7 + 7) // 8  # and the end-of-block code, seven 0 bits
+    if size >= len(raw) + 5 * -(-len(raw) // 65535):
+        data = b"".join(struct.pack("<BHH", k + 65535 >= len(raw), len(b), len(b) ^ 0xFFFF) + b
+                        for k in range(0, len(raw), 65535) for b in [raw[k:k + 65535]])
+    else:
+        pos -= nbits
+        # Each code, shifted below 2 ** 50, is added to the 32-bit word it
+        # starts in; what passes bit 31 is carried into the next word.
+        acc = np.bincount(pos >> 5, _CODE[v] << (pos & 31), size // 4 + 2).astype(np.uint64)
+        words = acc & 0xFFFFFFFF
+        words[1:] += acc[:-1] >> 32
+        words[0] += 3
+        data = words.astype("<u4").tobytes()[:size]
+    return b"\x78\x01" + data + struct.pack(">I", zlib.adler32(raw))
+
+
 def _heatmap_image(matrix: np.ndarray, x: float, y: float, w: float, h: float) -> str:
     """The cost heatmap as one <image> covering the w x h panel at (x, y): an
     indexed-colour PNG, one byte per cell, scaled nearest-neighbour.  A cell
     shows the ramp level nearest its cost over the largest finite cost, within
     one unit per channel of the exact ramp colour; grey if it is not finite."""
     n, m = matrix.shape
-    cells = np.flatnonzero(np.isfinite(matrix))
-    costs = matrix.ravel()[cells]
+    finite = np.isfinite(matrix)
+    costs = matrix[finite]
     if np.any(costs < 0):
         raise ValueError("dtw_figure needs a non-negative cost matrix")
     peak = costs.max(initial=0.0)
     vmax = peak if peak > 0 else 1.0
-    # Scanlines of filter byte 0 and m indices each: cell k = i * m + j is byte k + i + 1.
+    # Scanlines of filter byte 0 and m indices each, 255 where not finite.
     scanlines = np.full((n, 1 + m), 255, dtype=np.uint8)
     scanlines[:, 0] = 0
-    scanlines.ravel()[cells + cells // m + 1] = np.rint(costs / vmax * 254)
-    raw = scanlines.tobytes()
-    # A zlib stream of stored deflate blocks, so the bytes depend on no
-    # compressor build: header 78 01, blocks of at most 65,535 bytes, each
-    # led by its final-block bit, LEN and NLEN, then the Adler-32 of raw.
-    size = 65535
-    stream = [b"\x78\x01"]
-    for k in range(0, len(raw), size):
-        block = raw[k:k + size]
-        final = k + size >= len(raw)
-        stream += [struct.pack("<BHH", final, len(block), len(block) ^ 0xFFFF), block]
-    stream.append(struct.pack(">I", zlib.adler32(raw)))
+    scanlines[:, 1:][finite] = np.rint(costs / vmax * 254)
+    # The grey outside a band is long runs of index 255, written as matches.
     png = (b"\x89PNG\r\n\x1a\n"
            + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", m, n, 8, 3, 0, 0, 0)) + _PLTE
-           + _png_chunk(b"IDAT", b"".join(stream))
+           + _png_chunk(b"IDAT", _zlib_stream(scanlines.tobytes()))
            + _png_chunk(b"IEND", b""))
     data = binascii.b2a_base64(png, newline=False).decode("ascii")
     return (

@@ -469,6 +469,41 @@ def dtw_heatmap_cells_oracle(g) -> list[str]:
     return _heatmap_fills(g, level)
 
 
+# Length codes 257 .. 285 (RFC 1951, 3.2.5): the least length of each and
+# its extra bits; code 285 is length 258 alone.
+_LENGTH_BASE = [3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59,
+                67, 83, 99, 115, 131, 163, 195, 227, 258]
+_LENGTH_EXTRA = [0] * 8 + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4 + [5] * 4 + [0]
+
+
+def fixed_huffman_bits_oracle(raw: bytes) -> int:
+    """Bits of raw as one fixed-Huffman deflate block written run by run:
+    the 3 header bits, each maximal run of equal bytes as its first byte,
+    then matches of 258 at distance 1 while 258 or more remain, then a match
+    of the rest if it is 3 or more, else the rest as literals, and the 7-bit
+    end-of-block code.  A literal below 144 costs 8 bits and 9 from 144; a
+    match costs its length code (7 bits for codes below 280, else 8), the
+    code's extra bits and the 5-bit distance code."""
+    def literal(byte):
+        return 8 if byte < 144 else 9
+
+    def match(length):
+        code = 28 if length == 258 else max(k for k in range(28) if _LENGTH_BASE[k] <= length)
+        return (7 if 257 + code < 280 else 8) + _LENGTH_EXTRA[code] + 5
+
+    bits, k = 3 + 7, 0
+    while k < len(raw):
+        end = k
+        while end < len(raw) and raw[end] == raw[k]:
+            end += 1
+        rest = end - k - 1
+        bits += literal(raw[k]) + match(258) * (rest // 258)
+        rest %= 258
+        bits += match(rest) if rest >= 3 else rest * literal(raw[k])
+        k = end
+    return bits
+
+
 def polyline_points_oracle(frame, xs, ys) -> str:
     """A _Frame polyline's points, one Python-float point at a time."""
     return " ".join(f"{format(frame.px(x), '.2f')},{format(frame.py(y), '.2f')}"

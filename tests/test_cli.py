@@ -1230,7 +1230,7 @@ class TestConfigAndUsage:
         assert len(unwritten) == len(list(out.iterdir())) > 400
         assert max(unwritten) < seasonwarp.cli._HELD_BYTES
         assert made[0] == written[0] == sum(p.stat().st_size for p in out.iterdir())
-        assert made[0] > 10 * seasonwarp.cli._HELD_BYTES
+        assert made[0] > 8 * seasonwarp.cli._HELD_BYTES  # about 2.2 MB: many groups
         assert not list(tmp_path.rglob(".seasonwarp-*"))
 
     def test_partial_outputs_never_written_on_failure(self, tmp_path, fixture_csv):

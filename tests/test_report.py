@@ -37,12 +37,13 @@ from seasonwarp.report import (
 )
 from seasonwarp.seasonal import seasonal_index
 from seasonwarp.series import Variable, WeekKey, complete_years, log_diff, slice_year
-from seasonwarp.svg import _Frame, _points, bar_chart, dtw_figure, line_chart
+from seasonwarp.svg import _Frame, _points, _zlib_stream, bar_chart, dtw_figure, line_chart
 from seasonwarp.unitroot import adf_test
 
 from _oracles import (
     dtw_heatmap_cells_oracle,
     dtw_heatmap_exact_oracle,
+    fixed_huffman_bits_oracle,
     polyline_points_oracle,
     ranking_csv_oracle,
     seasonal_csv_oracle,
@@ -167,6 +168,16 @@ class TestJson:
         # no report has them, so to_json refuses every key that is not a str.
         with pytest.raises(TypeError):
             to_json(payload)
+
+
+def _stored_stream(raw: bytes) -> bytes:
+    """raw as a zlib stream of stored deflate blocks: header 78 01, blocks of
+    at most 65,535 bytes, each led by its final-block bit, LEN and NLEN, and
+    the Adler-32."""
+    blocks = [raw[k:k + 65535] for k in range(0, len(raw), 65535)]
+    return b"".join([b"\x78\x01"] + [
+        struct.pack("<BHH", k == len(blocks) - 1, len(b), len(b) ^ 0xFFFF) + b
+        for k, b in enumerate(blocks)] + [struct.pack(">I", zlib.adler32(raw))])
 
 
 def _parse_csv(text):
@@ -357,7 +368,8 @@ class TestSvg:
         The image covers exactly the 400 x 374 panel at (56, 40) and is an
         indexed-colour PNG of n x m pixels: chunks IHDR, PLTE, IDAT and IEND
         with every CRC holding, a 256-entry palette, IDAT a zlib stream of
-        stored deflate blocks, and every scanline filter byte 0 and m indices.
+        one fixed-Huffman block or stored blocks, whichever is shorter, and
+        every scanline filter byte 0 and m indices.
         """
         text = dtw_figure(g, steps, pair, ("2020", "2021"), title="demo", metadata={})
         n, m = g.shape
@@ -389,10 +401,9 @@ class TestSvg:
         stream = chunks[2][1]
         raw = zlib.decompress(stream)
         assert len(raw) == n * (1 + m)
-        # Header 78 01, five header bytes per stored block of at most 65,535
-        # bytes, and the Adler-32.
         assert stream[:2] == b"\x78\x01"
-        assert len(stream) == 2 + 5 * -(-len(raw) // 65535) + len(raw) + 4
+        fixed = 2 + (fixed_huffman_bits_oracle(raw) + 7) // 8 + 4
+        assert len(stream) == min(fixed, len(_stored_stream(raw)))
         rows = [raw[i * (1 + m):(i + 1) * (1 + m)] for i in range(n)]
         assert [row[0] for row in rows] == [0] * n
         return ["#" + palette[3 * k:3 * k + 3].hex() for row in rows for k in row[1:]]
@@ -407,7 +418,7 @@ class TestSvg:
         assert not off, f"{len(off)} cells off the exact ramp, first {off[:3]}"
 
     HEATMAP_CASES = ["banded", "unbanded", "all-zero", "half-way ties", "level ties", "1x1",
-                     "all-inf", "160x160", "256x256"]
+                     "all-inf", "inf row 600 wide", "160x160", "256x256"]
 
     @staticmethod
     def _heatmap_case(case):
@@ -429,13 +440,17 @@ class TestSvg:
             g = np.array([[3.5]])
         elif case == "all-inf":
             g = np.full((5, 4), np.inf)
+        elif case == "inf row 600 wide":
+            # A grey run of 600 bytes, longer than two matches of 258.
+            g = np.vstack([np.full(600, np.inf), np.arange(600.0)])
         elif case == "160x160":
-            # 160 scanlines of 161 bytes: 25,760 raw bytes in one stored block.
+            # 160 scanlines of 161 bytes: 25,760 raw bytes of random levels,
+            # which fixed Huffman codes do not shrink, in one stored block.
             g = rng.uniform(0.0, 100.0, size=(160, 160))
         elif case == "256x256":
             # 256 scanlines of 257 bytes: 65,792 raw bytes, two stored blocks.
             g = rng.uniform(0.0, 100.0, size=(256, 256))
-        assert (case in ("banded", "all-inf")) == bool(np.isinf(g).any())
+        assert (case in ("banded", "all-inf", "inf row 600 wide")) == bool(np.isinf(g).any())
         return g, res.path.steps, (x, y)
 
     @pytest.mark.parametrize("case", HEATMAP_CASES)
@@ -474,6 +489,28 @@ class TestSvg:
         assert fills == dtw_heatmap_cells_oracle(g.tolist())
         self._assert_within_one_unit(fills, g)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(runs=st.lists(st.tuples(st.integers(0, 255), st.integers(1, 600) | st.sampled_from(
+        [3, 4, 258, 259, 260, 517, 518, 519])), min_size=1, max_size=12))
+    @example(runs=[(7, 1)])
+    @example(runs=[(255, 600)])
+    @example(runs=[(k * 37 % 256, n) for k, n in enumerate([3, 4, 258, 259, 260, 517, 518, 519])])
+    @example(runs=[(k * 7 % 256, 1) for k in range(66000)])
+    def test_zlib_stream_round_trip(self, runs):
+        # Each run of equal bytes is a literal and matches of 3 to 258 at
+        # distance 1 in one final fixed-Huffman block (BFINAL 1, BTYPE 01),
+        # unless the stored blocks are no longer; then they are written.
+        raw = b"".join(bytes([byte]) * length for byte, length in runs)
+        stream = _zlib_stream(raw)
+        inflate = zlib.decompressobj()
+        assert inflate.decompress(stream) == raw
+        assert inflate.eof and not inflate.unused_data
+        stored = _stored_stream(raw)
+        fixed = 2 + (fixed_huffman_bits_oracle(raw) + 7) // 8 + 4
+        assert len(stream) == min(fixed, len(stored))
+        if stream != stored:
+            assert stream[:2] == b"\x78\x01" and stream[2] & 0b111 == 0b011
+
     def test_dtw_figure_rejects_negative_costs(self):
         with pytest.raises(ValueError, match="non-negative"):
             dtw_figure(
@@ -508,12 +545,12 @@ class TestSvg:
         ),
         "dtw_figure banded 52x53": (
             lambda: TestSvg._banded_figure(),
-            "6c8807443f6f07c04d6ae89fdd1e347e30b81058dfa7aa95eb8e63c8d089be45",
+            "69196efe629c499572d468055ddec389b6e0984af8c4f8c713fc87789bcbaff4",
         ),
         "dtw_figure 1x1": (
             lambda: dtw_figure(np.array([[3.5]]), [(1, 1)], ([2.0], [4.0]), ("2019", "2020"),
                                title="one cell", metadata={}),
-            "22283799d3ad1ed753142eb78ef616102f4d72bc658177c5341998fba365f8d3",
+            "05a9ea10fce35942dbcf68eaf0fe5047ea40d0d63c1fd94267591f84170823c4",
         ),
         "bar_chart": (
             lambda: bar_chart([("2010-2011", 12.5), ("2011-2012", 0.0), ("2012-2013", 3.25)],
