@@ -1,7 +1,8 @@
 """Report assembly and deterministic serialization (JSON / CSV).
 
 JSON is emitted with sorted keys and two-space indentation, byte for byte
-as ``json.dumps`` writes it with those settings; CSV uses
+as ``json.dumps`` writes it with those settings, and a NaN or an infinity,
+which JSON cannot hold, is refused; CSV uses
 RFC-4180 quoting with CRLF row endings, and a table of records has one row
 per record and one column per field.  Identical inputs give identical
 bytes, which the golden-file tests rely on.
@@ -16,6 +17,7 @@ from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from .descriptive import DescriptiveSummary
+from .errors import DataIntegrityError
 from .series import FLAGS, WeekKey, WeeklySeries
 from .unitroot import AdfResult
 
@@ -26,9 +28,22 @@ def to_json(payload) -> str:
     a `WeekKey` is ``[iso_year, iso_week]``, a record with a ``to_dict`` is
     that dict, and any other dataclass is its fields.  Sorted keys keep
     field order out of the bytes; a key that is not a str raises TypeError.
-    NaN and the infinities are written as ``NaN`` and ``Infinity``, as json
-    writes them."""
-    return _json(payload, "\n") + "\n"
+    NaN or an infinity raises DataIntegrityError naming its key path, as in
+    ``non-finite number nan at summaries.modal_price.skewness``."""
+    try:
+        return _json(payload, "\n") + "\n"
+    except _NonFinite as exc:
+        at = "".join(reversed(exc.path)).removeprefix(".")
+        where = f" at {at}" if at else ""
+        raise DataIntegrityError(f"non-finite number {exc.value}{where}") from None
+
+
+class _NonFinite(Exception):
+    """A non-finite float, and the steps to it, innermost first, which each
+    container adds as the exception leaves it: a successful write builds no path."""
+
+    def __init__(self, value: float):
+        self.value, self.path = value, []
 
 
 def _json(value, nl: str) -> str:
@@ -45,21 +60,32 @@ def _json(value, nl: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
+        if value != value or value in (math.inf, -math.inf):
+            raise _NonFinite(value)
         return float.__repr__(value)
     inner = nl + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_quote(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        items = []
+        for k in sorted(value):
+            try:
+                items.append(_quote(k) + ": " + _json(value[k], inner))
+            except _NonFinite as exc:
+                exc.path.append("." + k)
+                raise
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + nl + "]"
+        items = []
+        for i, v in enumerate(value):
+            try:
+                items.append(_json(v, inner))
+            except _NonFinite as exc:
+                exc.path.append(f"[{i}]")
+                raise
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(value, WeekKey):
         return _json([value.iso_year, value.iso_week], nl)
     if hasattr(value, "to_dict"):

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -295,6 +297,20 @@ class TestStatsCommand:
         payload = _read_json(out / "stats.json")
         assert set(payload["summaries"]) == {"modal_price"}
         assert payload["adf_log_price_diff"] is not None
+
+    def test_non_finite_value_exits_2_with_no_tree(self, tmp_path, fixture_csv, monkeypatch,
+                                                   capsys):
+        # No known input leaks a NaN into a report; if one did, the JSON
+        # writer refuses it, the run exits 2 and no --out-dir is made.
+        def nan_skewness(values):
+            return dataclasses.replace(describe(values), skewness=math.nan)
+
+        monkeypatch.setattr(seasonwarp.cli, "describe", nan_skewness)
+        out = tmp_path / "o"
+        assert _run("stats", "--input", str(fixture_csv), "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == ("seasonwarp: data error: non-finite number nan "
+                                           "at summaries.arrivals.skewness\n")
+        assert not out.exists()
 
 
 class TestSeasonalCommand:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from seasonwarp.cleaning import Fence, OutlierWeek
 from seasonwarp.descriptive import describe
+from seasonwarp.errors import DataIntegrityError
 from seasonwarp.dtw import (
     DtwOptions,
     DtwResult,
@@ -98,8 +99,8 @@ def _aligned_with_matrix(x, y, band):
     return emitted[0]
 
 
-_json_floats = st.floats() | st.sampled_from(
-    [-0.0, 5e-324, 1e16, 1e308, math.nan, math.inf, -math.inf])
+_json_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e308])
 # Every code point, lone surrogates included, and the characters json escapes.
 _json_text = st.text(st.characters(exclude_categories=()) | st.sampled_from(
     ['"', "\\", "\x00", "\x1f", "\x7f", "\b", "\u2028", "é", "\U0001f600", "\ud800"]),
@@ -153,13 +154,30 @@ class TestJson:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(payload=_json_payloads)
     @example(payload={"a": [], "b": {}, "c": (), "d": [[{}]]})
-    @example(payload=[-0.0, 5e-324, 1e16, 1e308, math.nan, math.inf, -math.inf])
+    @example(payload=[-0.0, 5e-324, 1e16, 1e308])
     @example(payload={'"\\\x00\x1f\x7f\u2028\ud800\U0001f600': "é\udfff"})
     # A result's path is its move string; a bare WarpPath is a plain dataclass.
     @example(payload=[DtwResult(1.5, _warp_path([(1, 1), (1, 0), (0, 1)]), DtwOptions()),
                       _warp_path([])])
     def test_same_bytes_as_json_dumps(self, payload):
         assert to_json(payload) == to_json_oracle(payload)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"summaries": {"modal_price": {"count": 3, "skewness": math.nan}}},
+         "non-finite number nan at summaries.modal_price.skewness"),
+        ([1.5, (2.5, math.inf)], "non-finite number inf at [1][1]"),
+        ({"b": [{"c": [0.0, -math.inf]}], "a": 1.0}, "non-finite number -inf at b[0].c[1]"),
+        (math.nan, "non-finite number nan"),
+        ({"r": _Record(1.0, [math.inf])}, "non-finite number inf at r.value[0]"),
+        ({"results": [DtwResult(math.nan, _warp_path([(1, 1)]), DtwOptions())]},
+         "non-finite number nan at results[0].mean_cost"),
+    ])
+    def test_non_finite_rejected_with_key_path(self, payload, message):
+        # json.dumps would write NaN and Infinity, which are not JSON; a
+        # report refuses them, naming where the first one sits.
+        with pytest.raises(DataIntegrityError) as raised:
+            to_json(payload)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("payload", [{1: "a"}, {"a": 0, 2: "b"}, {None: 0}, [{1.5: 0}],
                                          {True: 0}, {("a",): 0}])
