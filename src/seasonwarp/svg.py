@@ -9,9 +9,8 @@ Each kind of element is written by one helper: ``_text``, ``_line`` and
 ``_outline`` (a panel's grey border); only ``_document`` writes its title
 itself.  ``_plot`` draws a whole line plot (frame, axes, 5%-padded y range,
 polylines, legend); ``line_chart`` is one ``_plot`` and so is the right panel
-of ``dtw_figure``.  What DTW figures of one shape share is formatted once, in
-bounded caches: band 4 draws 210 figures of 4 shapes and 14 path lengths.
-The heatmap's zlib stream is written here, so no zlib build changes its bytes.
+of ``dtw_figure``.  Bounded caches hold the strings DTW figures share, and
+the heatmap's deflate stream is written here, so no zlib build changes it.
 """
 
 from __future__ import annotations
@@ -46,15 +45,14 @@ def _escape(text: str) -> str:
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """Polyline points "x,y x,y ..." from float64 arrays, each coordinate as _f
-    writes it: ``%.2f`` is the same conversion as ``format(x, ".2f")``, and
-    one ``%`` formats every point."""
-    coords = np.column_stack((xs, ys)).ravel()
-    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords.tolist())
+    writes it (``%.2f`` is ``format(x, ".2f")``), the ys into a template of the xs."""
+    return _x_template(xs.tobytes()) % tuple(ys.tolist())
 
 
-def _column(values: np.ndarray) -> list[str]:
-    """Each float64 of values as _f writes it."""
-    return ("%.2f " * len(values) % tuple(values.tolist())).split()
+@functools.lru_cache(maxsize=64)
+def _x_template(xs: bytes) -> str:
+    """"x,%.2f x,%.2f ..." for the float64 xs: DTW figures of one path length share it."""
+    return " ".join(["%.2f,%%.2f"] * (len(xs) // 8)) % tuple(np.frombuffer(xs).tolist())
 
 
 def _tick_label(x: float) -> str:
@@ -144,8 +142,12 @@ class _Frame:
 
     def axes(self, x_label: str, y_label: str) -> list[str]:
         bottom = self.y0 + self.h
-        out = [_outline(self.x0, self.y0, self.w, self.h),
-               *_x_ticks(self.x0, self.w, self.xlo, self.xhi, bottom)]
+        out = [_outline(self.x0, self.y0, self.w, self.h)]
+        for t in _nice_ticks(self.xlo, self.xhi):
+            if self.xlo <= t <= self.xhi:
+                x = self.px(t)
+                out += [_line(x, bottom, x, bottom + 4),
+                        _text(x, bottom + 17, _tick_label(t), _TICK)]
         for t in _nice_ticks(self.ylo, self.yhi):
             if self.ylo <= t <= self.yhi:
                 y = self.py(t)
@@ -158,44 +160,18 @@ class _Frame:
     def polyline(self, xs, ys, color: str) -> str:
         # px and py applied to float64 arrays do the same IEEE operations,
         # in the same order, as on each Python float.
-        if isinstance(ys, tuple):  # (values, index) at the steps xs = 1 .. K
-            at = _column(self.py(ys[0]))
-            xs = _grid(self.x0, self.xlo, self.xhi - self.xlo, self.w, len(xs))[1:]
-            pts = " ".join(map(",".join, zip(xs, map(at.__getitem__, ys[1].tolist()))))
-        else:
-            pts = _points(self.px(np.asarray(xs, dtype=float)),
-                          self.py(np.asarray(ys, dtype=float)))
+        pts = _points(self.px(np.asarray(xs, dtype=float)), self.py(np.asarray(ys, dtype=float)))
         return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.50"/>'
-
-
-@functools.lru_cache(maxsize=64)
-def _grid(origin: float, lo: float, span: float, size: float, count: int) -> tuple[str, ...]:
-    """origin + (k - lo) / span * size for k = 0 .. count, as _f writes it:
-    the steps of a path as px maps them, or the centres of a row of cells."""
-    return tuple(_column(origin + (np.arange(count + 1) - lo) / span * size))
-
-
-@functools.lru_cache(maxsize=64)
-def _x_ticks(x0: float, w: float, xlo: float, xhi: float, bottom: float) -> tuple[str, ...]:
-    """The marks and labels of an x axis."""
-    frame, out = _Frame(x0, 0.0, w, 0.0, xlo, xhi, 0.0, 1.0), []
-    for t in _nice_ticks(xlo, xhi):
-        if xlo <= t <= xhi:
-            x = frame.px(t)
-            out += [_line(x, bottom, x, bottom + 4), _text(x, bottom + 17, _tick_label(t), _TICK)]
-    return tuple(out)
 
 
 def _plot(x0: float, y0: float, w: float, h: float, curves, x_label: str, y_label: str,
           legend_inset: float) -> list[str]:
     """A w x h plot at (x0, y0) of curves = [(label, xs, ys), ...]: axes over
     the data's x range and its y range padded by 5%, one polyline per curve,
-    and a legend legend_inset from the plot's right edge.  ys may be (values,
-    index), values read along a path of steps xs = 1 .. K, formatted once each."""
+    and a legend legend_inset from the plot's right edge."""
     xs = [np.asarray(c[1], dtype=float) for c in curves]
-    ys = [c[2] if isinstance(c[2], tuple) else np.asarray(c[2], dtype=float) for c in curves]
-    all_x = np.concatenate(xs)
-    all_y = np.concatenate([y[0][y[1]] if isinstance(y, tuple) else y for y in ys])
+    ys = [np.asarray(c[2], dtype=float) for c in curves]
+    all_x, all_y = np.concatenate(xs), np.concatenate(ys)
     ylo, yhi = float(all_y.min()), float(all_y.max())
     pad = 0.05 * (yhi - ylo if yhi > ylo else abs(ylo) + 1.0)
     frame = _Frame(x0, y0, w, h, float(all_x.min()), float(all_x.max()), ylo - pad, yhi + pad)
@@ -311,7 +287,6 @@ def _heatmap_image(matrix: np.ndarray, x: float, y: float, w: float, h: float) -
     scanlines = np.full((n, 1 + m), 255, dtype=np.uint8)
     scanlines[:, 0] = 0
     scanlines[:, 1:][finite] = np.rint(costs / vmax * 254)
-    # The grey outside a band is long runs of index 255, written as matches.
     png = (b"\x89PNG\r\n\x1a\n"
            + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", m, n, 8, 3, 0, 0, 0)) + _PLTE
            + _png_chunk(b"IDAT", _zlib_stream(scanlines.tobytes()))
@@ -323,6 +298,13 @@ def _heatmap_image(matrix: np.ndarray, x: float, y: float, w: float, h: float) -
         f'image-rendering="optimizeSpeed" style="image-rendering:pixelated" '
         f'xlink:href="data:image/png;base64,{data}"/>'
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _centres(origin: float, size: float, count: int) -> tuple[str, ...]:
+    """origin + (k - 0.5) * size for k = 0 .. count, each as _f writes it."""
+    values = (origin + (np.arange(count + 1) - 0.5) * size).tolist()
+    return tuple(("%.2f " * len(values) % tuple(values)).split())
 
 
 def dtw_figure(
@@ -345,11 +327,10 @@ def dtw_figure(
     x0, y0 = 56.0, _MARGIN_T
 
     body = [_heatmap_image(matrix, x0, y0, panel_w, panel_h)]
-    k = len(path_steps)
-    steps_ij = np.fromiter(chain.from_iterable(path_steps), np.int64, 2 * k).reshape(k, 2)
-    # Each row's and column's centre string, up to the path's own extent.
+    steps_ij = np.fromiter(chain.from_iterable(path_steps), np.int64).reshape(-1, 2)
+    # Each row's and column's centre, up to the path's own extent.
     rows, cols = steps_ij.max(axis=0).tolist()
-    xs, ys = _grid(x0, 0.5, 1.0, panel_w / m, cols), _grid(y0, 0.5, 1.0, panel_h / n, rows)
+    xs, ys = _centres(x0, panel_w / m, cols), _centres(y0, panel_h / n, rows)
     pts = " ".join([f"{xs[j]},{ys[i]}" for i, j in path_steps])
     body += [
         f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="2"/>',
@@ -360,8 +341,8 @@ def dtw_figure(
 
     wx0 = x0 + panel_w + 92.0
     cells = steps_ij - 1
-    steps = np.arange(1.0, k + 1.0)
-    curves = [(label, steps, (np.asarray(seq, dtype=float), cells[:, axis]))
+    steps = np.arange(1.0, len(cells) + 1.0)
+    curves = [(label, steps, np.asarray(seq, dtype=float)[cells[:, axis]])
               for axis, (label, seq) in enumerate(zip(pair_labels, aligned_pair))]
     body += _plot(wx0, y0, width - wx0 - _MARGIN_R, panel_h, curves,
                   "path step k", "aligned value", 150.0)

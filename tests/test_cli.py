@@ -1240,13 +1240,16 @@ class TestConfigAndUsage:
 
         monkeypatch.setattr(seasonwarp.cli._OutputTree, "__setitem__", recording_store)
         monkeypatch.setattr(Path, "write_bytes", recording_write_bytes)
+        # Groups of 128 KiB, so that the band 4 tree is written in more than
+        # ten of them whatever its figures weigh.
+        monkeypatch.setattr(seasonwarp.cli, "_HELD_BYTES", 128 << 10)
         out = tmp_path / "o"
         assert _run("report-all", "--input", str(fixture_csv), "--all-pairs", "--band", "4",
                     "--out-dir", str(out)) == 0
         assert len(unwritten) == len(list(out.iterdir())) > 400
         assert max(unwritten) < seasonwarp.cli._HELD_BYTES
         assert made[0] == written[0] == sum(p.stat().st_size for p in out.iterdir())
-        assert made[0] > 8 * seasonwarp.cli._HELD_BYTES  # about 2.2 MB: many groups
+        assert made[0] > 10 * seasonwarp.cli._HELD_BYTES
         assert not list(tmp_path.rglob(".seasonwarp-*"))
 
     def test_partial_outputs_never_written_on_failure(self, tmp_path, fixture_csv):
