@@ -3,24 +3,26 @@
 Each data command is one driver (`_run_stage`: read, spline-fill, stage)
 around one stage function.  A stage takes ``(args, cleaned, files)``, stores
 each output ``args.formats`` asks for as ``files[filename] = text`` and
-returns its value.  ``cleaned`` maps each variable to its `_Cleaned` record,
+returns nothing.  ``cleaned`` maps each variable to its `_Cleaned` record,
 whose outlier pass runs once, on first use: when a stage writes the point
 flags or the cleaning report (``clean``, and so ``report-all``), or when
 ``--winsorize`` changes the values.  Without ``--winsorize`` the value-only
 stages (stats, seasonal, dtw and the series charts) read the fill itself.
 Complete years are likewise found and warned about once, by the first stage
 that needs them; ``report-all``'s stage is the union of the clean, stats,
-seasonal and dtw stages plus the series charts and the bundle it builds
-from their values.  A stage imports the fixture, seasonal, DTW and SVG
-modules only when it calls them, so ``clean`` and ``stats`` load none of them.
+seasonal and dtw stages plus the series charts and ``bundle.json``, which
+lists the byte count of every other file of the run.  A stage imports the
+fixture, seasonal, DTW and SVG modules only when it calls them, so
+``clean`` and ``stats`` load none of them.
 
-Exit codes: 0 success, 1 usage error, 2 data or I/O error.  The outputs are
-written into a staging directory in groups of about 256 KiB as they are
-made, so the run holds at most one group and one file in memory, and are
-put in place only once the whole run has succeeded: a new --out-dir by one
-rename of the staging directory, an existing one file by file.  A failing
-run leaves no partial output tree.  Every emitter is deterministic, which
-makes output trees byte-stable.
+Exit codes: 0 success, 1 usage error, 2 data or I/O error, 130 interrupted
+(128 + SIGINT).  The outputs are written into a staging directory in groups
+of about 256 KiB as they are made, so the run holds at most one group and
+one file in memory, and are put in place only once the whole run has
+succeeded: a new --out-dir by one rename of the staging directory, an
+existing one file by file.  A failing or interrupted run leaves no partial
+output tree.  Every emitter is deterministic, which makes output trees
+byte-stable.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ class _OutputTree:
     def __init__(self, args: argparse.Namespace) -> None:
         self.out_dir = Path(args.out_dir)
         self.force = args.force
-        self.names: set[str] = set()
+        self.sizes: dict[str, int] = {}  # each file's byte count, by name
         self.held: dict[str, bytes] = {}
         self.held_bytes = 0
         self.root: Path | None = None  # the staging directory
@@ -369,7 +371,7 @@ class _OutputTree:
         data = text.encode("utf-8")
         self.held[name] = data
         self.held_bytes += len(data)
-        self.names.add(name)
+        self.sizes[name] = len(data)
         if self.held_bytes >= _HELD_BYTES:
             self._write_held()
 
@@ -416,7 +418,7 @@ class _OutputTree:
             os.rename(self.root, self.top)
             self.root = None
             return
-        names = sorted(self.names)
+        names = sorted(self.sizes)
         clashes = [name for name in names if (self.out_dir / name).exists()]
         # A file cannot replace a directory, even with --force; found after
         # the first move, one would leave a partial tree.
@@ -460,18 +462,16 @@ def cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
-def _clean_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
-    reports = {}
+def _clean_stage(args: argparse.Namespace, cleaned, files: _OutputTree) -> None:
     for var, c in cleaned.items():
-        series, reports[var.value] = c.flagged
+        series, report = c.flagged
         if "csv" in args.formats:
             files[f"cleaned_{var.value}.csv"] = series_csv(series)
         if "json" in args.formats:
-            files[f"cleaning_{var.value}.json"] = to_json(reports[var.value])
-    return reports
+            files[f"cleaning_{var.value}.json"] = to_json(report)
 
 
-def _stats_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
+def _stats_stage(args: argparse.Namespace, cleaned, files: _OutputTree) -> None:
     summaries = {var.value: describe(c.dense.values()) for var, c in cleaned.items()}
     adf = None
     if Variable.MODAL_PRICE in cleaned:
@@ -480,7 +480,6 @@ def _stats_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
         files["stats.json"] = to_json({"summaries": summaries, "adf_log_price_diff": adf})
     if "csv" in args.formats:
         files["stats.csv"] = stats_csv(summaries, adf)
-    return summaries, adf
 
 
 def _seasonal_svg(tables: dict) -> str:
@@ -502,7 +501,7 @@ def _seasonal_svg(tables: dict) -> str:
     )
 
 
-def _seasonal_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
+def _seasonal_stage(args: argparse.Namespace, cleaned, files: _OutputTree) -> None:
     from .seasonal import seasonal_index
     method = args.detrend or "weekly-mean"
     tables = {var.value: seasonal_index(c.dense, c.years, method) for var, c in cleaned.items()}
@@ -513,7 +512,6 @@ def _seasonal_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
             files[f"seasonal_{name}.csv"] = records_csv(t.entries)
     if "svg" in args.formats:
         files["seasonal.svg"] = _seasonal_svg(tables)
-    return tables
 
 
 def _year_pairs(args: argparse.Namespace, cleaned: _Cleaned) -> list[tuple[int, int]]:
@@ -528,7 +526,8 @@ def _year_pairs(args: argparse.Namespace, cleaned: _Cleaned) -> list[tuple[int, 
     return list(zip(years, years[1:]))
 
 
-def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _OutputTree):
+def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned,
+                          files: _OutputTree) -> None:
     """One variable's year pairs, each slice aligned as-is or z-scored once,
     aligned and ranked by one ``PairSet.align``; each pair's outputs are
     written as it is aligned."""
@@ -590,11 +589,11 @@ def _dtw_variable_outputs(args: argparse.Namespace, cleaned: _Cleaned, files: _O
             metadata={"chart": "dtw_ranking", "variable": var,
                       "options": options.to_dict()},
         )
-    return ranking
 
 
-def _dtw_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
-    return {var.value: _dtw_variable_outputs(args, c, files) for var, c in cleaned.items()}
+def _dtw_stage(args: argparse.Namespace, cleaned, files: _OutputTree) -> None:
+    for c in cleaned.values():
+        _dtw_variable_outputs(args, c, files)
 
 
 def _series_svg(dense: WeeklySeries) -> str:
@@ -619,20 +618,16 @@ def _series_svg(dense: WeeklySeries) -> str:
     )
 
 
-def _report_stage(args: argparse.Namespace, cleaned, files: _OutputTree):
-    """Every stage once, plus the series charts and the bundle of their values."""
-    reports, (summaries, adf), tables, rankings = [
+def _report_stage(args: argparse.Namespace, cleaned, files: _OutputTree) -> None:
+    """Every stage once, then the series charts, then ``bundle.json``: the
+    byte count of every other file of the run, by name."""
+    for stage in (_clean_stage, _stats_stage, _seasonal_stage, _dtw_stage):
         stage(args, cleaned, files)
-        for stage in (_clean_stage, _stats_stage, _seasonal_stage, _dtw_stage)
-    ]
-    bundle = {"cleaning": reports, "summaries": summaries, "seasonal": tables,
-              "dtw": rankings, "adf_log_price_diff": adf}
     if "svg" in args.formats:
         for var, c in cleaned.items():
             files[f"series_{var.value}.svg"] = _series_svg(c.dense)
     if "json" in args.formats:
-        files["bundle.json"] = to_json(bundle)
-    return bundle
+        files["bundle.json"] = to_json({"files": files.sizes})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -652,6 +647,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"seasonwarp: i/o error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("seasonwarp: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -475,6 +475,7 @@ class TestIngestBoundary:
              "usage error: {cfg}: not UTF-8: byte 0xe9 at offset 17"),
             ("fixture seed", 1, "usage error: --seed must be >= 0, got -1"),
             ("report-all seed", 1, "usage error: --seed must be >= 0, got -1"),
+            ("dtw band", 1, "usage error: --band must be >= 0, got -1"),
             ("blank price column", 2,
              "data error: spline fill needs >= 4 observed points for modal_price, got 0"),
             ("one seasonal year", 2,
@@ -521,6 +522,8 @@ class TestIngestBoundary:
             argv = ["fixture", "--seed", "-1"]
         elif case == "report-all seed":
             argv = ["report-all", "--seed", "-1"]
+        elif case == "dtw band":
+            argv = ["dtw", "--input", "in.csv", "--band", "-1"]
         elif case == "empty --out-dir":
             out_flags.append("--out-dir=")
         elif case == "fixture empty --out-dir":
@@ -956,12 +959,27 @@ class TestReportAll:
         ):
             assert expected in names, expected
 
-    def test_bundle_roundtrips(self, tmp_path):
+    @pytest.mark.parametrize("flags, stale", [
+        ((), {}),
+        (("--format", "json"), {}),
+        (("--force",), {"bundle.json": b"{}\n", "stats.json": b"{}\n", "notes.txt": b"kept\n"}),
+    ], ids=["default", "json", "force"])
+    def test_bundle_lists_the_tree(self, tmp_path, flags, stale):
+        # bundle.json is the byte count of every other file the run wrote,
+        # by name: no file another run left, and no value of another file.
         out = tmp_path / "o"
-        _run("report-all", "--out-dir", str(out))
-        bundle = _read_json(out / "bundle.json")
-        assert set(bundle["summaries"]) == {"arrivals", "modal_price"}
-        assert bundle["adf_log_price_diff"] is not None
+        if stale:
+            out.mkdir()
+            for name, data in stale.items():
+                (out / name).write_bytes(data)
+        assert _run("report-all", *flags, "--out-dir", str(out)) == 0
+        tree = _tree(out)
+        written = {name: len(data) for name, data in tree.items()
+                   if name not in ("bundle.json", "notes.txt")}
+        assert json.loads(tree["bundle.json"]) == {"files": written}
+        assert tree.get("notes.txt") == stale.get("notes.txt")
+        assert "fixture.csv" in written and tree["stats.json"] != b"{}\n"
+        assert ("stats.csv" in written) == ("json" not in flags)
 
     @pytest.mark.parametrize(
         "data_opts, dtw_opts",
@@ -1262,6 +1280,35 @@ class TestConfigAndUsage:
         assert _run("stats", "--input", str(fixture_csv), "--out-dir", str(out)) == 2
         assert (out / "stats.json").read_bytes() == before["stats.json"]
         assert not (out / "stats.csv").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_interrupt_exits_130_and_leaves_out_dir_as_it_was(
+        self, tmp_path, fixture_csv, monkeypatch, capsys, existing
+    ):
+        # Ctrl-C is one stderr line and exit 130 (128 + SIGINT), and the
+        # staging directory, which holds a group by then, is removed.
+        out, staged = tmp_path / "o", []
+        if existing:
+            out.mkdir()
+            (out / "keep.txt").write_bytes(b"kept")
+
+        def interrupted(dense):
+            staged.extend(tmp_path.rglob(".seasonwarp-*/*"))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(seasonwarp.cli, "_series_svg", interrupted)
+        try:
+            code = _run("report-all", "--input", str(fixture_csv), "--out-dir", str(out))
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt left main")
+        assert code == 130
+        assert capsys.readouterr().err == "seasonwarp: interrupted\n"
+        assert staged
+        assert not list(tmp_path.rglob(".seasonwarp-*"))
+        if existing:
+            assert _tree(out) == {"keep.txt": b"kept"}
+        else:
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestNewOutDir:

@@ -61,8 +61,9 @@ may or may not settle before the run ends.
 options as the lines of a config file, written into each run's working
 directory.  ``long-stats-winsorize``, ``long-seasonal-winsorize`` and
 ``dtw-winsorize`` check that each value-only command reads the winsorized
-values, which only the outlier pass makes, under ``--winsorize``.  ``report-all-arrivals`` is the one tree whose bundle holds a single
-variable and whose ``adf_log_price_diff`` is null.  ``report-all-force``
+values, which only the outlier pass makes, under ``--winsorize``.
+``report-all-arrivals`` is the one report-all tree of a single variable,
+whose ``stats.json`` has a null ``adf_log_price_diff``.  ``report-all-force``
 runs into an existing --out-dir holding ``STALE_FILES``: one output that
 ``--force`` replaces and one file left alone, so the commit that moves each
 file into an existing directory is checked as well as the one that renames
