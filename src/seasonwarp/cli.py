@@ -20,9 +20,10 @@ Exit codes: 0 success, 1 usage error, 2 data or I/O error, 130 interrupted
 of about 256 KiB as they are made, so the run holds at most one group and
 one file in memory, and are put in place only once the whole run has
 succeeded: a new --out-dir by one rename of the staging directory, an
-existing one file by file.  A failing or interrupted run leaves no partial
-output tree.  Every emitter is deterministic, which makes output trees
-byte-stable.
+existing one file by file, with each file it replaces kept aside until
+every move has succeeded.  A failing or interrupted run leaves no partial
+output tree (``fsync`` durability and power loss are out of scope).  Every
+emitter is deterministic, which makes output trees byte-stable.
 """
 
 from __future__ import annotations
@@ -355,7 +356,9 @@ class _OutputTree:
     leaves it untouched; an empty one is replaced (Linux ``rename``
     semantics).  An existing --out-dir, which may be a mount
     point or hold other files, is staged inside and each file moved into
-    it by ``os.replace`` after the clash checks."""
+    it by ``os.replace`` after the clash checks; a file it replaces is moved
+    aside into the staging directory first and kept until every move has
+    succeeded, and a failed move puts back every file moved so far."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.out_dir = Path(args.out_dir)
@@ -419,7 +422,8 @@ class _OutputTree:
             self.root = None
             return
         names = sorted(self.sizes)
-        clashes = [name for name in names if (self.out_dir / name).exists()]
+        present = {name for name in names if os.path.lexists(self.out_dir / name)}
+        clashes = [name for name in names if name in present and (self.out_dir / name).exists()]
         # A file cannot replace a directory, even with --force; found after
         # the first move, one would leave a partial tree.
         dirs = [name for name in clashes
@@ -433,8 +437,28 @@ class _OutputTree:
                 f"output already exists in {self.out_dir}: {', '.join(clashes)} "
                 f"(pass --force to overwrite)"
             )
+        # Each file a move replaces is moved aside first, so that a failed
+        # move can be undone, in reverse order, back to the tree as it was.
+        aside = _hidden_dir(self.root) if present else None
+        moves = []
         for name in names:
-            os.replace(self.staging / name, self.out_dir / name)
+            if name in present:
+                moves.append((self.out_dir / name, aside / name))
+            moves.append((self.staging / name, self.out_dir / name))
+        done = 0
+        try:
+            for src, dst in moves:
+                os.replace(src, dst)
+                done += 1
+        except BaseException as exc:
+            try:
+                for src, dst in reversed(moves[:done]):
+                    os.replace(dst, src)
+            except OSError as undo:
+                root, self.root = self.root, None  # it holds files not put back
+                raise OSError(f"{exc}; undoing the commit failed too: {undo}; "
+                              f"the replaced files are kept in {root}") from None
+            raise
 
 
 def _run_stage(args: argparse.Namespace, stage) -> int:

@@ -1,20 +1,19 @@
 """Report assembly and deterministic serialization (JSON / CSV).
 
-JSON is emitted with sorted keys and two-space indentation, byte for byte
-as ``json.dumps`` writes it with those settings, and a NaN or an infinity,
-which JSON cannot hold, is refused; CSV uses
-RFC-4180 quoting with CRLF row endings, and a table of records has one row
-per record and one column per field.  Identical inputs give identical
-bytes, which the golden-file tests rely on.
+JSON is one line, as ``json.dumps`` writes it with sorted keys, and a NaN
+or an infinity, which JSON cannot hold, is refused; CSV uses RFC-4180
+quoting with CRLF row endings, and a table of records has one row per
+record and one column per field.  Identical inputs give identical bytes,
+which the golden-file tests rely on.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import fields, is_dataclass
-from json.encoder import encode_basestring_ascii as _quote
 
 from .descriptive import DescriptiveSummary
 from .errors import DataIntegrityError
@@ -23,76 +22,48 @@ from .unitroot import AdfResult
 
 
 def to_json(payload) -> str:
-    """``payload`` as ``json.dumps`` writes it with two-space indentation
-    and sorted keys, plus a newline, once every record is in its JSON form:
-    a `WeekKey` is ``[iso_year, iso_week]``, a record with a ``to_dict`` is
-    that dict, and any other dataclass is its fields.  Sorted keys keep
-    field order out of the bytes; a key that is not a str raises TypeError.
-    NaN or an infinity raises DataIntegrityError naming its key path, as in
+    """``payload`` as ``json.dumps`` writes it with sorted keys, on one line,
+    plus a newline, with each record in its JSON form (`_record`).  NaN or an
+    infinity raises DataIntegrityError naming its key path, as in
     ``non-finite number nan at summaries.modal_price.skewness``."""
     try:
-        return _json(payload, "\n") + "\n"
-    except _NonFinite as exc:
-        at = "".join(reversed(exc.path)).removeprefix(".")
-        where = f" at {at}" if at else ""
-        raise DataIntegrityError(f"non-finite number {exc.value}{where}") from None
+        return json.dumps(payload, sort_keys=True, allow_nan=False, default=_record) + "\n"
+    except ValueError:
+        found = next(_non_finite(payload, ""), None)
+        if found is None:
+            raise
+        value, at = found
+        where = f" at {at.removeprefix('.')}" if at else ""
+        raise DataIntegrityError(f"non-finite number {value}{where}") from None
 
 
-class _NonFinite(Exception):
-    """A non-finite float, and the steps to it, innermost first, which each
-    container adds as the exception leaves it: a successful write builds no path."""
-
-    def __init__(self, value: float):
-        self.value, self.path = value, []
-
-
-def _json(value, nl: str) -> str:
-    """The JSON text of ``value``, one pass, no copy of the payload.  ``nl``
-    is the newline and indentation of the line the value starts on."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value or value in (math.inf, -math.inf):
-            raise _NonFinite(value)
-        return float.__repr__(value)
-    inner = nl + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for k in sorted(value):
-            try:
-                items.append(_quote(k) + ": " + _json(value[k], inner))
-            except _NonFinite as exc:
-                exc.path.append("." + k)
-                raise
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = []
-        for i, v in enumerate(value):
-            try:
-                items.append(_json(v, inner))
-            except _NonFinite as exc:
-                exc.path.append(f"[{i}]")
-                raise
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+def _record(value):
+    """A record's JSON form: a `WeekKey` is ``[iso_year, iso_week]``, a
+    record with a ``to_dict`` is that dict, and any other dataclass is its
+    fields."""
     if isinstance(value, WeekKey):
-        return _json([value.iso_year, value.iso_week], nl)
+        return [value.iso_year, value.iso_week]
     if hasattr(value, "to_dict"):
-        return _json(value.to_dict(), nl)
+        return value.to_dict()
     if is_dataclass(value):
-        return _json({f.name: getattr(value, f.name) for f in fields(value)}, nl)
+        return {f.name: getattr(value, f.name) for f in fields(value)}
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _non_finite(value, path: str):
+    """Each NaN or infinity in ``value`` with its key path, in the order
+    ``to_json`` writes them."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            yield value, path
+    elif isinstance(value, dict):
+        for k in sorted(value):
+            yield from _non_finite(value[k], f"{path}.{k}")
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from _non_finite(v, f"{path}[{i}]")
+    elif value is not None and not isinstance(value, (str, int)):
+        yield from _non_finite(_record(value), path)
 
 
 def _csv_text(rows: list[list]) -> str:

@@ -522,9 +522,8 @@ def warp_steps_oracle(moves: str) -> list[tuple[int, int]]:
 
 def to_json_oracle(payload) -> str:
     """report.to_json by its defining rule: a copy of the payload with every
-    record in its JSON form, then json.dumps(indent=2, sort_keys=True) and a
-    newline."""
-    return json.dumps(_json_plain(payload), indent=2, sort_keys=True) + "\n"
+    record in its JSON form, then json.dumps(sort_keys=True) and a newline."""
+    return json.dumps(_json_plain(payload), sort_keys=True) + "\n"
 
 
 def _json_plain(value):

@@ -1046,14 +1046,14 @@ class TestReportAll:
         _assert_swept_once(sweeps, [len(p) for p in pairs], 4)
 
     def test_every_json_file_in_json_dumps_form(self, tmp_path):
-        # to_json writes its own text; every file must read as json.dumps
-        # with indent=2 and sorted keys writes the data it holds.
+        # Every file must read as json.dumps with sorted keys writes the
+        # data it holds, on one line.
         out = tmp_path / "o"
         assert _run("report-all", "--all-pairs", "--band", "4", "--out-dir", str(out)) == 0
         texts = {p.name: p.read_text() for p in out.glob("*.json")}
         assert len(texts) > 200 and "bundle.json" in texts
         for name, text in texts.items():
-            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
 
 
 class TestCleaningPasses:
@@ -1280,6 +1280,65 @@ class TestConfigAndUsage:
         assert _run("stats", "--input", str(fixture_csv), "--out-dir", str(out)) == 2
         assert (out / "stats.json").read_bytes() == before["stats.json"]
         assert not (out / "stats.csv").exists()
+
+    def test_failed_commit_into_existing_out_dir_is_undone(self, tmp_path, fixture_csv,
+                                                           monkeypatch, capsys):
+        # Each file the commit replaces is moved aside first, so a failed
+        # move, whichever it is, is undone back to the tree as it was.
+        replace = os.replace
+
+        def commit(k, failures):
+            # A --winsorize tree, whose four files all differ from the new
+            # ones, beside an unrelated file, all of mode 0o640.
+            out = tmp_path / str(k)
+            assert _run("clean", "--input", str(fixture_csv), "--winsorize",
+                        "--out-dir", str(out)) == 0
+            (out / "notes.txt").write_bytes(b"theirs")
+            for p in out.iterdir():
+                p.chmod(0o640)
+            before = {p.name: (p.read_bytes(), stat.S_IMODE(p.stat().st_mode))
+                      for p in out.iterdir()}
+            calls = []
+
+            def failing_replace(src, dst):
+                calls.append(dst)
+                if len(calls) in failures:
+                    raise OSError(*failures[len(calls)])
+                return replace(src, dst)
+
+            capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", failing_replace)
+                code = _run("clean", "--input", str(fixture_csv), "--force",
+                            "--out-dir", str(out))
+            after = {p.name: (p.read_bytes(), stat.S_IMODE(p.stat().st_mode))
+                     for p in out.iterdir() if not p.name.startswith(".")}
+            return before, after, code, capsys.readouterr().err, len(calls)
+
+        before, after, code, err, moves = commit(0, {})
+        assert code == 0 and err == ""
+        assert moves == 8  # each of the four files moved aside, then in
+        assert after["notes.txt"] == before["notes.txt"]
+        assert all(after[n][0] != before[n][0] for n in before if n != "notes.txt")
+        assert not list(tmp_path.rglob(".seasonwarp-*"))
+        for k in range(1, moves + 1):
+            before, after, code, err, _ = commit(k, {k: (28, "No space left on device")})
+            assert code == 2 and err.count("\n") == 1 and "No space left" in err, k
+            assert after == before, k
+            assert not list(tmp_path.rglob(".seasonwarp-*")), k
+        # The last move fails and so does the first undo step: one error
+        # names both and the staging directory, which is kept because the
+        # last file it replaced is still in it.
+        failures = {moves: (28, "No space left on device"), moves + 1: (5, "Input/output error")}
+        before, after, code, err, _ = commit(moves + 1, failures)
+        assert code == 2 and err.count("\n") == 1
+        assert "No space left" in err and "Input/output error" in err
+        (staging,) = (tmp_path / str(moves + 1)).glob(".seasonwarp-*")
+        assert str(staging) in err
+        last = max(n for n in before if n != "notes.txt")
+        assert [p.read_bytes() for p in staging.rglob(last)
+                if p.parent != staging] == [before[last][0]]
+        assert last not in after and after["notes.txt"] == before["notes.txt"]
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_interrupt_exits_130_and_leaves_out_dir_as_it_was(
